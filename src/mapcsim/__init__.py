@@ -7,8 +7,9 @@ slot-occupancy metrics.
 
 from .campaign import Campaign, load_campaign, run_campaign, run_seed
 from .channel import (McsEntry, McsTable, build_rssi_matrix, data_rate_bps,
-                      default_mcs_table, group_feasible, path_loss_db,
-                      rssi_matrix_to_csv, select_mcs, station_sinr_db)
+                      default_mcs_table, group_feasible, group_sinr_db,
+                      path_loss_db, rssi_matrix_to_csv, select_mcs,
+                      station_sinr_db)
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
                      TrafficConfig, load_simulation_config,
                      save_simulation_config)

@@ -22,9 +22,9 @@ from typing import Any, Iterable
 
 from .channel import McsTable, default_mcs_table
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig, simulation_config_from_dict,
-                     simulation_config_to_dict)
-from .engine import TxopRecord, run_simulation
+                     TrafficConfig, _read_json_object,
+                     simulation_config_from_dict, simulation_config_to_dict)
+from .engine import MetricsReport, TxopRecord, run_simulation
 from .scheduling import SCHEDULER_NAMES
 from .stats import empirical_cdf
 
@@ -89,18 +89,7 @@ def campaign_from_dict(data: dict[str, Any]) -> Campaign:
 
 
 def load_campaign(path: str | Path) -> Campaign:
-    import json
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read campaign file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"campaign file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"campaign file {path} must hold a JSON object")
-    return campaign_from_dict(data)
+    return campaign_from_dict(_read_json_object(path, "campaign file"))
 
 
 def run_seed(base_seed: int, deployment_index: int) -> int:
@@ -160,6 +149,11 @@ def execute_run(spec: RunSpec) -> dict[str, Any]:
             f"run {spec.run_id} failed (seed={spec.seed} "
             f"scheduler={spec.scheduler} gamma={spec.gamma_db} k={spec.k} "
             f"load={spec.load_mbps} Mbps): {exc}") from exc
+    return report_row(spec, report)
+
+
+def report_row(spec: RunSpec, report: MetricsReport) -> dict[str, Any]:
+    """The per-run CSV row (PER_RUN_COLUMNS) of `report`, labelled by `spec`."""
     return {
         "run_id": spec.run_id,
         "deployment_index": spec.deployment_index,
@@ -197,16 +191,16 @@ def run_campaign(campaign: Campaign, out_dir: str | Path | None = None,
         rows = [execute_run(spec) for spec in specs]
 
     paths = {"per_run": out / "per_run.csv"}
-    _write_csv(paths["per_run"], PER_RUN_COLUMNS, rows)
+    write_csv(paths["per_run"], PER_RUN_COLUMNS, rows)
     for name, (columns, table) in aggregate_rows(rows).items():
         paths[name] = out / f"{name}.csv"
-        _write_csv(paths[name], columns, table)
+        write_csv(paths[name], columns, table)
     _write_config_echo(campaign, out / "campaign_config.json")
     paths["campaign_config"] = out / "campaign_config.json"
     return paths
 
 
-def _write_csv(path: Path, columns: Iterable[str], rows: Iterable[dict]) -> None:
+def write_csv(path: Path, columns: Iterable[str], rows: Iterable[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(columns))
         writer.writeheader()
@@ -286,5 +280,5 @@ def write_txop_trace(records: list[TxopRecord], txop_max_us: float,
         "num_slots": len(rec.slots),
         "packets_delivered": rec.packets_delivered,
     } for i, rec in enumerate(records)]
-    _write_csv(Path(path), ("txop_index", "start_time_s", "total_duration_us",
-                            "occupancy", "num_slots", "packets_delivered"), rows)
+    write_csv(Path(path), ("txop_index", "start_time_s", "total_duration_us",
+                           "occupancy", "num_slots", "packets_delivered"), rows)

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,16 +29,21 @@ if TYPE_CHECKING:
     from .scenario import Deployment
 
 
-def path_loss_db(distance_m: float, freq_ghz: float, wall_count: float,
-                 breakpoint_m: float = 10.0) -> float:
-    """Path loss in dB at `distance_m` meters. Raises for d <= 0."""
-    if distance_m <= 0:
+def path_loss_db(distance_m: float | np.ndarray, freq_ghz: float,
+                 wall_count: float, breakpoint_m: float = 10.0) -> float | np.ndarray:
+    """Path loss in dB at `distance_m` meters, a scalar or an array.
+
+    Raises if any distance is <= 0.
+    """
+    dist = np.asarray(distance_m, dtype=float)
+    if (dist <= 0).any():
         raise ValueError("distance must be positive")
-    capped = min(distance_m, breakpoint_m)
-    loss = 40.05 + 20.0 * math.log10(capped * freq_ghz / 2.4) + 7.0 * wall_count
-    if distance_m > breakpoint_m:
-        loss += 35.0 * math.log10(distance_m / breakpoint_m)
-    return loss
+    capped = np.minimum(dist, breakpoint_m)
+    loss = 40.05 + 20.0 * np.log10(capped * freq_ghz / 2.4) + 7.0 * wall_count
+    loss = loss + np.where(dist > breakpoint_m,
+                           35.0 * np.log10(np.maximum(dist, breakpoint_m) / breakpoint_m),
+                           0.0)
+    return loss if loss.ndim else float(loss)
 
 
 def build_rssi_matrix(deployment: "Deployment", config: "ScenarioConfig") -> np.ndarray:
@@ -49,13 +54,8 @@ def build_rssi_matrix(deployment: "Deployment", config: "ScenarioConfig") -> np.
     """
     diff = deployment.ap_positions[:, None, :] - deployment.station_positions[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
-    capped = np.minimum(dist, config.breakpoint_m)
-    loss = (40.05 + 20.0 * np.log10(capped * config.carrier_freq_ghz / 2.4)
-            + 7.0 * config.wall_count)
-    beyond = dist > config.breakpoint_m
-    loss = loss + np.where(beyond, 35.0 * np.log10(np.maximum(dist, config.breakpoint_m)
-                                                   / config.breakpoint_m), 0.0)
-    return config.tx_power_dbm - loss
+    return config.tx_power_dbm - path_loss_db(dist, config.carrier_freq_ghz,
+                                              config.wall_count, config.breakpoint_m)
 
 
 def station_sinr_db(ap: int, station: int, group: Iterable[int],
@@ -71,6 +71,17 @@ def station_sinr_db(ap: int, station: int, group: Iterable[int],
     return rssi_dbm[ap, station] - 10.0 * math.log10(interference_mw)
 
 
+def group_sinr_db(members: Sequence[int], rssi_dbm: np.ndarray,
+                  stations_by_ap: Sequence[Sequence[int]], noise_dbm: float
+                  ) -> Iterator[tuple[int, int, float]]:
+    """Yield (ap, station, sinr_db) for every station of every member while
+    all of `members` transmit. Lazy, so a feasibility check can stop at the
+    first failing station."""
+    for ap in members:
+        for sta in stations_by_ap[ap]:
+            yield ap, sta, station_sinr_db(ap, sta, members, rssi_dbm, noise_dbm)
+
+
 def group_feasible(group: Iterable[int], rssi_dbm: np.ndarray,
                    stations_by_ap: Sequence[Sequence[int]], noise_dbm: float,
                    gamma_db: float) -> bool:
@@ -79,10 +90,9 @@ def group_feasible(group: Iterable[int], rssi_dbm: np.ndarray,
     members = tuple(group)
     if not members:
         raise ValueError("group must be non-empty")
-    for ap in members:
-        for sta in stations_by_ap[ap]:
-            if station_sinr_db(ap, sta, members, rssi_dbm, noise_dbm) < gamma_db:
-                return False
+    for _, _, sinr in group_sinr_db(members, rssi_dbm, stations_by_ap, noise_dbm):
+        if sinr < gamma_db:
+            return False
     return True
 
 

@@ -8,8 +8,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .campaign import (load_campaign, run_campaign, write_txop_trace,
-                       execute_run, RunSpec, PER_RUN_COLUMNS, _write_csv)
+from .campaign import (PER_RUN_COLUMNS, RunSpec, load_campaign, report_row,
+                       run_campaign, write_csv, write_txop_trace)
 from .config import SimulationConfig, load_simulation_config
 from .engine import build_environment, run_simulation
 from .scheduling import SCHEDULER_NAMES
@@ -97,7 +97,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                        config.max_group_size,
                        config.traffic.load_bps_per_sta / 1e6, config.scenario,
                        config.timing, config.traffic, config.mcs_table)
-        _write_csv(out / "run.csv", PER_RUN_COLUMNS, [execute_run(spec)])
+        write_csv(out / "run.csv", PER_RUN_COLUMNS, [report_row(spec, report)])
         print(f"wrote {out / 'run.csv'}")
         if trace is not None:
             write_txop_trace(trace, config.timing.txop_max_us,

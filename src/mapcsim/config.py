@@ -30,7 +30,6 @@ class ScenarioConfig:
     wall_count: int = 3
     breakpoint_m: float = 10.0
     noise_dbm: float = -94.0
-    cca_dbm: float = -82.0  # reserved: carrier sense never fires inside protected TXOPs
 
     def __post_init__(self) -> None:
         if self.subarea_rows < 1 or self.subarea_cols < 1:
@@ -56,17 +55,16 @@ class TimingConfig:
     """Durations of the periodic coordinated-TXOP timeline.
 
     Frame durations are in microseconds, the period and TXOP cap in
-    milliseconds (matching how they are usually quoted). `cts_timeout_us` is
-    carried for completeness but unused: the reservation handshake is assumed
-    to always succeed. `slot_overhead_us` is a fixed per-slot charge (e.g. a
-    block-ACK exchange) on top of the trigger frame; default 0.
+    milliseconds (matching how they are usually quoted). The reservation
+    handshake is assumed to always succeed. `slot_overhead_us` is a fixed
+    per-slot charge (e.g. a block-ACK exchange) on top of the trigger frame;
+    default 0.
     """
 
     period_ms: float = 5.0
     txop_max_ms: float = 3.0
     map_rts_us: float = 80.0
     map_cts_us: float = 62.0
-    cts_timeout_us: float = 41.0
     map_tf_us: float = 76.0
     te_us: float = 9.0
     ofdm_symbol_us: float = 12.8
@@ -170,18 +168,23 @@ def simulation_config_from_dict(data: dict[str, Any]) -> SimulationConfig:
     return SimulationConfig(**kwargs)
 
 
-def load_simulation_config(path: str | Path) -> SimulationConfig:
-    """Load a run configuration from a JSON file."""
+def _read_json_object(path: str | Path, what: str) -> dict[str, Any]:
+    """Parse a JSON file that must hold an object; `what` names it in errors."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return simulation_config_from_dict(data)
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return data
+
+
+def load_simulation_config(path: str | Path) -> SimulationConfig:
+    """Load a run configuration from a JSON file."""
+    return simulation_config_from_dict(_read_json_object(path, "config file"))
 
 
 def simulation_config_to_dict(config: SimulationConfig) -> dict[str, Any]:

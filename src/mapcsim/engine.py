@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import (McsTable, build_rssi_matrix, data_rate_bps,
-                      default_mcs_table, select_mcs, station_sinr_db)
+                      default_mcs_table, group_sinr_db, select_mcs)
 from .config import ScenarioConfig, TimingConfig, TrafficConfig
 from .grouping import GroupSet, build_all_groups
 from .scenario import Deployment, generate_grid_deployment
@@ -147,6 +147,10 @@ class SlotPlan:
     transmissions: list[ApTransmission]
     duration_us: float                       # max member airtime
 
+    @property
+    def packets(self) -> int:
+        return sum(k for tx in self.transmissions for _, _, k in tx.segments)
+
 
 def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
               link_airtimes: LinkAirtimes, timing: TimingConfig,
@@ -199,21 +203,10 @@ def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
 
 
 @dataclass
-class SlotRecord:
-    members: tuple[int, ...]
-    duration_us: float
-    delivered: list[tuple[int, list[tuple[int, int, int]]]]  # (ap, segments)
-
-    @property
-    def packets(self) -> int:
-        return sum(k for _, segs in self.delivered for _, _, k in segs)
-
-
-@dataclass
 class TxopRecord:
     start_time_s: float
     handshake_us: float
-    slots: list[SlotRecord]
+    slots: list[SlotPlan]
     total_duration_us: float
 
     @property
@@ -265,7 +258,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
         return TxopRecord(now_s, 0.0, [], 0.0)
     consumed = timing.handshake_us
     txop_max = timing.txop_max_us
-    slots: list[SlotRecord] = []
+    slots: list[SlotPlan] = []
     while True:
         summary = BufferSummary(now_s + consumed * 1e-6,
                                 [b.count for b in buffers],
@@ -281,8 +274,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
         consumed += (timing.map_tf_us + timing.te_us + timing.slot_overhead_us
                      + plan.duration_us)
         state.deliver(plan, now_s + consumed * 1e-6)
-        slots.append(SlotRecord(plan.members, plan.duration_us,
-                                [(tx.ap, tx.segments) for tx in plan.transmissions]))
+        slots.append(plan)
     return TxopRecord(now_s, timing.handshake_us, slots, consumed)
 
 
@@ -324,18 +316,13 @@ def _selection_airtimes(env: Environment, scenario: ScenarioConfig,
     in-group SINR (and hence MCS and airtime) never changes during a run."""
 
     def rates_for(members: tuple[int, ...]) -> dict[int, dict]:
-        out: dict[int, dict] = {}
-        for ap in members:
-            per_sta: dict[int, tuple[int, float] | None] = {}
-            for sta in env.deployment.stations_by_ap[ap]:
-                sinr = station_sinr_db(ap, sta, members, env.rssi_dbm,
-                                       scenario.noise_dbm)
-                mcs = select_mcs(sinr, mcs_table)
-                if mcs is None:
-                    per_sta[sta] = None
-                else:
-                    per_sta[sta] = (mcs, packet_bits / data_rate_bps(mcs, mcs_table, timing) * 1e6)
-            out[ap] = per_sta
+        out: dict[int, dict] = {ap: {} for ap in members}
+        for ap, sta, sinr in group_sinr_db(members, env.rssi_dbm,
+                                           env.deployment.stations_by_ap,
+                                           scenario.noise_dbm):
+            mcs = select_mcs(sinr, mcs_table)
+            out[ap][sta] = None if mcs is None else (
+                mcs, packet_bits / data_rate_bps(mcs, mcs_table, timing) * 1e6)
         return out
 
     table: dict[frozenset, dict] = {}

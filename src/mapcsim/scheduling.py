@@ -30,11 +30,6 @@ class SchedulerKind(enum.Enum):
     def is_ctdma(self) -> bool:
         return self in (SchedulerKind.CTDMA_NUMPK, SchedulerKind.CTDMA_OLDPK)
 
-    @property
-    def uses_delay(self) -> bool:
-        return self in (SchedulerKind.OLDPK_SINGLE, SchedulerKind.OLDPK_GROUP,
-                        SchedulerKind.CTDMA_OLDPK)
-
 
 SCHEDULER_NAMES = tuple(kind.value for kind in SchedulerKind)
 

@@ -5,8 +5,8 @@ import pytest
 
 from mapcsim import (McsTable, ScenarioConfig, TimingConfig, build_rssi_matrix,
                      data_rate_bps, default_mcs_table, generate_grid_deployment,
-                     group_feasible, path_loss_db, rssi_matrix_to_csv,
-                     select_mcs, station_sinr_db)
+                     group_feasible, group_sinr_db, path_loss_db,
+                     rssi_matrix_to_csv, select_mcs, station_sinr_db)
 from oracles import feasible_reference, path_loss_reference, sinr_reference
 
 
@@ -23,6 +23,11 @@ def test_path_loss_matches_reference_grid():
             for wn in (0, 3, 7):
                 assert path_loss_db(d, fc, wn) == pytest.approx(
                     path_loss_reference(d, fc, wn), abs=0.01)
+    ds = np.array([[0.1, 9.99, 10.0], [10.01, 28.3, 100.0]])
+    losses = path_loss_db(ds, 5.0, 3)
+    assert losses.shape == ds.shape
+    for d, loss in zip(ds.ravel(), losses.ravel()):
+        assert loss == pytest.approx(path_loss_db(float(d), 5.0, 3), rel=0, abs=1e-12)
 
 
 def test_path_loss_continuous_at_breakpoint():
@@ -46,6 +51,8 @@ def test_path_loss_rejects_nonpositive_distance():
         path_loss_db(0, 5.0, 3)
     with pytest.raises(ValueError):
         path_loss_db(-2, 5.0, 3)
+    with pytest.raises(ValueError):
+        path_loss_db(np.array([3.0, 0.0, 12.0]), 5.0, 3)
 
 
 def test_rssi_matrix_values_and_shape():
@@ -112,6 +119,12 @@ def test_sinr_linear_domain_sum():
     sinr = station_sinr_db(0, 0, (0, 1), rssi, -94.0)
     assert sinr == pytest.approx(30.55, abs=0.05)
     assert sinr == pytest.approx(sinr_reference(0, 0, (0, 1), rssi, -94.0), abs=1e-12)
+    # the station is also listed under AP 1, where AP 0 is the interferer
+    yielded = list(group_sinr_db((0, 1), rssi, ((0,), (0,)), -94.0))
+    assert [(ap, sta) for ap, sta, _ in yielded] == [(0, 0), (1, 0)]
+    for ap, sta, value in yielded:
+        assert value == pytest.approx(
+            sinr_reference(ap, sta, (0, 1), rssi, -94.0), abs=1e-12)
 
 
 def test_sinr_interferers_never_help():

@@ -2,6 +2,10 @@ import json
 import subprocess
 import sys
 
+import mapcsim.campaign
+import mapcsim.cli
+from mapcsim import load_simulation_config
+from mapcsim.campaign import PER_RUN_COLUMNS, RunSpec, execute_run, write_csv
 from mapcsim.cli import main
 
 
@@ -29,6 +33,36 @@ def test_run_subcommand(tmp_path, capsys):
     trace = (tmp_path / "out" / "txop_trace.csv").read_text().splitlines()
     assert len(trace) == 41  # header + one row per TXOP
     assert trace[0].startswith("txop_index,")
+
+
+def test_run_out_simulates_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = mapcsim.cli.run_simulation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mapcsim.cli, "run_simulation", counting)
+    monkeypatch.setattr(mapcsim.campaign, "run_simulation", counting)
+    path = _write_config(tmp_path)
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_run_out_row_matches_execute_run(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    rc = main(["run", "--config", str(path), "--scheduler", "oldpk-group",
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    config = load_simulation_config(path)
+    spec = RunSpec(0, 0, config.seed, "oldpk-group", config.gamma_db,
+                   config.max_group_size, 6.0, config.scenario, config.timing,
+                   config.traffic, config.mcs_table)
+    write_csv(tmp_path / "expected.csv", PER_RUN_COLUMNS, [execute_run(spec)])
+    assert ((tmp_path / "out" / "run.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
 
 
 def test_run_flag_overrides(tmp_path, capsys):
@@ -123,10 +157,10 @@ def test_run_defaults_match_documented_table():
     s, t, tr = ScenarioConfig(), TimingConfig(), TrafficConfig()
     assert (s.subarea_rows, s.subarea_cols, s.subarea_side_m) == (3, 3, 10.0)
     assert (s.tx_power_dbm, s.wall_count, s.breakpoint_m) == (23.0, 3, 10.0)
-    assert (s.cca_dbm, s.noise_dbm) == (-82.0, -94.0)
+    assert s.noise_dbm == -94.0
     assert (t.period_ms, t.txop_max_ms) == (5.0, 3.0)
-    assert (t.map_rts_us, t.map_cts_us, t.cts_timeout_us, t.map_tf_us,
-            t.te_us) == (80.0, 62.0, 41.0, 76.0, 9.0)
+    assert (t.map_rts_us, t.map_cts_us, t.map_tf_us,
+            t.te_us) == (80.0, 62.0, 76.0, 9.0)
     assert (t.ofdm_symbol_us, t.guard_interval_us) == (12.8, 0.8)
     assert t.num_txops == 10000
     assert (tr.burst_packets, tr.packet_bytes) == (10, 1500)

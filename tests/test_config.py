@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from mapcsim import (SimulationConfig, TimingConfig, load_simulation_config,
-                     save_simulation_config)
+from mapcsim import (SimulationConfig, TimingConfig, load_campaign,
+                     load_simulation_config, save_simulation_config)
 from mapcsim.config import simulation_config_from_dict
 
 
@@ -48,6 +49,11 @@ def test_unknown_keys_rejected():
         simulation_config_from_dict({"timing": {"bogus": 1}})
     with pytest.raises(ValueError, match="sections"):
         simulation_config_from_dict({"extra_section": {}})
+    # knobs removed because nothing read them
+    with pytest.raises(ValueError, match="unknown ScenarioConfig keys.*cca_dbm"):
+        simulation_config_from_dict({"scenario": {"cca_dbm": -82.0}})
+    with pytest.raises(ValueError, match="unknown TimingConfig keys.*cts_timeout_us"):
+        simulation_config_from_dict({"timing": {"cts_timeout_us": 41.0}})
 
 
 def test_timing_invariants():
@@ -58,6 +64,14 @@ def test_timing_invariants():
     with pytest.raises(ValueError):
         TimingConfig(num_txops=0)
     assert TimingConfig().handshake_us == 80 + 9 + 62 + 9
+
+
+def test_shipped_configs_load():
+    paths = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        load_simulation_config(path)
+        load_campaign(path)
 
 
 def test_missing_file_is_reported():
