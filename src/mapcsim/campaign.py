@@ -56,6 +56,8 @@ class Campaign:
                 raise ValueError(f"sweep axis {axis} must be non-empty")
         if self.num_deployments < 1:
             raise ValueError("num_deployments must be >= 1")
+        if min(self.k_values) < 1:
+            raise ValueError("k_values must be >= 1")
         unknown = set(self.schedulers) - set(SCHEDULER_NAMES)
         if unknown:
             raise ValueError(f"unknown schedulers: {sorted(unknown)} "
@@ -68,8 +70,7 @@ class Campaign:
 
 
 def campaign_from_dict(data: dict[str, Any]) -> Campaign:
-    base = simulation_config_from_dict({k: v for k, v in data.items()
-                                        if k != "campaign"})
+    base = simulation_config_from_dict(data)
     camp = dict(data.get("campaign", {}))
     kwargs = dict(
         scenario=base.scenario, timing=base.timing, traffic=base.traffic,
@@ -79,10 +80,11 @@ def campaign_from_dict(data: dict[str, Any]) -> Campaign:
         gammas_db=tuple(camp.pop("gammas_db", (base.gamma_db,))),
         k_values=tuple(camp.pop("k_values", (base.max_group_size,))),
         schedulers=tuple(camp.pop("schedulers", (base.scheduler,))),
-        num_deployments=camp.pop("num_deployments", 1000),
         base_seed=camp.pop("base_seed", base.seed),
-        out_dir=camp.pop("out_dir", "results"),
     )
+    for key in ("num_deployments", "out_dir"):  # else Campaign's defaults
+        if key in camp:
+            kwargs[key] = camp.pop(key)
     if camp:
         raise ValueError(f"unknown campaign keys: {sorted(camp)}")
     return Campaign(**kwargs)

@@ -96,23 +96,18 @@ class ApBuffer:
         set) stay buffered in their original order. Returns the consumed
         (arrival_s, station, count) triples.
         """
-        taken: list[tuple[float, int, int]] = []
-        kept: list[list] = []
-        pos = 0
-        for cpos, k in consumptions:
-            while pos < cpos:  # hop over skipped (unservable) bursts
-                kept.append(self.batches.popleft())
-                pos += 1
-            batch = self.batches[0]
-            if k == batch[2]:
-                self.batches.popleft()
-                pos += 1
-            else:
-                batch[2] -= k  # split burst: remainder keeps its arrival time
+        batches = self.batches
+        taken = []
+        for pos, k in consumptions:
+            batch = batches[pos]
             taken.append((batch[0], batch[1], k))
             self.count -= k
-        if kept:
-            self.batches.extendleft(reversed(kept))
+        # back to front, so deleting a burst leaves the earlier positions valid
+        for pos, k in reversed(consumptions):
+            if k == batches[pos][2]:
+                del batches[pos]
+            else:
+                batches[pos][2] -= k  # split burst: remainder keeps its arrival time
         return taken
 
 
@@ -172,28 +167,24 @@ def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
     for ap in members:
         rates = link_airtimes[ap]
         acc = timing.phy_preamble_us
-        segment_counts: dict[int, list] = {}
+        segment_counts: dict[int, int] = {}
         consume: list[tuple[int, int]] = []
         for pos, (_, sta, n) in enumerate(buffers[ap].batches):
             entry = rates.get(sta)
             if entry is None:
                 continue
-            mcs, per_packet = entry
+            per_packet = entry[1]
             fit = int((cap_us - acc) / per_packet + 1e-9)
             if fit <= 0:
                 break
             k = n if n <= fit else fit
             acc += k * per_packet
-            seg = segment_counts.get(sta)
-            if seg is None:
-                segment_counts[sta] = [mcs, k]
-            else:
-                seg[1] += k
+            segment_counts[sta] = segment_counts.get(sta, 0) + k
             consume.append((pos, k))
             if k < n:
                 break
         if consume:
-            segments = [(sta, mcs, k) for sta, (mcs, k) in segment_counts.items()]
+            segments = [(sta, rates[sta][0], k) for sta, k in segment_counts.items()]
             transmissions.append(ApTransmission(ap, segments, consume, acc))
             if acc > duration:
                 duration = acc
@@ -217,7 +208,7 @@ class TxopRecord:
 class SimState:
     """Mutable state of one run: buffers plus delivery bookkeeping."""
 
-    def __init__(self, num_aps: int, link_airtimes: Mapping[frozenset, LinkAirtimes],
+    def __init__(self, num_aps: int, link_airtimes: Mapping[tuple[int, ...], LinkAirtimes],
                  packet_bytes: int):
         self.buffers = [ApBuffer() for _ in range(num_aps)]
         self.link_airtimes = link_airtimes
@@ -267,7 +258,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
         if members is None:
             break
         plan = plan_slot(members, buffers,
-                         state.link_airtimes[frozenset(members)], timing,
+                         state.link_airtimes[members], timing,
                          txop_max - consumed)
         if plan is None:
             break
@@ -310,10 +301,11 @@ def build_environment(scenario: ScenarioConfig, gamma_db: float,
 
 def _selection_airtimes(env: Environment, scenario: ScenarioConfig,
                         mcs_table: McsTable, timing: TimingConfig,
-                        packet_bits: int) -> dict[frozenset, dict]:
-    """Precompute per-packet airtimes for every AP set a scheduler can pick:
-    all stored groups plus every c-TDMA singleton. RSSI is static, so the
-    in-group SINR (and hence MCS and airtime) never changes during a run."""
+                        packet_bits: int) -> dict[tuple[int, ...], dict]:
+    """Precompute per-packet airtimes for every AP set a scheduler can pick,
+    keyed by the member tuple `select_group` returns: all stored groups plus
+    every c-TDMA singleton. RSSI is static, so the in-group SINR (and hence
+    MCS and airtime) never changes during a run."""
 
     def rates_for(members: tuple[int, ...]) -> dict[int, dict]:
         out: dict[int, dict] = {ap: {} for ap in members}
@@ -325,11 +317,11 @@ def _selection_airtimes(env: Environment, scenario: ScenarioConfig,
                 mcs, packet_bits / data_rate_bps(mcs, mcs_table, timing) * 1e6)
         return out
 
-    table: dict[frozenset, dict] = {}
+    table: dict[tuple[int, ...], dict] = {}
     for group in env.groups.groups:
-        table[frozenset(group.members)] = rates_for(group.members)
+        table[group.members] = rates_for(group.members)
     for ap in range(env.deployment.num_aps):
-        table.setdefault(frozenset((ap,)), rates_for((ap,)))
+        table.setdefault((ap,), rates_for((ap,)))
     return table
 
 

@@ -78,9 +78,9 @@ def candidate_order(ref_ap: int, rssi_dbm: np.ndarray,
     stations = deployment.stations_by_ap[ref_ap]
     if not stations:
         return []
+    loudest = rssi_dbm[:, list(stations)].max(axis=1).tolist()
     others = [ap for ap in range(deployment.num_aps) if ap != ref_ap]
-    cols = list(stations)
-    return sorted(others, key=lambda ap: (rssi_dbm[ap, cols].max(), ap))
+    return sorted(others, key=lambda ap: (loudest[ap], ap))
 
 
 def build_group(ref_ap: int, rssi_dbm: np.ndarray, deployment: Deployment,

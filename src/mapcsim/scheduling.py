@@ -1,12 +1,11 @@
-"""Per-slot group selection policies.
+"""Per-slot group selection: one rule, two metrics x two scopes.
 
-Four spatial-reuse policies pick one of the precomputed SR-compatible groups
-per coordinated slot, driven either by buffer occupancy (NumPk*) or by how
-long the oldest packet has waited (OldPk*). The *Single variants first pick
-the single neediest AP and then the best group containing it; the *Group
-variants score whole groups directly, normalized by group size so small
-groups do not starve. The two c-TDMA baselines always schedule exactly one
-AP per slot.
+Every scheduler scores each AP by one metric: its queued packets (NumPk*) or
+how long its oldest packet has waited (OldPk*). Per-Group kinds (*Group)
+then pick the stored group with the best size-normalized score, so small
+groups do not starve. Per-AP kinds (*Single) pick the single neediest
+backlogged AP and then the group containing it with the best summed score.
+The two c-TDMA baselines are per-AP kinds that schedule that AP alone.
 """
 
 from __future__ import annotations
@@ -26,9 +25,13 @@ class SchedulerKind(enum.Enum):
     CTDMA_NUMPK = "ctdma-numpk"
     CTDMA_OLDPK = "ctdma-oldpk"
 
-    @property
-    def is_ctdma(self) -> bool:
-        return self in (SchedulerKind.CTDMA_NUMPK, SchedulerKind.CTDMA_OLDPK)
+    def __init__(self, value: str) -> None:
+        # The kind's name states its two facts: the metric (NumPk counts
+        # queued packets, OldPk head-of-line waits) and the scope (per-Group
+        # kinds rank whole groups, the others start from the top AP).
+        self.scores_waits = "oldpk" in value
+        self.per_group = value.endswith("-group")
+        self.is_ctdma = value.startswith("ctdma")
 
 
 SCHEDULER_NAMES = tuple(kind.value for kind in SchedulerKind)
@@ -85,27 +88,13 @@ def select_group(kind: SchedulerKind, groups: GroupSet,
     counts = buffers.counts
     if not any(counts):
         return None
-
-    if kind is SchedulerKind.CTDMA_NUMPK:
-        return (_argmax_backlogged(counts, counts),)
-    if kind is SchedulerKind.CTDMA_OLDPK:
-        return (_argmax_backlogged(buffers.waits(), counts),)
-
-    all_indices = range(len(groups.groups))
-    if kind is SchedulerKind.NUMPK_SINGLE:
-        top_ap = _argmax_backlogged(counts, counts)
-        return _best_group(groups, groups.contains_index[top_ap],
-                           lambda m: sum(counts[ap] for ap in m))
-    if kind is SchedulerKind.NUMPK_GROUP:
-        return _best_group(groups, all_indices,
-                           lambda m: sum(counts[ap] for ap in m) / len(m))
-
-    waits = buffers.waits()  # empty APs contribute 0 to the aggregates
-    if kind is SchedulerKind.OLDPK_SINGLE:
-        top_ap = _argmax_backlogged(waits, counts)
-        return _best_group(groups, groups.contains_index[top_ap],
-                           lambda m: sum(waits[ap] for ap in m))
-    if kind is SchedulerKind.OLDPK_GROUP:
-        return _best_group(groups, all_indices,
-                           lambda m: sum(waits[ap] for ap in m) / len(m))
-    raise ValueError(f"unknown scheduler kind: {kind}")
+    # empty APs score 0 under both metrics
+    scores = buffers.waits() if kind.scores_waits else counts
+    if kind.per_group:
+        return _best_group(groups, range(len(groups.groups)),
+                           lambda m: sum(scores[ap] for ap in m) / len(m))
+    top_ap = _argmax_backlogged(scores, counts)
+    if kind.is_ctdma:
+        return (top_ap,)
+    return _best_group(groups, groups.contains_index[top_ap],
+                       lambda m: sum(scores[ap] for ap in m))

@@ -136,6 +136,10 @@ def test_campaign_validation():
         Campaign(schedulers=("numpk-single", "bogus"))
     with pytest.raises(ValueError):
         campaign_from_dict({"campaign": {"nope": 1}})
+    with pytest.raises(ValueError):
+        Campaign(k_values=(3, 0))
+    with pytest.raises(ValueError):
+        campaign_from_dict({"campaign": {"k_values": [0]}})
 
 
 def test_failed_run_reports_offending_spec():

@@ -147,6 +147,16 @@ def test_ap_buffer_consume_across_batches():
     assert buf.count == 2
     assert list(buf.batches) == [[1.0, 0, 2]]
 
+    # a skipped middle burst stays ahead of the split remainder
+    buf = ApBuffer()
+    buf.append_burst(0.0, 0, 4)
+    buf.append_burst(0.5, 1, 2)
+    buf.append_burst(1.0, 0, 3)
+    taken = buf.consume([(0, 4), (2, 1)])
+    assert taken == [(0.0, 0, 4), (1.0, 0, 1)]
+    assert buf.count == 4
+    assert list(buf.batches) == [[0.5, 1, 2], [1.0, 0, 2]]
+
 
 def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0):
     from mapcsim.engine import _selection_airtimes
