@@ -17,6 +17,10 @@ the station's in-group SINR allows, so an AP's airtime is one PHY preamble
 plus the sum of its segment times. The slot lasts as long as the busiest
 member; APs that finish early idle. The gap between the TXOP cap and the
 next period carries no simulated traffic (it is left to uncoordinated use).
+
+The controller's view of the buffers (queued packets and head-of-line
+arrival per AP) is maintained incrementally: every buffer change writes
+through to it, so no slot or TXOP rebuilds it by walking all APs.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .config import ScenarioConfig, TimingConfig, TrafficConfig
 from .grouping import GroupSet, build_all_groups
 from .scenario import Deployment, generate_grid_deployment
 from .scheduling import BufferSummary, SchedulerKind, select_group
-from .stats import percentile
+from .stats import nearest_rank
 
 # Per-station, per-packet transmit times within one scheduled AP set:
 # ap -> {station: (mcs, airtime_us)}; a station below the MCS-0 threshold
@@ -71,22 +75,33 @@ class ApBuffer:
     """FIFO transmission buffer of one AP, stored as packet bursts.
 
     Each entry is a mutable [arrival_s, station, count]; count shrinks when a
-    burst is split across slots.
+    burst is split across slots. Every change is written through to
+    `counts[ap]` and `heads[ap]`, the controller's view (see SimState); a
+    buffer made alone gets one-entry lists of its own.
     """
 
-    __slots__ = ("batches", "count")
+    __slots__ = ("batches", "counts", "heads", "ap")
 
-    def __init__(self) -> None:
+    def __init__(self, counts: list[int] | None = None,
+                 heads: list[float | None] | None = None, ap: int = 0) -> None:
         self.batches: deque[list] = deque()
-        self.count = 0
-
-    def append_burst(self, arrival_s: float, station: int, count: int) -> None:
-        self.batches.append([arrival_s, station, count])
-        self.count += count
+        self.counts = [0] if counts is None else counts
+        self.heads: list[float | None] = [None] if heads is None else heads
+        self.ap = ap
 
     @property
-    def oldest_arrival(self) -> float | None:
-        return self.batches[0][0] if self.batches else None
+    def count(self) -> int:
+        return self.counts[self.ap]
+
+    @count.setter
+    def count(self, value: int) -> None:
+        self.counts[self.ap] = value
+
+    def append_burst(self, arrival_s: float, station: int, count: int) -> None:
+        if not self.batches:
+            self.heads[self.ap] = arrival_s
+        self.batches.append([arrival_s, station, count])
+        self.counts[self.ap] += count
 
     def consume(self, consumptions: Sequence[tuple[int, int]]) -> list[tuple[float, int, int]]:
         """Remove planned packets; `consumptions` are (queue position, count)
@@ -98,16 +113,19 @@ class ApBuffer:
         """
         batches = self.batches
         taken = []
+        removed = 0
         for pos, k in consumptions:
             batch = batches[pos]
             taken.append((batch[0], batch[1], k))
-            self.count -= k
+            removed += k
         # back to front, so deleting a burst leaves the earlier positions valid
         for pos, k in reversed(consumptions):
             if k == batches[pos][2]:
                 del batches[pos]
             else:
                 batches[pos][2] -= k  # split burst: remainder keeps its arrival time
+        self.counts[self.ap] -= removed
+        self.heads[self.ap] = batches[0][0] if batches else None
         return taken
 
 
@@ -147,6 +165,12 @@ class SlotPlan:
         return sum(k for tx in self.transmissions for _, _, k in tx.segments)
 
 
+def slot_capacity_us(timing: TimingConfig, budget_us: float) -> float:
+    """Airtime each AP may fill in a slot that starts with `budget_us` left:
+    the budget minus T_MAP-TF, Te and the fixed per-slot overhead."""
+    return budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
+
+
 def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
               link_airtimes: LinkAirtimes, timing: TimingConfig,
               budget_us: float) -> SlotPlan | None:
@@ -159,7 +183,7 @@ def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
     may be cut mid-way); packets to stations without a usable MCS are left
     buffered and skipped over. Returns None when nothing fits at all.
     """
-    cap_us = budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
+    cap_us = slot_capacity_us(timing, budget_us)
     if cap_us <= timing.phy_preamble_us:
         return None
     transmissions: list[ApTransmission] = []
@@ -206,11 +230,19 @@ class TxopRecord:
 
 
 class SimState:
-    """Mutable state of one run: buffers plus delivery bookkeeping."""
+    """Mutable state of one run: buffers plus delivery bookkeeping.
+
+    `counts` and `heads` are the controller's view: queued packets and
+    head-of-line arrival time (None when empty) per AP, kept current by the
+    buffers whoever appends to or consumes from them.
+    """
 
     def __init__(self, num_aps: int, link_airtimes: Mapping[tuple[int, ...], LinkAirtimes],
                  packet_bytes: int):
-        self.buffers = [ApBuffer() for _ in range(num_aps)]
+        self.counts: list[int] = [0] * num_aps
+        self.heads: list[float | None] = [None] * num_aps
+        self.buffers = [ApBuffer(self.counts, self.heads, ap)
+                        for ap in range(num_aps)]
         self.link_airtimes = link_airtimes
         self.packet_bytes = packet_bytes
         self.delay_values: list[float] = []
@@ -218,9 +250,6 @@ class SimState:
         self.packets_arrived = 0
         self.packets_delivered = 0
         self.delivery_log: list[tuple[int, Packet, int]] | None = None
-
-    def backlog(self) -> int:
-        return sum(b.count for b in self.buffers)
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
         for tx in plan.transmissions:
@@ -244,17 +273,17 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
     decision instant, i.e. TXOP start plus everything already transmitted,
     so even packets that arrived at `now_s` have a positive waiting time.
     """
-    buffers = state.buffers
-    if state.backlog() == 0 and not timing.always_handshake:
+    buffers, counts, heads = state.buffers, state.counts, state.heads
+    if not any(counts) and not timing.always_handshake:
         return TxopRecord(now_s, 0.0, [], 0.0)
     consumed = timing.handshake_us
     txop_max = timing.txop_max_us
     slots: list[SlotPlan] = []
     while True:
-        summary = BufferSummary(now_s + consumed * 1e-6,
-                                [b.count for b in buffers],
-                                [b.oldest_arrival for b in buffers])
-        members = select_group(kind, groups, summary)
+        if slot_capacity_us(timing, txop_max - consumed) <= timing.phy_preamble_us:
+            break  # plan_slot would refuse whatever group is selected
+        members = select_group(kind, groups,
+                               BufferSummary(now_s + consumed * 1e-6, counts, heads))
         if members is None:
             break
         plan = plan_slot(members, buffers,
@@ -341,7 +370,7 @@ class MetricsReport:
         """Nearest-rank delay percentile; NaN when nothing was delivered."""
         if len(self.delays_sorted_s) == 0:
             return float("nan")
-        return percentile(self.delays_sorted_s, q)
+        return nearest_rank(self.delays_sorted_s, q)
 
     @property
     def mean_occupancy(self) -> float:
@@ -398,5 +427,5 @@ def run_simulation(scenario: ScenarioConfig, timing: TimingConfig,
         per_txop_occupancy=occupancy,
         packets_arrived=state.packets_arrived,
         packets_delivered=state.packets_delivered,
-        packets_remaining=state.backlog(),
+        packets_remaining=sum(state.counts),
     )

@@ -39,15 +39,25 @@ class Group:
 
 @dataclass
 class GroupSet:
+    """The stored groups plus lookups the scheduler builds once: the groups
+    holding each AP, and a G x K matrix of member indices in member order
+    (shorter groups padded with -1) with the vector of group sizes."""
+
     groups: list[Group]
     contains_index: dict[int, tuple[int, ...]] = field(init=False)
+    member_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index: dict[int, list[int]] = {}
+        width = max((len(g) for g in self.groups), default=0)
+        self.member_matrix = np.full((len(self.groups), width), -1, dtype=np.intp)
         for gi, group in enumerate(self.groups):
             for ap in group.members:
                 index.setdefault(ap, []).append(gi)
+            self.member_matrix[gi, :len(group)] = group.members
         self.contains_index = {ap: tuple(gis) for ap, gis in index.items()}
+        self.sizes = np.array([len(g) for g in self.groups], dtype=float)
 
     def __len__(self) -> int:
         return len(self.groups)

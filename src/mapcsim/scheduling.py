@@ -14,6 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .grouping import GroupSet
 
 
@@ -43,7 +45,9 @@ class BufferSummary:
 
     counts[ap] packets queued; oldest_arrival[ap] is the head-of-line arrival
     time in seconds, or None when the buffer is empty. `now` is the decision
-    time, so now - oldest_arrival is the head-of-line waiting time.
+    time, so now - oldest_arrival is the head-of-line waiting time. The
+    engine passes its live per-AP lists (SimState.counts and .heads), not
+    copies.
     """
 
     now: float
@@ -66,18 +70,34 @@ def _argmax_backlogged(scores: Sequence[float], counts: Sequence[int]) -> int:
     return best
 
 
-def _best_group(groups: GroupSet, indices: Sequence[int],
-                score) -> tuple[int, ...]:
-    """Highest-scoring group among `indices`; lowest group index on ties."""
+def _best_summed_group(groups: GroupSet, indices: Sequence[int],
+                       scores: Sequence[float]) -> tuple[int, ...]:
+    """Group among `indices` with the highest summed member score; lowest
+    group index on ties."""
     best_members: tuple[int, ...] = ()
     best_score = float("-inf")
     for gi in indices:
         members = groups.groups[gi].members
-        s = score(members)
+        s = sum(scores[ap] for ap in members)
         if s > best_score:
             best_score = s
             best_members = members
     return best_members
+
+
+def _best_mean_group(groups: GroupSet, scores: Sequence[float]) -> tuple[int, ...]:
+    """Group with the highest mean member score; lowest group index on ties.
+
+    Each group's members are summed left to right, one matrix column at a
+    time: the same float additions, in the same order, as the built-in
+    sum. Padding (-1) reads the 0.0 appended after the last AP.
+    """
+    padded = np.array([*scores, 0.0])
+    by_member = padded[groups.member_matrix]
+    total = by_member[:, 0]
+    for col in range(1, by_member.shape[1]):
+        total = total + by_member[:, col]
+    return groups.groups[int(np.argmax(total / groups.sizes))].members
 
 
 def select_group(kind: SchedulerKind, groups: GroupSet,
@@ -91,10 +111,8 @@ def select_group(kind: SchedulerKind, groups: GroupSet,
     # empty APs score 0 under both metrics
     scores = buffers.waits() if kind.scores_waits else counts
     if kind.per_group:
-        return _best_group(groups, range(len(groups.groups)),
-                           lambda m: sum(scores[ap] for ap in m) / len(m))
+        return _best_mean_group(groups, scores)
     top_ap = _argmax_backlogged(scores, counts)
     if kind.is_ctdma:
         return (top_ap,)
-    return _best_group(groups, groups.contains_index[top_ap],
-                       lambda m: sum(scores[ap] for ap in m))
+    return _best_summed_group(groups, groups.contains_index[top_ap], scores)

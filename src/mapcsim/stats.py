@@ -12,10 +12,15 @@ def percentile(samples, q: float) -> float:
     values = np.sort(np.asarray(samples, dtype=float))
     if values.size == 0:
         raise ValueError("percentile of an empty sample")
+    return nearest_rank(values, q)
+
+
+def nearest_rank(sorted_values, q: float) -> float:
+    """`percentile` of samples already sorted ascending (not re-sorted)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
-    rank = max(1, math.ceil(q * values.size))
-    return float(values[rank - 1])
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return float(sorted_values[rank - 1])
 
 
 def empirical_cdf(samples) -> list[tuple[float, float]]:

@@ -1,0 +1,60 @@
+"""The benchmark in bench/ times the simulator by patching its public names
+from outside src/ (bench/layers.py) and marks a TXOP at every
+engine.step_arrivals call (bench/run.py). These checks fail when a refactor
+moves a name the benchmark patches or changes how often it is called."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from mapcsim import ScenarioConfig, TimingConfig, TrafficConfig, engine
+from mapcsim.campaign import Campaign, run_campaign
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("bench_layers",
+                                                  BENCH / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_targets_resolve():
+    layers = _load_layers()
+    assert layers.TARGETS
+    for name, owner_path, attr in layers.TARGETS:
+        head, *rest = owner_path.split(".")
+        owner = importlib.import_module(f"mapcsim.{head}")
+        for part in rest:
+            owner = getattr(owner, part)
+        assert callable(getattr(owner, attr, None)), (name, owner_path, attr)
+
+
+def test_every_traced_layer_is_called(tmp_path):
+    layers = _load_layers()
+    camp = Campaign(scenario=ScenarioConfig(), timing=TimingConfig(num_txops=30),
+                    loads_mbps=(8.0,), num_deployments=1)
+    trace = layers.LayerTrace()
+    with trace.installed():
+        run_campaign(camp, out_dir=tmp_path)
+    for name in layers.LAYERS:
+        assert trace.acc[name][layers.CALLS] > 0, name
+
+
+def test_one_step_arrivals_call_per_txop(monkeypatch):
+    calls = []
+    original = engine.step_arrivals
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "step_arrivals", counting)
+    for load_bps in (0.0, 8e6):
+        calls.clear()
+        engine.run_simulation(ScenarioConfig(), TimingConfig(num_txops=37),
+                              TrafficConfig(load_bps_per_sta=load_bps), 20.0,
+                              3, "numpk-group", seed=1)
+        assert len(calls) == 37

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mapcsim import (ApBuffer, ScenarioConfig, SchedulerKind, TimingConfig,
                      generate_grid_deployment, plan_slot, run_simulation,
                      select_mcs, station_sinr_db, step_arrivals)
 from mapcsim.engine import SimState, run_txop
+from oracles import nearest_rank_reference
 
 TIM = TimingConfig()
 MCS7_RATE = data_rate_bps(7, default_mcs_table(), TIM)
@@ -190,10 +192,13 @@ def test_run_txop_accounting_and_budget():
     cfg, tr = ScenarioConfig(), TrafficConfig(load_bps_per_sta=8e6)
     tim = TimingConfig()
     state, env, rng = _make_state(cfg, tim, tr)
+    slots = packets = 0
     for n in range(50):
         now = n * tim.period_s
         step_arrivals(state.buffers, env.deployment, tr, 0.8, rng, now)
         rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env.groups, tim, now)
+        slots += len(rec.slots)
+        packets += rec.packets_delivered
         assert rec.total_duration_us <= tim.txop_max_us + 1e-9
         recomputed = rec.handshake_us + sum(
             tim.map_tf_us + tim.te_us + tim.slot_overhead_us + s.duration_us
@@ -201,6 +206,51 @@ def test_run_txop_accounting_and_budget():
         assert rec.total_duration_us == pytest.approx(recomputed, abs=1e-9)
         for slot in rec.slots:
             assert slot.duration_us <= tim.txop_max_us
+    assert slots > 0 and packets > 0
+
+
+def _view_from_buffers(state):
+    """The controller view rebuilt from the bursts themselves."""
+    counts = [sum(batch[2] for batch in b.batches) for b in state.buffers]
+    heads = [b.batches[0][0] if b.batches else None for b in state.buffers]
+    return counts, heads
+
+
+@pytest.mark.parametrize("cfg, load_bps, txops", [
+    (ScenarioConfig(), 8e6, 300),
+    (ScenarioConfig(subarea_rows=12, subarea_cols=12), 2e6, 150),
+    # weak links: unservable stations leave skipped bursts ahead of the rest
+    (ScenarioConfig(subarea_side_m=60.0, wall_count=5), 4e6, 300),
+], ids=["3x3", "12x12", "weak-links"])
+def test_controller_view_tracks_buffers(cfg, load_bps, txops):
+    tim, tr = TimingConfig(), TrafficConfig(load_bps_per_sta=load_bps)
+    p = arrival_probability(load_bps, tr.burst_packets, tr.packet_bytes,
+                            tim.period_s)
+    for kind in SchedulerKind:
+        state, env, rng = _make_state(cfg, tim, tr, seed=2)
+        delivered = 0
+        for n in range(txops):
+            now = n * tim.period_s
+            step_arrivals(state.buffers, env.deployment, tr, p, rng, now)
+            delivered += run_txop(state, kind, env.groups, tim,
+                                  now).packets_delivered
+            assert (state.counts, state.heads) == _view_from_buffers(state), (
+                kind, n)
+        assert delivered > 0
+        assert any(state.counts)
+
+
+def test_delay_percentile_is_nearest_rank():
+    cfg, tim = ScenarioConfig(), TimingConfig(num_txops=300)
+    rep = run_simulation(cfg, tim, TrafficConfig(load_bps_per_sta=6e6), 20.0,
+                         3, "oldpk-group", seed=4)
+    delays = rep.delays_sorted_s.tolist()
+    assert len(delays) > 100
+    for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+        assert rep.delay_percentile(q) == nearest_rank_reference(delays, q)
+    empty = replace(rep, delays_sorted_s=np.empty(0))
+    for q in (0.0, 0.5, 1.0):
+        assert math.isnan(empty.delay_percentile(q))
 
 
 def test_simulation_zero_load():

@@ -144,6 +144,30 @@ def test_matches_exhaustive_scorer_on_random_states():
                 kind.value, member_lists, counts, oldest, buf.now)
 
 
+def test_matches_exhaustive_scorer_at_dense_scale():
+    # 144 APs, one group per reference AP of 1-3 members (so the member
+    # matrix is padded), counts and waits from small sets (so scores tie)
+    rng = np.random.default_rng(16)
+    n_aps = 144
+    for _ in range(4):
+        member_lists = []
+        for ref in range(n_aps):
+            others = [a for a in range(n_aps) if a != ref]
+            size = int(rng.integers(1, 4))
+            member_lists.append((ref, *(int(a) for a in rng.choice(
+                others, size=size - 1, replace=False))))
+        groups = _group_set(member_lists)
+        assert (groups.member_matrix == -1).any()
+        for _ in range(25):
+            counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
+            oldest = [None if c == 0 else 1.0 - float(rng.integers(0, 4)) / 8
+                      for c in counts]
+            buf = _summary(counts, oldest)
+            for kind in ALL_KINDS:
+                assert select_group(kind, groups, buf) == select_reference(
+                    kind.value, member_lists, counts, oldest, buf.now)
+
+
 def test_summary_waits():
     buf = _summary([2, 0], [0.4, None], now=1.0)
     assert buf.waits() == [pytest.approx(0.6), 0.0]
