@@ -24,7 +24,7 @@ from .channel import McsTable, default_mcs_table
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
                      TrafficConfig, _read_json_object,
                      simulation_config_from_dict, simulation_config_to_dict)
-from .engine import MetricsReport, TxopRecord, run_simulation
+from .engine import MetricsReport, TxopRecord, clear_memos, run_simulation
 from .scheduling import SCHEDULER_NAMES
 from .stats import empirical_cdf
 
@@ -186,6 +186,7 @@ def run_campaign(campaign: Campaign, out_dir: str | Path | None = None,
     out = Path(out_dir if out_dir is not None else campaign.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     specs = enumerate_runs(campaign)
+    clear_memos()  # before any fork: each campaign builds its deployments anew
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = pool.map(execute_run, specs, chunksize=1)

@@ -21,13 +21,18 @@ next period carries no simulated traffic (it is left to uncoordinated use).
 The controller's view of the buffers (queued packets and head-of-line
 arrival per AP) is maintained incrementally: every buffer change writes
 through to it, so no slot or TXOP rebuilds it by walking all APs.
+
+Runs of one deployment share its static environment and airtime table
+within a campaign: one-entry memos keyed by the values they are built from,
+cleared by `run_campaign`. The memoized arrays are read-only.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -138,12 +143,12 @@ def step_arrivals(buffers: Sequence[ApBuffer], deployment: Deployment,
     the same seed see the same arrival pattern across load levels.
     """
     u = rng.random(deployment.num_stations)
-    appended = 0
-    for sta in np.flatnonzero(u < arrival_prob):
-        buffers[deployment.association[sta]].append_burst(now_s, int(sta),
-                                                          traffic.burst_packets)
-        appended += traffic.burst_packets
-    return appended
+    arriving = np.flatnonzero(u < arrival_prob)
+    burst = traffic.burst_packets
+    for sta, ap in zip(arriving.tolist(),
+                       deployment.association[arriving].tolist()):
+        buffers[ap].append_burst(now_s, sta, burst)
+    return burst * len(arriving)
 
 
 @dataclass
@@ -311,6 +316,22 @@ class Environment:
     groups: GroupSet
 
 
+# name -> (key, value) of the last environment and airtime table built, keyed
+# by the values they depend on, never by id() (a new object can reuse one).
+_memo: dict[str, tuple[Hashable, Any]] = {}
+
+
+def _memoized(name: str, key: Hashable, build: Callable[[], Any]) -> Any:
+    if _memo.get(name, (None,))[0] != key:
+        _memo[name] = (key, build())
+    return _memo[name][1]
+
+
+def clear_memos() -> None:
+    """Forget the memoized environment and airtime table."""
+    _memo.clear()
+
+
 def build_environment(scenario: ScenarioConfig, gamma_db: float,
                       max_group_size: int, seed: int
                       ) -> tuple[Environment, np.random.Generator]:
@@ -318,14 +339,24 @@ def build_environment(scenario: ScenarioConfig, gamma_db: float,
 
     The seed is split so the deployment stream is independent of the traffic
     stream: two runs with the same seed share the deployment even if they
-    consume different amounts of traffic randomness.
+    consume different amounts of traffic randomness. The environment is
+    memoized and shared by every caller asking for the same values, so its
+    arrays are read-only; the traffic RNG is new on every call.
     """
     deploy_ss, traffic_ss = np.random.SeedSequence(seed).spawn(2)
-    deployment = generate_grid_deployment(scenario, np.random.default_rng(deploy_ss))
-    rssi = build_rssi_matrix(deployment, scenario)
-    groups = build_all_groups(rssi, deployment, scenario.noise_dbm, gamma_db,
-                              max_group_size)
-    return Environment(deployment, rssi, groups), np.random.default_rng(traffic_ss)
+
+    def build() -> Environment:
+        deployment = generate_grid_deployment(scenario, np.random.default_rng(deploy_ss))
+        rssi = build_rssi_matrix(deployment, scenario)
+        groups = build_all_groups(rssi, deployment, scenario.noise_dbm, gamma_db,
+                                  max_group_size)
+        for array in (deployment.ap_positions, deployment.station_positions,
+                      deployment.association, rssi, groups.member_matrix, groups.sizes):
+            array.flags.writeable = False
+        return Environment(deployment, rssi, groups)
+
+    env = _memoized("environment", (scenario, gamma_db, max_group_size, seed), build)
+    return env, np.random.default_rng(traffic_ss)
 
 
 def _selection_airtimes(env: Environment, scenario: ScenarioConfig,
@@ -393,9 +424,15 @@ def run_simulation(scenario: ScenarioConfig, timing: TimingConfig,
         kind = SchedulerKind(kind)
     if mcs_table is None:
         mcs_table = default_mcs_table()
+    if gamma_db < mcs_table.min_sinrs[0]:
+        warnings.warn(f"gamma_db {gamma_db:g} dB is below the lowest MCS threshold, "
+                      f"{mcs_table.min_sinrs[0]:g} dB: groups may hold stations "
+                      f"that no MCS can serve", UserWarning, stacklevel=2)
     env, traffic_rng = build_environment(scenario, gamma_db, max_group_size, seed)
-    airtimes = _selection_airtimes(env, scenario, mcs_table, timing,
-                                   traffic.packet_bits)
+    airtimes = _memoized(
+        "airtimes", (scenario, gamma_db, max_group_size, seed, mcs_table, timing,
+                     traffic.packet_bits),
+        lambda: _selection_airtimes(env, scenario, mcs_table, timing, traffic.packet_bits))
     p = arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
                             traffic.packet_bytes, timing.period_s)
     state = SimState(env.deployment.num_aps, airtimes, traffic.packet_bytes)

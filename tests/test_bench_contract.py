@@ -58,3 +58,45 @@ def test_one_step_arrivals_call_per_txop(monkeypatch):
                               TrafficConfig(load_bps_per_sta=load_bps), 20.0,
                               3, "numpk-group", seed=1)
         assert len(calls) == 37
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_one_build_environment_call_per_run(monkeypatch):
+    calls = _count_calls(monkeypatch, engine, "build_environment")
+    for kind in ("numpk-group", "ctdma-oldpk", "numpk-group"):  # memo warm after the first
+        engine.run_simulation(ScenarioConfig(), TimingConfig(num_txops=10),
+                              TrafficConfig(), 20.0, 3, kind, seed=1)
+    assert len(calls) == 3
+
+
+def test_campaign_builds_each_environment_once(monkeypatch, tmp_path):
+    deployments = _count_calls(monkeypatch, engine, "generate_grid_deployment")
+    group_sets = _count_calls(monkeypatch, engine, "build_all_groups")
+    environments = _count_calls(monkeypatch, engine, "build_environment")
+    camp = Campaign(timing=TimingConfig(num_txops=10), loads_mbps=(4.0,),
+                    gammas_db=(10.0, 20.0), k_values=(2, 3), num_deployments=2)
+    run_campaign(camp, out_dir=tmp_path)
+    assert len(deployments) == len(group_sets) == 2 * 2 * 2
+    assert len(environments) == camp.num_runs
+
+
+def test_every_campaign_builds_its_environments(monkeypatch, tmp_path):
+    # as in dense-12x12: one (deployment, gamma, K), campaign after campaign
+    deployments = _count_calls(monkeypatch, engine, "generate_grid_deployment")
+    group_sets = _count_calls(monkeypatch, engine, "build_all_groups")
+    camp = Campaign(timing=TimingConfig(num_txops=10), loads_mbps=(4.0,),
+                    num_deployments=1)
+    for n in (1, 2):
+        run_campaign(camp, out_dir=tmp_path / str(n))
+        assert len(deployments) == len(group_sets) == n

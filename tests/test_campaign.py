@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from mapcsim import Campaign, load_campaign, run_campaign, run_seed
-from mapcsim.campaign import (CampaignRunError, campaign_from_dict,
-                              enumerate_runs, execute_run)
+from mapcsim import Campaign, engine, load_campaign, run_campaign, run_seed
+from mapcsim.campaign import (PER_RUN_COLUMNS, CampaignRunError,
+                              campaign_from_dict, enumerate_runs, execute_run,
+                              write_csv)
 from mapcsim.config import TimingConfig
 from oracles import nearest_rank_reference
 
@@ -152,3 +153,22 @@ def test_failed_run_reports_offending_spec():
         execute_run(spec)
     msg = str(err.value)
     assert "seed=" in msg and "numpk-single" in msg and "25" in msg
+
+
+@pytest.mark.parametrize("axes", [
+    dict(loads_mbps=(1.0, 8.0), gammas_db=(5.0, 20.0), k_values=(2, 3)),
+    # neighbouring runs that differ only in gamma, or only in the seed
+    dict(loads_mbps=(8.0,), gammas_db=(5.0, 20.0), k_values=(3,)),
+    dict(loads_mbps=(8.0,), gammas_db=(20.0,), k_values=(3,)),
+], ids=["load-gamma-k", "gamma", "seed"])
+def test_campaign_rows_equal_cold_runs(tmp_path, axes):
+    # neighbouring runs of one (deployment, gamma, K) share a memoized environment
+    campaign = Campaign(timing=TimingConfig(num_txops=60), num_deployments=2,
+                        base_seed=3, **axes)
+    paths = run_campaign(campaign, out_dir=tmp_path / "campaign")
+    rows = []
+    for spec in enumerate_runs(campaign):
+        engine.clear_memos()
+        rows.append(execute_run(spec))
+    write_csv(tmp_path / "cold.csv", PER_RUN_COLUMNS, rows)
+    assert paths["per_run"].read_bytes() == (tmp_path / "cold.csv").read_bytes()

@@ -1,14 +1,16 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mapcsim import (ApBuffer, ScenarioConfig, SchedulerKind, TimingConfig,
-                     TrafficConfig, arrival_probability, build_environment,
-                     data_rate_bps, default_mcs_table,
-                     generate_grid_deployment, plan_slot, run_simulation,
-                     select_mcs, station_sinr_db, step_arrivals)
+from mapcsim import (ApBuffer, McsTable, ScenarioConfig, SchedulerKind,
+                     TimingConfig, TrafficConfig, arrival_probability,
+                     build_environment, data_rate_bps, default_mcs_table,
+                     engine, generate_grid_deployment, plan_slot,
+                     run_simulation, select_mcs, station_sinr_db,
+                     step_arrivals)
 from mapcsim.engine import SimState, run_txop
 from oracles import nearest_rank_reference
 
@@ -341,3 +343,107 @@ def test_txop_trace_collects_records():
                          txop_trace=trace)
     assert len(trace) == 40
     assert sum(rec.packets_delivered for rec in trace) == rep.packets_delivered
+
+
+# ---------------------------------------------------------------------------
+# Shared static environment: memoized builds, read-only arrays, leaner arrivals
+
+def _loop_step_arrivals(buffers, deployment, traffic, arrival_prob, rng, now_s):
+    """Reference: the per-station loop step_arrivals used to run, with one
+    numpy-scalar association lookup and int() per arriving station."""
+    u = rng.random(deployment.num_stations)
+    appended = 0
+    for sta in np.flatnonzero(u < arrival_prob):
+        buffers[deployment.association[sta]].append_burst(now_s, int(sta),
+                                                          traffic.burst_packets)
+        appended += traffic.burst_packets
+    return appended
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(),
+    ScenarioConfig(subarea_rows=12, subarea_cols=12),
+    ScenarioConfig(subarea_side_m=60.0, wall_count=5),
+], ids=["3x3", "12x12", "weak-links"])
+@pytest.mark.parametrize("p", [0.0, 0.08, 1 / 3, 1.0])
+def test_step_arrivals_matches_station_loop(cfg, p):
+    env, _ = build_environment(cfg, 20.0, 3, seed=5)
+    tr = TrafficConfig()
+    new, ref = (SimState(env.deployment.num_aps, {}, tr.packet_bytes)
+                for _ in range(2))
+    rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    for n in range(6):
+        now = n * TIM.period_s
+        got = step_arrivals(new.buffers, env.deployment, tr, p, rng_new, now)
+        want = _loop_step_arrivals(ref.buffers, env.deployment, tr, p,
+                                   rng_ref, now)
+        assert got == want and type(got) is type(want)
+        # repr also tells a numpy integer station id from a Python int
+        assert [repr(list(b.batches)) for b in new.buffers] == \
+            [repr(list(b.batches)) for b in ref.buffers]
+        assert (new.counts, new.heads) == (ref.counts, ref.heads)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert any(new.counts) == (p > 0)
+    if p == 1.0:
+        assert sum(new.counts) == 6 * env.deployment.num_stations * tr.burst_packets
+
+
+def _run_outcome(cfg, kind, seed, tr, mcs_table=None, txops=150):
+    log = []
+    rep = run_simulation(cfg, TimingConfig(num_txops=txops), tr, 20.0, 3, kind,
+                         seed, mcs_table=mcs_table, delivery_log=log)
+    assert rep.packets_delivered > 0
+    return (rep.delays_sorted_s.tolist(), rep.per_txop_occupancy.tolist(),
+            [rep.delay_percentile(q) for q in (0.5, 0.95, 0.99)],
+            rep.mean_delay_s, rep.throughput_bps, rep.packets_arrived,
+            rep.packets_remaining, log)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(), ScenarioConfig(subarea_rows=6, subarea_cols=6),
+], ids=["3x3", "6x6"])
+def test_warm_memo_run_equals_cold_run(cfg):
+    tr = TrafficConfig(load_bps_per_sta=6e6)
+    kinds = [kind.value for kind in SchedulerKind]
+    for i, kind in enumerate(kinds):
+        engine.clear_memos()
+        cold = _run_outcome(cfg, kind, 3, tr)
+        engine.clear_memos()
+        _run_outcome(cfg, kinds[i - 1], 3, tr)  # warms the memo with another kind
+        shared = build_environment(cfg, 20.0, 3, 3)[0]
+        assert _run_outcome(cfg, kind, 3, tr) == cold, kind
+        assert build_environment(cfg, 20.0, 3, 3)[0] is shared
+
+
+def test_memo_rebuilds_airtimes_for_new_mcs_table_or_packet_size():
+    cfg, tr = ScenarioConfig(), TrafficConfig(load_bps_per_sta=6e6)
+    stricter = McsTable(tuple(replace(e, min_sinr_db=e.min_sinr_db + 6.0)
+                              for e in default_mcs_table().entries))
+    for mcs_table, traffic in ((stricter, tr), (None, replace(tr, packet_bytes=1000))):
+        engine.clear_memos()
+        first = _run_outcome(cfg, "numpk-group", 8, tr, txops=200)
+        warm = _run_outcome(cfg, "numpk-group", 8, traffic, mcs_table, txops=200)
+        engine.clear_memos()
+        cold = _run_outcome(cfg, "numpk-group", 8, traffic, mcs_table, txops=200)
+        assert warm == cold
+        assert warm != first
+
+
+def test_shared_environment_is_read_only():
+    env, _ = build_environment(ScenarioConfig(), 20.0, 3, seed=6)
+    dep, groups = env.deployment, env.groups
+    for array in (env.rssi_dbm, dep.ap_positions, dep.station_positions,
+                  dep.association, groups.member_matrix, groups.sizes):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+    with pytest.raises(ValueError):
+        env.rssi_dbm += 1.0
+
+
+def test_gamma_below_mcs0_warns():
+    cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=20), TrafficConfig(load_bps_per_sta=1e6)
+    with pytest.warns(UserWarning, match=r"-5 dB is below the lowest MCS threshold, 2 dB"):
+        run_simulation(cfg, tim, tr, -5.0, 3, "numpk-group", seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_simulation(cfg, tim, tr, 20.0, 3, "numpk-group", seed=1)
