@@ -5,7 +5,8 @@ compares a spatial-reuse scheduler against its c-TDMA baseline on the same
 deployment and the same arrivals.
 """
 
-from mapcsim import ScenarioConfig, TimingConfig, TrafficConfig, run_simulation
+from mapcsim import (ScenarioConfig, SimulationConfig, TimingConfig,
+                     TrafficConfig, run_simulation)
 
 cfg = ScenarioConfig()
 timing = TimingConfig(num_txops=2000)
@@ -13,8 +14,9 @@ traffic = TrafficConfig(load_bps_per_sta=6e6)
 
 for kind in ("numpk-single", "ctdma-numpk"):
     trace = []
-    rep = run_simulation(cfg, timing, traffic, gamma_db=20.0, max_group_size=3,
-                         kind=kind, seed=1, txop_trace=trace)
+    config = SimulationConfig(cfg, timing, traffic, gamma_db=20.0,
+                              max_group_size=3, scheduler=kind, seed=1)
+    rep = run_simulation(config, txop_trace=trace)
     print(f"--- {kind} ---")
     print(f"throughput      {rep.throughput_bps / 1e6:8.2f} Mbps "
           f"(offered {traffic.load_bps_per_sta * cfg.num_stations / 1e6:g})")

@@ -104,17 +104,14 @@ def run_seed(base_seed: int, deployment_index: int) -> int:
 
 @dataclass(frozen=True)
 class RunSpec:
+    """One campaign run. `config` is all the run needs (save it to replay the
+    run with `mapcsim run`); the rest labels its per-run CSV row. `load_mbps`
+    is the swept value, which `load_bps_per_sta / 1e6` may not give back."""
+
     run_id: int
     deployment_index: int
-    seed: int
-    scheduler: str
-    gamma_db: float
-    k: int
     load_mbps: float
-    scenario: ScenarioConfig
-    timing: TimingConfig
-    traffic: TrafficConfig
-    mcs_table: McsTable
+    config: SimulationConfig
 
 
 class CampaignRunError(RuntimeError):
@@ -122,35 +119,34 @@ class CampaignRunError(RuntimeError):
 
 
 def enumerate_runs(campaign: Campaign) -> list[RunSpec]:
+    """Every run of `campaign` in run-index order; building each run's
+    SimulationConfig checks its inputs before any run starts."""
     specs = []
-    run_id = 0
     for dep in range(campaign.num_deployments):
         seed = run_seed(campaign.base_seed, dep)
         for load in campaign.loads_mbps:
+            traffic = replace(campaign.traffic, load_bps_per_sta=load * 1e6)
             for gamma in campaign.gammas_db:
                 for k in campaign.k_values:
                     for sched in campaign.schedulers:
-                        specs.append(RunSpec(
-                            run_id, dep, seed, sched, gamma, k, load,
-                            campaign.scenario, campaign.timing,
-                            replace(campaign.traffic,
-                                    load_bps_per_sta=load * 1e6),
-                            campaign.mcs_table))
-                        run_id += 1
+                        config = SimulationConfig(
+                            campaign.scenario, campaign.timing, traffic,
+                            gamma_db=gamma, max_group_size=k, scheduler=sched,
+                            seed=seed, mcs_table=campaign.mcs_table)
+                        specs.append(RunSpec(len(specs), dep, load, config))
     return specs
 
 
 def execute_run(spec: RunSpec) -> dict[str, Any]:
     """One simulation -> one per-run CSV row."""
     try:
-        report = run_simulation(spec.scenario, spec.timing, spec.traffic,
-                                spec.gamma_db, spec.k, spec.scheduler,
-                                spec.seed, mcs_table=spec.mcs_table)
+        report = run_simulation(spec.config)
     except Exception as exc:
+        config = spec.config
         raise CampaignRunError(
-            f"run {spec.run_id} failed (seed={spec.seed} "
-            f"scheduler={spec.scheduler} gamma={spec.gamma_db} k={spec.k} "
-            f"load={spec.load_mbps} Mbps): {exc}") from exc
+            f"run {spec.run_id} failed (seed={config.seed} "
+            f"scheduler={config.scheduler} gamma={config.gamma_db} "
+            f"k={config.max_group_size} load={spec.load_mbps} Mbps): {exc}") from exc
     return report_row(spec, report)
 
 
@@ -159,10 +155,10 @@ def report_row(spec: RunSpec, report: MetricsReport) -> dict[str, Any]:
     return {
         "run_id": spec.run_id,
         "deployment_index": spec.deployment_index,
-        "seed": spec.seed,
-        "scheduler": spec.scheduler,
-        "gamma_db": spec.gamma_db,
-        "k": spec.k,
+        "seed": spec.config.seed,
+        "scheduler": spec.config.scheduler,
+        "gamma_db": spec.config.gamma_db,
+        "k": spec.config.max_group_size,
         "load_mbps": spec.load_mbps,
         "throughput_bps": report.throughput_bps,
         "mean_delay_s": report.mean_delay_s,
@@ -183,9 +179,9 @@ def run_campaign(campaign: Campaign, out_dir: str | Path | None = None,
     Returns the written file paths. Output rows follow run-index order even
     when a worker pool is used, so reruns are byte-identical.
     """
+    specs = enumerate_runs(campaign)
     out = Path(out_dir if out_dir is not None else campaign.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    specs = enumerate_runs(campaign)
     clear_memos()  # before any fork: each campaign builds its deployments anew
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:

@@ -73,10 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = replace(config, traffic=replace(
             config.traffic, load_bps_per_sta=args.load_mbps * 1e6))
     trace = [] if args.trace else None
-    report = run_simulation(config.scenario, config.timing, config.traffic,
-                            config.gamma_db, config.max_group_size,
-                            config.scheduler, config.seed,
-                            mcs_table=config.mcs_table, txop_trace=trace)
+    report = run_simulation(config, txop_trace=trace)
     print(f"scheduler={config.scheduler} gamma={config.gamma_db:g} dB "
           f"k={config.max_group_size} "
           f"load={config.traffic.load_bps_per_sta / 1e6:g} Mbps/STA "
@@ -93,10 +90,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        spec = RunSpec(0, 0, config.seed, config.scheduler, config.gamma_db,
-                       config.max_group_size,
-                       config.traffic.load_bps_per_sta / 1e6, config.scenario,
-                       config.timing, config.traffic, config.mcs_table)
+        spec = RunSpec(0, 0, config.traffic.load_bps_per_sta / 1e6, config)
         write_csv(out / "run.csv", PER_RUN_COLUMNS, [report_row(spec, report)])
         print(f"wrote {out / 'run.csv'}")
         if trace is not None:

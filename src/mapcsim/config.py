@@ -10,6 +10,7 @@ is described by a single JSON file (see README for the schema).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -40,6 +41,10 @@ class ScenarioConfig:
             raise ValueError("stations_per_subarea must be >= 1")
         if self.breakpoint_m <= 0:
             raise ValueError("breakpoint_m must be positive")
+        if not self.carrier_freq_ghz > 0:
+            raise ValueError("carrier_freq_ghz must be positive")
+        if self.wall_count < 0:
+            raise ValueError("wall_count must be >= 0")
 
     @property
     def num_aps(self) -> int:
@@ -80,12 +85,15 @@ class TimingConfig:
         for name in ("period_ms", "txop_max_ms", "map_rts_us", "map_cts_us",
                      "map_tf_us", "te_us", "ofdm_symbol_us",
                      "guard_interval_us", "phy_preamble_us"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
         if self.slot_overhead_us < 0:
             raise ValueError("slot_overhead_us must be >= 0")
         if self.num_txops < 1:
             raise ValueError("num_txops must be >= 1")
+        if self.handshake_us >= self.txop_max_us:
+            raise ValueError(f"txop_max_ms must exceed the "
+                             f"{self.handshake_us:g} us handshake")
 
     @property
     def period_s(self) -> float:
@@ -111,7 +119,7 @@ class TrafficConfig:
     packet_bytes: int = 1500
 
     def __post_init__(self) -> None:
-        if self.load_bps_per_sta < 0:
+        if not self.load_bps_per_sta >= 0:  # also rejects NaN
             raise ValueError("load_bps_per_sta must be >= 0")
         if self.burst_packets < 1 or self.packet_bytes < 1:
             raise ValueError("burst_packets and packet_bytes must be >= 1")
@@ -123,7 +131,8 @@ class TrafficConfig:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything needed for one reproducible run."""
+    """Everything needed for one reproducible run. Every run, CLI or campaign,
+    is built as one, so these four classes are where run inputs are checked."""
 
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     timing: TimingConfig = field(default_factory=TimingConfig)
@@ -137,6 +146,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.max_group_size < 1:
             raise ValueError("max_group_size must be >= 1")
+        if not math.isfinite(self.gamma_db):
+            raise ValueError(f"gamma_db must be finite, got {self.gamma_db}")
 
 
 def _from_dict(cls: type, data: dict[str, Any]):

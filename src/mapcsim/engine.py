@@ -37,8 +37,9 @@ from typing import Any, Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from .channel import (McsTable, build_rssi_matrix, data_rate_bps,
-                      default_mcs_table, group_sinr_db, select_mcs)
-from .config import ScenarioConfig, TimingConfig, TrafficConfig
+                      group_sinr_db, select_mcs)
+from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
+                     TrafficConfig)
 from .grouping import GroupSet, build_all_groups
 from .scenario import Deployment, generate_grid_deployment
 from .scheduling import BufferSummary, SchedulerKind, select_group
@@ -408,30 +409,27 @@ class MetricsReport:
         return float(self.per_txop_occupancy.mean())
 
 
-def run_simulation(scenario: ScenarioConfig, timing: TimingConfig,
-                   traffic: TrafficConfig, gamma_db: float,
-                   max_group_size: int, kind: SchedulerKind | str, seed: int,
-                   mcs_table: McsTable | None = None,
+def run_simulation(config: SimulationConfig,
                    txop_trace: list[TxopRecord] | None = None,
                    delivery_log: list[tuple[int, Packet, int]] | None = None,
                    ) -> MetricsReport:
-    """Simulate `timing.num_txops` periods and report the run metrics.
+    """Simulate `config.timing.num_txops` periods and report the run metrics.
 
-    Fully deterministic in (configs, seed). `txop_trace` and `delivery_log`,
-    when given, collect per-TXOP records and per-delivery packets.
+    `config` is the whole run, already checked when it was built; the same
+    config gives the same report. `txop_trace` and `delivery_log`, when
+    given, collect per-TXOP records and per-delivery packets.
     """
-    if isinstance(kind, str):
-        kind = SchedulerKind(kind)
-    if mcs_table is None:
-        mcs_table = default_mcs_table()
-    if gamma_db < mcs_table.min_sinrs[0]:
-        warnings.warn(f"gamma_db {gamma_db:g} dB is below the lowest MCS threshold, "
-                      f"{mcs_table.min_sinrs[0]:g} dB: groups may hold stations "
-                      f"that no MCS can serve", UserWarning, stacklevel=2)
-    env, traffic_rng = build_environment(scenario, gamma_db, max_group_size, seed)
+    scenario, timing, traffic = config.scenario, config.timing, config.traffic
+    mcs_table = config.mcs_table
+    kind = SchedulerKind(config.scheduler)
+    if config.gamma_db < mcs_table.min_sinrs[0]:
+        warnings.warn(f"gamma_db {config.gamma_db:g} dB is below the lowest MCS "
+                      f"threshold, {mcs_table.min_sinrs[0]:g} dB: groups may hold "
+                      f"stations that no MCS can serve", UserWarning, stacklevel=2)
+    env_key = (scenario, config.gamma_db, config.max_group_size, config.seed)
+    env, traffic_rng = build_environment(*env_key)
     airtimes = _memoized(
-        "airtimes", (scenario, gamma_db, max_group_size, seed, mcs_table, timing,
-                     traffic.packet_bits),
+        "airtimes", env_key + (mcs_table, timing, traffic.packet_bits),
         lambda: _selection_airtimes(env, scenario, mcs_table, timing, traffic.packet_bits))
     p = arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
                             traffic.packet_bytes, timing.period_s)

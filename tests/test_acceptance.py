@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from mapcsim import (ApBuffer, Campaign, ScenarioConfig, SchedulerKind,
-                     TimingConfig, TrafficConfig, build_rssi_matrix,
-                     generate_grid_deployment, group_feasible, path_loss_db,
+                     SimulationConfig, TimingConfig, TrafficConfig,
+                     build_rssi_matrix, generate_grid_deployment,
+                     group_feasible, path_loss_db,
                      percentile, run_campaign, run_simulation, select_group,
                      step_arrivals)
 from mapcsim.grouping import build_all_groups
@@ -171,8 +172,10 @@ def test_criterion_06_conservation_and_budget():
     for kind, load in (("numpk-single", 6e6), ("ctdma-oldpk", 8e6),
                        ("oldpk-group", 1e6)):
         trace = []
-        rep = run_simulation(cfg, timing, TrafficConfig(load_bps_per_sta=load),
-                             20.0, 3, kind, seed=SEED, txop_trace=trace)
+        rep = run_simulation(
+            SimulationConfig(cfg, timing, TrafficConfig(load_bps_per_sta=load),
+                             20.0, 3, kind, seed=SEED),
+            txop_trace=trace)
         conserved = rep.packets_arrived == rep.packets_delivered + rep.packets_remaining
         within_cap = all(rec.total_duration_us <= timing.txop_max_us + 1e-9
                          for rec in trace)
@@ -187,8 +190,9 @@ def test_criterion_06_conservation_and_budget():
 def _sweep(kind, gamma, k, loads, timing, cfg):
     out = {}
     for load in loads:
-        rep = run_simulation(cfg, timing, TrafficConfig(load_bps_per_sta=load * 1e6),
-                             gamma, k, kind, seed=SEED)
+        rep = run_simulation(SimulationConfig(
+            cfg, timing, TrafficConfig(load_bps_per_sta=load * 1e6), gamma, k,
+            kind, seed=SEED))
         out[load] = rep
     return out
 

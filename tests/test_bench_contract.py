@@ -7,7 +7,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from mapcsim import ScenarioConfig, TimingConfig, TrafficConfig, engine
+from mapcsim import (ScenarioConfig, SimulationConfig, TimingConfig,
+                     TrafficConfig, engine)
 from mapcsim.campaign import Campaign, run_campaign
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -54,9 +55,10 @@ def test_one_step_arrivals_call_per_txop(monkeypatch):
     monkeypatch.setattr(engine, "step_arrivals", counting)
     for load_bps in (0.0, 8e6):
         calls.clear()
-        engine.run_simulation(ScenarioConfig(), TimingConfig(num_txops=37),
-                              TrafficConfig(load_bps_per_sta=load_bps), 20.0,
-                              3, "numpk-group", seed=1)
+        engine.run_simulation(SimulationConfig(
+            ScenarioConfig(), TimingConfig(num_txops=37),
+            TrafficConfig(load_bps_per_sta=load_bps), 20.0, 3, "numpk-group",
+            seed=1))
         assert len(calls) == 37
 
 
@@ -75,8 +77,9 @@ def _count_calls(monkeypatch, owner, name):
 def test_one_build_environment_call_per_run(monkeypatch):
     calls = _count_calls(monkeypatch, engine, "build_environment")
     for kind in ("numpk-group", "ctdma-oldpk", "numpk-group"):  # memo warm after the first
-        engine.run_simulation(ScenarioConfig(), TimingConfig(num_txops=10),
-                              TrafficConfig(), 20.0, 3, kind, seed=1)
+        engine.run_simulation(SimulationConfig(
+            ScenarioConfig(), TimingConfig(num_txops=10), TrafficConfig(),
+            20.0, 3, kind, seed=1))
     assert len(calls) == 3
 
 

@@ -54,7 +54,7 @@ def test_deployments_pair_across_schedulers():
     specs = enumerate_runs(Campaign(**SMALL))
     by_dep = {}
     for spec in specs:
-        by_dep.setdefault(spec.deployment_index, set()).add(spec.seed)
+        by_dep.setdefault(spec.deployment_index, set()).add(spec.config.seed)
     # one seed per deployment no matter the scheduler
     assert all(len(seeds) == 1 for seeds in by_dep.values())
     assert len({s for seeds in by_dep.values() for s in seeds}) == 2

@@ -1,11 +1,18 @@
+import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
+
+import pytest
 
 import mapcsim.campaign
 import mapcsim.cli
-from mapcsim import load_simulation_config
-from mapcsim.campaign import PER_RUN_COLUMNS, RunSpec, execute_run, write_csv
+from mapcsim import (Campaign, ScenarioConfig, TimingConfig, TrafficConfig,
+                     load_simulation_config, run_campaign,
+                     save_simulation_config)
+from mapcsim.campaign import (PER_RUN_COLUMNS, RunSpec, enumerate_runs,
+                              execute_run, write_csv)
 from mapcsim.cli import main
 
 
@@ -20,6 +27,11 @@ def _write_config(tmp_path, extra=None):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_run_subcommand(tmp_path, capsys):
@@ -57,12 +69,46 @@ def test_run_out_row_matches_execute_run(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 0
     config = load_simulation_config(path)
-    spec = RunSpec(0, 0, config.seed, "oldpk-group", config.gamma_db,
-                   config.max_group_size, 6.0, config.scenario, config.timing,
-                   config.traffic, config.mcs_table)
+    spec = RunSpec(0, 0, 6.0, replace(config, scheduler="oldpk-group"))
     write_csv(tmp_path / "expected.csv", PER_RUN_COLUMNS, [execute_run(spec)])
     assert ((tmp_path / "out" / "run.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
+
+
+def test_campaign_run_replays_from_its_saved_config(tmp_path, capsys):
+    # a RunSpec's config is all a run needs: saved, it replays the campaign's row
+    campaign = Campaign(scenario=ScenarioConfig(subarea_side_m=12.0),
+                        timing=TimingConfig(num_txops=50),
+                        traffic=TrafficConfig(burst_packets=5),
+                        loads_mbps=(2.0, 6.0),
+                        schedulers=("oldpk-single", "ctdma-numpk"),
+                        num_deployments=2, base_seed=4)
+    per_run = _read_rows(run_campaign(campaign, out_dir=tmp_path / "camp")["per_run"])
+    for spec in enumerate_runs(campaign)[5:8]:
+        save_simulation_config(spec.config, tmp_path / "run.json")
+        out = tmp_path / f"run{spec.run_id}"
+        assert main(["run", "--config", str(tmp_path / "run.json"),
+                     "--out", str(out)]) == 0
+        [replayed] = _read_rows(out / "run.csv")
+        row = per_run[spec.run_id]
+        assert row["run_id"] == str(spec.run_id) != replayed["run_id"]
+        assert row["deployment_index"] == "1" != replayed["deployment_index"]
+        for column in ("run_id", "deployment_index"):
+            del row[column], replayed[column]
+        assert replayed == row
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--gamma", "nan", "--load-mbps", "6"], "gamma_db must be finite"),
+    (["run", "--load-mbps", "nan"], "load_bps_per_sta must be >= 0"),
+    (["groups", "--gamma", "nan"], "gamma_db must be finite"),
+    (["groups", "--gamma", "inf"], "gamma_db must be finite"),
+])
+def test_non_finite_flags_rejected(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_run_flag_overrides(tmp_path, capsys):

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from mapcsim import (SimulationConfig, TimingConfig, load_campaign,
-                     load_simulation_config, save_simulation_config)
+from mapcsim import (SimulationConfig, TimingConfig, TrafficConfig,
+                     load_campaign, load_simulation_config,
+                     save_simulation_config)
 from mapcsim.config import simulation_config_from_dict
 
 
@@ -63,7 +64,30 @@ def test_timing_invariants():
         TimingConfig(map_tf_us=0.0)
     with pytest.raises(ValueError):
         TimingConfig(num_txops=0)
+    with pytest.raises(ValueError):
+        TimingConfig(period_ms=float("nan"))
+    # the 160 us handshake does not fit in a 100 us TXOP cap, nor in 160 us
+    for txop_max_ms in (0.1, 0.16):
+        with pytest.raises(ValueError, match="handshake"):
+            TimingConfig(txop_max_ms=txop_max_ms)
+    TimingConfig(txop_max_ms=0.161)
     assert TimingConfig().handshake_us == 80 + 9 + 62 + 9
+
+
+@pytest.mark.parametrize("gamma_db", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_gamma_rejected(gamma_db):
+    with pytest.raises(ValueError, match="gamma_db must be finite"):
+        SimulationConfig(gamma_db=gamma_db)
+    with pytest.raises(ValueError, match="gamma_db must be finite"):
+        simulation_config_from_dict({"gamma_db": gamma_db})
+
+
+def test_nan_load_rejected():
+    with pytest.raises(ValueError, match="load_bps_per_sta"):
+        TrafficConfig(load_bps_per_sta=float("nan"))
+    with pytest.raises(ValueError, match="load_bps_per_sta"):
+        simulation_config_from_dict({"traffic": {"load_bps_per_sta": float("nan")}})
+    assert TrafficConfig(load_bps_per_sta=0.0).load_bps_per_sta == 0.0
 
 
 def test_shipped_configs_load():

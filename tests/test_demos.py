@@ -1,7 +1,5 @@
-"""The quick demos run end to end against the current public API.
-
-demos/04 is left out: it writes demo_results/ and starts a worker pool.
-"""
+"""The demos run end to end against the current public API, each in an
+empty working directory (demos/04 writes demo_results/ there)."""
 
 import runpy
 from pathlib import Path
@@ -13,7 +11,9 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize("script", ["01_pathloss_and_link_adaptation.py",
                                     "02_group_formation.py",
-                                    "03_single_run.py"])
-def test_demo_runs(script, capsys):
+                                    "03_single_run.py",
+                                    "04_load_sweep_campaign.py"])
+def test_demo_runs(script, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert capsys.readouterr().out.strip()

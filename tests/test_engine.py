@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mapcsim import (ApBuffer, McsTable, ScenarioConfig, SchedulerKind,
-                     TimingConfig, TrafficConfig, arrival_probability,
-                     build_environment, data_rate_bps, default_mcs_table,
-                     engine, generate_grid_deployment, plan_slot,
-                     run_simulation, select_mcs, station_sinr_db,
+                     SimulationConfig, TimingConfig, TrafficConfig,
+                     arrival_probability, build_environment, data_rate_bps,
+                     default_mcs_table, engine, generate_grid_deployment,
+                     plan_slot, run_simulation, select_mcs, station_sinr_db,
                      step_arrivals)
 from mapcsim.engine import SimState, run_txop
 from oracles import nearest_rank_reference
@@ -244,8 +244,8 @@ def test_controller_view_tracks_buffers(cfg, load_bps, txops):
 
 def test_delay_percentile_is_nearest_rank():
     cfg, tim = ScenarioConfig(), TimingConfig(num_txops=300)
-    rep = run_simulation(cfg, tim, TrafficConfig(load_bps_per_sta=6e6), 20.0,
-                         3, "oldpk-group", seed=4)
+    rep = run_simulation(SimulationConfig(cfg, tim, TrafficConfig(load_bps_per_sta=6e6),
+                                          20.0, 3, "oldpk-group", seed=4))
     delays = rep.delays_sorted_s.tolist()
     assert len(delays) > 100
     for q in (0.0, 0.5, 0.95, 0.99, 1.0):
@@ -257,7 +257,8 @@ def test_delay_percentile_is_nearest_rank():
 
 def test_simulation_zero_load():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=50), TrafficConfig(load_bps_per_sta=0.0)
-    rep = run_simulation(cfg, tim, tr, 20.0, 3, "numpk-single", seed=1)
+    rep = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-single",
+                                          seed=1))
     assert rep.throughput_bps == 0.0
     assert math.isnan(rep.mean_delay_s)
     assert math.isnan(rep.delay_percentile(0.95))
@@ -269,7 +270,7 @@ def test_simulation_conservation_and_occupancy():
     cfg, tim = ScenarioConfig(), TimingConfig(num_txops=300)
     for kind in ("numpk-single", "ctdma-oldpk", "oldpk-group"):
         tr = TrafficConfig(load_bps_per_sta=6e6)
-        rep = run_simulation(cfg, tim, tr, 20.0, 3, kind, seed=3)
+        rep = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, kind, seed=3))
         assert rep.packets_arrived == rep.packets_delivered + rep.packets_remaining
         assert np.all(rep.per_txop_occupancy >= 0.0)
         assert np.all(rep.per_txop_occupancy <= 1.0)
@@ -278,19 +279,19 @@ def test_simulation_conservation_and_occupancy():
 
 def test_simulation_determinism():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=200), TrafficConfig(load_bps_per_sta=6e6)
-    a = run_simulation(cfg, tim, tr, 20.0, 3, "oldpk-single", seed=9)
-    b = run_simulation(cfg, tim, tr, 20.0, 3, "oldpk-single", seed=9)
+    a = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "oldpk-single", seed=9))
+    b = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "oldpk-single", seed=9))
     assert a.throughput_bps == b.throughput_bps
     assert np.array_equal(a.delays_sorted_s, b.delays_sorted_s)
     assert np.array_equal(a.per_txop_occupancy, b.per_txop_occupancy)
-    c = run_simulation(cfg, tim, tr, 20.0, 3, "oldpk-single", seed=10)
+    c = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "oldpk-single", seed=10))
     assert not np.array_equal(a.delays_sorted_s, c.delays_sorted_s)
 
 
 def test_fifo_delivery_per_ap():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=400), TrafficConfig(load_bps_per_sta=4e6)
     log = []
-    run_simulation(cfg, tim, tr, 20.0, 3, "numpk-group", seed=5,
+    run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-group", seed=5),
                    delivery_log=log)
     assert log
     last_arrival = {}
@@ -313,8 +314,8 @@ def test_single_station_steady_state_closed_form():
     tr = TrafficConfig(load_bps_per_sta=24e6)  # p = 1.0
     seed = 17
     log = []
-    rep = run_simulation(cfg, tim, tr, 20.0, 3, "numpk-single", seed=seed,
-                         delivery_log=log)
+    rep = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-single",
+                                          seed=seed), delivery_log=log)
     env, _ = build_environment(cfg, 20.0, 3, seed)
     sinr = station_sinr_db(0, 0, (0,), env.rssi_dbm, cfg.noise_dbm)
     mcs = select_mcs(sinr, default_mcs_table())
@@ -330,8 +331,9 @@ def test_single_station_steady_state_closed_form():
 
 def test_sr_beats_ctdma_on_default_grid():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=500), TrafficConfig(load_bps_per_sta=8e6)
-    sr = run_simulation(cfg, tim, tr, 20.0, 3, "numpk-single", seed=1)
-    ctdma = run_simulation(cfg, tim, tr, 20.0, 3, "ctdma-numpk", seed=1)
+    sr = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-single", seed=1))
+    ctdma = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "ctdma-numpk",
+                                            seed=1))
     assert sr.throughput_bps > ctdma.throughput_bps
     assert sr.delay_percentile(0.95) < ctdma.delay_percentile(0.95)
 
@@ -339,8 +341,8 @@ def test_sr_beats_ctdma_on_default_grid():
 def test_txop_trace_collects_records():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=40), TrafficConfig(load_bps_per_sta=6e6)
     trace = []
-    rep = run_simulation(cfg, tim, tr, 20.0, 3, "numpk-single", seed=2,
-                         txop_trace=trace)
+    rep = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-single",
+                                          seed=2), txop_trace=trace)
     assert len(trace) == 40
     assert sum(rec.packets_delivered for rec in trace) == rep.packets_delivered
 
@@ -388,10 +390,11 @@ def test_step_arrivals_matches_station_loop(cfg, p):
         assert sum(new.counts) == 6 * env.deployment.num_stations * tr.burst_packets
 
 
-def _run_outcome(cfg, kind, seed, tr, mcs_table=None, txops=150):
+def _run_outcome(cfg, kind, seed, tr, mcs_table=default_mcs_table(), txops=150):
     log = []
-    rep = run_simulation(cfg, TimingConfig(num_txops=txops), tr, 20.0, 3, kind,
-                         seed, mcs_table=mcs_table, delivery_log=log)
+    rep = run_simulation(SimulationConfig(cfg, TimingConfig(num_txops=txops), tr,
+                                          20.0, 3, kind, seed, mcs_table),
+                         delivery_log=log)
     assert rep.packets_delivered > 0
     return (rep.delays_sorted_s.tolist(), rep.per_txop_occupancy.tolist(),
             [rep.delay_percentile(q) for q in (0.5, 0.95, 0.99)],
@@ -419,7 +422,8 @@ def test_memo_rebuilds_airtimes_for_new_mcs_table_or_packet_size():
     cfg, tr = ScenarioConfig(), TrafficConfig(load_bps_per_sta=6e6)
     stricter = McsTable(tuple(replace(e, min_sinr_db=e.min_sinr_db + 6.0)
                               for e in default_mcs_table().entries))
-    for mcs_table, traffic in ((stricter, tr), (None, replace(tr, packet_bytes=1000))):
+    for mcs_table, traffic in ((stricter, tr),
+                               (default_mcs_table(), replace(tr, packet_bytes=1000))):
         engine.clear_memos()
         first = _run_outcome(cfg, "numpk-group", 8, tr, txops=200)
         warm = _run_outcome(cfg, "numpk-group", 8, traffic, mcs_table, txops=200)
@@ -443,7 +447,7 @@ def test_shared_environment_is_read_only():
 def test_gamma_below_mcs0_warns():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=20), TrafficConfig(load_bps_per_sta=1e6)
     with pytest.warns(UserWarning, match=r"-5 dB is below the lowest MCS threshold, 2 dB"):
-        run_simulation(cfg, tim, tr, -5.0, 3, "numpk-group", seed=1)
+        run_simulation(SimulationConfig(cfg, tim, tr, -5.0, 3, "numpk-group", seed=1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run_simulation(cfg, tim, tr, 20.0, 3, "numpk-group", seed=1)
+        run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-group", seed=1))

@@ -97,3 +97,10 @@ def test_config_validation():
         ScenarioConfig(breakpoint_m=-1)
     with pytest.raises(ValueError):
         ScenarioConfig(subarea_rows=0)
+    # non-physical geometry: NaN path loss, or fewer than zero walls
+    for freq in (-5.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="carrier_freq_ghz"):
+            ScenarioConfig(carrier_freq_ghz=freq)
+    with pytest.raises(ValueError, match="wall_count"):
+        ScenarioConfig(wall_count=-1)
+    ScenarioConfig(wall_count=0)
