@@ -134,6 +134,10 @@ class McsTable:
                 raise ValueError("MCS indices must be consecutive from 0")
         sinrs = [e.min_sinr_db for e in self.entries]
         bits = [e.bits_per_symbol for e in self.entries]
+        if not all(math.isfinite(x) for x in sinrs + bits):
+            raise ValueError("MCS SINR thresholds and bits per symbol must be finite")
+        if not bits[0] > 0:
+            raise ValueError("MCS bits per symbol must be positive")
         if any(b >= a for a, b in zip(sinrs[1:], sinrs)):
             raise ValueError("MCS SINR thresholds must be strictly increasing")
         if any(b >= a for a, b in zip(bits[1:], bits)):

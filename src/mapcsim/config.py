@@ -35,14 +35,15 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.subarea_rows < 1 or self.subarea_cols < 1:
             raise ValueError("subarea grid must be at least 1x1")
-        if self.subarea_side_m <= 0:
-            raise ValueError("subarea_side_m must be positive")
         if self.stations_per_subarea < 1:
             raise ValueError("stations_per_subarea must be >= 1")
-        if self.breakpoint_m <= 0:
-            raise ValueError("breakpoint_m must be positive")
-        if not self.carrier_freq_ghz > 0:
-            raise ValueError("carrier_freq_ghz must be positive")
+        for name in ("subarea_side_m", "carrier_freq_ghz", "tx_power_dbm",
+                     "breakpoint_m", "noise_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("subarea_side_m", "carrier_freq_ghz", "breakpoint_m"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.wall_count < 0:
             raise ValueError("wall_count must be >= 0")
 

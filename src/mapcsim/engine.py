@@ -8,8 +8,10 @@ Timeline per period T (times below in microseconds within the TXOP):
 
 Traffic lands in per-AP FIFO buffers just before each TXOP as bursts of
 `burst_packets` packets per station (Bernoulli with probability p derived
-from the offered load). Buffers hold bursts rather than individual packets;
-a burst may be split across slots when the budget runs out mid-burst.
+from the offered load). `draw_arrivals` draws a run's arrivals ahead, in
+blocks, into an `ArrivalSchedule`; `step_arrivals` appends one TXOP's
+bursts from it. Buffers hold bursts rather than individual packets; a burst
+may be split across slots when the budget runs out mid-burst.
 
 Inside a slot every member AP drains its FIFO oldest packet first. Packets
 to the same station are aggregated into one A-MPDU segment sent at the MCS
@@ -22,9 +24,12 @@ The controller's view of the buffers (queued packets and head-of-line
 arrival per AP) is maintained incrementally: every buffer change writes
 through to it, so no slot or TXOP rebuilds it by walking all APs.
 
-Runs of one deployment share its static environment and airtime table
-within a campaign: one-entry memos keyed by the values they are built from,
-cleared by `run_campaign`. The memoized arrays are read-only.
+Runs of one deployment share its static environments and airtime tables,
+one per (gamma, K), and the arrival schedule of each load: the traffic
+stream depends on the seed alone, so the six schedulers, every gamma and
+every K of a (deployment, load) append the same bursts. The memo holds one
+deployment at a time, keyed by the values it was built from, and
+`run_campaign` clears it. The memoized arrays are read-only.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ import numpy as np
 
 from .channel import (McsTable, build_rssi_matrix, data_rate_bps,
                       group_sinr_db, select_mcs)
-from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig)
+from .config import ScenarioConfig, SimulationConfig, TimingConfig
 from .grouping import GroupSet, build_all_groups
 from .scenario import Deployment, generate_grid_deployment
 from .scheduling import BufferSummary, SchedulerKind, select_group
@@ -135,21 +139,64 @@ class ApBuffer:
         return taken
 
 
-def step_arrivals(buffers: Sequence[ApBuffer], deployment: Deployment,
-                  traffic: TrafficConfig, arrival_prob: float,
-                  rng: np.random.Generator, now_s: float) -> int:
-    """Independent Bernoulli burst arrival per station; returns packets added.
+# Uniforms per block when drawing arrivals: bounds the transient draw to 128 kB,
+# or to one TXOP's row on a grid of more than 2^14 stations.
+ARRIVAL_BLOCK_DOUBLES = 1 << 14
 
-    One uniform draw per station per period regardless of p, so runs with
-    the same seed see the same arrival pattern across load levels.
+
+@dataclass(frozen=True)
+class ArrivalSchedule:
+    """Every TXOP's burst arrivals of a run, drawn ahead: TXOP n's arriving
+    stations, ascending, are `stations[bounds[n]:bounds[n + 1]]`, and their
+    APs the same slice of `aps`. Runs share it, so its arrays are read-only.
+
+    Its size grows with the run, num_txops * num_stations * p arrivals: 2 B
+    each on a 3x3 grid (27 stations) and 3 B on 12x12 (432 stations), so a
+    whole 10^4-TXOP 12x12 run at p = 1 holds 13 MB."""
+
+    stations: np.ndarray  # smallest unsigned int dtype holding a station id
+    aps: np.ndarray       # same for AP ids: the association of each station
+    bounds: np.ndarray    # int64, num_txops + 1 offsets
+
+
+def draw_arrivals(deployment: Deployment, arrival_prob: float,
+                  rng: np.random.Generator, num_txops: int) -> ArrivalSchedule:
+    """Independent Bernoulli burst arrival per station and TXOP.
+
+    One uniform draw per station per TXOP regardless of p, so runs with the
+    same seed see the same arrival pattern across load levels. Drawn in
+    row-major (TXOPs x stations) blocks, which consume `rng` exactly as one
+    `rng.random(num_stations)` call per TXOP would.
     """
-    u = rng.random(deployment.num_stations)
-    arriving = np.flatnonzero(u < arrival_prob)
-    burst = traffic.burst_packets
-    for sta, ap in zip(arriving.tolist(),
-                       deployment.association[arriving].tolist()):
-        buffers[ap].append_burst(now_s, sta, burst)
-    return burst * len(arriving)
+    num_stations = deployment.num_stations
+    sta_type = np.min_scalar_type(num_stations)
+    ap_type = np.min_scalar_type(deployment.num_aps)
+    block = max(1, ARRIVAL_BLOCK_DOUBLES // num_stations)
+    bounds = np.zeros(num_txops + 1, dtype=np.int64)  # counts, then offsets
+    stations, aps = [np.empty(0, sta_type)], [np.empty(0, ap_type)]
+    for start in range(0, num_txops, block):
+        rows = min(block, num_txops - start)
+        txop, sta = np.nonzero(rng.random((rows, num_stations)) < arrival_prob)
+        bounds[start + 1:start + rows + 1] = np.bincount(txop, minlength=rows)
+        stations.append(sta.astype(sta_type))
+        aps.append(deployment.association[sta].astype(ap_type))
+    np.cumsum(bounds, out=bounds)
+    stations = np.concatenate(stations)  # drops the station blocks
+    schedule = ArrivalSchedule(stations, np.concatenate(aps), bounds)
+    for array in (schedule.stations, schedule.aps, schedule.bounds):
+        array.flags.writeable = False
+    return schedule
+
+
+def step_arrivals(buffers: Sequence[ApBuffer], schedule: ArrivalSchedule,
+                  n: int, burst_packets: int, now_s: float) -> int:
+    """Append TXOP `n`'s bursts of `schedule` at `now_s`, in ascending station
+    order; returns packets added."""
+    lo, hi = schedule.bounds[n:n + 2].tolist()
+    for sta, ap in zip(schedule.stations[lo:hi].tolist(),
+                       schedule.aps[lo:hi].tolist()):
+        buffers[ap].append_burst(now_s, sta, burst_packets)
+    return burst_packets * (hi - lo)
 
 
 @dataclass
@@ -317,19 +364,31 @@ class Environment:
     groups: GroupSet
 
 
-# name -> (key, value) of the last environment and airtime table built, keyed
-# by the values they depend on, never by id() (a new object can reuse one).
-_memo: dict[str, tuple[Hashable, Any]] = {}
+# What the runs of one deployment, (scenario, seed), share: an environment and
+# an airtime table per (gamma, K) and the latest arrival schedule, keyed by the
+# values they are built from, never by id() (a new object can reuse one).
+# deployment -> {slot: (key, value)}; it holds one deployment at a time.
+_memo: dict[Hashable, dict[Hashable, tuple[Hashable, Any]]] = {}
 
 
-def _memoized(name: str, key: Hashable, build: Callable[[], Any]) -> Any:
-    if _memo.get(name, (None,))[0] != key:
-        _memo[name] = (key, build())
-    return _memo[name][1]
+def _memoized(dep_key: Hashable, slot: Hashable, key: Hashable,
+              build: Callable[[], Any]) -> Any:
+    """The value `build()` makes for deployment `dep_key`, `slot` and `key`,
+    built once and then shared. A slot keeps only its latest key, and a new
+    deployment empties every slot; the stale value is dropped before `build`
+    runs, so two are never alive at once."""
+    slots = _memo.get(dep_key)
+    if slots is None:
+        _memo.clear()
+        slots = _memo[dep_key] = {}
+    if slot not in slots or slots[slot][0] != key:
+        slots.pop(slot, None)
+        slots[slot] = (key, build())
+    return slots[slot][1]
 
 
 def clear_memos() -> None:
-    """Forget the memoized environment and airtime table."""
+    """Forget the memoized environments, airtime tables and arrival schedule."""
     _memo.clear()
 
 
@@ -356,7 +415,8 @@ def build_environment(scenario: ScenarioConfig, gamma_db: float,
             array.flags.writeable = False
         return Environment(deployment, rssi, groups)
 
-    env = _memoized("environment", (scenario, gamma_db, max_group_size, seed), build)
+    env = _memoized((scenario, seed), ("environment", gamma_db, max_group_size),
+                    (), build)
     return env, np.random.default_rng(traffic_ss)
 
 
@@ -426,21 +486,24 @@ def run_simulation(config: SimulationConfig,
         warnings.warn(f"gamma_db {config.gamma_db:g} dB is below the lowest MCS "
                       f"threshold, {mcs_table.min_sinrs[0]:g} dB: groups may hold "
                       f"stations that no MCS can serve", UserWarning, stacklevel=2)
-    env_key = (scenario, config.gamma_db, config.max_group_size, config.seed)
-    env, traffic_rng = build_environment(*env_key)
+    dep_key, sweep = (scenario, config.seed), (config.gamma_db, config.max_group_size)
+    env, traffic_rng = build_environment(scenario, *sweep, config.seed)
     airtimes = _memoized(
-        "airtimes", env_key + (mcs_table, timing, traffic.packet_bits),
+        dep_key, ("airtimes",) + sweep, (mcs_table, timing, traffic.packet_bits),
         lambda: _selection_airtimes(env, scenario, mcs_table, timing, traffic.packet_bits))
     p = arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
                             traffic.packet_bytes, timing.period_s)
+    arrivals = _memoized(
+        dep_key, "arrivals", (p, timing.num_txops),
+        lambda: draw_arrivals(env.deployment, p, traffic_rng, timing.num_txops))
     state = SimState(env.deployment.num_aps, airtimes, traffic.packet_bytes)
     state.delivery_log = delivery_log
     occupancy = np.empty(timing.num_txops)
     txop_max = timing.txop_max_us
+    burst = traffic.burst_packets
     for n in range(timing.num_txops):
         now = n * timing.period_s
-        state.packets_arrived += step_arrivals(state.buffers, env.deployment,
-                                               traffic, p, traffic_rng, now)
+        state.packets_arrived += step_arrivals(state.buffers, arrivals, n, burst, now)
         record = run_txop(state, kind, env.groups, timing, now)
         occupancy[n] = record.total_duration_us / txop_max
         if txop_trace is not None:

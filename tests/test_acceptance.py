@@ -14,7 +14,7 @@ import pytest
 
 from mapcsim import (ApBuffer, Campaign, ScenarioConfig, SchedulerKind,
                      SimulationConfig, TimingConfig, TrafficConfig,
-                     build_rssi_matrix, generate_grid_deployment,
+                     build_rssi_matrix, draw_arrivals, generate_grid_deployment,
                      group_feasible, path_loss_db,
                      percentile, run_campaign, run_simulation, select_group,
                      step_arrivals)
@@ -147,8 +147,8 @@ def test_criterion_05_traffic_calibration():
     p = 0.25  # 6 Mbps with 10 x 1500 B bursts every 5 ms
     arrived_packets = 0
     for n in range(periods):
-        arrived_packets += step_arrivals(buffers, dep, traffic, p, rng,
-                                         n * timing.period_s)
+        arrived_packets += step_arrivals(buffers, draw_arrivals(dep, p, rng, 1), 0,
+                                         traffic.burst_packets, n * timing.period_s)
         for b in buffers:   # only arrival counts matter here
             b.batches.clear()
             b.count = 0

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -172,3 +173,39 @@ def test_campaign_rows_equal_cold_runs(tmp_path, axes):
         rows.append(execute_run(spec))
     write_csv(tmp_path / "cold.csv", PER_RUN_COLUMNS, rows)
     assert paths["per_run"].read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+
+def _count_calls(monkeypatch, owner, name, counter):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        with counter.get_lock():
+            counter.value += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_deployment_builds_and_draws_once_per_sweep_point(monkeypatch, tmp_path):
+    # load sits outside gamma in run order, yet each (gamma, K) environment of
+    # the deployment is built once and each load's arrivals are drawn once
+    deployments, draws = multiprocessing.Value("i", 0), multiprocessing.Value("i", 0)
+    _count_calls(monkeypatch, engine, "generate_grid_deployment", deployments)
+    _count_calls(monkeypatch, engine, "draw_arrivals", draws)
+    campaign = Campaign(timing=TimingConfig(num_txops=20), loads_mbps=(1.0, 8.0),
+                        gammas_db=(5.0, 20.0), num_deployments=1)
+    run_campaign(campaign, out_dir=tmp_path)
+    assert (deployments.value, draws.value) == (2, 2)
+
+
+def test_pool_workers_build_each_deployment_at_most_once(monkeypatch, tmp_path):
+    campaign = Campaign(timing=TimingConfig(num_txops=30), loads_mbps=(8.0,),
+                        num_deployments=4, base_seed=5)
+    serial = run_campaign(campaign, out_dir=tmp_path / "serial", workers=1)
+    # counted across the forked workers, which meet runs in run-id order
+    builds = multiprocessing.get_context("fork").Value("i", 0)
+    _count_calls(monkeypatch, engine, "generate_grid_deployment", builds)
+    pooled = run_campaign(campaign, out_dir=tmp_path / "pool", workers=2)
+    assert campaign.num_deployments <= builds.value <= 2 * campaign.num_deployments
+    for name, path in serial.items():
+        assert path.read_bytes() == pooled[name].read_bytes(), name

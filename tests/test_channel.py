@@ -240,3 +240,12 @@ def test_mcs_table_validation_and_roundtrip():
     rows[3][1] = rows[2][1]  # duplicate threshold
     with pytest.raises(ValueError):
         McsTable.from_jsonable(rows)
+    # non-finite thresholds or payloads, and a payload that is not positive
+    for pos, column, value in ((0, 1, float("nan")), (5, 1, float("nan")),
+                               (10, 1, float("inf")), (0, 1, float("-inf")),
+                               (3, 2, float("nan")), (10, 2, float("inf")),
+                               (0, 2, 0.0), (0, 2, -117.0)):
+        rows = table.to_jsonable()
+        rows[pos][column] = value
+        with pytest.raises(ValueError, match="MCS"):
+            McsTable.from_jsonable(rows)

@@ -111,6 +111,19 @@ def test_non_finite_flags_rejected(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"scenario": {"subarea_side_m": float("nan")}}, "subarea_side_m must be finite"),
+    ({"scenario": {"noise_dbm": float("nan")}}, "noise_dbm must be finite"),
+    ({"mcs_table": [[0, float("nan"), 100.0]]}, "must be finite"),
+])
+def test_non_finite_config_rejected(tmp_path, extra, message, capsys):
+    path = _write_config(tmp_path, extra)  # json writes NaN, as it reads it
+    assert main(["run", "--config", str(path), "--load-mbps", "6"]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_run_flag_overrides(tmp_path, capsys):
     path = _write_config(tmp_path)
     rc = main(["run", "--config", str(path), "--scheduler", "ctdma-numpk",

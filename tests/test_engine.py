@@ -1,16 +1,19 @@
 import math
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapcsim import (ApBuffer, McsTable, ScenarioConfig, SchedulerKind,
-                     SimulationConfig, TimingConfig, TrafficConfig,
-                     arrival_probability, build_environment, data_rate_bps,
-                     default_mcs_table, engine, generate_grid_deployment,
-                     plan_slot, run_simulation, select_mcs, station_sinr_db,
-                     step_arrivals)
+from mapcsim import (ApBuffer, Deployment, McsTable, ScenarioConfig,
+                     SchedulerKind, SimulationConfig, TimingConfig,
+                     TrafficConfig, arrival_probability, build_environment,
+                     data_rate_bps, default_mcs_table, draw_arrivals, engine,
+                     generate_grid_deployment, plan_slot, run_simulation,
+                     select_mcs, station_sinr_db, step_arrivals)
 from mapcsim.engine import SimState, run_txop
 from oracles import nearest_rank_reference
 
@@ -39,9 +42,11 @@ def test_step_arrivals_p0_and_p1():
     buffers, dep = _buffers_and_deployment()
     traffic = TrafficConfig()
     rng = np.random.default_rng(1)
-    assert step_arrivals(buffers, dep, traffic, 0.0, rng, 0.0) == 0
+    assert step_arrivals(buffers, draw_arrivals(dep, 0.0, rng, 1), 0,
+                         traffic.burst_packets, 0.0) == 0
     assert all(b.count == 0 for b in buffers)
-    added = step_arrivals(buffers, dep, traffic, 1.0, rng, 0.0)
+    added = step_arrivals(buffers, draw_arrivals(dep, 1.0, rng, 1), 0,
+                          traffic.burst_packets, 0.0)
     assert added == 27 * 10
     assert sum(b.count for b in buffers) == 270
     for b in buffers:
@@ -57,7 +62,8 @@ def test_step_arrivals_empirical_frequency():
     periods = 20_000
     total = 0
     for n in range(periods):
-        total += step_arrivals(buffers, dep, traffic, 0.25, rng, n * 0.005)
+        total += step_arrivals(buffers, draw_arrivals(dep, 0.25, rng, 1), 0,
+                               traffic.burst_packets, n * 0.005)
     freq = total / (periods * dep.num_stations * traffic.burst_packets)
     assert freq == pytest.approx(0.25, rel=0.01)
 
@@ -197,7 +203,8 @@ def test_run_txop_accounting_and_budget():
     slots = packets = 0
     for n in range(50):
         now = n * tim.period_s
-        step_arrivals(state.buffers, env.deployment, tr, 0.8, rng, now)
+        step_arrivals(state.buffers, draw_arrivals(env.deployment, 0.8, rng, 1),
+                      0, tr.burst_packets, now)
         rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env.groups, tim, now)
         slots += len(rec.slots)
         packets += rec.packets_delivered
@@ -233,7 +240,8 @@ def test_controller_view_tracks_buffers(cfg, load_bps, txops):
         delivered = 0
         for n in range(txops):
             now = n * tim.period_s
-            step_arrivals(state.buffers, env.deployment, tr, p, rng, now)
+            step_arrivals(state.buffers, draw_arrivals(env.deployment, p, rng, 1),
+                          0, tr.burst_packets, now)
             delivered += run_txop(state, kind, env.groups, tim,
                                   now).packets_delivered
             assert (state.counts, state.heads) == _view_from_buffers(state), (
@@ -376,7 +384,8 @@ def test_step_arrivals_matches_station_loop(cfg, p):
     rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
     for n in range(6):
         now = n * TIM.period_s
-        got = step_arrivals(new.buffers, env.deployment, tr, p, rng_new, now)
+        got = step_arrivals(new.buffers, draw_arrivals(env.deployment, p, rng_new, 1),
+                            0, tr.burst_packets, now)
         want = _loop_step_arrivals(ref.buffers, env.deployment, tr, p,
                                    rng_ref, now)
         assert got == want and type(got) is type(want)
@@ -431,6 +440,103 @@ def test_memo_rebuilds_airtimes_for_new_mcs_table_or_packet_size():
         cold = _run_outcome(cfg, "numpk-group", 8, traffic, mcs_table, txops=200)
         assert warm == cold
         assert warm != first
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_block_draw_equals_per_txop_draws(data):
+    # up to 20000: one-row blocks, and ids past 8 bits
+    num_stations = data.draw(st.integers(1, 20000), label="num_stations")
+    num_aps = data.draw(st.integers(1, min(num_stations, 300)), label="num_aps")
+    p = data.draw(st.floats(0.0, 1.0), label="p")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    block = max(1, engine.ARRIVAL_BLOCK_DOUBLES // num_stations)
+    # 0-2 whole blocks and a part block: runs ending on and across boundaries
+    num_txops = (data.draw(st.integers(0, 2), label="blocks") * block
+                 + data.draw(st.integers(0, block), label="rest"))
+    association = np.random.default_rng(seed).integers(0, num_aps, num_stations)
+    dep = Deployment(np.zeros((num_aps, 2)), np.zeros((num_stations, 2)),
+                     association, 0)
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    schedule = draw_arrivals(dep, p, rng, num_txops)
+    assert len(schedule.bounds) == num_txops + 1 and schedule.bounds[0] == 0
+    assert schedule.stations.dtype == np.min_scalar_type(num_stations)
+    assert schedule.aps.dtype == np.min_scalar_type(num_aps)
+    for n in range(num_txops):
+        lo, hi = schedule.bounds[n], schedule.bounds[n + 1]
+        want = np.flatnonzero(rng_ref.random(num_stations) < p)
+        assert schedule.stations[lo:hi].tolist() == want.tolist()
+        assert schedule.aps[lo:hi].tolist() == association[want].tolist()
+    assert schedule.bounds[-1] == len(schedule.stations) == len(schedule.aps)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("traffic, txops", [
+    (TrafficConfig(load_bps_per_sta=2e6), 150),
+    (TrafficConfig(load_bps_per_sta=6e6, burst_packets=4), 150),
+    (TrafficConfig(load_bps_per_sta=6e6, packet_bytes=1000), 150),
+    # the same p as the first run: its schedule is shared, the bursts differ
+    (TrafficConfig(load_bps_per_sta=12e6, burst_packets=20), 150),
+    (TrafficConfig(load_bps_per_sta=6e6), 200),
+], ids=["load", "burst", "packet-size", "same-p", "num-txops"])
+def test_warm_schedule_run_equals_cold_run(traffic, txops):
+    cfg, first_traffic = ScenarioConfig(), TrafficConfig(load_bps_per_sta=6e6)
+    engine.clear_memos()
+    first = _run_outcome(cfg, "oldpk-group", 3, first_traffic)
+    warm = _run_outcome(cfg, "oldpk-group", 3, traffic, txops=txops)
+    engine.clear_memos()
+    cold = _run_outcome(cfg, "oldpk-group", 3, traffic, txops=txops)
+    assert warm == cold
+    assert warm != first
+
+
+def test_arrival_schedule_is_shared_read_only_and_cleared(monkeypatch):
+    drawn = []  # weak references: the memo holds the only strong one
+
+    def recording(*args):
+        assert all(ref() is None for ref in drawn)  # the stale one went first
+        schedule = draw_arrivals(*args)
+        drawn.append(weakref.ref(schedule))
+        return schedule
+
+    monkeypatch.setattr(engine, "draw_arrivals", recording)
+    engine.clear_memos()
+    config = SimulationConfig(ScenarioConfig(), TimingConfig(num_txops=50),
+                              TrafficConfig(load_bps_per_sta=8e6), seed=4)
+    for kind, gamma in (("numpk-single", 20.0), ("ctdma-oldpk", 20.0),
+                        ("numpk-group", 10.0)):
+        run_simulation(replace(config, scheduler=kind, gamma_db=gamma))
+    assert len(drawn) == 1
+    schedule = drawn[0]()
+    for array in (schedule.stations, schedule.aps, schedule.bounds):
+        assert len(array) > 0
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+    del schedule
+    run_simulation(replace(config, traffic=TrafficConfig(load_bps_per_sta=4e6)))
+    assert len(drawn) == 2
+    engine.clear_memos()
+    assert drawn[1]() is None
+    run_simulation(config)
+    assert len(drawn) == 3
+
+
+def test_memo_keeps_a_deployment_and_drops_it_before_the_next(monkeypatch):
+    cfg = ScenarioConfig()
+    engine.clear_memos()
+    sweep = ((5.0, 3), (20.0, 3), (20.0, 2))
+    kept = [weakref.ref(build_environment(cfg, gamma, k, seed=1)[0])
+            for gamma, k in sweep]
+    for (gamma, k), ref in zip(sweep, kept):  # every (gamma, K) of the seed stays
+        assert build_environment(cfg, gamma, k, seed=1)[0] is ref()
+
+    def checking(*args):
+        assert all(ref() is None for ref in kept)
+        return generate_grid_deployment(*args)
+
+    monkeypatch.setattr(engine, "generate_grid_deployment", checking)
+    build_environment(cfg, 20.0, 3, seed=2)
+    assert all(ref() is None for ref in kept)
 
 
 def test_shared_environment_is_read_only():

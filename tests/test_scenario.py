@@ -104,3 +104,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="wall_count"):
         ScenarioConfig(wall_count=-1)
     ScenarioConfig(wall_count=0)
+    # non-finite geometry or radio constants: a NaN side never places a station
+    for name in ("subarea_side_m", "carrier_freq_ghz", "tx_power_dbm",
+                 "breakpoint_m", "noise_dbm"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                ScenarioConfig(**{name: value})
+    ScenarioConfig(tx_power_dbm=-10.0, noise_dbm=-120.0)
