@@ -179,6 +179,8 @@ def run_campaign(campaign: Campaign, out_dir: str | Path | None = None,
     Returns the written file paths. Output rows follow run-index order even
     when a worker pool is used, so reruns are byte-identical.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     specs = enumerate_runs(campaign)
     out = Path(out_dir if out_dir is not None else campaign.out_dir)
     out.mkdir(parents=True, exist_ok=True)

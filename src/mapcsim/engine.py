@@ -8,10 +8,13 @@ Timeline per period T (times below in microseconds within the TXOP):
 
 Traffic lands in per-AP FIFO buffers just before each TXOP as bursts of
 `burst_packets` packets per station (Bernoulli with probability p derived
-from the offered load). `draw_arrivals` draws a run's arrivals ahead, in
-blocks, into an `ArrivalSchedule`; `step_arrivals` appends one TXOP's
-bursts from it. Buffers hold bursts rather than individual packets; a burst
-may be split across slots when the budget runs out mid-burst.
+from the offered load). `draw_arrivals` draws a run's arrivals ahead into
+an `ArrivalSchedule`, which also lists each AP's arrivals in FIFO order,
+and each buffer is a cursor over its AP's list (see ApBuffer). So an
+arrival costs no Python object, only the schedule's 7 B on a 12x12 grid
+(4 B of it the per-AP lists): the six 10^4-TXOP runs of one 12x12
+deployment at 2 Mbps/STA grow the peak RSS by about 22 MB. A burst may be
+split across slots when the budget runs out mid-burst.
 
 Inside a slot every member AP drains its FIFO oldest packet first. Packets
 to the same station are aggregated into one A-MPDU segment sent at the MCS
@@ -27,7 +30,7 @@ through to it, so no slot or TXOP rebuilds it by walking all APs.
 Runs of one deployment share its static environments and airtime tables,
 one per (gamma, K), and the arrival schedule of each load: the traffic
 stream depends on the seed alone, so the six schedulers, every gamma and
-every K of a (deployment, load) append the same bursts. The memo holds one
+every K of a (deployment, load) queue the same bursts. The memo holds one
 deployment at a time, keyed by the values it was built from, and
 `run_campaign` clears it. The memoized arrays are read-only.
 """
@@ -35,7 +38,6 @@ deployment at a time, keyed by the values it was built from, and
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
@@ -43,7 +45,8 @@ import numpy as np
 
 from .channel import (McsTable, build_rssi_matrix, data_rate_bps,
                       group_sinr_db, select_mcs)
-from .config import ScenarioConfig, SimulationConfig, TimingConfig
+from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
+                     TrafficConfig)
 from .grouping import GroupSet, build_all_groups
 from .scenario import Deployment, generate_grid_deployment
 from .scheduling import BufferSummary, SchedulerKind, select_group
@@ -82,81 +85,140 @@ def arrival_probability(load_bps: float, burst_packets: int, packet_bytes: int,
 
 
 class ApBuffer:
-    """FIFO transmission buffer of one AP, stored as packet bursts.
+    """FIFO transmission buffer of one AP: `batches`, then the window
+    [cursor, arrived) of the AP's arrivals in the run's ArrivalSchedule.
 
-    Each entry is a mutable [arrival_s, station, count]; count shrinks when a
-    burst is split across slots. Every change is written through to
-    `counts[ap]` and `heads[ap]`, the controller's view (see SimState); a
-    buffer made alone gets one-entry lists of its own.
+    Window bursts are whole bursts of `burst_packets`, read where they lie
+    in the schedule. `batches` holds mutable [arrival_s, station, count]
+    entries: the window bursts a slot skipped (their station unservable in
+    the scheduled set) or split at the budget, which `consume` re-queues
+    ahead of the window in FIFO order. Every change is written through to
+    `counts[ap]` and `heads[ap]`, the controller's view (see SimState). A
+    buffer made alone gets one-entry lists of its own and no window, and is
+    filled with `append_burst`.
     """
 
-    __slots__ = ("batches", "counts", "heads", "ap")
+    __slots__ = ("batches", "counts", "heads", "ap", "stations", "txops",
+                 "cursor", "arrived", "burst_packets", "period_s")
 
     def __init__(self, counts: list[int] | None = None,
-                 heads: list[float | None] | None = None, ap: int = 0) -> None:
-        self.batches: deque[list] = deque()
+                 heads: list[float | None] | None = None, ap: int = 0,
+                 arrivals: ArrivalSchedule | None = None, burst_packets: int = 0,
+                 period_s: float = 0.0) -> None:
+        self.batches: list[list] = []
         self.counts = [0] if counts is None else counts
         self.heads: list[float | None] = [None] if heads is None else heads
         self.ap = ap
+        if arrivals is None:
+            self.stations: Sequence[int] = ()
+            self.txops: Sequence[int] = ()
+            self.cursor = self.arrived = 0
+        else:  # memoryviews index to Python ints
+            self.stations = memoryview(arrivals.fifo_stations)
+            self.txops = memoryview(arrivals.fifo_txops)
+            self.cursor = self.arrived = int(arrivals.ap_bounds[ap])
+        self.burst_packets = burst_packets
+        self.period_s = period_s
 
     @property
     def count(self) -> int:
         return self.counts[self.ap]
 
-    @count.setter
-    def count(self, value: int) -> None:
-        self.counts[self.ap] = value
+    def bursts(self) -> list[list]:
+        """The whole queue, oldest first, as [arrival_s, station, count]."""
+        period = self.period_s
+        return [list(batch) for batch in self.batches] + [
+            [self.txops[i] * period, self.stations[i], self.burst_packets]
+            for i in range(self.cursor, self.arrived)]
 
     def append_burst(self, arrival_s: float, station: int, count: int) -> None:
-        if not self.batches:
+        """Queue a burst behind `batches`; only for a buffer with no window."""
+        if not self.count:
             self.heads[self.ap] = arrival_s
         self.batches.append([arrival_s, station, count])
         self.counts[self.ap] += count
 
     def consume(self, consumptions: Sequence[tuple[int, int]]) -> list[tuple[float, int, int]]:
         """Remove planned packets; `consumptions` are (queue position, count)
-        pairs in ascending position order, as produced by plan_slot.
+        pairs in ascending position order, as produced by plan_slot. Queue
+        position p is batches[p], or window burst cursor + p - len(batches).
 
-        Entries skipped by the plan (stations unservable in the scheduled
-        set) stay buffered in their original order. Returns the consumed
+        Bursts skipped by the plan (stations unservable in the scheduled
+        set) stay buffered in their original order: the window ones move
+        to `batches` with a split window burst's remainder, and the cursor
+        passes the last planned burst. Returns the consumed
         (arrival_s, station, count) triples.
         """
         batches = self.batches
+        queued = len(batches)
+        stations, txops, burst = self.stations, self.txops, self.burst_packets
+        period = self.period_s
+        cursor = self.cursor
+        first = cursor - queued  # window burst first + pos is at position pos
         taken = []
         removed = 0
         for pos, k in consumptions:
-            batch = batches[pos]
-            taken.append((batch[0], batch[1], k))
             removed += k
-        # back to front, so deleting a burst leaves the earlier positions valid
-        for pos, k in reversed(consumptions):
-            if k == batches[pos][2]:
-                del batches[pos]
+            if pos < queued:
+                arrival, sta, _ = batches[pos]
             else:
-                batches[pos][2] -= k  # split burst: remainder keeps its arrival time
+                i = first + pos
+                if i > cursor:  # skipped bursts go behind the old batches
+                    batches += [[txops[j] * period, stations[j], burst]
+                                for j in range(cursor, i)]
+                arrival, sta = txops[i] * period, stations[i]
+                if k < burst:  # split burst: remainder keeps its arrival time
+                    batches.append([arrival, sta, burst - k])
+                cursor = i + 1
+            taken.append((arrival, sta, k))
+        if queued:
+            # back to front, so deleting a burst leaves the earlier positions valid
+            for pos, k in reversed(consumptions):
+                if pos >= queued:
+                    continue
+                if k == batches[pos][2]:
+                    del batches[pos]
+                else:
+                    batches[pos][2] -= k
+        self.cursor = cursor
         self.counts[self.ap] -= removed
-        self.heads[self.ap] = batches[0][0] if batches else None
+        self.heads[self.ap] = (batches[0][0] if batches
+                               else txops[cursor] * period if cursor < self.arrived
+                               else None)
         return taken
 
 
 # Uniforms per block when drawing arrivals: bounds the transient draw to 128 kB,
 # or to one TXOP's row on a grid of more than 2^14 stations.
 ARRIVAL_BLOCK_DOUBLES = 1 << 14
+# Blocks grouped by AP at a time: bounds the int64 sort index to 2^18
+# arrivals (2 MB), whatever the run length.
+GROUPING_BLOCKS = 16
 
 
 @dataclass(frozen=True)
 class ArrivalSchedule:
     """Every TXOP's burst arrivals of a run, drawn ahead: TXOP n's arriving
     stations, ascending, are `stations[bounds[n]:bounds[n + 1]]`, and their
-    APs the same slice of `aps`. Runs share it, so its arrays are read-only.
+    APs the same slice of `aps`. The same arrivals grouped by AP are each
+    AP's FIFO for the run: AP a's stations, in (TXOP, station) order, are
+    `fifo_stations[ap_bounds[a]:ap_bounds[a + 1]]`, and the TXOPs they
+    arrive in the same slice of `fifo_txops`. Runs share it, so its arrays
+    are read-only.
 
-    Its size grows with the run, num_txops * num_stations * p arrivals: 2 B
-    each on a 3x3 grid (27 stations) and 3 B on 12x12 (432 stations), so a
-    whole 10^4-TXOP 12x12 run at p = 1 holds 13 MB."""
+    Its size grows with the run, num_txops * num_stations * p arrivals, ids
+    in the smallest unsigned type that fits: 2 B each for the TXOP view on a
+    3x3 grid (27 stations) and 3 B on 12x12 (432 stations), plus 3 and 4 B
+    for the per-AP FIFOs (2 B of TXOP index while num_txops <= 2^16). So a
+    whole 10^4-TXOP 12x12 run holds 7 B per arrival: 2.5 MB at the 2 Mbps/STA
+    of p = 1/12, and 30 MB at p = 1."""
 
-    stations: np.ndarray  # smallest unsigned int dtype holding a station id
-    aps: np.ndarray       # same for AP ids: the association of each station
-    bounds: np.ndarray    # int64, num_txops + 1 offsets
+    stations: np.ndarray       # smallest unsigned int dtype holding a station id
+    aps: np.ndarray            # same for AP ids: the association of each station
+    bounds: np.ndarray         # int64, num_txops + 1 offsets
+    fifo_stations: np.ndarray  # `stations`, grouped by AP
+    fifo_txops: np.ndarray     # smallest unsigned int dtype holding a TXOP index
+    ap_bounds: np.ndarray      # int64, num_aps + 1 offsets
 
 
 def draw_arrivals(deployment: Deployment, arrival_prob: float,
@@ -168,35 +230,63 @@ def draw_arrivals(deployment: Deployment, arrival_prob: float,
     row-major (TXOPs x stations) blocks, which consume `rng` exactly as one
     `rng.random(num_stations)` call per TXOP would.
     """
-    num_stations = deployment.num_stations
+    num_stations, num_aps = deployment.num_stations, deployment.num_aps
     sta_type = np.min_scalar_type(num_stations)
-    ap_type = np.min_scalar_type(deployment.num_aps)
+    ap_type = np.min_scalar_type(num_aps)
+    txop_type = np.min_scalar_type(max(num_txops - 1, 0))
     block = max(1, ARRIVAL_BLOCK_DOUBLES // num_stations)
     bounds = np.zeros(num_txops + 1, dtype=np.int64)  # counts, then offsets
-    stations, aps = [np.empty(0, sta_type)], [np.empty(0, ap_type)]
+    ap_bounds = np.zeros(num_aps + 1, dtype=np.int64)  # likewise per AP
+    stations, aps, txops = ([np.empty(0, t)] for t in (sta_type, ap_type, txop_type))
     for start in range(0, num_txops, block):
         rows = min(block, num_txops - start)
         txop, sta = np.nonzero(rng.random((rows, num_stations)) < arrival_prob)
         bounds[start + 1:start + rows + 1] = np.bincount(txop, minlength=rows)
+        ap = deployment.association[sta].astype(ap_type)
+        ap_bounds[1:] += np.bincount(ap, minlength=num_aps)
         stations.append(sta.astype(sta_type))
-        aps.append(deployment.association[sta].astype(ap_type))
+        aps.append(ap)
+        txops.append((txop + start).astype(txop_type))
     np.cumsum(bounds, out=bounds)
-    stations = np.concatenate(stations)  # drops the station blocks
-    schedule = ArrivalSchedule(stations, np.concatenate(aps), bounds)
-    for array in (schedule.stations, schedule.aps, schedule.bounds):
+    np.cumsum(ap_bounds, out=ap_bounds)
+    # Stably grouped by AP, each group of blocks' arrivals extends each AP's
+    # list, which so stays in (TXOP, station) order.
+    fifo_stations = np.empty(ap_bounds[-1], sta_type)
+    fifo_txops = np.empty(ap_bounds[-1], txop_type)
+    ends = ap_bounds[:-1].tolist()
+    for first in range(0, len(stations), GROUPING_BLOCKS):
+        sta, ap, txop = (np.concatenate(parts[first:first + GROUPING_BLOCKS])
+                         for parts in (stations, aps, txops))
+        by_ap = np.argsort(ap, kind="stable")
+        sta, txop = sta[by_ap], txop[by_ap]
+        lo = 0
+        for a, count in enumerate(np.bincount(ap, minlength=num_aps).tolist()):
+            fifo_stations[ends[a]:ends[a] + count] = sta[lo:lo + count]
+            fifo_txops[ends[a]:ends[a] + count] = txop[lo:lo + count]
+            ends[a] += count
+            lo += count
+    del txops
+    schedule = ArrivalSchedule(np.concatenate(stations), np.concatenate(aps), bounds,
+                               fifo_stations, fifo_txops, ap_bounds)
+    for array in (schedule.stations, schedule.aps, schedule.bounds,
+                  schedule.fifo_stations, schedule.fifo_txops, schedule.ap_bounds):
         array.flags.writeable = False
     return schedule
 
 
-def step_arrivals(buffers: Sequence[ApBuffer], schedule: ArrivalSchedule,
-                  n: int, burst_packets: int, now_s: float) -> int:
-    """Append TXOP `n`'s bursts of `schedule` at `now_s`, in ascending station
-    order; returns packets added."""
+def step_arrivals(state: SimState, n: int) -> int:
+    """Let TXOP `n`'s bursts of the run's schedule arrive at its start: each
+    arriving station's AP window grows by one burst. Returns packets added."""
+    schedule = state.arrivals
     lo, hi = schedule.bounds[n:n + 2].tolist()
-    for sta, ap in zip(schedule.stations[lo:hi].tolist(),
-                       schedule.aps[lo:hi].tolist()):
-        buffers[ap].append_burst(now_s, sta, burst_packets)
-    return burst_packets * (hi - lo)
+    buffers, counts, heads = state.buffers, state.counts, state.heads
+    burst, now = state.burst_packets, n * state.period_s
+    for ap in schedule.aps[lo:hi].tolist():
+        buffers[ap].arrived += 1
+        if not counts[ap]:
+            heads[ap] = now
+        counts[ap] += burst
+    return burst * (hi - lo)
 
 
 @dataclass
@@ -232,9 +322,10 @@ def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
     The budget covers the trigger frame, guard and fixed overhead plus the
     slot itself, so each AP may pack packets up to
     budget - T_MAP-TF - Te - overhead of airtime. Draining is strict FIFO
-    per AP: the first packet that does not fit ends that AP's drain (a burst
-    may be cut mid-way); packets to stations without a usable MCS are left
-    buffered and skipped over. Returns None when nothing fits at all.
+    per AP, over `batches` and then the window: the first packet that does
+    not fit ends that AP's drain (a burst may be cut mid-way); packets to
+    stations without a usable MCS are left buffered and skipped over.
+    Returns None when nothing fits at all.
     """
     cap_us = slot_capacity_us(timing, budget_us)
     if cap_us <= timing.phy_preamble_us:
@@ -246,7 +337,15 @@ def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
         acc = timing.phy_preamble_us
         segment_counts: dict[int, int] = {}
         consume: list[tuple[int, int]] = []
-        for pos, (_, sta, n) in enumerate(buffers[ap].batches):
+        buf = buffers[ap]
+        batches, stations, burst = buf.batches, buf.stations, buf.burst_packets
+        queued = len(batches)
+        first = buf.cursor - queued  # window burst first + pos is at position pos
+        for pos in range(queued + buf.arrived - buf.cursor):
+            if pos < queued:
+                _, sta, n = batches[pos]
+            else:
+                sta, n = stations[first + pos], burst
             entry = rates.get(sta)
             if entry is None:
                 continue
@@ -285,19 +384,26 @@ class TxopRecord:
 class SimState:
     """Mutable state of one run: buffers plus delivery bookkeeping.
 
-    `counts` and `heads` are the controller's view: queued packets and
-    head-of-line arrival time (None when empty) per AP, kept current by the
-    buffers whoever appends to or consumes from them.
+    The buffers queue the bursts of `arrivals`, the run's schedule, that
+    `step_arrivals` lets in. `counts` and `heads` are the controller's view:
+    queued packets and head-of-line arrival time (None when empty) per AP,
+    kept current by step_arrivals and the buffers.
     """
 
-    def __init__(self, num_aps: int, link_airtimes: Mapping[tuple[int, ...], LinkAirtimes],
-                 packet_bytes: int):
+    def __init__(self, arrivals: ArrivalSchedule,
+                 link_airtimes: Mapping[tuple[int, ...], LinkAirtimes],
+                 traffic: TrafficConfig, period_s: float):
+        num_aps = len(arrivals.ap_bounds) - 1
         self.counts: list[int] = [0] * num_aps
         self.heads: list[float | None] = [None] * num_aps
-        self.buffers = [ApBuffer(self.counts, self.heads, ap)
+        self.buffers = [ApBuffer(self.counts, self.heads, ap, arrivals,
+                                 traffic.burst_packets, period_s)
                         for ap in range(num_aps)]
+        self.arrivals = arrivals
+        self.burst_packets = traffic.burst_packets
+        self.period_s = period_s
         self.link_airtimes = link_airtimes
-        self.packet_bytes = packet_bytes
+        self.packet_bytes = traffic.packet_bytes
         self.delay_values: list[float] = []
         self.delay_counts: list[int] = []
         self.packets_arrived = 0
@@ -496,15 +602,13 @@ def run_simulation(config: SimulationConfig,
     arrivals = _memoized(
         dep_key, "arrivals", (p, timing.num_txops),
         lambda: draw_arrivals(env.deployment, p, traffic_rng, timing.num_txops))
-    state = SimState(env.deployment.num_aps, airtimes, traffic.packet_bytes)
+    state = SimState(arrivals, airtimes, traffic, timing.period_s)
     state.delivery_log = delivery_log
     occupancy = np.empty(timing.num_txops)
     txop_max = timing.txop_max_us
-    burst = traffic.burst_packets
     for n in range(timing.num_txops):
-        now = n * timing.period_s
-        state.packets_arrived += step_arrivals(state.buffers, arrivals, n, burst, now)
-        record = run_txop(state, kind, env.groups, timing, now)
+        state.packets_arrived += step_arrivals(state, n)
+        record = run_txop(state, kind, env.groups, timing, n * timing.period_s)
         occupancy[n] = record.total_duration_us / txop_max
         if txop_trace is not None:
             txop_trace.append(record)

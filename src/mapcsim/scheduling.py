@@ -92,7 +92,8 @@ def _best_mean_group(groups: GroupSet, scores: Sequence[float]) -> tuple[int, ..
     time: the same float additions, in the same order, as the built-in
     sum. Padding (-1) reads the 0.0 appended after the last AP.
     """
-    padded = np.array([*scores, 0.0])
+    padded = np.zeros(len(scores) + 1)
+    padded[:-1] = scores
     by_member = padded[groups.member_matrix]
     total = by_member[:, 0]
     for col in range(1, by_member.shape[1]):
@@ -112,7 +113,11 @@ def select_group(kind: SchedulerKind, groups: GroupSet,
     scores = buffers.waits() if kind.scores_waits else counts
     if kind.per_group:
         return _best_mean_group(groups, scores)
-    top_ap = _argmax_backlogged(scores, counts)
+    # Only a backlogged AP scores above 0, so a positive best score's first
+    # index is the backlogged AP with the best score and the lowest id.
+    best = max(scores)
+    top_ap = (scores.index(best) if best > 0
+              else _argmax_backlogged(scores, counts))
     if kind.is_ctdma:
         return (top_ap,)
     return _best_summed_group(groups, groups.contains_index[top_ap], scores)

@@ -12,12 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from mapcsim import (ApBuffer, Campaign, ScenarioConfig, SchedulerKind,
+from mapcsim import (Campaign, ScenarioConfig, SchedulerKind,
                      SimulationConfig, TimingConfig, TrafficConfig,
                      build_rssi_matrix, draw_arrivals, generate_grid_deployment,
                      group_feasible, path_loss_db,
                      percentile, run_campaign, run_simulation, select_group,
                      step_arrivals)
+from mapcsim.engine import SimState
 from mapcsim.grouping import build_all_groups
 from mapcsim.scheduling import BufferSummary
 from oracles import (feasible_family, feasible_reference, path_loss_reference,
@@ -141,17 +142,14 @@ def test_criterion_05_traffic_calibration():
     traffic = TrafficConfig(load_bps_per_sta=6e6)
     timing = TimingConfig()
     dep = generate_grid_deployment(cfg, np.random.default_rng(SEED))
-    buffers = [ApBuffer() for _ in range(dep.num_aps)]
     rng = np.random.default_rng(505)
     periods = 100_000
     p = 0.25  # 6 Mbps with 10 x 1500 B bursts every 5 ms
+    state = SimState(draw_arrivals(dep, p, rng, periods), {}, traffic,
+                     timing.period_s)
     arrived_packets = 0
     for n in range(periods):
-        arrived_packets += step_arrivals(buffers, draw_arrivals(dep, p, rng, 1), 0,
-                                         traffic.burst_packets, n * timing.period_s)
-        for b in buffers:   # only arrival counts matter here
-            b.batches.clear()
-            b.count = 0
+        arrived_packets += step_arrivals(state, n)
     bursts = arrived_packets / traffic.burst_packets
     freq = bursts / (periods * dep.num_stations)
     freq_err = abs(freq - p) / p

@@ -7,9 +7,12 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from mapcsim import (ScenarioConfig, SimulationConfig, TimingConfig,
                      TrafficConfig, engine)
 from mapcsim.campaign import Campaign, run_campaign
+from mapcsim.scheduling import SCHEDULER_NAMES
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -103,3 +106,50 @@ def test_every_campaign_builds_its_environments(monkeypatch, tmp_path):
     for n in (1, 2):
         run_campaign(camp, out_dir=tmp_path / str(n))
         assert len(deployments) == len(group_sets) == n
+
+
+def _recording(monkeypatch, events, owner, name):
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        events.append((name, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recording)
+
+
+@pytest.mark.parametrize("scenario, load_bps, refuses", [
+    (ScenarioConfig(), 8e6, False),
+    # weak links: plans refused for unservable backlogs
+    (ScenarioConfig(subarea_side_m=60.0, wall_count=5), 4e6, True),
+], ids=["3x3", "weak-links"])
+def test_slot_layers_are_called_once_per_slot(monkeypatch, scenario, load_bps,
+                                              refuses):
+    # engine.host_us_per_slot and plan_slot.useful_ratio divide by these counts
+    events = []
+    for name in ("run_txop", "select_group", "plan_slot"):
+        _recording(monkeypatch, events, engine, name)
+    _recording(monkeypatch, events, engine.SimState, "deliver")
+    refused = 0
+    for kind in SCHEDULER_NAMES:
+        events.clear()
+        engine.run_simulation(SimulationConfig(
+            scenario, TimingConfig(num_txops=60),
+            TrafficConfig(load_bps_per_sta=load_bps), 20.0, 3, kind, seed=2))
+        txop_events = []
+        for name, result in events:
+            if name != "run_txop":
+                txop_events.append((name, result))
+                continue
+            names = [n for n, _ in txop_events]
+            picks = [r for n, r in txop_events if n == "select_group"]
+            plans = [r for n, r in txop_events if n == "plan_slot"]
+            assert names.count("deliver") == len(result.slots), kind
+            assert sum(pick is not None for pick in picks) == len(plans), kind
+            assert sum(plan is None for plan in plans) <= 1, kind
+            refused += sum(plan is None for plan in plans)
+            txop_events = []
+        assert sum(n == "run_txop" for n, _ in events) == 60
+    if refuses:
+        assert refused > 0

@@ -144,6 +144,17 @@ def test_campaign_validation():
         campaign_from_dict({"campaign": {"k_values": [0]}})
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_rejected(workers, tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}$"):
+        run_campaign(Campaign(**SMALL), out_dir=tmp_path / "out", workers=workers)
+    assert not (tmp_path / "out").exists()
+
+
 def test_failed_run_reports_offending_spec():
     # an over-saturating load (p > 1) must abort with replayable context
     campaign = Campaign(timing=TimingConfig(num_txops=10),

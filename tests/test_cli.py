@@ -178,6 +178,22 @@ def test_campaign_subcommand(tmp_path, capsys):
     assert len(per_run) == 3
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_campaign_rejects_workers_below_one(workers, tmp_path, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(mapcsim.campaign.multiprocessing, "get_context", no_pool)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"timing": {"num_txops": 10},
+                                "campaign": {"num_deployments": 1}}))
+    rc = main(["campaign", "--config", str(path), "--out", str(tmp_path / "res"),
+               "--workers", workers])
+    assert rc == 1
+    assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_campaign_requires_config(capsys):
     rc = main(["campaign"])
     assert rc == 1

@@ -1,6 +1,7 @@
 import math
 import warnings
 import weakref
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -32,38 +33,39 @@ def test_arrival_probability_values():
         arrival_probability(1e6, 0, 1500, 0.005)
 
 
-def _buffers_and_deployment(seed=0, **cfg_kwargs):
+def _deployment(seed=0, **cfg_kwargs):
     cfg = ScenarioConfig(**cfg_kwargs)
-    dep = generate_grid_deployment(cfg, np.random.default_rng(seed))
-    return [ApBuffer() for _ in range(dep.num_aps)], dep
+    return generate_grid_deployment(cfg, np.random.default_rng(seed))
 
 
 def test_step_arrivals_p0_and_p1():
-    buffers, dep = _buffers_and_deployment()
+    dep = _deployment()
     traffic = TrafficConfig()
     rng = np.random.default_rng(1)
-    assert step_arrivals(buffers, draw_arrivals(dep, 0.0, rng, 1), 0,
-                         traffic.burst_packets, 0.0) == 0
-    assert all(b.count == 0 for b in buffers)
-    added = step_arrivals(buffers, draw_arrivals(dep, 1.0, rng, 1), 0,
-                          traffic.burst_packets, 0.0)
+    state = SimState(draw_arrivals(dep, 0.0, rng, 1), {}, traffic, TIM.period_s)
+    assert step_arrivals(state, 0) == 0
+    assert all(b.count == 0 for b in state.buffers)
+    state = SimState(draw_arrivals(dep, 1.0, rng, 1), {}, traffic, TIM.period_s)
+    added = step_arrivals(state, 0)
+    buffers = state.buffers
     assert added == 27 * 10
     assert sum(b.count for b in buffers) == 270
     for b in buffers:
-        assert all(batch[0] == 0.0 for batch in b.batches)
+        assert all(batch[0] == 0.0 for batch in b.bursts())
     # per-AP split: 3 stations x 10 packets each
     assert [b.count for b in buffers] == [30] * 9
 
 
 def test_step_arrivals_empirical_frequency():
-    buffers, dep = _buffers_and_deployment()
+    dep = _deployment()
     traffic = TrafficConfig()
     rng = np.random.default_rng(7)
     periods = 20_000
+    state = SimState(draw_arrivals(dep, 0.25, rng, periods), {}, traffic,
+                     TIM.period_s)
     total = 0
     for n in range(periods):
-        total += step_arrivals(buffers, draw_arrivals(dep, 0.25, rng, 1), 0,
-                               traffic.burst_packets, n * 0.005)
+        total += step_arrivals(state, n)
     freq = total / (periods * dep.num_stations * traffic.burst_packets)
     assert freq == pytest.approx(0.25, rel=0.01)
 
@@ -168,19 +170,22 @@ def test_ap_buffer_consume_across_batches():
     assert list(buf.batches) == [[0.5, 1, 2], [1.0, 0, 2]]
 
 
-def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0):
+def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0,
+                arrival_prob=0.0, num_txops=0):
+    """A run's state over `num_txops` TXOPs of arrivals drawn at `arrival_prob`
+    from the seed's traffic stream."""
     from mapcsim.engine import _selection_airtimes
 
     env, rng = build_environment(scenario, gamma, k, seed)
     airtimes = _selection_airtimes(env, scenario, default_mcs_table(), timing,
                                    traffic.packet_bits)
-    state = SimState(env.deployment.num_aps, airtimes, traffic.packet_bytes)
-    return state, env, rng
+    schedule = draw_arrivals(env.deployment, arrival_prob, rng, num_txops)
+    return SimState(schedule, airtimes, traffic, timing.period_s), env
 
 
 def test_run_txop_empty_buffers():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(), TrafficConfig()
-    state, env, _ = _make_state(cfg, tim, tr)
+    state, env = _make_state(cfg, tim, tr)
     rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env.groups, tim, 0.0)
     assert rec.total_duration_us == 0.0
     assert rec.handshake_us == 0.0
@@ -190,7 +195,7 @@ def test_run_txop_empty_buffers():
 def test_run_txop_always_handshake_switch():
     cfg = ScenarioConfig()
     tim = TimingConfig(always_handshake=True)
-    state, env, _ = _make_state(cfg, tim, TrafficConfig())
+    state, env = _make_state(cfg, tim, TrafficConfig())
     rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env.groups, tim, 0.0)
     assert rec.total_duration_us == pytest.approx(tim.handshake_us)
     assert rec.slots == []
@@ -199,12 +204,11 @@ def test_run_txop_always_handshake_switch():
 def test_run_txop_accounting_and_budget():
     cfg, tr = ScenarioConfig(), TrafficConfig(load_bps_per_sta=8e6)
     tim = TimingConfig()
-    state, env, rng = _make_state(cfg, tim, tr)
+    state, env = _make_state(cfg, tim, tr, arrival_prob=0.8, num_txops=50)
     slots = packets = 0
     for n in range(50):
         now = n * tim.period_s
-        step_arrivals(state.buffers, draw_arrivals(env.deployment, 0.8, rng, 1),
-                      0, tr.burst_packets, now)
+        step_arrivals(state, n)
         rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env.groups, tim, now)
         slots += len(rec.slots)
         packets += rec.packets_delivered
@@ -220,8 +224,9 @@ def test_run_txop_accounting_and_budget():
 
 def _view_from_buffers(state):
     """The controller view rebuilt from the bursts themselves."""
-    counts = [sum(batch[2] for batch in b.batches) for b in state.buffers]
-    heads = [b.batches[0][0] if b.batches else None for b in state.buffers]
+    queues = [b.bursts() for b in state.buffers]
+    counts = [sum(batch[2] for batch in queue) for queue in queues]
+    heads = [queue[0][0] if queue else None for queue in queues]
     return counts, heads
 
 
@@ -236,12 +241,12 @@ def test_controller_view_tracks_buffers(cfg, load_bps, txops):
     p = arrival_probability(load_bps, tr.burst_packets, tr.packet_bytes,
                             tim.period_s)
     for kind in SchedulerKind:
-        state, env, rng = _make_state(cfg, tim, tr, seed=2)
+        state, env = _make_state(cfg, tim, tr, seed=2, arrival_prob=p,
+                                 num_txops=txops)
         delivered = 0
         for n in range(txops):
             now = n * tim.period_s
-            step_arrivals(state.buffers, draw_arrivals(env.deployment, p, rng, 1),
-                          0, tr.burst_packets, now)
+            step_arrivals(state, n)
             delivered += run_txop(state, kind, env.groups, tim,
                                   now).packets_delivered
             assert (state.counts, state.heads) == _view_from_buffers(state), (
@@ -379,24 +384,134 @@ def _loop_step_arrivals(buffers, deployment, traffic, arrival_prob, rng, now_s):
 def test_step_arrivals_matches_station_loop(cfg, p):
     env, _ = build_environment(cfg, 20.0, 3, seed=5)
     tr = TrafficConfig()
-    new, ref = (SimState(env.deployment.num_aps, {}, tr.packet_bytes)
-                for _ in range(2))
     rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    new = SimState(draw_arrivals(env.deployment, p, rng_new, 6), {}, tr,
+                   TIM.period_s)
+    num_aps = env.deployment.num_aps
+    ref_counts, ref_heads = [0] * num_aps, [None] * num_aps
+    ref = [ApBuffer(ref_counts, ref_heads, ap) for ap in range(num_aps)]
     for n in range(6):
         now = n * TIM.period_s
-        got = step_arrivals(new.buffers, draw_arrivals(env.deployment, p, rng_new, 1),
-                            0, tr.burst_packets, now)
-        want = _loop_step_arrivals(ref.buffers, env.deployment, tr, p,
-                                   rng_ref, now)
+        got = step_arrivals(new, n)
+        want = _loop_step_arrivals(ref, env.deployment, tr, p, rng_ref, now)
         assert got == want and type(got) is type(want)
         # repr also tells a numpy integer station id from a Python int
-        assert [repr(list(b.batches)) for b in new.buffers] == \
-            [repr(list(b.batches)) for b in ref.buffers]
-        assert (new.counts, new.heads) == (ref.counts, ref.heads)
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert [repr(b.bursts()) for b in new.buffers] == \
+            [repr(b.bursts()) for b in ref]
+        assert (new.counts, new.heads) == (ref_counts, ref_heads)
+    # the whole run was drawn before its first TXOP
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     assert any(new.counts) == (p > 0)
     if p == 1.0:
         assert sum(new.counts) == 6 * env.deployment.num_stations * tr.burst_packets
+
+
+class _DequeBuffer:
+    """Reference: the per-AP FIFO as a deque of [arrival_s, station, count]
+    bursts, one appended per arrival, with the plan walk and consume the
+    engine used before its queues became cursors over the schedule."""
+
+    def __init__(self):
+        self.batches = deque()
+
+    def append_burst(self, arrival_s, station, count):
+        self.batches.append([arrival_s, station, count])
+
+    def plan(self, rates, cap_us, preamble_us):
+        """(segments, consume, airtime) of one AP's strict-FIFO drain."""
+        acc = preamble_us
+        segment_counts = {}
+        consume = []
+        for pos, (_, sta, n) in enumerate(self.batches):
+            entry = rates.get(sta)
+            if entry is None:
+                continue
+            per_packet = entry[1]
+            fit = int((cap_us - acc) / per_packet + 1e-9)
+            if fit <= 0:
+                break
+            k = n if n <= fit else fit
+            acc += k * per_packet
+            segment_counts[sta] = segment_counts.get(sta, 0) + k
+            consume.append((pos, k))
+            if k < n:
+                break
+        segments = [(sta, rates[sta][0], k) for sta, k in segment_counts.items()]
+        return segments, consume, acc
+
+    def consume(self, consumptions):
+        batches = self.batches
+        taken = [(batches[pos][0], batches[pos][1], k) for pos, k in consumptions]
+        for pos, k in reversed(consumptions):
+            if k == batches[pos][2]:
+                del batches[pos]
+            else:
+                batches[pos][2] -= k
+        return taken
+
+    def view(self):
+        return (sum(batch[2] for batch in self.batches),
+                self.batches[0][0] if self.batches else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cursor_queue_matches_deque_fifo(data):
+    num_aps = data.draw(st.integers(1, 4), label="num_aps")
+    association = data.draw(st.lists(st.integers(0, num_aps - 1), min_size=1,
+                                     max_size=10), label="association")
+    num_txops = data.draw(st.integers(1, 25), label="num_txops")
+    p = data.draw(st.sampled_from([0.1, 0.5, 1.0]), label="p")
+    burst = data.draw(st.integers(1, 12), label="burst_packets")
+    # per-packet airtime of each station (us) whenever it is servable
+    per_packet = data.draw(st.lists(st.floats(20.0, 1500.0),
+                                    min_size=len(association),
+                                    max_size=len(association)), label="per_packet")
+    dep = Deployment(np.zeros((num_aps, 2)), np.zeros((len(association), 2)),
+                     association, 0)
+    schedule = draw_arrivals(dep, p, np.random.default_rng(
+        data.draw(st.integers(0, 2**32 - 1), label="seed")), num_txops)
+    state = SimState(schedule, {}, TrafficConfig(burst_packets=burst), TIM.period_s)
+    ref = [_DequeBuffer() for _ in range(num_aps)]
+
+    def assert_same_queues():
+        for ap in range(num_aps):
+            assert state.buffers[ap].bursts() == list(map(list, ref[ap].batches))
+            assert (state.counts[ap], state.heads[ap]) == ref[ap].view()
+
+    for n in range(num_txops):
+        step_arrivals(state, n)
+        lo, hi = schedule.bounds[n:n + 2].tolist()
+        for sta, ap in zip(schedule.stations[lo:hi].tolist(),
+                           schedule.aps[lo:hi].tolist()):
+            ref[ap].append_burst(n * TIM.period_s, sta, burst)
+        assert_same_queues()
+        for _ in range(data.draw(st.integers(0, 3), label="slots")):
+            members = tuple(data.draw(st.permutations(range(num_aps)), label="order")[
+                :data.draw(st.integers(1, num_aps), label="size")])
+            unservable = data.draw(st.sets(st.integers(0, len(association) - 1)),
+                                   label="unservable")
+            budget = data.draw(st.floats(0.0, TIM.txop_max_us), label="budget")
+            airtimes = {ap: {sta: None if sta in unservable else (7, per_packet[sta])
+                             for sta in dep.stations_by_ap[ap]} for ap in members}
+            plan = plan_slot(members, state.buffers, airtimes, TIM, budget)
+            cap = engine.slot_capacity_us(TIM, budget)
+            want = []
+            if cap > TIM.phy_preamble_us:
+                for ap in members:
+                    segments, consume, acc = ref[ap].plan(airtimes[ap], cap,
+                                                          TIM.phy_preamble_us)
+                    if consume:
+                        want.append((ap, segments, consume, acc))
+            if not want:
+                assert plan is None
+                continue
+            assert [(tx.ap, tx.segments, tx.consume, tx.airtime_us)
+                    for tx in plan.transmissions] == want
+            for tx in plan.transmissions:
+                assert (state.buffers[tx.ap].consume(tx.consume)
+                        == ref[tx.ap].consume(tx.consume))
+            assert_same_queues()
 
 
 def _run_outcome(cfg, kind, seed, tr, mcs_table=default_mcs_table(), txops=150):
@@ -469,6 +584,33 @@ def test_block_draw_equals_per_txop_draws(data):
         assert schedule.aps[lo:hi].tolist() == association[want].tolist()
     assert schedule.bounds[-1] == len(schedule.stations) == len(schedule.aps)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
+    _assert_fifo_lists(schedule, num_txops, num_aps)
+
+
+def _assert_fifo_lists(schedule, num_txops, num_aps):
+    """Each AP's FIFO list holds its arrivals in (TXOP, station) order, with
+    the TXOP of each."""
+    assert schedule.fifo_txops.dtype == np.min_scalar_type(max(num_txops - 1, 0))
+    assert schedule.ap_bounds[-1] == len(schedule.fifo_stations) == len(schedule.fifo_txops)
+    txop_of = np.repeat(np.arange(num_txops), np.diff(schedule.bounds))
+    for ap in range(num_aps):
+        lo, hi = schedule.ap_bounds[ap], schedule.ap_bounds[ap + 1]
+        mine = schedule.aps == ap
+        assert schedule.fifo_stations[lo:hi].tolist() == schedule.stations[mine].tolist()
+        assert schedule.fifo_txops[lo:hi].tolist() == txop_of[mine].tolist()
+
+
+def test_fifo_lists_span_several_groupings():
+    # more than two groups of GROUPING_BLOCKS blocks, TXOP ids past 16 bits
+    num_stations, num_aps = 6, 3
+    block = engine.ARRIVAL_BLOCK_DOUBLES // num_stations
+    num_txops = (2 * engine.GROUPING_BLOCKS + 1) * block + 7
+    assert num_txops > 1 << 16
+    association = np.random.default_rng(3).integers(0, num_aps, num_stations)
+    dep = Deployment(np.zeros((num_aps, 2)), np.zeros((num_stations, 2)),
+                     association, 0)
+    schedule = draw_arrivals(dep, 0.3, np.random.default_rng(4), num_txops)
+    _assert_fifo_lists(schedule, num_txops, num_aps)
 
 
 @pytest.mark.parametrize("traffic, txops", [
@@ -508,7 +650,8 @@ def test_arrival_schedule_is_shared_read_only_and_cleared(monkeypatch):
         run_simulation(replace(config, scheduler=kind, gamma_db=gamma))
     assert len(drawn) == 1
     schedule = drawn[0]()
-    for array in (schedule.stations, schedule.aps, schedule.bounds):
+    for array in (schedule.stations, schedule.aps, schedule.bounds,
+                  schedule.fifo_stations, schedule.fifo_txops, schedule.ap_bounds):
         assert len(array) > 0
         with pytest.raises(ValueError):
             array[0] = array[0]

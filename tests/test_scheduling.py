@@ -158,10 +158,23 @@ def test_matches_exhaustive_scorer_at_dense_scale():
                 others, size=size - 1, replace=False))))
         groups = _group_set(member_lists)
         assert (groups.member_matrix == -1).any()
+        states = []
         for _ in range(25):
             counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
             oldest = [None if c == 0 else 1.0 - float(rng.integers(0, 4)) / 8
                       for c in counts]
+            states.append((counts, oldest))
+        # no positive wait: every backlogged head at `now` (waits 0.0) or
+        # after it (waits <= 0), so the per-AP pick falls back to the loop
+        counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
+        states.append((counts, [None if c == 0 else 1.0 for c in counts]))
+        states.append((counts, [None if c == 0 else 1.0 + float(rng.integers(0, 4)) / 8
+                                for c in counts]))
+        # every AP backlogged with the same count: ties go to the lowest id
+        tied = [3] * n_aps
+        states.append((tied, [1.0 - float(rng.integers(0, 4)) / 8 for _ in tied]))
+        states.append((tied, [0.5] * n_aps))
+        for counts, oldest in states:
             buf = _summary(counts, oldest)
             for kind in ALL_KINDS:
                 assert select_group(kind, groups, buf) == select_reference(
