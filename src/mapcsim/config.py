@@ -38,7 +38,7 @@ class ScenarioConfig:
         if self.stations_per_subarea < 1:
             raise ValueError("stations_per_subarea must be >= 1")
         for name in ("subarea_side_m", "carrier_freq_ghz", "tx_power_dbm",
-                     "breakpoint_m", "noise_dbm"):
+                     "wall_count", "breakpoint_m", "noise_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("subarea_side_m", "carrier_freq_ghz", "breakpoint_m"):
@@ -81,12 +81,15 @@ class TimingConfig:
     always_handshake: bool = False
 
     def __post_init__(self) -> None:
+        for name in (f.name for f in fields(self) if f.name != "always_handshake"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.txop_max_ms >= self.period_ms:
             raise ValueError("txop_max_ms must be smaller than period_ms")
         for name in ("period_ms", "txop_max_ms", "map_rts_us", "map_cts_us",
                      "map_tf_us", "te_us", "ofdm_symbol_us",
                      "guard_interval_us", "phy_preamble_us"):
-            if not getattr(self, name) > 0:  # also rejects NaN
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.slot_overhead_us < 0:
             raise ValueError("slot_overhead_us must be >= 0")

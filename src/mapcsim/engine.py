@@ -9,12 +9,11 @@ Timeline per period T (times below in microseconds within the TXOP):
 Traffic lands in per-AP FIFO buffers just before each TXOP as bursts of
 `burst_packets` packets per station (Bernoulli with probability p derived
 from the offered load). `draw_arrivals` draws a run's arrivals ahead into
-an `ArrivalSchedule`, which also lists each AP's arrivals in FIFO order,
-and each buffer is a cursor over its AP's list (see ApBuffer). So an
-arrival costs no Python object, only the schedule's 7 B on a 12x12 grid
-(4 B of it the per-AP lists): the six 10^4-TXOP runs of one 12x12
-deployment at 2 Mbps/STA grow the peak RSS by about 22 MB. A burst may be
-split across slots when the budget runs out mid-burst.
+an `ArrivalSchedule`, which lists each AP's arrivals in FIFO order, and
+`SimState` queues each AP's traffic as a window over its AP's list. So an
+arrival costs no Python object, only the schedule's 5 B on a 12x12 grid
+(4 B of it the per-AP lists). A burst may be split across slots when the
+budget runs out mid-burst.
 
 Inside a slot every member AP drains its FIFO oldest packet first. Packets
 to the same station are aggregated into one A-MPDU segment sent at the MCS
@@ -24,8 +23,8 @@ member; APs that finish early idle. The gap between the TXOP cap and the
 next period carries no simulated traffic (it is left to uncoordinated use).
 
 The controller's view of the buffers (queued packets and head-of-line
-arrival per AP) is maintained incrementally: every buffer change writes
-through to it, so no slot or TXOP rebuilds it by walking all APs.
+arrival per AP) is maintained incrementally: every buffer change updates
+it, so no slot or TXOP rebuilds it by walking all APs.
 
 Runs of one deployment share its static environments and airtime tables,
 one per (gamma, K), and the arrival schedule of each load: the traffic
@@ -84,110 +83,6 @@ def arrival_probability(load_bps: float, burst_packets: int, packet_bytes: int,
     return p
 
 
-class ApBuffer:
-    """FIFO transmission buffer of one AP: `batches`, then the window
-    [cursor, arrived) of the AP's arrivals in the run's ArrivalSchedule.
-
-    Window bursts are whole bursts of `burst_packets`, read where they lie
-    in the schedule. `batches` holds mutable [arrival_s, station, count]
-    entries: the window bursts a slot skipped (their station unservable in
-    the scheduled set) or split at the budget, which `consume` re-queues
-    ahead of the window in FIFO order. Every change is written through to
-    `counts[ap]` and `heads[ap]`, the controller's view (see SimState). A
-    buffer made alone gets one-entry lists of its own and no window, and is
-    filled with `append_burst`.
-    """
-
-    __slots__ = ("batches", "counts", "heads", "ap", "stations", "txops",
-                 "cursor", "arrived", "burst_packets", "period_s")
-
-    def __init__(self, counts: list[int] | None = None,
-                 heads: list[float | None] | None = None, ap: int = 0,
-                 arrivals: ArrivalSchedule | None = None, burst_packets: int = 0,
-                 period_s: float = 0.0) -> None:
-        self.batches: list[list] = []
-        self.counts = [0] if counts is None else counts
-        self.heads: list[float | None] = [None] if heads is None else heads
-        self.ap = ap
-        if arrivals is None:
-            self.stations: Sequence[int] = ()
-            self.txops: Sequence[int] = ()
-            self.cursor = self.arrived = 0
-        else:  # memoryviews index to Python ints
-            self.stations = memoryview(arrivals.fifo_stations)
-            self.txops = memoryview(arrivals.fifo_txops)
-            self.cursor = self.arrived = int(arrivals.ap_bounds[ap])
-        self.burst_packets = burst_packets
-        self.period_s = period_s
-
-    @property
-    def count(self) -> int:
-        return self.counts[self.ap]
-
-    def bursts(self) -> list[list]:
-        """The whole queue, oldest first, as [arrival_s, station, count]."""
-        period = self.period_s
-        return [list(batch) for batch in self.batches] + [
-            [self.txops[i] * period, self.stations[i], self.burst_packets]
-            for i in range(self.cursor, self.arrived)]
-
-    def append_burst(self, arrival_s: float, station: int, count: int) -> None:
-        """Queue a burst behind `batches`; only for a buffer with no window."""
-        if not self.count:
-            self.heads[self.ap] = arrival_s
-        self.batches.append([arrival_s, station, count])
-        self.counts[self.ap] += count
-
-    def consume(self, consumptions: Sequence[tuple[int, int]]) -> list[tuple[float, int, int]]:
-        """Remove planned packets; `consumptions` are (queue position, count)
-        pairs in ascending position order, as produced by plan_slot. Queue
-        position p is batches[p], or window burst cursor + p - len(batches).
-
-        Bursts skipped by the plan (stations unservable in the scheduled
-        set) stay buffered in their original order: the window ones move
-        to `batches` with a split window burst's remainder, and the cursor
-        passes the last planned burst. Returns the consumed
-        (arrival_s, station, count) triples.
-        """
-        batches = self.batches
-        queued = len(batches)
-        stations, txops, burst = self.stations, self.txops, self.burst_packets
-        period = self.period_s
-        cursor = self.cursor
-        first = cursor - queued  # window burst first + pos is at position pos
-        taken = []
-        removed = 0
-        for pos, k in consumptions:
-            removed += k
-            if pos < queued:
-                arrival, sta, _ = batches[pos]
-            else:
-                i = first + pos
-                if i > cursor:  # skipped bursts go behind the old batches
-                    batches += [[txops[j] * period, stations[j], burst]
-                                for j in range(cursor, i)]
-                arrival, sta = txops[i] * period, stations[i]
-                if k < burst:  # split burst: remainder keeps its arrival time
-                    batches.append([arrival, sta, burst - k])
-                cursor = i + 1
-            taken.append((arrival, sta, k))
-        if queued:
-            # back to front, so deleting a burst leaves the earlier positions valid
-            for pos, k in reversed(consumptions):
-                if pos >= queued:
-                    continue
-                if k == batches[pos][2]:
-                    del batches[pos]
-                else:
-                    batches[pos][2] -= k
-        self.cursor = cursor
-        self.counts[self.ap] -= removed
-        self.heads[self.ap] = (batches[0][0] if batches
-                               else txops[cursor] * period if cursor < self.arrived
-                               else None)
-        return taken
-
-
 # Uniforms per block when drawing arrivals: bounds the transient draw to 128 kB,
 # or to one TXOP's row on a grid of more than 2^14 stations.
 ARRIVAL_BLOCK_DOUBLES = 1 << 14
@@ -198,25 +93,23 @@ GROUPING_BLOCKS = 16
 
 @dataclass(frozen=True)
 class ArrivalSchedule:
-    """Every TXOP's burst arrivals of a run, drawn ahead: TXOP n's arriving
-    stations, ascending, are `stations[bounds[n]:bounds[n + 1]]`, and their
-    APs the same slice of `aps`. The same arrivals grouped by AP are each
-    AP's FIFO for the run: AP a's stations, in (TXOP, station) order, are
+    """Every TXOP's burst arrivals of a run, drawn ahead, as each AP's FIFO
+    for the run: AP a's arriving stations, in (TXOP, station) order, are
     `fifo_stations[ap_bounds[a]:ap_bounds[a + 1]]`, and the TXOPs they
-    arrive in the same slice of `fifo_txops`. Runs share it, so its arrays
-    are read-only.
+    arrive in the same slice of `fifo_txops`. TXOP n's arrivals, ascending
+    by station, belong to the APs `aps[bounds[n]:bounds[n + 1]]`. Runs share
+    it, so its arrays are read-only.
 
     Its size grows with the run, num_txops * num_stations * p arrivals, ids
-    in the smallest unsigned type that fits: 2 B each for the TXOP view on a
-    3x3 grid (27 stations) and 3 B on 12x12 (432 stations), plus 3 and 4 B
-    for the per-AP FIFOs (2 B of TXOP index while num_txops <= 2^16). So a
-    whole 10^4-TXOP 12x12 run holds 7 B per arrival: 2.5 MB at the 2 Mbps/STA
-    of p = 1/12, and 30 MB at p = 1."""
+    in the smallest unsigned type that fits: 1 B of AP id each on up to 255
+    APs, 1 B of station id on a 3x3 grid (27 stations) and 2 B on 12x12
+    (432 stations), and 2 B of TXOP index while num_txops <= 2^16. So a
+    10^4-TXOP run holds 4 B per arrival on 3x3 and 5 B on 12x12: on 12x12,
+    1.8 MB at the 2 Mbps/STA of p = 1/12, and 21.6 MB at p = 1."""
 
-    stations: np.ndarray       # smallest unsigned int dtype holding a station id
-    aps: np.ndarray            # same for AP ids: the association of each station
+    aps: np.ndarray            # smallest unsigned int dtype holding an AP id
     bounds: np.ndarray         # int64, num_txops + 1 offsets
-    fifo_stations: np.ndarray  # `stations`, grouped by AP
+    fifo_stations: np.ndarray  # smallest unsigned int dtype holding a station id
     fifo_txops: np.ndarray     # smallest unsigned int dtype holding a TXOP index
     ap_bounds: np.ndarray      # int64, num_aps + 1 offsets
 
@@ -265,11 +158,11 @@ def draw_arrivals(deployment: Deployment, arrival_prob: float,
             fifo_txops[ends[a]:ends[a] + count] = txop[lo:lo + count]
             ends[a] += count
             lo += count
-    del txops
-    schedule = ArrivalSchedule(np.concatenate(stations), np.concatenate(aps), bounds,
-                               fifo_stations, fifo_txops, ap_bounds)
-    for array in (schedule.stations, schedule.aps, schedule.bounds,
-                  schedule.fifo_stations, schedule.fifo_txops, schedule.ap_bounds):
+    del stations, txops
+    schedule = ArrivalSchedule(np.concatenate(aps), bounds, fifo_stations, fifo_txops,
+                               ap_bounds)
+    for array in (schedule.aps, schedule.bounds, schedule.fifo_stations,
+                  schedule.fifo_txops, schedule.ap_bounds):
         array.flags.writeable = False
     return schedule
 
@@ -279,10 +172,10 @@ def step_arrivals(state: SimState, n: int) -> int:
     arriving station's AP window grows by one burst. Returns packets added."""
     schedule = state.arrivals
     lo, hi = schedule.bounds[n:n + 2].tolist()
-    buffers, counts, heads = state.buffers, state.counts, state.heads
+    arrived, counts, heads = state.arrived, state.counts, state.heads
     burst, now = state.burst_packets, n * state.period_s
     for ap in schedule.aps[lo:hi].tolist():
-        buffers[ap].arrived += 1
+        arrived[ap] += 1
         if not counts[ap]:
             heads[ap] = now
         counts[ap] += burst
@@ -293,7 +186,7 @@ def step_arrivals(state: SimState, n: int) -> int:
 class ApTransmission:
     ap: int
     segments: list[tuple[int, int, int]]     # (station, mcs, packet count)
-    consume: list[tuple[int, int]]           # queue positions for ApBuffer.consume
+    consume: list[tuple[int, int]]           # queue positions for SimState.consume
     airtime_us: float                        # preamble + A-MPDU segment times
 
 
@@ -314,7 +207,7 @@ def slot_capacity_us(timing: TimingConfig, budget_us: float) -> float:
     return budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
 
 
-def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
+def plan_slot(members: Sequence[int], state: SimState,
               link_airtimes: LinkAirtimes, timing: TimingConfig,
               budget_us: float) -> SlotPlan | None:
     """Fill one coordinated slot for `members` within `budget_us`.
@@ -322,9 +215,10 @@ def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
     The budget covers the trigger frame, guard and fixed overhead plus the
     slot itself, so each AP may pack packets up to
     budget - T_MAP-TF - Te - overhead of airtime. Draining is strict FIFO
-    per AP, over `batches` and then the window: the first packet that does
-    not fit ends that AP's drain (a burst may be cut mid-way); packets to
-    stations without a usable MCS are left buffered and skipped over.
+    per AP, over its re-queued bursts and then its window (see SimState):
+    the first packet that does not fit ends that AP's drain (a burst may be
+    cut mid-way); packets to stations without a usable MCS are left
+    buffered and skipped over.
     Returns None when nothing fits at all.
     """
     cap_us = slot_capacity_us(timing, budget_us)
@@ -332,16 +226,17 @@ def plan_slot(members: Sequence[int], buffers: Sequence[ApBuffer],
         return None
     transmissions: list[ApTransmission] = []
     duration = 0.0
+    requeued, cursor, arrived = state.requeued, state.cursor, state.arrived
+    stations, burst = state.stations, state.burst_packets
     for ap in members:
         rates = link_airtimes[ap]
         acc = timing.phy_preamble_us
         segment_counts: dict[int, int] = {}
         consume: list[tuple[int, int]] = []
-        buf = buffers[ap]
-        batches, stations, burst = buf.batches, buf.stations, buf.burst_packets
+        batches = requeued[ap]
         queued = len(batches)
-        first = buf.cursor - queued  # window burst first + pos is at position pos
-        for pos in range(queued + buf.arrived - buf.cursor):
+        first = cursor[ap] - queued  # window burst first + pos is at position pos
+        for pos in range(queued + arrived[ap] - cursor[ap]):
             if pos < queued:
                 _, sta, n = batches[pos]
             else:
@@ -382,12 +277,19 @@ class TxopRecord:
 
 
 class SimState:
-    """Mutable state of one run: buffers plus delivery bookkeeping.
+    """Mutable state of one run: every AP's FIFO plus delivery bookkeeping.
 
-    The buffers queue the bursts of `arrivals`, the run's schedule, that
-    `step_arrivals` lets in. `counts` and `heads` are the controller's view:
-    queued packets and head-of-line arrival time (None when empty) per AP,
-    kept current by step_arrivals and the buffers.
+    AP a's FIFO is `requeued[a]`, then the window [cursor[a], arrived[a])
+    of its arrivals in `arrivals`, the run's schedule, read through
+    `stations` and `txops` (global indices, from ap_bounds[a]).
+    `step_arrivals` moves `arrived[a]` and `consume` moves `cursor[a]`;
+    window bursts are whole bursts of `burst_packets`, read where they lie
+    in the schedule. `requeued[a]`
+    holds mutable [arrival_s, station, count] entries: the window bursts a
+    slot skipped (their station unservable in the scheduled set) or split
+    at the budget. `counts` and `heads` are the controller's view: queued
+    packets and head-of-line arrival time (None when empty) per AP, kept
+    current by step_arrivals and consume.
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
@@ -396,9 +298,12 @@ class SimState:
         num_aps = len(arrivals.ap_bounds) - 1
         self.counts: list[int] = [0] * num_aps
         self.heads: list[float | None] = [None] * num_aps
-        self.buffers = [ApBuffer(self.counts, self.heads, ap, arrivals,
-                                 traffic.burst_packets, period_s)
-                        for ap in range(num_aps)]
+        self.cursor: list[int] = arrivals.ap_bounds[:-1].tolist()
+        self.arrived: list[int] = list(self.cursor)
+        self.requeued: list[list[list]] = [[] for _ in range(num_aps)]
+        # memoryviews index to Python ints
+        self.stations = memoryview(arrivals.fifo_stations)
+        self.txops = memoryview(arrivals.fifo_txops)
         self.arrivals = arrivals
         self.burst_packets = traffic.burst_packets
         self.period_s = period_s
@@ -410,9 +315,67 @@ class SimState:
         self.packets_delivered = 0
         self.delivery_log: list[tuple[int, Packet, int]] | None = None
 
+    def bursts(self, ap: int) -> list[list]:
+        """AP `ap`'s whole queue, oldest first, as [arrival_s, station, count]."""
+        period, stations, txops = self.period_s, self.stations, self.txops
+        return [list(batch) for batch in self.requeued[ap]] + [
+            [txops[i] * period, stations[i], self.burst_packets]
+            for i in range(self.cursor[ap], self.arrived[ap])]
+
+    def consume(self, ap: int, consumptions: Sequence[tuple[int, int]]
+                ) -> list[tuple[float, int, int]]:
+        """Remove planned packets from AP `ap`'s FIFO; `consumptions` are
+        (queue position, count) pairs in ascending position order, as
+        produced by plan_slot. Queue position p is requeued[ap][p], or
+        window burst cursor[ap] + p - len(requeued[ap]).
+
+        Bursts skipped by the plan (stations unservable in the scheduled
+        set) stay buffered in their original order: the window ones are
+        re-queued with a split window burst's remainder, and the cursor
+        passes the last planned burst. Returns the consumed
+        (arrival_s, station, count) triples.
+        """
+        batches = self.requeued[ap]
+        queued = len(batches)
+        stations, txops, burst = self.stations, self.txops, self.burst_packets
+        period = self.period_s
+        cursor = self.cursor[ap]
+        first = cursor - queued  # window burst first + pos is at position pos
+        taken = []
+        removed = 0
+        for pos, k in consumptions:
+            removed += k
+            if pos < queued:
+                arrival, sta, _ = batches[pos]
+            else:
+                i = first + pos
+                if i > cursor:  # skipped bursts go behind the old batches
+                    batches += [[txops[j] * period, stations[j], burst]
+                                for j in range(cursor, i)]
+                arrival, sta = txops[i] * period, stations[i]
+                if k < burst:  # split burst: remainder keeps its arrival time
+                    batches.append([arrival, sta, burst - k])
+                cursor = i + 1
+            taken.append((arrival, sta, k))
+        if queued:
+            # back to front, so deleting a burst leaves the earlier positions valid
+            for pos, k in reversed(consumptions):
+                if pos >= queued:
+                    continue
+                if k == batches[pos][2]:
+                    del batches[pos]
+                else:
+                    batches[pos][2] -= k
+        self.cursor[ap] = cursor
+        self.counts[ap] -= removed
+        self.heads[ap] = (batches[0][0] if batches
+                          else txops[cursor] * period if cursor < self.arrived[ap]
+                          else None)
+        return taken
+
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
         for tx in plan.transmissions:
-            for arrival, sta, k in self.buffers[tx.ap].consume(tx.consume):
+            for arrival, sta, k in self.consume(tx.ap, tx.consume):
                 self.delay_values.append(delivery_time_s - arrival)
                 self.delay_counts.append(k)
                 self.packets_delivered += k
@@ -432,7 +395,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
     decision instant, i.e. TXOP start plus everything already transmitted,
     so even packets that arrived at `now_s` have a positive waiting time.
     """
-    buffers, counts, heads = state.buffers, state.counts, state.heads
+    counts, heads = state.counts, state.heads
     if not any(counts) and not timing.always_handshake:
         return TxopRecord(now_s, 0.0, [], 0.0)
     consumed = timing.handshake_us
@@ -445,8 +408,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
                                BufferSummary(now_s + consumed * 1e-6, counts, heads))
         if members is None:
             break
-        plan = plan_slot(members, buffers,
-                         state.link_airtimes[members], timing,
+        plan = plan_slot(members, state, state.link_airtimes[members], timing,
                          txop_max - consumed)
         if plan is None:
             break

@@ -115,6 +115,9 @@ def test_non_finite_flags_rejected(argv, message, capsys):
     ({"scenario": {"subarea_side_m": float("nan")}}, "subarea_side_m must be finite"),
     ({"scenario": {"noise_dbm": float("nan")}}, "noise_dbm must be finite"),
     ({"mcs_table": [[0, float("nan"), 100.0]]}, "must be finite"),
+    # a NaN wall count once ran and reported 103.5 Mbps; infinity 0 Mbps
+    ({"scenario": {"wall_count": float("nan")}}, "wall_count must be finite"),
+    ({"scenario": {"wall_count": float("inf")}}, "wall_count must be finite"),
 ])
 def test_non_finite_config_rejected(tmp_path, extra, message, capsys):
     path = _write_config(tmp_path, extra)  # json writes NaN, as it reads it

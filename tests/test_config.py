@@ -66,6 +66,17 @@ def test_timing_invariants():
         TimingConfig(num_txops=0)
     with pytest.raises(ValueError):
         TimingConfig(period_ms=float("nan"))
+    # an infinite TF or overhead passed the sign checks and delivered nothing;
+    # a NaN overhead failed mid-run
+    for name in ("period_ms", "txop_max_ms", "map_rts_us", "map_cts_us",
+                 "map_tf_us", "te_us", "ofdm_symbol_us", "guard_interval_us",
+                 "phy_preamble_us", "slot_overhead_us", "num_txops"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TimingConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            simulation_config_from_dict({"timing": {name: float("nan")}})
+    TimingConfig(slot_overhead_us=0.0, always_handshake=True)
     # the 160 us handshake does not fit in a 100 us TXOP cap, nor in 160 us
     for txop_max_ms in (0.1, 0.16):
         with pytest.raises(ValueError, match="handshake"):

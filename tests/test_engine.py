@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapcsim import (ApBuffer, Deployment, McsTable, ScenarioConfig,
+from mapcsim import (ArrivalSchedule, Deployment, McsTable, ScenarioConfig,
                      SchedulerKind, SimulationConfig, TimingConfig,
                      TrafficConfig, arrival_probability, build_environment,
                      data_rate_bps, default_mcs_table, draw_arrivals, engine,
@@ -44,16 +44,15 @@ def test_step_arrivals_p0_and_p1():
     rng = np.random.default_rng(1)
     state = SimState(draw_arrivals(dep, 0.0, rng, 1), {}, traffic, TIM.period_s)
     assert step_arrivals(state, 0) == 0
-    assert all(b.count == 0 for b in state.buffers)
+    assert all(count == 0 for count in state.counts)
     state = SimState(draw_arrivals(dep, 1.0, rng, 1), {}, traffic, TIM.period_s)
     added = step_arrivals(state, 0)
-    buffers = state.buffers
     assert added == 27 * 10
-    assert sum(b.count for b in buffers) == 270
-    for b in buffers:
-        assert all(batch[0] == 0.0 for batch in b.bursts())
+    assert sum(state.counts) == 270
+    for ap in range(dep.num_aps):
+        assert all(batch[0] == 0.0 for batch in state.bursts(ap))
     # per-AP split: 3 stations x 10 packets each
-    assert [b.count for b in buffers] == [30] * 9
+    assert state.counts == [30] * 9
 
 
 def test_step_arrivals_empirical_frequency():
@@ -74,10 +73,23 @@ def _one_ap_airtimes(per_pkt_us=PKT_US_MCS7, mcs=7, stations=(0,)):
     return {0: {sta: (mcs, per_pkt_us) for sta in stations}}
 
 
+def _queued_state(*queues):
+    """A run's state over an empty schedule in which AP a holds the
+    hand-made (arrival_s, station, count) bursts queues[a], oldest first."""
+    empty = np.empty(0, np.uint8)
+    schedule = ArrivalSchedule(empty, np.zeros(1, np.int64), empty, empty,
+                               np.zeros(len(queues) + 1, np.int64))
+    state = SimState(schedule, {}, TrafficConfig(), TIM.period_s)
+    for ap, queue in enumerate(queues):
+        state.requeued[ap] = [list(burst) for burst in queue]
+        state.counts[ap] = sum(count for _, _, count in queue)
+        state.heads[ap] = queue[0][0] if queue else None
+    return state
+
+
 def test_plan_slot_five_packet_ampdu():
-    buf = ApBuffer()
-    buf.append_burst(0.0, 0, 5)
-    plan = plan_slot((0,), [buf], _one_ap_airtimes(), TIM, budget_us=3000.0)
+    state = _queued_state([(0.0, 0, 5)])
+    plan = plan_slot((0,), state, _one_ap_airtimes(), TIM, budget_us=3000.0)
     assert plan is not None
     assert plan.duration_us == pytest.approx(44 + 5 * PKT_US_MCS7, abs=0.1)
     assert plan.duration_us == pytest.approx(741.4, abs=0.1)
@@ -87,87 +99,75 @@ def test_plan_slot_five_packet_ampdu():
 
 
 def test_plan_slot_nothing_fits():
-    buf = ApBuffer()
-    buf.append_burst(0.0, 0, 5)
+    state = _queued_state([(0.0, 0, 5)])
     mcs0_rate = data_rate_bps(0, default_mcs_table(), TIM)
     per = 12000 / mcs0_rate * 1e6  # ~1395 us
-    plan = plan_slot((0,), [buf], _one_ap_airtimes(per, mcs=0), TIM,
+    plan = plan_slot((0,), state, _one_ap_airtimes(per, mcs=0), TIM,
                      budget_us=200.0)
     assert plan is None
-    assert buf.count == 5  # untouched
+    assert state.counts[0] == 5  # untouched
 
 
 def test_plan_slot_duration_is_max_over_members():
-    b0, b1 = ApBuffer(), ApBuffer()
-    b0.append_burst(0.0, 0, 3)
-    b1.append_burst(0.0, 1, 1)
+    state = _queued_state([(0.0, 0, 3)], [(0.0, 1, 1)])
     airtimes = {0: {0: (7, PKT_US_MCS7)}, 1: {1: (7, PKT_US_MCS7)}}
-    plan = plan_slot((0, 1), [b0, b1], airtimes, TIM, budget_us=3000.0)
+    plan = plan_slot((0, 1), state, airtimes, TIM, budget_us=3000.0)
     assert plan.duration_us == pytest.approx(44 + 3 * PKT_US_MCS7, abs=1e-6)
     by_ap = {tx.ap: tx for tx in plan.transmissions}
     assert by_ap[0].airtime_us > by_ap[1].airtime_us  # AP1 idles after 1 packet
 
 
 def test_plan_slot_splits_burst_at_budget():
-    buf = ApBuffer()
-    buf.append_burst(0.0, 0, 10)
+    state = _queued_state([(0.0, 0, 10)])
     budget = TIM.map_tf_us + TIM.te_us + 44 + 7.5 * PKT_US_MCS7
-    plan = plan_slot((0,), [buf], _one_ap_airtimes(), TIM, budget_us=budget)
+    plan = plan_slot((0,), state, _one_ap_airtimes(), TIM, budget_us=budget)
     (tx,) = plan.transmissions
     assert tx.consume == [(0, 7)]
-    taken = buf.consume(tx.consume)
+    taken = state.consume(0, tx.consume)
     assert taken == [(0.0, 0, 7)]
-    assert buf.count == 3
-    assert buf.batches[0] == [0.0, 0, 3]  # remainder keeps its arrival time
+    assert state.counts[0] == 3
+    assert state.requeued[0][0] == [0.0, 0, 3]  # remainder keeps its arrival time
 
 
 def test_plan_slot_skips_unservable_station():
-    buf = ApBuffer()
-    buf.append_burst(0.0, 0, 2)   # station 0 below MCS 0 in this selection
-    buf.append_burst(1.0, 1, 2)
+    # station 0 is below MCS 0 in this selection
+    state = _queued_state([(0.0, 0, 2), (1.0, 1, 2)])
     airtimes = {0: {0: None, 1: (7, PKT_US_MCS7)}}
-    plan = plan_slot((0,), [buf], airtimes, TIM, budget_us=3000.0)
+    plan = plan_slot((0,), state, airtimes, TIM, budget_us=3000.0)
     (tx,) = plan.transmissions
     assert tx.segments == [(1, 7, 2)]
     assert tx.consume == [(1, 2)]
-    buf.consume(tx.consume)
+    state.consume(0, tx.consume)
     # the unservable burst stays buffered, still first in line
-    assert buf.count == 2
-    assert list(buf.batches) == [[0.0, 0, 2]]
+    assert state.counts[0] == 2
+    assert state.requeued[0] == [[0.0, 0, 2]]
 
 
 def test_plan_slot_strict_fifo_stops_at_first_misfit():
-    buf = ApBuffer()
-    buf.append_burst(0.0, 0, 3)
-    buf.append_burst(1.0, 1, 1)
+    state = _queued_state([(0.0, 0, 3), (1.0, 1, 1)])
     # station 1 is fast, but the head burst's station fits only 2 packets
     slow = PKT_US_MCS7 * 4
     budget = TIM.map_tf_us + TIM.te_us + 44 + 2.2 * slow
     airtimes = {0: {0: (3, slow), 1: (10, 1.0)}}
-    plan = plan_slot((0,), [buf], airtimes, TIM, budget_us=budget)
+    plan = plan_slot((0,), state, airtimes, TIM, budget_us=budget)
     (tx,) = plan.transmissions
     assert tx.consume == [(0, 2)]  # burst cut mid-way, later burst untouched
 
 
 def test_ap_buffer_consume_across_batches():
-    buf = ApBuffer()
-    buf.append_burst(0.0, 0, 4)
-    buf.append_burst(0.5, 1, 2)
-    buf.append_burst(1.0, 0, 3)
-    taken = buf.consume([(0, 4), (1, 2), (2, 1)])
+    bursts = [(0.0, 0, 4), (0.5, 1, 2), (1.0, 0, 3)]
+    state = _queued_state(bursts)
+    taken = state.consume(0, [(0, 4), (1, 2), (2, 1)])
     assert taken == [(0.0, 0, 4), (0.5, 1, 2), (1.0, 0, 1)]
-    assert buf.count == 2
-    assert list(buf.batches) == [[1.0, 0, 2]]
+    assert state.counts[0] == 2
+    assert state.requeued[0] == [[1.0, 0, 2]]
 
     # a skipped middle burst stays ahead of the split remainder
-    buf = ApBuffer()
-    buf.append_burst(0.0, 0, 4)
-    buf.append_burst(0.5, 1, 2)
-    buf.append_burst(1.0, 0, 3)
-    taken = buf.consume([(0, 4), (2, 1)])
+    state = _queued_state(bursts)
+    taken = state.consume(0, [(0, 4), (2, 1)])
     assert taken == [(0.0, 0, 4), (1.0, 0, 1)]
-    assert buf.count == 4
-    assert list(buf.batches) == [[0.5, 1, 2], [1.0, 0, 2]]
+    assert state.counts[0] == 4
+    assert state.requeued[0] == [[0.5, 1, 2], [1.0, 0, 2]]
 
 
 def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0,
@@ -224,7 +224,7 @@ def test_run_txop_accounting_and_budget():
 
 def _view_from_buffers(state):
     """The controller view rebuilt from the bursts themselves."""
-    queues = [b.bursts() for b in state.buffers]
+    queues = [state.bursts(ap) for ap in range(len(state.counts))]
     counts = [sum(batch[2] for batch in queue) for queue in queues]
     heads = [queue[0][0] if queue else None for queue in queues]
     return counts, heads
@@ -363,49 +363,6 @@ def test_txop_trace_collects_records():
 # ---------------------------------------------------------------------------
 # Shared static environment: memoized builds, read-only arrays, leaner arrivals
 
-def _loop_step_arrivals(buffers, deployment, traffic, arrival_prob, rng, now_s):
-    """Reference: the per-station loop step_arrivals used to run, with one
-    numpy-scalar association lookup and int() per arriving station."""
-    u = rng.random(deployment.num_stations)
-    appended = 0
-    for sta in np.flatnonzero(u < arrival_prob):
-        buffers[deployment.association[sta]].append_burst(now_s, int(sta),
-                                                          traffic.burst_packets)
-        appended += traffic.burst_packets
-    return appended
-
-
-@pytest.mark.parametrize("cfg", [
-    ScenarioConfig(),
-    ScenarioConfig(subarea_rows=12, subarea_cols=12),
-    ScenarioConfig(subarea_side_m=60.0, wall_count=5),
-], ids=["3x3", "12x12", "weak-links"])
-@pytest.mark.parametrize("p", [0.0, 0.08, 1 / 3, 1.0])
-def test_step_arrivals_matches_station_loop(cfg, p):
-    env, _ = build_environment(cfg, 20.0, 3, seed=5)
-    tr = TrafficConfig()
-    rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-    new = SimState(draw_arrivals(env.deployment, p, rng_new, 6), {}, tr,
-                   TIM.period_s)
-    num_aps = env.deployment.num_aps
-    ref_counts, ref_heads = [0] * num_aps, [None] * num_aps
-    ref = [ApBuffer(ref_counts, ref_heads, ap) for ap in range(num_aps)]
-    for n in range(6):
-        now = n * TIM.period_s
-        got = step_arrivals(new, n)
-        want = _loop_step_arrivals(ref, env.deployment, tr, p, rng_ref, now)
-        assert got == want and type(got) is type(want)
-        # repr also tells a numpy integer station id from a Python int
-        assert [repr(b.bursts()) for b in new.buffers] == \
-            [repr(b.bursts()) for b in ref]
-        assert (new.counts, new.heads) == (ref_counts, ref_heads)
-    # the whole run was drawn before its first TXOP
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-    assert any(new.counts) == (p > 0)
-    if p == 1.0:
-        assert sum(new.counts) == 6 * env.deployment.num_stations * tr.burst_packets
-
-
 class _DequeBuffer:
     """Reference: the per-AP FIFO as a deque of [arrival_s, station, count]
     bursts, one appended per arrival, with the plan walk and consume the
@@ -454,6 +411,49 @@ class _DequeBuffer:
                 self.batches[0][0] if self.batches else None)
 
 
+def _loop_step_arrivals(buffers, deployment, traffic, arrival_prob, rng, now_s):
+    """Reference: the per-station loop step_arrivals used to run, with one
+    numpy-scalar association lookup and int() per arriving station."""
+    u = rng.random(deployment.num_stations)
+    appended = 0
+    for sta in np.flatnonzero(u < arrival_prob):
+        buffers[deployment.association[sta]].append_burst(now_s, int(sta),
+                                                          traffic.burst_packets)
+        appended += traffic.burst_packets
+    return appended
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(),
+    ScenarioConfig(subarea_rows=12, subarea_cols=12),
+    ScenarioConfig(subarea_side_m=60.0, wall_count=5),
+], ids=["3x3", "12x12", "weak-links"])
+@pytest.mark.parametrize("p", [0.0, 0.08, 1 / 3, 1.0])
+def test_step_arrivals_matches_station_loop(cfg, p):
+    env, _ = build_environment(cfg, 20.0, 3, seed=5)
+    tr = TrafficConfig()
+    rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+    new = SimState(draw_arrivals(env.deployment, p, rng_new, 6), {}, tr,
+                   TIM.period_s)
+    num_aps = env.deployment.num_aps
+    ref = [_DequeBuffer() for _ in range(num_aps)]
+    for n in range(6):
+        now = n * TIM.period_s
+        got = step_arrivals(new, n)
+        want = _loop_step_arrivals(ref, env.deployment, tr, p, rng_ref, now)
+        assert got == want and type(got) is type(want)
+        # repr also tells a numpy integer station id from a Python int
+        assert [repr(new.bursts(ap)) for ap in range(num_aps)] == \
+            [repr(list(b.batches)) for b in ref]
+        assert [(new.counts[ap], new.heads[ap]) for ap in range(num_aps)] == \
+            [b.view() for b in ref]
+    # the whole run was drawn before its first TXOP
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    assert any(new.counts) == (p > 0)
+    if p == 1.0:
+        assert sum(new.counts) == 6 * env.deployment.num_stations * tr.burst_packets
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_cursor_queue_matches_deque_fifo(data):
@@ -469,22 +469,21 @@ def test_cursor_queue_matches_deque_fifo(data):
                                     max_size=len(association)), label="per_packet")
     dep = Deployment(np.zeros((num_aps, 2)), np.zeros((len(association), 2)),
                      association, 0)
-    schedule = draw_arrivals(dep, p, np.random.default_rng(
-        data.draw(st.integers(0, 2**32 - 1), label="seed")), num_txops)
-    state = SimState(schedule, {}, TrafficConfig(burst_packets=burst), TIM.period_s)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    traffic = TrafficConfig(burst_packets=burst)
+    schedule = draw_arrivals(dep, p, np.random.default_rng(seed), num_txops)
+    state = SimState(schedule, {}, traffic, TIM.period_s)
+    rng_ref = np.random.default_rng(seed)  # the reference draws per TXOP
     ref = [_DequeBuffer() for _ in range(num_aps)]
 
     def assert_same_queues():
         for ap in range(num_aps):
-            assert state.buffers[ap].bursts() == list(map(list, ref[ap].batches))
+            assert state.bursts(ap) == list(map(list, ref[ap].batches))
             assert (state.counts[ap], state.heads[ap]) == ref[ap].view()
 
     for n in range(num_txops):
-        step_arrivals(state, n)
-        lo, hi = schedule.bounds[n:n + 2].tolist()
-        for sta, ap in zip(schedule.stations[lo:hi].tolist(),
-                           schedule.aps[lo:hi].tolist()):
-            ref[ap].append_burst(n * TIM.period_s, sta, burst)
+        assert step_arrivals(state, n) == _loop_step_arrivals(
+            ref, dep, traffic, p, rng_ref, n * TIM.period_s)
         assert_same_queues()
         for _ in range(data.draw(st.integers(0, 3), label="slots")):
             members = tuple(data.draw(st.permutations(range(num_aps)), label="order")[
@@ -494,7 +493,7 @@ def test_cursor_queue_matches_deque_fifo(data):
             budget = data.draw(st.floats(0.0, TIM.txop_max_us), label="budget")
             airtimes = {ap: {sta: None if sta in unservable else (7, per_packet[sta])
                              for sta in dep.stations_by_ap[ap]} for ap in members}
-            plan = plan_slot(members, state.buffers, airtimes, TIM, budget)
+            plan = plan_slot(members, state, airtimes, TIM, budget)
             cap = engine.slot_capacity_us(TIM, budget)
             want = []
             if cap > TIM.phy_preamble_us:
@@ -509,7 +508,7 @@ def test_cursor_queue_matches_deque_fifo(data):
             assert [(tx.ap, tx.segments, tx.consume, tx.airtime_us)
                     for tx in plan.transmissions] == want
             for tx in plan.transmissions:
-                assert (state.buffers[tx.ap].consume(tx.consume)
+                assert (state.consume(tx.ap, tx.consume)
                         == ref[tx.ap].consume(tx.consume))
             assert_same_queues()
 
@@ -575,28 +574,37 @@ def test_block_draw_equals_per_txop_draws(data):
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     schedule = draw_arrivals(dep, p, rng, num_txops)
     assert len(schedule.bounds) == num_txops + 1 and schedule.bounds[0] == 0
-    assert schedule.stations.dtype == np.min_scalar_type(num_stations)
     assert schedule.aps.dtype == np.min_scalar_type(num_aps)
-    for n in range(num_txops):
+    draws = _reference_draws(rng_ref, num_stations, p, num_txops)
+    for n, want in enumerate(draws):
         lo, hi = schedule.bounds[n], schedule.bounds[n + 1]
-        want = np.flatnonzero(rng_ref.random(num_stations) < p)
-        assert schedule.stations[lo:hi].tolist() == want.tolist()
         assert schedule.aps[lo:hi].tolist() == association[want].tolist()
-    assert schedule.bounds[-1] == len(schedule.stations) == len(schedule.aps)
+    assert schedule.bounds[-1] == len(schedule.aps)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
-    _assert_fifo_lists(schedule, num_txops, num_aps)
+    _assert_fifo_lists(schedule, association, draws)
 
 
-def _assert_fifo_lists(schedule, num_txops, num_aps):
-    """Each AP's FIFO list holds its arrivals in (TXOP, station) order, with
-    the TXOP of each."""
+def _reference_draws(rng, num_stations, p, num_txops):
+    """Each TXOP's arriving stations, drawn one `rng.random` call per TXOP."""
+    return [np.flatnonzero(rng.random(num_stations) < p) for _ in range(num_txops)]
+
+
+def _assert_fifo_lists(schedule, association, draws):
+    """Each AP's FIFO list holds its arrivals of the reference per-TXOP
+    `draws` in (TXOP, station) order, with the TXOP of each."""
+    num_txops = len(draws)
+    assert schedule.fifo_stations.dtype == np.min_scalar_type(len(association))
     assert schedule.fifo_txops.dtype == np.min_scalar_type(max(num_txops - 1, 0))
-    assert schedule.ap_bounds[-1] == len(schedule.fifo_stations) == len(schedule.fifo_txops)
-    txop_of = np.repeat(np.arange(num_txops), np.diff(schedule.bounds))
-    for ap in range(num_aps):
+    assert (schedule.ap_bounds[-1] == len(schedule.fifo_stations)
+            == len(schedule.fifo_txops) == schedule.bounds[-1])
+    stations = np.concatenate([np.empty(0, np.int64)] + draws)
+    txop_of = np.repeat(np.arange(num_txops),
+                        np.array([len(want) for want in draws], np.int64))
+    aps = association[stations]
+    for ap in range(len(schedule.ap_bounds) - 1):
         lo, hi = schedule.ap_bounds[ap], schedule.ap_bounds[ap + 1]
-        mine = schedule.aps == ap
-        assert schedule.fifo_stations[lo:hi].tolist() == schedule.stations[mine].tolist()
+        mine = aps == ap
+        assert schedule.fifo_stations[lo:hi].tolist() == stations[mine].tolist()
         assert schedule.fifo_txops[lo:hi].tolist() == txop_of[mine].tolist()
 
 
@@ -610,7 +618,8 @@ def test_fifo_lists_span_several_groupings():
     dep = Deployment(np.zeros((num_aps, 2)), np.zeros((num_stations, 2)),
                      association, 0)
     schedule = draw_arrivals(dep, 0.3, np.random.default_rng(4), num_txops)
-    _assert_fifo_lists(schedule, num_txops, num_aps)
+    draws = _reference_draws(np.random.default_rng(4), num_stations, 0.3, num_txops)
+    _assert_fifo_lists(schedule, association, draws)
 
 
 @pytest.mark.parametrize("traffic, txops", [
@@ -650,8 +659,8 @@ def test_arrival_schedule_is_shared_read_only_and_cleared(monkeypatch):
         run_simulation(replace(config, scheduler=kind, gamma_db=gamma))
     assert len(drawn) == 1
     schedule = drawn[0]()
-    for array in (schedule.stations, schedule.aps, schedule.bounds,
-                  schedule.fifo_stations, schedule.fifo_txops, schedule.ap_bounds):
+    for array in (schedule.aps, schedule.bounds, schedule.fifo_stations,
+                  schedule.fifo_txops, schedule.ap_bounds):
         assert len(array) > 0
         with pytest.raises(ValueError):
             array[0] = array[0]

@@ -106,7 +106,7 @@ def test_config_validation():
     ScenarioConfig(wall_count=0)
     # non-finite geometry or radio constants: a NaN side never places a station
     for name in ("subarea_side_m", "carrier_freq_ghz", "tx_power_dbm",
-                 "breakpoint_m", "noise_dbm"):
+                 "wall_count", "breakpoint_m", "noise_dbm"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=name):
                 ScenarioConfig(**{name: value})
