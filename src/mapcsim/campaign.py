@@ -22,7 +22,7 @@ from typing import Any, Iterable
 
 from .channel import McsTable, default_mcs_table
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig, _read_json_object,
+                     TrafficConfig, _read_json_object, check_integer,
                      simulation_config_from_dict, simulation_config_to_dict)
 from .engine import MetricsReport, TxopRecord, clear_memos, run_simulation
 from .scheduling import SCHEDULER_NAMES
@@ -54,6 +54,10 @@ class Campaign:
         for axis in ("loads_mbps", "gammas_db", "k_values", "schedulers"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis} must be non-empty")
+        check_integer("num_deployments", self.num_deployments)
+        check_integer("base_seed", self.base_seed)  # run_seed hashes its text
+        for i, k in enumerate(self.k_values):
+            check_integer(f"k_values[{i}]", k)
         if self.num_deployments < 1:
             raise ValueError("num_deployments must be >= 1")
         if min(self.k_values) < 1:

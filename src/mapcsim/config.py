@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from .channel import McsTable, default_mcs_table
+
+
+def check_integer(name: str, value: Any) -> None:
+    """Raise unless `value` is a Python or numpy integer; bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,8 @@ class ScenarioConfig:
     noise_dbm: float = -94.0
 
     def __post_init__(self) -> None:
+        for name in ("subarea_rows", "subarea_cols", "stations_per_subarea"):
+            check_integer(name, getattr(self, name))
         if self.subarea_rows < 1 or self.subarea_cols < 1:
             raise ValueError("subarea grid must be at least 1x1")
         if self.stations_per_subarea < 1:
@@ -93,6 +102,7 @@ class TimingConfig:
                 raise ValueError(f"{name} must be positive")
         if self.slot_overhead_us < 0:
             raise ValueError("slot_overhead_us must be >= 0")
+        check_integer("num_txops", self.num_txops)
         if self.num_txops < 1:
             raise ValueError("num_txops must be >= 1")
         if self.handshake_us >= self.txop_max_us:
@@ -125,6 +135,8 @@ class TrafficConfig:
     def __post_init__(self) -> None:
         if not self.load_bps_per_sta >= 0:  # also rejects NaN
             raise ValueError("load_bps_per_sta must be >= 0")
+        check_integer("burst_packets", self.burst_packets)
+        check_integer("packet_bytes", self.packet_bytes)
         if self.burst_packets < 1 or self.packet_bytes < 1:
             raise ValueError("burst_packets and packet_bytes must be >= 1")
 
@@ -148,6 +160,8 @@ class SimulationConfig:
     mcs_table: McsTable = field(default_factory=default_mcs_table)
 
     def __post_init__(self) -> None:
+        check_integer("max_group_size", self.max_group_size)
+        check_integer("seed", self.seed)
         if self.max_group_size < 1:
             raise ValueError("max_group_size must be >= 1")
         if not math.isfinite(self.gamma_db):

@@ -12,8 +12,8 @@ from the offered load). `draw_arrivals` draws a run's arrivals ahead into
 an `ArrivalSchedule`, which lists each AP's arrivals in FIFO order, and
 `SimState` queues each AP's traffic as a window over its AP's list. So an
 arrival costs no Python object, only the schedule's 5 B on a 12x12 grid
-(4 B of it the per-AP lists). A burst may be split across slots when the
-budget runs out mid-burst.
+(4 B of it the per-AP lists). A burst cut at the budget stays at the head
+of the window, less the packets it has sent.
 
 Inside a slot every member AP drains its FIFO oldest packet first. Packets
 to the same station are aggregated into one A-MPDU segment sent at the MCS
@@ -21,6 +21,9 @@ the station's in-group SINR allows, so an AP's airtime is one PHY preamble
 plus the sum of its segment times. The slot lasts as long as the busiest
 member; APs that finish early idle. The gap between the TXOP cap and the
 next period carries no simulated traffic (it is left to uncoordinated use).
+`plan_slot` reads each burst once and records what it takes; `deliver`
+books the delays from that record, `consume` moves the queues, and the
+segments are derived from it only when asked for.
 
 The controller's view of the buffers (queued packets and head-of-line
 arrival per AP) is maintained incrementally: every buffer change updates
@@ -170,11 +173,11 @@ def draw_arrivals(deployment: Deployment, arrival_prob: float,
 def step_arrivals(state: SimState, n: int) -> int:
     """Let TXOP `n`'s bursts of the run's schedule arrive at its start: each
     arriving station's AP window grows by one burst. Returns packets added."""
-    schedule = state.arrivals
-    lo, hi = schedule.bounds[n:n + 2].tolist()
+    bounds = state.bounds
+    lo, hi = bounds[n], bounds[n + 1]
     arrived, counts, heads = state.arrived, state.counts, state.heads
     burst, now = state.burst_packets, n * state.period_s
-    for ap in schedule.aps[lo:hi].tolist():
+    for ap in state.aps[lo:hi]:
         arrived[ap] += 1
         if not counts[ap]:
             heads[ap] = now
@@ -185,9 +188,17 @@ def step_arrivals(state: SimState, n: int) -> int:
 @dataclass
 class ApTransmission:
     ap: int
-    segments: list[tuple[int, int, int]]     # (station, mcs, packet count)
-    consume: list[tuple[int, int]]           # queue positions for SimState.consume
+    taken: list[tuple[int, int, float, int]]  # (queue pos, count, arrival_s, station)
     airtime_us: float                        # preamble + A-MPDU segment times
+    rates: Mapping[int, tuple[int, float] | None]  # the AP's link airtimes
+
+    @property
+    def segments(self) -> list[tuple[int, int, int]]:
+        """(station, mcs, packet count) per station, by first appearance."""
+        counts: dict[int, int] = {}
+        for _, k, _, sta in self.taken:
+            counts[sta] = counts.get(sta, 0) + k
+        return [(sta, self.rates[sta][0], k) for sta, k in counts.items()]
 
 
 @dataclass
@@ -198,13 +209,7 @@ class SlotPlan:
 
     @property
     def packets(self) -> int:
-        return sum(k for tx in self.transmissions for _, _, k in tx.segments)
-
-
-def slot_capacity_us(timing: TimingConfig, budget_us: float) -> float:
-    """Airtime each AP may fill in a slot that starts with `budget_us` left:
-    the budget minus T_MAP-TF, Te and the fixed per-slot overhead."""
-    return budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
+        return sum(k for tx in self.transmissions for _, k, _, _ in tx.taken)
 
 
 def plan_slot(members: Sequence[int], state: SimState,
@@ -218,45 +223,57 @@ def plan_slot(members: Sequence[int], state: SimState,
     per AP, over its re-queued bursts and then its window (see SimState):
     the first packet that does not fit ends that AP's drain (a burst may be
     cut mid-way); packets to stations without a usable MCS are left
-    buffered and skipped over.
-    Returns None when nothing fits at all.
+    buffered and skipped over. Each AP's `taken` records every burst it
+    sends from. Returns None when nothing fits at all.
     """
-    cap_us = slot_capacity_us(timing, budget_us)
-    if cap_us <= timing.phy_preamble_us:
+    cap_us = budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
+    preamble_us = timing.phy_preamble_us
+    if cap_us <= preamble_us:
         return None
     transmissions: list[ApTransmission] = []
     duration = 0.0
-    requeued, cursor, arrived = state.requeued, state.cursor, state.arrived
-    stations, burst = state.stations, state.burst_packets
+    requeued, cursor, arrived, sent = state.requeued, state.cursor, state.arrived, state.sent
+    stations, txops, period = state.stations, state.txops, state.period_s
+    burst = state.burst_packets
     for ap in members:
         rates = link_airtimes[ap]
-        acc = timing.phy_preamble_us
-        segment_counts: dict[int, int] = {}
-        consume: list[tuple[int, int]] = []
+        acc = preamble_us
+        taken: list[tuple[int, int, float, int]] = []
         batches = requeued[ap]
-        queued = len(batches)
-        first = cursor[ap] - queued  # window burst first + pos is at position pos
-        for pos in range(queued + arrived[ap] - cursor[ap]):
-            if pos < queued:
-                _, sta, n = batches[pos]
-            else:
-                sta, n = stations[first + pos], burst
+        # with integer n, k is min(n, int(room)): the packets that fit
+        for pos, (arrival, sta, n) in enumerate(batches):
             entry = rates.get(sta)
             if entry is None:
                 continue
             per_packet = entry[1]
-            fit = int((cap_us - acc) / per_packet + 1e-9)
-            if fit <= 0:
+            room = (cap_us - acc) / per_packet + 1e-9
+            if room < 1:
                 break
-            k = n if n <= fit else fit
+            k = n if room >= n else int(room)
             acc += k * per_packet
-            segment_counts[sta] = segment_counts.get(sta, 0) + k
-            consume.append((pos, k))
+            taken.append((pos, k, arrival, sta))
             if k < n:
                 break
-        if consume:
-            segments = [(sta, rates[sta][0], k) for sta, k in segment_counts.items()]
-            transmissions.append(ApTransmission(ap, segments, consume, acc))
+        else:
+            start = cursor[ap]
+            offset = len(batches) - start  # window burst i is at position offset + i
+            n = burst - sent[ap]  # the burst at the cursor may be part-sent
+            for i in range(start, arrived[ap]):
+                sta = stations[i]
+                entry = rates.get(sta)
+                if entry is not None:
+                    per_packet = entry[1]
+                    room = (cap_us - acc) / per_packet + 1e-9
+                    if room < 1:
+                        break
+                    k = n if room >= n else int(room)
+                    acc += k * per_packet
+                    taken.append((offset + i, k, txops[i] * period, sta))
+                    if k < n:
+                        break
+                n = burst
+        if taken:
+            transmissions.append(ApTransmission(ap, taken, acc, rates))
             if acc > duration:
                 duration = acc
     if not transmissions:
@@ -280,16 +297,16 @@ class SimState:
     """Mutable state of one run: every AP's FIFO plus delivery bookkeeping.
 
     AP a's FIFO is `requeued[a]`, then the window [cursor[a], arrived[a])
-    of its arrivals in `arrivals`, the run's schedule, read through
-    `stations` and `txops` (global indices, from ap_bounds[a]).
-    `step_arrivals` moves `arrived[a]` and `consume` moves `cursor[a]`;
-    window bursts are whole bursts of `burst_packets`, read where they lie
-    in the schedule. `requeued[a]`
+    of its list in the run's schedule, read through `stations` and `txops`
+    (global indices, from ap_bounds[a]). `step_arrivals` moves `arrived[a]`
+    and `consume` moves `cursor[a]`. Window bursts are bursts of
+    `burst_packets`, read where they lie in the schedule, less the `sent[a]`
+    packets a slot that cut the burst at the cursor has sent. `requeued[a]`
     holds mutable [arrival_s, station, count] entries: the window bursts a
-    slot skipped (their station unservable in the scheduled set) or split
-    at the budget. `counts` and `heads` are the controller's view: queued
-    packets and head-of-line arrival time (None when empty) per AP, kept
-    current by step_arrivals and consume.
+    slot skipped (their station unservable in the scheduled set), a
+    part-sent one with its remainder. `counts` and `heads` are the
+    controller's view: queued packets and head-of-line arrival time (None
+    when empty) per AP, kept current by step_arrivals and consume.
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
@@ -300,11 +317,13 @@ class SimState:
         self.heads: list[float | None] = [None] * num_aps
         self.cursor: list[int] = arrivals.ap_bounds[:-1].tolist()
         self.arrived: list[int] = list(self.cursor)
+        self.sent: list[int] = [0] * num_aps
         self.requeued: list[list[list]] = [[] for _ in range(num_aps)]
         # memoryviews index to Python ints
         self.stations = memoryview(arrivals.fifo_stations)
         self.txops = memoryview(arrivals.fifo_txops)
-        self.arrivals = arrivals
+        self.aps = memoryview(arrivals.aps)
+        self.bounds = memoryview(arrivals.bounds)
         self.burst_packets = traffic.burst_packets
         self.period_s = period_s
         self.link_airtimes = link_airtimes
@@ -312,77 +331,76 @@ class SimState:
         self.delay_values: list[float] = []
         self.delay_counts: list[int] = []
         self.packets_arrived = 0
-        self.packets_delivered = 0
         self.delivery_log: list[tuple[int, Packet, int]] | None = None
+
+    def _window(self, start: int, end: int, sent: int) -> list[list]:
+        """Window bursts [start, end), the first less its `sent` packets."""
+        period, stations, txops = self.period_s, self.stations, self.txops
+        window = [[txops[i] * period, stations[i], self.burst_packets]
+                  for i in range(start, end)]
+        if window:
+            window[0][2] -= sent
+        return window
 
     def bursts(self, ap: int) -> list[list]:
         """AP `ap`'s whole queue, oldest first, as [arrival_s, station, count]."""
-        period, stations, txops = self.period_s, self.stations, self.txops
-        return [list(batch) for batch in self.requeued[ap]] + [
-            [txops[i] * period, stations[i], self.burst_packets]
-            for i in range(self.cursor[ap], self.arrived[ap])]
+        return ([list(batch) for batch in self.requeued[ap]]
+                + self._window(self.cursor[ap], self.arrived[ap], self.sent[ap]))
 
-    def consume(self, ap: int, consumptions: Sequence[tuple[int, int]]
-                ) -> list[tuple[float, int, int]]:
-        """Remove planned packets from AP `ap`'s FIFO; `consumptions` are
-        (queue position, count) pairs in ascending position order, as
-        produced by plan_slot. Queue position p is requeued[ap][p], or
-        window burst cursor[ap] + p - len(requeued[ap]).
+    def consume(self, ap: int, taken: Sequence[tuple[int, int, float, int]]) -> None:
+        """Move AP `ap`'s FIFO past what plan_slot `taken` from it. Queue
+        position p is requeued[ap][p], or window burst
+        cursor[ap] + p - len(requeued[ap]).
 
         Bursts skipped by the plan (stations unservable in the scheduled
         set) stay buffered in their original order: the window ones are
-        re-queued with a split window burst's remainder, and the cursor
-        passes the last planned burst. Returns the consumed
-        (arrival_s, station, count) triples.
+        re-queued, and the cursor passes the last planned burst, or stays on
+        it with its `sent` count when the plan split it.
         """
         batches = self.requeued[ap]
         queued = len(batches)
-        stations, txops, burst = self.stations, self.txops, self.burst_packets
-        period = self.period_s
-        cursor = self.cursor[ap]
+        cursor, sent, burst = self.cursor[ap], self.sent[ap], self.burst_packets
         first = cursor - queued  # window burst first + pos is at position pos
-        taken = []
         removed = 0
-        for pos, k in consumptions:
+        for pos, k, _, _ in taken:
             removed += k
             if pos < queued:
-                arrival, sta, _ = batches[pos]
-            else:
-                i = first + pos
-                if i > cursor:  # skipped bursts go behind the old batches
-                    batches += [[txops[j] * period, stations[j], burst]
-                                for j in range(cursor, i)]
-                arrival, sta = txops[i] * period, stations[i]
-                if k < burst:  # split burst: remainder keeps its arrival time
-                    batches.append([arrival, sta, burst - k])
-                cursor = i + 1
-            taken.append((arrival, sta, k))
+                continue
+            i = first + pos
+            if i > cursor:  # skipped bursts go behind the old batches
+                batches += self._window(cursor, i, sent)
+                cursor, sent = i, 0
+            sent += k
+            if sent == burst:
+                cursor, sent = cursor + 1, 0
         if queued:
             # back to front, so deleting a burst leaves the earlier positions valid
-            for pos, k in reversed(consumptions):
+            for pos, k, _, _ in reversed(taken):
                 if pos >= queued:
                     continue
                 if k == batches[pos][2]:
                     del batches[pos]
                 else:
                     batches[pos][2] -= k
-        self.cursor[ap] = cursor
+        self.cursor[ap], self.sent[ap] = cursor, sent
         self.counts[ap] -= removed
         self.heads[ap] = (batches[0][0] if batches
-                          else txops[cursor] * period if cursor < self.arrived[ap]
-                          else None)
-        return taken
+                          else self.txops[cursor] * self.period_s
+                          if cursor < self.arrived[ap] else None)
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
+        """Book the delays of what `plan` sends and remove it from the FIFOs."""
+        values, counts = self.delay_values.append, self.delay_counts.append
+        log = self.delivery_log
         for tx in plan.transmissions:
-            for arrival, sta, k in self.consume(tx.ap, tx.consume):
-                self.delay_values.append(delivery_time_s - arrival)
-                self.delay_counts.append(k)
-                self.packets_delivered += k
-                if self.delivery_log is not None:
-                    self.delivery_log.append(
-                        (tx.ap, Packet(arrival, sta, self.packet_bytes,
-                                       delivery_time_s), k))
+            taken = tx.taken
+            for _, k, arrival, _ in taken:
+                values(delivery_time_s - arrival)
+                counts(k)
+            if log is not None:
+                log += [(tx.ap, Packet(arrival, sta, self.packet_bytes, delivery_time_s), k)
+                        for _, k, arrival, sta in taken]
+            self.consume(tx.ap, taken)
 
 
 def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
@@ -398,25 +416,27 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
     counts, heads = state.counts, state.heads
     if not any(counts) and not timing.always_handshake:
         return TxopRecord(now_s, 0.0, [], 0.0)
-    consumed = timing.handshake_us
-    txop_max = timing.txop_max_us
+    handshake_us = consumed = timing.handshake_us
+    txop_max, preamble_us = timing.txop_max_us, timing.phy_preamble_us
+    map_tf, te, overhead = timing.map_tf_us, timing.te_us, timing.slot_overhead_us
+    slot_us = map_tf + te + overhead  # per-slot charge before the slot itself
+    link_airtimes = state.link_airtimes
     slots: list[SlotPlan] = []
     while True:
-        if slot_capacity_us(timing, txop_max - consumed) <= timing.phy_preamble_us:
+        budget = txop_max - consumed
+        if budget - map_tf - te - overhead <= preamble_us:
             break  # plan_slot would refuse whatever group is selected
         members = select_group(kind, groups,
                                BufferSummary(now_s + consumed * 1e-6, counts, heads))
         if members is None:
             break
-        plan = plan_slot(members, state, state.link_airtimes[members], timing,
-                         txop_max - consumed)
+        plan = plan_slot(members, state, link_airtimes[members], timing, budget)
         if plan is None:
             break
-        consumed += (timing.map_tf_us + timing.te_us + timing.slot_overhead_us
-                     + plan.duration_us)
+        consumed += slot_us + plan.duration_us
         state.deliver(plan, now_s + consumed * 1e-6)
         slots.append(plan)
-    return TxopRecord(now_s, timing.handshake_us, slots, consumed)
+    return TxopRecord(now_s, handshake_us, slots, consumed)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +587,10 @@ def run_simulation(config: SimulationConfig,
     state = SimState(arrivals, airtimes, traffic, timing.period_s)
     state.delivery_log = delivery_log
     occupancy = np.empty(timing.num_txops)
-    txop_max = timing.txop_max_us
+    txop_max, period_s, groups = timing.txop_max_us, timing.period_s, env.groups
     for n in range(timing.num_txops):
         state.packets_arrived += step_arrivals(state, n)
-        record = run_txop(state, kind, env.groups, timing, n * timing.period_s)
+        record = run_txop(state, kind, groups, timing, n * period_s)
         occupancy[n] = record.total_duration_us / txop_max
         if txop_trace is not None:
             txop_trace.append(record)
@@ -583,13 +603,14 @@ def run_simulation(config: SimulationConfig,
     else:
         delays_sorted = np.empty(0)
         mean_delay = float("nan")
+    delivered = sum(state.delay_counts)
     sim_time_s = timing.num_txops * timing.period_s
     return MetricsReport(
-        throughput_bps=state.packets_delivered * traffic.packet_bits / sim_time_s,
+        throughput_bps=delivered * traffic.packet_bits / sim_time_s,
         mean_delay_s=mean_delay,
         delays_sorted_s=delays_sorted,
         per_txop_occupancy=occupancy,
         packets_arrived=state.packets_arrived,
-        packets_delivered=state.packets_delivered,
+        packets_delivered=delivered,
         packets_remaining=sum(state.counts),
     )

@@ -5,6 +5,8 @@ moves a name the benchmark patches or changes how often it is called."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,3 +155,12 @@ def test_slot_layers_are_called_once_per_slot(monkeypatch, scenario, load_bps,
         assert sum(n == "run_txop" for n, _ in events) == 60
     if refuses:
         assert refused > 0
+
+
+def test_bench_selftest_passes():
+    # the benchmark's own smoke check: its metrics, output checks and exits
+    proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                          cwd=BENCH.parent, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert proc.stdout.rstrip().endswith("selftest passed")

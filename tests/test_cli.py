@@ -118,6 +118,8 @@ def test_non_finite_flags_rejected(argv, message, capsys):
     # a NaN wall count once ran and reported 103.5 Mbps; infinity 0 Mbps
     ({"scenario": {"wall_count": float("nan")}}, "wall_count must be finite"),
     ({"scenario": {"wall_count": float("inf")}}, "wall_count must be finite"),
+    # a fractional burst size once ran
+    ({"traffic": {"burst_packets": 2.5}}, "burst_packets must be an integer, got 2.5"),
 ])
 def test_non_finite_config_rejected(tmp_path, extra, message, capsys):
     path = _write_config(tmp_path, extra)  # json writes NaN, as it reads it

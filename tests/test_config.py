@@ -1,11 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mapcsim import (SimulationConfig, TimingConfig, TrafficConfig,
-                     load_campaign, load_simulation_config,
+from mapcsim import (Campaign, ScenarioConfig, SimulationConfig, TimingConfig,
+                     TrafficConfig, load_campaign, load_simulation_config,
                      save_simulation_config)
+from mapcsim.campaign import campaign_from_dict
 from mapcsim.config import simulation_config_from_dict
 
 
@@ -99,6 +101,58 @@ def test_nan_load_rejected():
     with pytest.raises(ValueError, match="load_bps_per_sta"):
         simulation_config_from_dict({"traffic": {"load_bps_per_sta": float("nan")}})
     assert TrafficConfig(load_bps_per_sta=0.0).load_bps_per_sta == 0.0
+
+
+# (field, its class, the JSON sections holding it)
+INTEGER_FIELDS = [
+    ("burst_packets", TrafficConfig, ("traffic",)),
+    ("packet_bytes", TrafficConfig, ("traffic",)),
+    ("num_txops", TimingConfig, ("timing",)),
+    ("max_group_size", SimulationConfig, ()),
+    ("seed", SimulationConfig, ()),
+    ("subarea_rows", ScenarioConfig, ("scenario",)),
+    ("subarea_cols", ScenarioConfig, ("scenario",)),
+    ("stations_per_subarea", ScenarioConfig, ("scenario",)),
+    ("num_deployments", Campaign, ("campaign",)),
+    # 1.0 once seeded other deployments than 1
+    ("base_seed", Campaign, ("campaign",)),
+]
+
+
+def _nested(sections, name, value):
+    data = {name: value}
+    for section in reversed(sections):
+        data = {section: data}
+    return data
+
+
+@pytest.mark.parametrize("name, cls, sections", INTEGER_FIELDS,
+                         ids=[name for name, _, _ in INTEGER_FIELDS])
+@pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0, True],
+                         ids=["nan", "fraction", "float", "bool"])
+def test_integer_fields_reject_non_integers(name, cls, sections, value):
+    # all of these once constructed; a fractional burst size broke the slot
+    # planner's whole-packet fit test
+    message = f"{name} must be (an integer|finite)"  # num_txops checks finiteness first
+    with pytest.raises(ValueError, match=message):
+        cls(**{name: value})
+    load = campaign_from_dict if cls is Campaign else simulation_config_from_dict
+    with pytest.raises(ValueError, match=message):
+        load(_nested(sections, name, value))
+
+
+def test_integer_fields_accept_numpy_integers():
+    for name, cls, _ in INTEGER_FIELDS:
+        assert getattr(cls(**{name: np.int64(2)}), name) == 2
+    assert Campaign(k_values=(np.int32(2), 3)).k_values == (2, 3)
+
+
+@pytest.mark.parametrize("k_values", [(2, float("nan")), (2.5,), (True,)])
+def test_non_integer_k_values_rejected(k_values):
+    with pytest.raises(ValueError, match=r"k_values\[\d\] must be an integer"):
+        Campaign(k_values=k_values)
+    with pytest.raises(ValueError, match=r"k_values\[\d\] must be an integer"):
+        campaign_from_dict({"campaign": {"k_values": list(k_values)}})
 
 
 def test_shipped_configs_load():

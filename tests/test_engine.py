@@ -95,7 +95,7 @@ def test_plan_slot_five_packet_ampdu():
     assert plan.duration_us == pytest.approx(741.4, abs=0.1)
     (tx,) = plan.transmissions
     assert tx.segments == [(0, 7, 5)]
-    assert tx.consume == [(0, 5)]
+    assert tx.taken == [(0, 5, 0.0, 0)]  # (queue position, count, arrival_s, station)
 
 
 def test_plan_slot_nothing_fits():
@@ -122,9 +122,8 @@ def test_plan_slot_splits_burst_at_budget():
     budget = TIM.map_tf_us + TIM.te_us + 44 + 7.5 * PKT_US_MCS7
     plan = plan_slot((0,), state, _one_ap_airtimes(), TIM, budget_us=budget)
     (tx,) = plan.transmissions
-    assert tx.consume == [(0, 7)]
-    taken = state.consume(0, tx.consume)
-    assert taken == [(0.0, 0, 7)]
+    assert tx.taken == [(0, 7, 0.0, 0)]
+    state.consume(0, tx.taken)
     assert state.counts[0] == 3
     assert state.requeued[0][0] == [0.0, 0, 3]  # remainder keeps its arrival time
 
@@ -136,8 +135,8 @@ def test_plan_slot_skips_unservable_station():
     plan = plan_slot((0,), state, airtimes, TIM, budget_us=3000.0)
     (tx,) = plan.transmissions
     assert tx.segments == [(1, 7, 2)]
-    assert tx.consume == [(1, 2)]
-    state.consume(0, tx.consume)
+    assert tx.taken == [(1, 2, 1.0, 1)]
+    state.consume(0, tx.taken)
     # the unservable burst stays buffered, still first in line
     assert state.counts[0] == 2
     assert state.requeued[0] == [[0.0, 0, 2]]
@@ -151,23 +150,97 @@ def test_plan_slot_strict_fifo_stops_at_first_misfit():
     airtimes = {0: {0: (3, slow), 1: (10, 1.0)}}
     plan = plan_slot((0,), state, airtimes, TIM, budget_us=budget)
     (tx,) = plan.transmissions
-    assert tx.consume == [(0, 2)]  # burst cut mid-way, later burst untouched
+    assert tx.taken == [(0, 2, 0.0, 0)]  # burst cut mid-way, later burst untouched
+
+
+def test_segments_merge_a_station_across_bursts():
+    # station 0's two bursts are split by station 1's: one segment each,
+    # in order of first appearance
+    state = _queued_state([(0.0, 0, 2), (0.5, 1, 3), (1.0, 0, 4)])
+    airtimes = {0: {0: (7, PKT_US_MCS7), 1: (5, 2 * PKT_US_MCS7)}}
+    (tx,) = plan_slot((0,), state, airtimes, TIM, budget_us=3000.0).transmissions
+    assert [sta for _, _, _, sta in tx.taken] == [0, 1, 0]
+    assert tx.segments == [(0, 7, 6), (1, 5, 3)]
+
+
+def _budget_for(packets):
+    """Slot budget that fits `packets` MCS-7 packets and half of one more."""
+    return TIM.map_tf_us + TIM.te_us + 44 + (packets + 0.5) * PKT_US_MCS7
 
 
 def test_ap_buffer_consume_across_batches():
     bursts = [(0.0, 0, 4), (0.5, 1, 2), (1.0, 0, 3)]
     state = _queued_state(bursts)
-    taken = state.consume(0, [(0, 4), (1, 2), (2, 1)])
-    assert taken == [(0.0, 0, 4), (0.5, 1, 2), (1.0, 0, 1)]
+    airtimes = _one_ap_airtimes(stations=(0, 1))
+    (tx,) = plan_slot((0,), state, airtimes, TIM, _budget_for(7)).transmissions
+    assert tx.taken == [(0, 4, 0.0, 0), (1, 2, 0.5, 1), (2, 1, 1.0, 0)]
+    state.consume(0, tx.taken)
     assert state.counts[0] == 2
     assert state.requeued[0] == [[1.0, 0, 2]]
 
     # a skipped middle burst stays ahead of the split remainder
     state = _queued_state(bursts)
-    taken = state.consume(0, [(0, 4), (2, 1)])
-    assert taken == [(0.0, 0, 4), (1.0, 0, 1)]
+    airtimes[0][1] = None
+    (tx,) = plan_slot((0,), state, airtimes, TIM, _budget_for(5)).transmissions
+    assert tx.taken == [(0, 4, 0.0, 0), (2, 1, 1.0, 0)]
+    state.consume(0, tx.taken)
     assert state.counts[0] == 4
     assert state.requeued[0] == [[0.5, 1, 2], [1.0, 0, 2]]
+
+
+def _window_state(num_stations, num_txops):
+    """A run's state with one AP whose `num_stations` stations each get a
+    10-packet burst in every one of `num_txops` TXOPs, all arrived."""
+    dep = Deployment(np.zeros((1, 2)), np.zeros((num_stations, 2)),
+                     [0] * num_stations, 0)
+    schedule = draw_arrivals(dep, 1.0, np.random.default_rng(0), num_txops)
+    state = SimState(schedule, {}, TrafficConfig(), TIM.period_s)
+    for n in range(num_txops):
+        step_arrivals(state, n)
+    return state
+
+
+def _plan_and_consume(state, airtimes, budget):
+    (tx,) = plan_slot((0,), state, airtimes, TIM, budget).transmissions
+    state.consume(0, tx.taken)
+    return tx.taken
+
+
+def test_split_window_burst_stays_at_cursor_until_sent():
+    state = _window_state(num_stations=2, num_txops=1)
+    airtimes = _one_ap_airtimes(stations=(0, 1))
+    assert _plan_and_consume(state, airtimes, _budget_for(7)) == [(0, 7, 0.0, 0)]
+    # the cut burst stays in the window, its 7 sent packets counted aside
+    assert (state.cursor[0], state.sent[0], state.requeued[0]) == (0, 7, [])
+    assert state.bursts(0) == [[0.0, 0, 3], [0.0, 1, 10]]
+    assert (state.counts[0], state.heads[0]) == (13, 0.0)
+    # the next slot takes the remainder, then the next burst
+    assert _plan_and_consume(state, airtimes, 3000.0) == [(0, 3, 0.0, 0),
+                                                          (1, 10, 0.0, 1)]
+    assert (state.cursor[0], state.sent[0], state.requeued[0]) == (2, 0, [])
+    assert state.bursts(0) == []
+    assert (state.counts[0], state.heads[0]) == (0, None)
+
+
+def test_skipped_split_burst_is_requeued_with_its_remainder():
+    state = _window_state(num_stations=2, num_txops=2)
+    period = TIM.period_s
+    airtimes = _one_ap_airtimes(stations=(0, 1))
+    assert _plan_and_consume(state, airtimes, _budget_for(7)) == [(0, 7, 0.0, 0)]
+    # station 0 is unservable in the next slot, so its part-sent burst is
+    # skipped; the budget ends the drain after station 1's first burst
+    airtimes[0][0] = None
+    assert _plan_and_consume(state, airtimes, _budget_for(10)) == [(1, 10, 0.0, 1)]
+    assert state.requeued[0] == [[0.0, 0, 3]]
+    assert (state.cursor[0], state.sent[0]) == (2, 0)
+    assert state.bursts(0) == [[0.0, 0, 3], [period, 0, 10], [period, 1, 10]]
+    assert (state.counts[0], state.heads[0]) == (23, 0.0)
+    # re-queued bursts drain first; the remainder keeps its arrival time
+    airtimes[0][0] = (7, PKT_US_MCS7)
+    assert _plan_and_consume(state, airtimes, _budget_for(13)) == [
+        (0, 3, 0.0, 0), (1, 10, period, 0)]
+    assert state.bursts(0) == [[period, 1, 10]]
+    assert (state.counts[0], state.heads[0]) == (10, period)
 
 
 def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0,
@@ -494,7 +567,7 @@ def test_cursor_queue_matches_deque_fifo(data):
             airtimes = {ap: {sta: None if sta in unservable else (7, per_packet[sta])
                              for sta in dep.stations_by_ap[ap]} for ap in members}
             plan = plan_slot(members, state, airtimes, TIM, budget)
-            cap = engine.slot_capacity_us(TIM, budget)
+            cap = budget - TIM.map_tf_us - TIM.te_us - TIM.slot_overhead_us
             want = []
             if cap > TIM.phy_preamble_us:
                 for ap in members:
@@ -505,11 +578,13 @@ def test_cursor_queue_matches_deque_fifo(data):
             if not want:
                 assert plan is None
                 continue
-            assert [(tx.ap, tx.segments, tx.consume, tx.airtime_us)
-                    for tx in plan.transmissions] == want
-            for tx in plan.transmissions:
-                assert (state.consume(tx.ap, tx.consume)
-                        == ref[tx.ap].consume(tx.consume))
+            assert [(tx.ap, tx.segments, [(pos, k) for pos, k, _, _ in tx.taken],
+                     tx.airtime_us) for tx in plan.transmissions] == want
+            for tx, (_, _, consume, _) in zip(plan.transmissions, want):
+                # every recorded burst is the one the reference FIFO hands out
+                assert ([(arrival, sta, k) for _, k, arrival, sta in tx.taken]
+                        == ref[tx.ap].consume(consume))
+                state.consume(tx.ap, tx.taken)
             assert_same_queues()
 
 
