@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -121,6 +122,15 @@ class TimingConfig:
     def handshake_us(self) -> float:
         """MAP-RTS + guard + MAP-CTS + guard, charged once per TXOP."""
         return self.map_rts_us + self.te_us + self.map_cts_us + self.te_us
+
+    @cached_property
+    def txop_figures(self) -> tuple[float, float, float, float, float, float, float]:
+        """What a TXOP charges, in us, worked out once per config: (handshake,
+        TXOP cap, PHY preamble, MAP-TF, Te, slot overhead, per-slot charge
+        MAP-TF + Te + overhead before the slot itself)."""
+        map_tf, te, overhead = self.map_tf_us, self.te_us, self.slot_overhead_us
+        return (self.handshake_us, self.txop_max_us, self.phy_preamble_us,
+                map_tf, te, overhead, map_tf + te + overhead)
 
 
 @dataclass(frozen=True)

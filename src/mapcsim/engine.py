@@ -27,7 +27,9 @@ segments are derived from it only when asked for.
 
 The controller's view of the buffers (queued packets and head-of-line
 arrival per AP) is maintained incrementally: every buffer change updates
-it, so no slot or TXOP rebuilds it by walking all APs.
+it, so no slot or TXOP rebuilds it by walking all APs. A run has one view,
+a `BufferSummary` over the live lists whose `now` moves to each slot
+decision instant, and a `TimingConfig` works out its per-TXOP charges once.
 
 Runs of one deployment share its static environments and airtime tables,
 one per (gamma, K), and the arrival schedule of each load: the traffic
@@ -306,7 +308,9 @@ class SimState:
     slot skipped (their station unservable in the scheduled set), a
     part-sent one with its remainder. `counts` and `heads` are the
     controller's view: queued packets and head-of-line arrival time (None
-    when empty) per AP, kept current by step_arrivals and consume.
+    when empty) per AP, kept current by step_arrivals and consume. `view`
+    is the run's one `BufferSummary` over those two live lists; run_txop
+    moves its `now` to each slot decision instant.
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
@@ -315,6 +319,7 @@ class SimState:
         num_aps = len(arrivals.ap_bounds) - 1
         self.counts: list[int] = [0] * num_aps
         self.heads: list[float | None] = [None] * num_aps
+        self.view = BufferSummary(0.0, self.counts, self.heads)
         self.cursor: list[int] = arrivals.ap_bounds[:-1].tolist()
         self.arrived: list[int] = list(self.cursor)
         self.sent: list[int] = [0] * num_aps
@@ -409,25 +414,24 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
 
     With empty buffers no TXOP occurs at all (zero duration) unless
     `timing.always_handshake` is set. Group selection is re-evaluated after
-    every slot with updated buffers; the buffer summary is taken at the slot
-    decision instant, i.e. TXOP start plus everything already transmitted,
-    so even packets that arrived at `now_s` have a positive waiting time.
+    every slot with updated buffers: the run's one controller view,
+    `state.view`, is dated at the slot decision instant, i.e. TXOP start
+    plus everything already transmitted, so even packets that arrived at
+    `now_s` have a positive waiting time. The charges come from `timing`.
     """
-    counts, heads = state.counts, state.heads
-    if not any(counts) and not timing.always_handshake:
+    if not any(state.counts) and not timing.always_handshake:
         return TxopRecord(now_s, 0.0, [], 0.0)
-    handshake_us = consumed = timing.handshake_us
-    txop_max, preamble_us = timing.txop_max_us, timing.phy_preamble_us
-    map_tf, te, overhead = timing.map_tf_us, timing.te_us, timing.slot_overhead_us
-    slot_us = map_tf + te + overhead  # per-slot charge before the slot itself
-    link_airtimes = state.link_airtimes
+    (handshake_us, txop_max, preamble_us, map_tf, te, overhead,
+     slot_us) = timing.txop_figures
+    consumed = handshake_us
+    link_airtimes, view = state.link_airtimes, state.view
     slots: list[SlotPlan] = []
     while True:
         budget = txop_max - consumed
         if budget - map_tf - te - overhead <= preamble_us:
             break  # plan_slot would refuse whatever group is selected
-        members = select_group(kind, groups,
-                               BufferSummary(now_s + consumed * 1e-6, counts, heads))
+        view.now = now_s + consumed * 1e-6
+        members = select_group(kind, groups, view)
         if members is None:
             break
         plan = plan_slot(members, state, link_airtimes[members], timing, budget)

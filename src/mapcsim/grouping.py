@@ -39,11 +39,14 @@ class Group:
 
 @dataclass
 class GroupSet:
-    """The stored groups plus lookups the scheduler builds once: the groups
-    holding each AP, and a G x K matrix of member indices in member order
-    (shorter groups padded with -1) with the vector of group sizes."""
+    """The stored groups plus lookups the scheduler builds once: each
+    group's member tuple, the groups holding each AP, and a G x K matrix of
+    member indices in member order (shorter groups padded with -1) with the
+    vector of group sizes."""
 
     groups: list[Group]
+    member_tuples: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
+                                                       compare=False)
     contains_index: dict[int, tuple[int, ...]] = field(init=False)
     member_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
@@ -56,6 +59,7 @@ class GroupSet:
             for ap in group.members:
                 index.setdefault(ap, []).append(gi)
             self.member_matrix[gi, :len(group)] = group.members
+        self.member_tuples = tuple(g.members for g in self.groups)
         self.contains_index = {ap: tuple(gis) for ap, gis in index.items()}
         self.sizes = np.array([len(g) for g in self.groups], dtype=float)
 

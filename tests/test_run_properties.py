@@ -1,0 +1,69 @@
+"""Whole-run properties over small random configs: every scheduler kind on
+grids of 1x1 to 4x4 APs, with random load, burst size, TXOP cap and
+handshake switch, up to 200 TXOPs per run."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mapcsim import (SCHEDULER_NAMES, ScenarioConfig, SimulationConfig,
+                     TimingConfig, TrafficConfig, arrival_probability,
+                     build_environment, draw_arrivals, run_simulation)
+
+PACKET_BITS = TrafficConfig().packet_bits
+
+
+@st.composite
+def configs(draw):
+    burst = draw(st.integers(1, 12), label="burst_packets")
+    period_s = TimingConfig().period_s
+    # p = load * T / (burst * bits) stays below 1
+    top_load = 0.99 * burst * PACKET_BITS / period_s
+    load = draw(st.floats(0.0, top_load), label="load_bps_per_sta")
+    timing = TimingConfig(
+        txop_max_ms=draw(st.floats(0.17, 4.9), label="txop_max_ms"),
+        num_txops=draw(st.integers(1, 200), label="num_txops"),
+        always_handshake=draw(st.booleans(), label="always_handshake"))
+    scenario = ScenarioConfig(subarea_rows=draw(st.integers(1, 4), label="rows"),
+                              subarea_cols=draw(st.integers(1, 4), label="cols"))
+    return SimulationConfig(scenario, timing,
+                            TrafficConfig(load_bps_per_sta=load, burst_packets=burst),
+                            seed=draw(st.integers(1, 50), label="seed"))
+
+
+def _backlog_at_start(config, records):
+    """Packets queued as each TXOP starts, after its arrivals: the run's
+    schedule drawn again from the same seed, less what earlier TXOPs sent."""
+    timing, traffic = config.timing, config.traffic
+    env, rng = build_environment(config.scenario, config.gamma_db,
+                                 config.max_group_size, config.seed)
+    p = arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
+                            traffic.packet_bytes, timing.period_s)
+    arrived = traffic.burst_packets * np.asarray(
+        draw_arrivals(env.deployment, p, rng, timing.num_txops).bounds[1:])
+    sent = np.cumsum([0] + [rec.packets_delivered for rec in records[:-1]])
+    return (arrived - sent).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs())
+def test_runs_conserve_packets_and_respect_the_txop(config):
+    timing = config.timing
+    for kind in SCHEDULER_NAMES:
+        run = SimulationConfig(config.scenario, timing, config.traffic,
+                               scheduler=kind, seed=config.seed)
+        records = []
+        report = run_simulation(run, txop_trace=records)
+        assert report.packets_arrived == (report.packets_delivered
+                                          + report.packets_remaining), kind
+        assert len(records) == timing.num_txops
+        # plan_slot admits a packet that fits to within 1e-9 of its airtime
+        assert all(rec.total_duration_us <= timing.txop_max_us * (1 + 1e-9)
+                   for rec in records), kind
+        for rec, backlog in zip(records, _backlog_at_start(run, records)):
+            charged = backlog > 0 or timing.always_handshake
+            assert rec.handshake_us == (timing.handshake_us if charged else 0.0), kind
+            if rec.slots:
+                assert charged, kind
+            if not charged:
+                assert rec.total_duration_us == 0.0, kind

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from mapcsim import BufferSummary, SchedulerKind, select_group
+from mapcsim import (BufferSummary, ScenarioConfig, SchedulerKind,
+                     build_environment, select_group)
+from mapcsim import scheduling
 from mapcsim.grouping import Group, GroupSet
+from mapcsim.scheduling import (LOOP_MAX_GROUPS, _best_mean_group_loop,
+                                _best_mean_group_numpy, _best_summed_group)
 from oracles import select_reference
 
 ALL_KINDS = list(SchedulerKind)
@@ -184,3 +188,63 @@ def test_matches_exhaustive_scorer_at_dense_scale():
 def test_summary_waits():
     buf = _summary([2, 0], [0.4, None], now=1.0)
     assert buf.waits() == [pytest.approx(0.6), 0.0]
+
+
+@pytest.mark.parametrize("rows, num_groups", [(3, 8), (6, 36), (12, 144)])
+def test_both_mean_scorers_match_exhaustive_scorer(rows, num_groups):
+    # Each per-Group scorer on the stored groups of a real deployment, at
+    # the scale that selects it and at the scales that select the other.
+    env, _ = build_environment(
+        ScenarioConfig(subarea_rows=rows, subarea_cols=rows), 20.0, 3, 1)
+    stored = env.groups
+    assert len(stored) == num_groups
+    n_aps = rows * rows
+    # plus every singleton not stored, so group sizes mix at every scale
+    mixed = GroupSet(stored.groups + [Group(a, (a,)) for a in range(n_aps)
+                                      if (a,) not in stored.member_tuples])
+    assert len({len(m) for m in mixed.member_tuples}) > 1
+    rng = np.random.default_rng(rows)
+    for groups in (stored, mixed):
+        member_lists = list(groups.member_tuples)
+        for state in range(150):
+            # counts and waits from small sets, so scores tie; empty APs
+            # wait 0.0, and heads after `now` wait less than 0
+            counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
+            if not any(counts):
+                continue
+            if state % 2:
+                oldest = [None if c == 0 else 1.0 - float(rng.integers(-2, 4)) / 8
+                          for c in counts]
+            else:
+                oldest = [None if c == 0 else 1.0 - float(rng.uniform(-0.25, 0.75))
+                          for c in counts]
+            buf = _summary(counts, oldest)
+            for kind, scores in ((SchedulerKind.NUMPK_GROUP, counts),
+                                 (SchedulerKind.OLDPK_GROUP, buf.waits())):
+                want = select_reference(kind.value, member_lists, counts,
+                                        oldest, buf.now)
+                assert _best_mean_group_loop(groups, scores) == want, (kind, state)
+                assert _best_mean_group_numpy(groups, scores) == want, (kind, state)
+                assert select_group(kind, groups, buf) == want, (kind, state)
+
+
+def test_mean_scorer_is_picked_by_group_count(monkeypatch):
+    def refuse(groups, scores):
+        raise AssertionError(f"wrong scorer for {len(groups)} groups")
+
+    for num_groups, unused in ((LOOP_MAX_GROUPS, "_best_mean_group_numpy"),
+                               (LOOP_MAX_GROUPS + 1, "_best_mean_group_loop")):
+        groups = _group_set([(a,) for a in range(num_groups)])
+        buf = _summary([1] * num_groups, [0.5] * num_groups)
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduling, unused, refuse)
+            assert select_group(SchedulerKind.NUMPK_GROUP, groups, buf) == (0,)
+
+
+def test_summed_group_adds_left_to_right():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right but 0.6 by the
+    # compensated built-in sum of Python 3.12+, which would tie (2, 3)'s
+    # 0.3 + 0.3 and pick the lower index
+    groups = _group_set([(2, 3), (0, 1, 2)])
+    scores = [0.1, 0.2, 0.3, 0.3]
+    assert _best_summed_group(groups, groups.contains_index[2], scores) == (0, 1, 2)
