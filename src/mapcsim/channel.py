@@ -19,6 +19,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -146,8 +147,10 @@ class McsTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def min_sinrs(self) -> tuple[float, ...]:
+        """The thresholds in MCS order, worked out once per table:
+        `select_mcs` bisects them for every link of every airtime table."""
         return tuple(e.min_sinr_db for e in self.entries)
 
     def to_jsonable(self) -> list[list[float]]:

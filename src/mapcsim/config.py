@@ -106,9 +106,13 @@ class TimingConfig:
         check_integer("num_txops", self.num_txops)
         if self.num_txops < 1:
             raise ValueError("num_txops must be >= 1")
-        if self.handshake_us >= self.txop_max_us:
-            raise ValueError(f"txop_max_ms must exceed the "
-                             f"{self.handshake_us:g} us handshake")
+        # run_txop's test before its first slot, in its order: a cap that
+        # fails it charges every backlogged TXOP the handshake for nothing
+        handshake, txop_max, preamble, map_tf, te, overhead, _ = self.txop_figures
+        if txop_max - handshake - map_tf - te - overhead <= preamble:
+            minimum = handshake + map_tf + te + overhead + preamble
+            raise ValueError(f"txop_max_ms must exceed {minimum:g} us: the {handshake:g} us "
+                             f"handshake plus one slot's MAP-TF, Te, overhead and PHY preamble")
 
     @property
     def period_s(self) -> float:

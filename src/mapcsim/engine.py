@@ -26,10 +26,12 @@ books the delays from that record, `consume` moves the queues, and the
 segments are derived from it only when asked for.
 
 The controller's view of the buffers (queued packets and head-of-line
-arrival per AP) is maintained incrementally: every buffer change updates
-it, so no slot or TXOP rebuilds it by walking all APs. A run has one view,
-a `BufferSummary` over the live lists whose `now` moves to each slot
-decision instant, and a `TimingConfig` works out its per-TXOP charges once.
+arrival per AP, +inf for an empty buffer, so the AP with the oldest head is
+the first minimum of the heads) is maintained incrementally: every buffer
+change updates it, so no slot or TXOP rebuilds it by walking all APs. A run
+has one view, a `BufferSummary` over the live lists whose `now` moves to
+each slot decision instant, and a `TimingConfig` works out its per-TXOP
+charges once.
 
 Runs of one deployment share its static environments and airtime tables,
 one per (gamma, K), and the arrival schedule of each load: the traffic
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -307,10 +310,11 @@ class SimState:
     holds mutable [arrival_s, station, count] entries: the window bursts a
     slot skipped (their station unservable in the scheduled set), a
     part-sent one with its remainder. `counts` and `heads` are the
-    controller's view: queued packets and head-of-line arrival time (None
-    when empty) per AP, kept current by step_arrivals and consume. `view`
-    is the run's one `BufferSummary` over those two live lists; run_txop
-    moves its `now` to each slot decision instant.
+    controller's view: queued packets and head-of-line arrival time (+inf
+    when empty, so the oldest head is min(heads)) per AP, kept current by
+    step_arrivals and consume. `view` is the run's one `BufferSummary` over
+    those two live lists; run_txop moves its `now` to each slot decision
+    instant.
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
@@ -318,7 +322,7 @@ class SimState:
                  traffic: TrafficConfig, period_s: float):
         num_aps = len(arrivals.ap_bounds) - 1
         self.counts: list[int] = [0] * num_aps
-        self.heads: list[float | None] = [None] * num_aps
+        self.heads: list[float] = [inf] * num_aps
         self.view = BufferSummary(0.0, self.counts, self.heads)
         self.cursor: list[int] = arrivals.ap_bounds[:-1].tolist()
         self.arrived: list[int] = list(self.cursor)
@@ -391,7 +395,7 @@ class SimState:
         self.counts[ap] -= removed
         self.heads[ap] = (batches[0][0] if batches
                           else self.txops[cursor] * self.period_s
-                          if cursor < self.arrived[ap] else None)
+                          if cursor < self.arrived[ap] else inf)
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
         """Book the delays of what `plan` sends and remove it from the FIFOs."""

@@ -6,13 +6,18 @@ then pick the stored group with the best size-normalized score, so small
 groups do not starve. Per-AP kinds (*Single) pick the single neediest
 backlogged AP and then the group containing it with the best summed score.
 The two c-TDMA baselines are per-AP kinds that schedule that AP alone.
+
+An empty buffer's head-of-line arrival is +inf, so the OldPk per-AP kinds
+find their AP, the one with the oldest head, as min() of the heads and
+work out waits only for the members of the groups holding it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from math import inf
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +49,7 @@ class BufferSummary:
     """Controller view of all AP buffers at a slot decision instant.
 
     counts[ap] packets queued; oldest_arrival[ap] is the head-of-line arrival
-    time in seconds, or None when the buffer is empty. `now` is the decision
+    time in seconds, or +inf when the buffer is empty. `now` is the decision
     time, so now - oldest_arrival is the head-of-line waiting time. A run
     has one summary (SimState.view) over its live per-AP lists
     (SimState.counts and .heads), not copies; run_txop moves its `now` to
@@ -53,26 +58,16 @@ class BufferSummary:
 
     now: float
     counts: Sequence[int]
-    oldest_arrival: Sequence[float | None]
+    oldest_arrival: Sequence[float]
 
     def waits(self) -> list[float]:
         """Waiting time of the oldest packet per AP; 0.0 for empty buffers."""
-        return [0.0 if t is None else self.now - t for t in self.oldest_arrival]
-
-
-def _argmax_backlogged(scores: Sequence[float], counts: Sequence[int]) -> int:
-    """Index of the highest score among APs with packets; lowest id on ties."""
-    best = -1
-    best_score = 0.0
-    for ap, count in enumerate(counts):
-        if count > 0 and (best < 0 or scores[ap] > best_score):
-            best = ap
-            best_score = scores[ap]
-    return best
+        now = self.now
+        return [0.0 if t == inf else now - t for t in self.oldest_arrival]
 
 
 def _best_summed_group(groups: GroupSet, indices: Sequence[int],
-                       scores: Sequence[float]) -> tuple[int, ...]:
+                       scores: Sequence[float] | Mapping[int, float]) -> tuple[int, ...]:
     """Group among `indices` with the highest summed member score; lowest
     group index on ties. Members are added left to right, not by the
     built-in sum, which compensates float sums from Python 3.12 on."""
@@ -141,17 +136,29 @@ def select_group(kind: SchedulerKind, groups: GroupSet,
     counts = buffers.counts
     if not any(counts):
         return None
-    # empty APs score 0 under both metrics
-    scores = buffers.waits() if kind.scores_waits else counts
     if kind.per_group:  # two scorers that agree exactly; the faster by set size
+        # empty APs score 0 under both metrics
+        scores = buffers.waits() if kind.scores_waits else counts
         if len(groups.member_tuples) <= LOOP_MAX_GROUPS:
             return _best_mean_group_loop(groups, scores)
         return _best_mean_group_numpy(groups, scores)
-    # Only a backlogged AP scores above 0, so a positive best score's first
-    # index is the backlogged AP with the best score and the lowest id.
-    best = max(scores)
-    top_ap = (scores.index(best) if best > 0
-              else _argmax_backlogged(scores, counts))
+    if kind.scores_waits:
+        # The top wait is the oldest head's, and an empty buffer's head is
+        # +inf, so that AP is backlogged; equal heads go to the lowest id.
+        # Distinct heads lie whole periods apart, so `now - head` cannot
+        # round two of them to a tie.
+        heads, now = buffers.oldest_arrival, buffers.now
+        top_ap = heads.index(min(heads))
+        if kind.is_ctdma:
+            return (top_ap,)
+        # only the members of the groups holding that AP need a wait
+        holders, member_tuples = groups.contains_index[top_ap], groups.member_tuples
+        waits = {ap: 0.0 if heads[ap] == inf else now - heads[ap]
+                 for gi in holders for ap in member_tuples[gi]}
+        return _best_summed_group(groups, holders, waits)
+    # Only a backlogged AP has a positive count, so the first maximum is the
+    # backlogged AP with the most packets and the lowest id.
+    top_ap = counts.index(max(counts))
     if kind.is_ctdma:
         return (top_ap,)
-    return _best_summed_group(groups, groups.contains_index[top_ap], scores)
+    return _best_summed_group(groups, groups.contains_index[top_ap], counts)

@@ -7,6 +7,7 @@ suite-wide default.
 """
 
 import csv
+import math
 import time
 
 import numpy as np
@@ -125,7 +126,8 @@ def test_criterion_04_scheduler_oracle():
         # discrete waits make ties common
         oldest = [None if c == 0 else now - float(rng.integers(0, 4)) / 200.0
                   for c in counts]
-        buffers = BufferSummary(now, counts, oldest)
+        buffers = BufferSummary(now, counts,
+                                [math.inf if t is None else t for t in oldest])
         for kind in SchedulerKind:
             got = select_group(kind, groups, buffers)
             want = select_reference(kind.value, member_lists, counts, oldest,

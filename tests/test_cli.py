@@ -120,6 +120,8 @@ def test_non_finite_flags_rejected(argv, message, capsys):
     ({"scenario": {"wall_count": float("inf")}}, "wall_count must be finite"),
     # a fractional burst size once ran
     ({"traffic": {"burst_packets": 2.5}}, "burst_packets must be an integer, got 2.5"),
+    # a TXOP cap with no room for a slot once ran and delivered nothing
+    ({"timing": {"num_txops": 40, "txop_max_ms": 0.25}}, "txop_max_ms must exceed 289 us"),
 ])
 def test_non_finite_config_rejected(tmp_path, extra, message, capsys):
     path = _write_config(tmp_path, extra)  # json writes NaN, as it reads it

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -79,12 +80,43 @@ def test_timing_invariants():
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             simulation_config_from_dict({"timing": {name: float("nan")}})
     TimingConfig(slot_overhead_us=0.0, always_handshake=True)
-    # the 160 us handshake does not fit in a 100 us TXOP cap, nor in 160 us
-    for txop_max_ms in (0.1, 0.16):
+    # the 160 us handshake and one slot's 76 + 9 + 0 + 44 us of MAP-TF, Te,
+    # overhead and preamble do not fit in a cap of 289 us or less
+    for txop_max_ms in (0.1, 0.16, 0.161, 0.289):
         with pytest.raises(ValueError, match="handshake"):
             TimingConfig(txop_max_ms=txop_max_ms)
-    TimingConfig(txop_max_ms=0.161)
+    TimingConfig(txop_max_ms=math.nextafter(0.289, 1.0))
     assert TimingConfig().handshake_us == 80 + 9 + 62 + 9
+
+
+@pytest.mark.parametrize("frames", [
+    {}, {"slot_overhead_us": 100.0}, {"map_rts_us": 120.0, "te_us": 16.0},
+    {"phy_preamble_us": 20.0, "map_tf_us": 50.0}])
+def test_txop_cap_must_fit_one_slot(frames):
+    # A cap at or below handshake + MAP-TF + Te + overhead + preamble once
+    # ran: every backlogged TXOP charged the handshake and sent nothing. The
+    # cap is accepted exactly when run_txop's test before its first slot
+    # passes, checked on the floats next to the minimum.
+    t = TimingConfig(**frames)
+    minimum_us = (t.handshake_us + t.map_tf_us + t.te_us + t.slot_overhead_us
+                  + t.phy_preamble_us)
+    below = above = minimum_us * 1e-3
+    caps = [0.17, minimum_us * 0.9e-3, below]
+    for _ in range(3):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+        caps += [below, above]
+    accepted = []
+    for txop_max_ms in caps:
+        fits = (txop_max_ms * 1e3 - t.handshake_us - t.map_tf_us - t.te_us
+                - t.slot_overhead_us > t.phy_preamble_us)
+        if fits:
+            TimingConfig(txop_max_ms=txop_max_ms, **frames)
+            accepted.append(txop_max_ms)
+        else:
+            with pytest.raises(ValueError,
+                               match=f"txop_max_ms must exceed {minimum_us:g} us"):
+                TimingConfig(txop_max_ms=txop_max_ms, **frames)
+    assert 0.17 not in accepted and above in accepted
 
 
 @pytest.mark.parametrize("gamma_db", [float("nan"), float("inf"), -float("inf")])

@@ -83,7 +83,7 @@ def _queued_state(*queues):
     for ap, queue in enumerate(queues):
         state.requeued[ap] = [list(burst) for burst in queue]
         state.counts[ap] = sum(count for _, _, count in queue)
-        state.heads[ap] = queue[0][0] if queue else None
+        state.heads[ap] = queue[0][0] if queue else math.inf
     return state
 
 
@@ -219,7 +219,7 @@ def test_split_window_burst_stays_at_cursor_until_sent():
                                                           (1, 10, 0.0, 1)]
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (2, 0, [])
     assert state.bursts(0) == []
-    assert (state.counts[0], state.heads[0]) == (0, None)
+    assert (state.counts[0], state.heads[0]) == (0, math.inf)
 
 
 def test_skipped_split_burst_is_requeued_with_its_remainder():
@@ -299,7 +299,7 @@ def _view_from_buffers(state):
     """The controller view rebuilt from the bursts themselves."""
     queues = [state.bursts(ap) for ap in range(len(state.counts))]
     counts = [sum(batch[2] for batch in queue) for queue in queues]
-    heads = [queue[0][0] if queue else None for queue in queues]
+    heads = [queue[0][0] if queue else math.inf for queue in queues]
     return counts, heads
 
 
@@ -481,7 +481,7 @@ class _DequeBuffer:
 
     def view(self):
         return (sum(batch[2] for batch in self.batches),
-                self.batches[0][0] if self.batches else None)
+                self.batches[0][0] if self.batches else math.inf)
 
 
 def _loop_step_arrivals(buffers, deployment, traffic, arrival_prob, rng, now_s):

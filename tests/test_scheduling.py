@@ -1,5 +1,10 @@
+from functools import lru_cache
+from math import inf
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapcsim import (BufferSummary, ScenarioConfig, SchedulerKind,
                      build_environment, select_group)
@@ -17,7 +22,9 @@ def _group_set(member_lists):
 
 
 def _summary(counts, oldest, now=1.0):
-    return BufferSummary(now, counts, oldest)
+    """The view of `counts` and `oldest`, where None marks an empty buffer
+    (as the oracle takes it) and the view holds +inf."""
+    return BufferSummary(now, counts, [inf if t is None else t for t in oldest])
 
 
 SPEC_GROUPS = _group_set([(0,), (1,), (2,), (0, 2)])
@@ -248,3 +255,37 @@ def test_summed_group_adds_left_to_right():
     groups = _group_set([(2, 3), (0, 1, 2)])
     scores = [0.1, 0.2, 0.3, 0.3]
     assert _best_summed_group(groups, groups.contains_index[2], scores) == (0, 1, 2)
+
+
+@lru_cache(maxsize=3)
+def _stored_groups(rows):
+    """The stored groups of the seed-1 deployment on a rows x rows grid."""
+    env, _ = build_environment(ScenarioConfig(subarea_rows=rows, subarea_cols=rows),
+                               20.0, 3, 1)
+    return env.groups
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_oldest_head_pick_matches_exhaustive_scorer(data):
+    # Views as a run keeps them: a head exactly when the count is positive,
+    # heads whole periods apart (n * period, so many tie), the decision
+    # instant inside a TXOP, and some heads after it; in some views no head
+    # lies before it.
+    rows = data.draw(st.sampled_from([3, 6, 12]), label="rows")
+    groups = _stored_groups(rows)
+    n_aps, period = rows * rows, 0.005
+    txop = data.draw(st.integers(4, 20), label="txop")
+    consumed_us = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3000.0)),
+                            label="consumed_us")
+    now = txop * period + consumed_us * 1e-6
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=n_aps, max_size=n_aps),
+                       label="counts")
+    oldest_lag = data.draw(st.integers(-1, 4), label="oldest_lag")
+    lags = data.draw(st.lists(st.integers(-2, oldest_lag), min_size=n_aps,
+                              max_size=n_aps), label="lags")
+    oldest = [(txop - lag) * period if c else None for c, lag in zip(counts, lags)]
+    buf = _summary(counts, oldest, now)
+    for kind in (SchedulerKind.OLDPK_SINGLE, SchedulerKind.CTDMA_OLDPK):
+        assert select_group(kind, groups, buf) == select_reference(
+            kind.value, list(groups.member_tuples), counts, oldest, now), kind
