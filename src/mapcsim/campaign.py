@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import multiprocessing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
@@ -190,8 +189,15 @@ def run_campaign(campaign: Campaign, out_dir: str | Path | None = None,
     out.mkdir(parents=True, exist_ok=True)
     clear_memos()  # before any fork: each campaign builds its deployments anew
     if workers > 1:
+        import multiprocessing  # here, as a serial campaign needs no pool
+
+        # one deployment's runs per chunk, when that keeps every worker busy:
+        # enumerate_runs lists them together, so a worker builds each
+        # deployment it meets once
+        per_deployment = len(specs) // campaign.num_deployments
+        chunk = per_deployment if campaign.num_deployments >= workers else 1
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            rows = pool.map(execute_run, specs, chunksize=1)
+            rows = pool.map(execute_run, specs, chunksize=chunk)
     else:
         rows = [execute_run(spec) for spec in specs]
 

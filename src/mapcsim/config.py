@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from .channel import McsTable, default_mcs_table
+from .channel import McsTable, data_rate_bps, default_mcs_table
 
 
 def check_integer(name: str, value: Any) -> None:
@@ -180,6 +180,20 @@ class SimulationConfig:
             raise ValueError("max_group_size must be >= 1")
         if not math.isfinite(self.gamma_db):
             raise ValueError(f"gamma_db must be finite, got {self.gamma_db}")
+        # run_txop's first slot and plan_slot's fit test, in their float order:
+        # with less room than one packet at the top MCS, every backlogged TXOP
+        # is charged the handshake and sends nothing
+        handshake, txop_max, preamble, map_tf, te, overhead, _ = self.timing.txop_figures
+        top = len(self.mcs_table) - 1
+        packet_us = (self.traffic.packet_bits
+                     / data_rate_bps(top, self.mcs_table, self.timing) * 1e6)
+        room_us = txop_max - handshake - map_tf - te - overhead - preamble
+        if room_us / packet_us + 1e-9 < 1:
+            raise ValueError(
+                f"txop_max_ms {self.timing.txop_max_ms:g} leaves {room_us:g} us of slot "
+                f"room after the handshake and one slot's MAP-TF, Te, overhead and PHY "
+                f"preamble, less than the {packet_us:g} us one "
+                f"{self.traffic.packet_bytes} B packet takes at the top MCS ({top})")
 
 
 def _from_dict(cls: type, data: dict[str, Any]):

@@ -21,9 +21,12 @@ the station's in-group SINR allows, so an AP's airtime is one PHY preamble
 plus the sum of its segment times. The slot lasts as long as the busiest
 member; APs that finish early idle. The gap between the TXOP cap and the
 next period carries no simulated traffic (it is left to uncoordinated use).
-`plan_slot` reads each burst once and records what it takes; `deliver`
-books the delays from that record, `consume` moves the queues, and the
-segments are derived from it only when asked for.
+`plan_slot` reads each burst once and records what each AP takes from its
+window as one span (first and end burst, the packets of the first and
+last, any skipped); `deliver` moves each queue past a span in O(1) and
+books it as one record in typed columns, and the run expands the records
+into per-burst (delay, packets) pairs in one numpy pass after its last
+TXOP. The per-burst list and the segments are derived only when asked for.
 
 The controller's view of the buffers (queued packets and head-of-line
 arrival per AP, +inf for an empty buffer, so the AP with the oldest head is
@@ -44,6 +47,7 @@ deployment at a time, keyed by the values it was built from, and
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 from math import inf
 from typing import Any, Callable, Hashable, Mapping, Sequence
@@ -192,10 +196,40 @@ def step_arrivals(state: SimState, n: int) -> int:
 
 @dataclass
 class ApTransmission:
+    """What one member AP sends in a slot, as `plan_slot` records it: each
+    re-queued burst it sends from in `queued`, then the part of its window
+    it drains as one `span` (None when it sends nothing from the window):
+    (queue position of window burst `start`, start, end, first, last,
+    skipped). The span covers the window bursts [start, end) of the
+    schedule's lists; `first` packets are left in burst `start` and `last`
+    are taken from burst end - 1, the bursts between are sent whole, and
+    those listed in `skipped` are left buffered (their station unservable
+    in the scheduled set)."""
+
     ap: int
-    taken: list[tuple[int, int, float, int]]  # (queue pos, count, arrival_s, station)
+    queued: list[tuple[int, int, float, int]]  # (queue pos, count, arrival_s, station)
+    span: tuple[int, int, int, int, int, list[int]] | None
+    packets: int                             # packets sent, queued and window
     airtime_us: float                        # preamble + A-MPDU segment times
     rates: Mapping[int, tuple[int, float] | None]  # the AP's link airtimes
+    source: SimState                         # whose schedule the span indexes
+
+    @property
+    def taken(self) -> list[tuple[int, int, float, int]]:
+        """(queue pos, count, arrival_s, station) per burst sent from, in
+        queue order: `queued`, then the span's bursts less the skipped."""
+        taken = list(self.queued)
+        if self.span is not None:
+            pos, start, end, first, last, skipped = self.span
+            source = self.source
+            stations, txops, period = source.stations, source.txops, source.period_s
+            n = first
+            for i in range(start, end):
+                if i not in skipped:
+                    taken.append((pos + i - start, last if i == end - 1 else n,
+                                  txops[i] * period, stations[i]))
+                n = source.burst_packets
+        return taken
 
     @property
     def segments(self) -> list[tuple[int, int, int]]:
@@ -214,7 +248,7 @@ class SlotPlan:
 
     @property
     def packets(self) -> int:
-        return sum(k for tx in self.transmissions for _, k, _, _ in tx.taken)
+        return sum(tx.packets for tx in self.transmissions)
 
 
 def plan_slot(members: Sequence[int], state: SimState,
@@ -228,8 +262,9 @@ def plan_slot(members: Sequence[int], state: SimState,
     per AP, over its re-queued bursts and then its window (see SimState):
     the first packet that does not fit ends that AP's drain (a burst may be
     cut mid-way); packets to stations without a usable MCS are left
-    buffered and skipped over. Each AP's `taken` records every burst it
-    sends from. Returns None when nothing fits at all.
+    buffered and skipped over. Each AP's transmission records the re-queued
+    bursts it sends from one by one and its window part as one span (see
+    ApTransmission). Returns None when nothing fits at all.
     """
     cap_us = budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
     preamble_us = timing.phy_preamble_us
@@ -238,12 +273,13 @@ def plan_slot(members: Sequence[int], state: SimState,
     transmissions: list[ApTransmission] = []
     duration = 0.0
     requeued, cursor, arrived, sent = state.requeued, state.cursor, state.arrived, state.sent
-    stations, txops, period = state.stations, state.txops, state.period_s
-    burst = state.burst_packets
+    stations, burst = state.stations, state.burst_packets
     for ap in members:
         rates = link_airtimes[ap]
         acc = preamble_us
-        taken: list[tuple[int, int, float, int]] = []
+        queued: list[tuple[int, int, float, int]] = []
+        packets = 0
+        span = None
         batches = requeued[ap]
         # with integer n, k is min(n, int(room)): the packets that fit
         for pos, (arrival, sta, n) in enumerate(batches):
@@ -256,29 +292,47 @@ def plan_slot(members: Sequence[int], state: SimState,
                 break
             k = n if room >= n else int(room)
             acc += k * per_packet
-            taken.append((pos, k, arrival, sta))
+            queued.append((pos, k, arrival, sta))
+            packets += k
             if k < n:
                 break
         else:
             start = cursor[ap]
-            offset = len(batches) - start  # window burst i is at position offset + i
-            n = burst - sent[ap]  # the burst at the cursor may be part-sent
-            for i in range(start, arrived[ap]):
-                sta = stations[i]
-                entry = rates.get(sta)
-                if entry is not None:
-                    per_packet = entry[1]
-                    room = (cap_us - acc) / per_packet + 1e-9
-                    if room < 1:
-                        break
-                    k = n if room >= n else int(room)
-                    acc += k * per_packet
-                    taken.append((offset + i, k, txops[i] * period, sta))
-                    if k < n:
-                        break
+            first = n = burst - sent[ap]  # the burst at the cursor may be part-sent
+            end = arrived[ap]
+            last = 0  # set when the drain cuts burst end - 1
+            skipped: list[int] = []
+            for i in range(start, end):
+                entry = rates.get(stations[i])
+                if entry is None:
+                    skipped.append(i)
+                    n = burst
+                    continue
+                per_packet = entry[1]
+                room = (cap_us - acc) / per_packet + 1e-9
+                if room < n:
+                    if room >= 1:
+                        last = int(room)
+                        acc += last * per_packet
+                        end = i + 1
+                    else:
+                        end = i
+                    break
+                acc += n * per_packet
                 n = burst
-        if taken:
-            transmissions.append(ApTransmission(ap, taken, acc, rates))
+            if not last:
+                while skipped and skipped[-1] == end - 1:  # they stay in the window
+                    skipped.pop()
+                    end -= 1
+                last = first if end - 1 == start else burst
+            if end > start:
+                span = (len(batches), start, end, first, last, skipped)
+                packets += (end - start - len(skipped) - 1) * burst + last
+                if end - 1 > start and (not skipped or skipped[0] != start):
+                    packets -= burst - first
+        if packets:
+            transmissions.append(ApTransmission(ap, queued, span, packets, acc, rates,
+                                                state))
             if acc > duration:
                 duration = acc
     if not transmissions:
@@ -304,7 +358,7 @@ class SimState:
     AP a's FIFO is `requeued[a]`, then the window [cursor[a], arrived[a])
     of its list in the run's schedule, read through `stations` and `txops`
     (global indices, from ap_bounds[a]). `step_arrivals` moves `arrived[a]`
-    and `consume` moves `cursor[a]`. Window bursts are bursts of
+    and `deliver` moves `cursor[a]`. Window bursts are bursts of
     `burst_packets`, read where they lie in the schedule, less the `sent[a]`
     packets a slot that cut the burst at the cursor has sent. `requeued[a]`
     holds mutable [arrival_s, station, count] entries: the window bursts a
@@ -312,9 +366,15 @@ class SimState:
     part-sent one with its remainder. `counts` and `heads` are the
     controller's view: queued packets and head-of-line arrival time (+inf
     when empty, so the oldest head is min(heads)) per AP, kept current by
-    step_arrivals and consume. `view` is the run's one `BufferSummary` over
+    step_arrivals and deliver. `view` is the run's one `BufferSummary` over
     those two live lists; run_txop moves its `now` to each slot decision
     instant.
+
+    `deliver` books what it sends in typed columns, one record per window
+    span or re-queued burst: `booked_at` holds the span's delivery time (a
+    re-queued burst's delay), `booked_lo`/`booked_hi` its window bursts
+    (-1/0 for a re-queued burst), `booked_head`/`booked_tail` the packets
+    of its first and last burst. `delay_pairs` expands them.
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
@@ -328,6 +388,7 @@ class SimState:
         self.arrived: list[int] = list(self.cursor)
         self.sent: list[int] = [0] * num_aps
         self.requeued: list[list[list]] = [[] for _ in range(num_aps)]
+        self.fifo_txops = arrivals.fifo_txops
         # memoryviews index to Python ints
         self.stations = memoryview(arrivals.fifo_stations)
         self.txops = memoryview(arrivals.fifo_txops)
@@ -337,8 +398,12 @@ class SimState:
         self.period_s = period_s
         self.link_airtimes = link_airtimes
         self.packet_bytes = traffic.packet_bytes
-        self.delay_values: list[float] = []
-        self.delay_counts: list[int] = []
+        self.booked_at = array("d")
+        self.booked_lo, self.booked_hi = array("q"), array("q")
+        self.booked_head, self.booked_tail = array("q"), array("q")
+        self.appenders = tuple(column.append for column in (
+            self.booked_at, self.booked_lo, self.booked_hi, self.booked_head,
+            self.booked_tail))
         self.packets_arrived = 0
         self.delivery_log: list[tuple[int, Packet, int]] | None = None
 
@@ -356,60 +421,99 @@ class SimState:
         return ([list(batch) for batch in self.requeued[ap]]
                 + self._window(self.cursor[ap], self.arrived[ap], self.sent[ap]))
 
-    def consume(self, ap: int, taken: Sequence[tuple[int, int, float, int]]) -> None:
-        """Move AP `ap`'s FIFO past what plan_slot `taken` from it. Queue
-        position p is requeued[ap][p], or window burst
-        cursor[ap] + p - len(requeued[ap]).
+    def _book(self, *record: float) -> None:
+        """Book (at, lo, hi, head, tail), one value per column."""
+        for append, value in zip(self.appenders, record):
+            append(value)
 
-        Bursts skipped by the plan (stations unservable in the scheduled
-        set) stay buffered in their original order: the window ones are
-        re-queued, and the cursor passes the last planned burst, or stays on
-        it with its `sent` count when the plan split it.
-        """
+    def _take_queued(self, ap: int, queued: Sequence[tuple[int, int, float, int]],
+                     delivery_time_s: float) -> None:
+        """Book the re-queued bursts a slot sends from and drop what it sent."""
         batches = self.requeued[ap]
-        queued = len(batches)
-        cursor, sent, burst = self.cursor[ap], self.sent[ap], self.burst_packets
-        first = cursor - queued  # window burst first + pos is at position pos
-        removed = 0
-        for pos, k, _, _ in taken:
-            removed += k
-            if pos < queued:
-                continue
-            i = first + pos
-            if i > cursor:  # skipped bursts go behind the old batches
-                batches += self._window(cursor, i, sent)
-                cursor, sent = i, 0
-            sent += k
-            if sent == burst:
-                cursor, sent = cursor + 1, 0
-        if queued:
-            # back to front, so deleting a burst leaves the earlier positions valid
-            for pos, k, _, _ in reversed(taken):
-                if pos >= queued:
-                    continue
-                if k == batches[pos][2]:
-                    del batches[pos]
-                else:
-                    batches[pos][2] -= k
-        self.cursor[ap], self.sent[ap] = cursor, sent
-        self.counts[ap] -= removed
-        self.heads[ap] = (batches[0][0] if batches
-                          else self.txops[cursor] * self.period_s
-                          if cursor < self.arrived[ap] else inf)
+        for _, k, arrival, _ in queued:
+            self._book(delivery_time_s - arrival, -1, 0, k, k)
+        # back to front, so deleting a burst leaves the earlier positions valid
+        for pos, k, _, _ in reversed(queued):
+            if k == batches[pos][2]:
+                del batches[pos]
+            else:
+                batches[pos][2] -= k
+
+    def _skip(self, ap: int, span: tuple[int, int, int, int, int, list[int]],
+              delivery_time_s: float) -> None:
+        """Book a span with skipped bursts as its runs between them, and
+        re-queue the skipped ones in their order."""
+        _, start, end, first, last, skipped = span
+        burst, period = self.burst_packets, self.period_s
+        lo = start
+        for i in skipped + [end]:
+            if i > lo:
+                self._book(delivery_time_s, lo, i, first if lo == start else burst,
+                           last if i == end else first if i - 1 == start else burst)
+            lo = i + 1
+        self.requeued[ap] += [[self.txops[i] * period, self.stations[i],
+                               first if i == start else burst] for i in skipped]
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
-        """Book the delays of what `plan` sends and remove it from the FIFOs."""
-        values, counts = self.delay_values.append, self.delay_counts.append
+        """Book what `plan` sends and move each AP's FIFO past it: a window
+        span in O(1), re-queued and skipped bursts one by one. A burst the
+        plan cut stays at the cursor with its `sent` count."""
         log = self.delivery_log
+        cursor, sent, burst = self.cursor, self.sent, self.burst_packets
+        at, lo, hi, head, tail = self.appenders
         for tx in plan.transmissions:
-            taken = tx.taken
-            for _, k, arrival, _ in taken:
-                values(delivery_time_s - arrival)
-                counts(k)
+            ap = tx.ap
             if log is not None:
-                log += [(tx.ap, Packet(arrival, sta, self.packet_bytes, delivery_time_s), k)
-                        for _, k, arrival, sta in taken]
-            self.consume(tx.ap, taken)
+                log += [(ap, Packet(arrival, sta, self.packet_bytes, delivery_time_s), k)
+                        for _, k, arrival, sta in tx.taken]
+            if tx.queued:
+                self._take_queued(ap, tx.queued, delivery_time_s)
+            span = tx.span
+            if span is not None:
+                _, start, end, first, last, skipped = span
+                if skipped:
+                    self._skip(ap, span, delivery_time_s)
+                else:
+                    at(delivery_time_s)
+                    lo(start)
+                    hi(end)
+                    head(first)
+                    tail(last)
+                whole = first if end - 1 == start else burst
+                if last == whole:
+                    cursor[ap], sent[ap] = end, 0
+                else:
+                    cursor[ap], sent[ap] = end - 1, burst - whole + last
+            self.counts[ap] -= tx.packets
+            batches = self.requeued[ap]
+            self.heads[ap] = (batches[0][0] if batches
+                              else self.txops[cursor[ap]] * self.period_s
+                              if cursor[ap] < self.arrived[ap] else inf)
+
+    def delay_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(delay_s, packets) per burst sent from, in the order sent: the
+        booked records expanded in one numpy pass. A window burst's delay is
+        its span's delivery time less txops[i] * period, the product
+        plan_slot's arrival times are made of."""
+        if not self.booked_at:
+            return np.empty(0), np.empty(0, np.int64)
+        lo, hi, head, tail = (np.frombuffer(column, np.int64) for column in (
+            self.booked_lo, self.booked_hi, self.booked_head, self.booked_tail))
+        lengths = hi - lo
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        index = np.repeat(lo - starts, lengths)
+        index += np.arange(ends[-1])  # each record's window bursts, -1 when re-queued
+        counts = np.full(ends[-1], self.burst_packets, np.int64)
+        counts[starts] = head
+        counts[ends - 1] = tail  # after head: a one-burst span's packets
+        delays = np.repeat(np.frombuffer(self.booked_at, np.float64), lengths)
+        windowed = index >= 0
+        if windowed.all():
+            delays -= self.fifo_txops[index] * self.period_s
+        else:
+            delays[windowed] -= self.fifo_txops[index[windowed]] * self.period_s
+        return delays, counts
 
 
 def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
@@ -603,15 +707,16 @@ def run_simulation(config: SimulationConfig,
         if txop_trace is not None:
             txop_trace.append(record)
 
-    if state.delay_values:
-        delays = np.repeat(np.asarray(state.delay_values),
-                           np.asarray(state.delay_counts))
-        delays_sorted = np.sort(delays)
-        mean_delay = float(delays.mean())
+    values, counts = state.delay_pairs()
+    delivered = int(counts.sum())
+    if delivered:
+        delays_sorted = np.repeat(values, counts)
+        del values, counts
+        mean_delay = float(delays_sorted.mean())  # in the order sent, before the sort
+        delays_sorted.sort()
     else:
         delays_sorted = np.empty(0)
         mean_delay = float("nan")
-    delivered = sum(state.delay_counts)
     sim_time_s = timing.num_txops * timing.period_s
     return MetricsReport(
         throughput_bps=delivered * traffic.packet_bits / sim_time_s,

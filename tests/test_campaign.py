@@ -217,6 +217,33 @@ def test_pool_workers_build_each_deployment_at_most_once(monkeypatch, tmp_path):
     builds = multiprocessing.get_context("fork").Value("i", 0)
     _count_calls(monkeypatch, engine, "generate_grid_deployment", builds)
     pooled = run_campaign(campaign, out_dir=tmp_path / "pool", workers=2)
-    assert campaign.num_deployments <= builds.value <= 2 * campaign.num_deployments
+    # each worker gets whole deployments, so none is built twice
+    assert builds.value == campaign.num_deployments
+    for name, path in serial.items():
+        assert path.read_bytes() == pooled[name].read_bytes(), name
+
+
+@pytest.mark.parametrize("num_deployments, axes, builds_wanted", [
+    # a chunk holds every load, gamma and K of its deployment: one build
+    # per (deployment, gamma, K), as with one worker
+    (3, dict(loads_mbps=(1.0, 8.0), gammas_db=(5.0, 20.0)), (6, 6)),
+    # fewer deployments than workers: runs are handed out one by one, and
+    # both workers may build the deployment
+    (1, dict(loads_mbps=(8.0,)), (1, 2)),
+], ids=["whole-deployments", "one-deployment"])
+def test_pool_chunks_follow_deployments(monkeypatch, tmp_path, num_deployments,
+                                        axes, builds_wanted):
+    campaign = Campaign(timing=TimingConfig(num_txops=20),
+                        num_deployments=num_deployments, base_seed=6, **axes)
+    context = multiprocessing.get_context("fork")
+    serial_builds, pooled_builds = context.Value("i", 0), context.Value("i", 0)
+    _count_calls(monkeypatch, engine, "generate_grid_deployment", serial_builds)
+    serial = run_campaign(campaign, out_dir=tmp_path / "serial", workers=1)
+    monkeypatch.undo()
+    _count_calls(monkeypatch, engine, "generate_grid_deployment", pooled_builds)
+    pooled = run_campaign(campaign, out_dir=tmp_path / "pool", workers=2)
+    low, high = builds_wanted
+    assert serial_builds.value == low
+    assert low <= pooled_builds.value <= high
     for name, path in serial.items():
         assert path.read_bytes() == pooled[name].read_bytes(), name

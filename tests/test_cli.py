@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import subprocess
 import sys
 from dataclasses import replace
@@ -122,6 +123,9 @@ def test_non_finite_flags_rejected(argv, message, capsys):
     ({"traffic": {"burst_packets": 2.5}}, "burst_packets must be an integer, got 2.5"),
     # a TXOP cap with no room for a slot once ran and delivered nothing
     ({"timing": {"num_txops": 40, "txop_max_ms": 0.25}}, "txop_max_ms must exceed 289 us"),
+    # nor did a cap with room for a slot's frames but not for one packet
+    ({"timing": {"num_txops": 40, "txop_max_ms": 0.3}},
+     "less than the 92.9915 us one 1500 B packet takes at the top MCS (10)"),
 ])
 def test_non_finite_config_rejected(tmp_path, extra, message, capsys):
     path = _write_config(tmp_path, extra)  # json writes NaN, as it reads it
@@ -190,7 +194,7 @@ def test_campaign_rejects_workers_below_one(workers, tmp_path, monkeypatch, caps
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(mapcsim.campaign.multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps({"timing": {"num_txops": 10},
                                 "campaign": {"num_deployments": 1}}))

@@ -1,13 +1,16 @@
 import json
 import math
+import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mapcsim import (Campaign, ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig, load_campaign, load_simulation_config,
-                     save_simulation_config)
+from mapcsim import (Campaign, McsTable, ScenarioConfig, SimulationConfig,
+                     TimingConfig, TrafficConfig, data_rate_bps,
+                     default_mcs_table, load_campaign, load_simulation_config,
+                     run_simulation, save_simulation_config)
 from mapcsim.campaign import campaign_from_dict
 from mapcsim.config import simulation_config_from_dict
 
@@ -117,6 +120,65 @@ def test_txop_cap_must_fit_one_slot(frames):
                                match=f"txop_max_ms must exceed {minimum_us:g} us"):
                 TimingConfig(txop_max_ms=txop_max_ms, **frames)
     assert 0.17 not in accepted and above in accepted
+
+
+def _smallest_accepted(accepts, rejected, accepted):
+    """The smallest positive float in (rejected, accepted] that `accepts`,
+    monotone in its argument, takes: a bisection over the float bit patterns,
+    which order like the floats."""
+    lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (rejected, accepted))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accepts(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            hi = mid
+        else:
+            lo = mid
+    return struct.unpack("<d", struct.pack("<q", hi))[0]
+
+
+@pytest.mark.parametrize("frames, traffic, mcs_table", [
+    ({}, TrafficConfig(), default_mcs_table()),
+    ({"slot_overhead_us": 100.0, "te_us": 16.0}, TrafficConfig(packet_bytes=400),
+     default_mcs_table()),
+    # a table whose top MCS is slower: the room must hold one of its packets
+    ({}, TrafficConfig(), McsTable(default_mcs_table().entries[:4])),
+], ids=["default", "frames-and-packet", "mcs-table"])
+def test_slot_room_must_fit_one_packet(frames, traffic, mcs_table):
+    # A cap with room for a slot's frames but not for one packet once ran:
+    # txop_max_ms=0.3 charged five TXOPs 160 us each and delivered 0 of 190
+    # packets. The cap is accepted exactly when the first slot's room, after
+    # the handshake, MAP-TF, Te, overhead and preamble, holds one packet at
+    # the top MCS, checked on the floats next to the minimum.
+    def config(txop_max_ms, num_txops=1):
+        return SimulationConfig(
+            ScenarioConfig(subarea_rows=1, subarea_cols=1, stations_per_subarea=1),
+            TimingConfig(txop_max_ms=txop_max_ms, num_txops=num_txops, **frames),
+            replace(traffic, load_bps_per_sta=0.99 * traffic.burst_packets
+                    * traffic.packet_bits / 5e-3),
+            mcs_table=mcs_table, seed=3)
+
+    def accepts(txop_max_ms):
+        try:
+            config(txop_max_ms)
+        except ValueError:
+            return False
+        return True
+
+    minimum = _smallest_accepted(accepts, 0.01, 4.9)
+    t = TimingConfig(**frames)
+    packet_us = traffic.packet_bits / data_rate_bps(len(mcs_table) - 1, mcs_table, t) * 1e6
+    fixed_us = t.handshake_us + t.map_tf_us + t.te_us + t.slot_overhead_us + t.phy_preamble_us
+    assert minimum * 1e3 == pytest.approx(fixed_us + packet_us, abs=1e-6)
+    below = math.nextafter(minimum, 0.0)
+    with pytest.raises(ValueError, match=f"less than the {packet_us:g} us one "
+                                         f"{traffic.packet_bytes} B packet"):
+        config(below)
+    # the lone station is at the top MCS: every TXOP charged the handshake
+    # sends a packet
+    records = []
+    run_simulation(config(minimum, num_txops=20), txop_trace=records)
+    charged = [rec for rec in records if rec.handshake_us]
+    assert charged and all(rec.packets_delivered == 1 for rec in charged)
 
 
 @pytest.mark.parametrize("gamma_db", [float("nan"), float("inf"), -float("inf")])

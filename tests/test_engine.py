@@ -123,7 +123,7 @@ def test_plan_slot_splits_burst_at_budget():
     plan = plan_slot((0,), state, _one_ap_airtimes(), TIM, budget_us=budget)
     (tx,) = plan.transmissions
     assert tx.taken == [(0, 7, 0.0, 0)]
-    state.consume(0, tx.taken)
+    state.deliver(plan, 0.0)
     assert state.counts[0] == 3
     assert state.requeued[0][0] == [0.0, 0, 3]  # remainder keeps its arrival time
 
@@ -136,7 +136,7 @@ def test_plan_slot_skips_unservable_station():
     (tx,) = plan.transmissions
     assert tx.segments == [(1, 7, 2)]
     assert tx.taken == [(1, 2, 1.0, 1)]
-    state.consume(0, tx.taken)
+    state.deliver(plan, 0.0)
     # the unservable burst stays buffered, still first in line
     assert state.counts[0] == 2
     assert state.requeued[0] == [[0.0, 0, 2]]
@@ -172,18 +172,20 @@ def test_ap_buffer_consume_across_batches():
     bursts = [(0.0, 0, 4), (0.5, 1, 2), (1.0, 0, 3)]
     state = _queued_state(bursts)
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    (tx,) = plan_slot((0,), state, airtimes, TIM, _budget_for(7)).transmissions
+    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(7))
+    (tx,) = plan.transmissions
     assert tx.taken == [(0, 4, 0.0, 0), (1, 2, 0.5, 1), (2, 1, 1.0, 0)]
-    state.consume(0, tx.taken)
+    state.deliver(plan, 0.0)
     assert state.counts[0] == 2
     assert state.requeued[0] == [[1.0, 0, 2]]
 
     # a skipped middle burst stays ahead of the split remainder
     state = _queued_state(bursts)
     airtimes[0][1] = None
-    (tx,) = plan_slot((0,), state, airtimes, TIM, _budget_for(5)).transmissions
+    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(5))
+    (tx,) = plan.transmissions
     assert tx.taken == [(0, 4, 0.0, 0), (2, 1, 1.0, 0)]
-    state.consume(0, tx.taken)
+    state.deliver(plan, 0.0)
     assert state.counts[0] == 4
     assert state.requeued[0] == [[0.5, 1, 2], [1.0, 0, 2]]
 
@@ -200,22 +202,23 @@ def _window_state(num_stations, num_txops):
     return state
 
 
-def _plan_and_consume(state, airtimes, budget):
-    (tx,) = plan_slot((0,), state, airtimes, TIM, budget).transmissions
-    state.consume(0, tx.taken)
+def _plan_and_deliver(state, airtimes, budget):
+    plan = plan_slot((0,), state, airtimes, TIM, budget)
+    state.deliver(plan, 0.0)
+    (tx,) = plan.transmissions
     return tx.taken
 
 
 def test_split_window_burst_stays_at_cursor_until_sent():
     state = _window_state(num_stations=2, num_txops=1)
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    assert _plan_and_consume(state, airtimes, _budget_for(7)) == [(0, 7, 0.0, 0)]
+    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(0, 7, 0.0, 0)]
     # the cut burst stays in the window, its 7 sent packets counted aside
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (0, 7, [])
     assert state.bursts(0) == [[0.0, 0, 3], [0.0, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (13, 0.0)
     # the next slot takes the remainder, then the next burst
-    assert _plan_and_consume(state, airtimes, 3000.0) == [(0, 3, 0.0, 0),
+    assert _plan_and_deliver(state, airtimes, 3000.0) == [(0, 3, 0.0, 0),
                                                           (1, 10, 0.0, 1)]
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (2, 0, [])
     assert state.bursts(0) == []
@@ -226,21 +229,83 @@ def test_skipped_split_burst_is_requeued_with_its_remainder():
     state = _window_state(num_stations=2, num_txops=2)
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    assert _plan_and_consume(state, airtimes, _budget_for(7)) == [(0, 7, 0.0, 0)]
+    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(0, 7, 0.0, 0)]
     # station 0 is unservable in the next slot, so its part-sent burst is
     # skipped; the budget ends the drain after station 1's first burst
     airtimes[0][0] = None
-    assert _plan_and_consume(state, airtimes, _budget_for(10)) == [(1, 10, 0.0, 1)]
+    assert _plan_and_deliver(state, airtimes, _budget_for(10)) == [(1, 10, 0.0, 1)]
     assert state.requeued[0] == [[0.0, 0, 3]]
     assert (state.cursor[0], state.sent[0]) == (2, 0)
     assert state.bursts(0) == [[0.0, 0, 3], [period, 0, 10], [period, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (23, 0.0)
     # re-queued bursts drain first; the remainder keeps its arrival time
     airtimes[0][0] = (7, PKT_US_MCS7)
-    assert _plan_and_consume(state, airtimes, _budget_for(13)) == [
+    assert _plan_and_deliver(state, airtimes, _budget_for(13)) == [
         (0, 3, 0.0, 0), (1, 10, period, 0)]
     assert state.bursts(0) == [[period, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (10, period)
+
+
+def _pairs(state):
+    values, counts = state.delay_pairs()
+    return list(zip(values.tolist(), counts.tolist()))
+
+
+def test_span_with_skipped_bursts_books_the_runs_between_them():
+    # window: (TXOP 0: stations 0, 1, 2), (TXOP 1: 0, 1, 2); a hand-made
+    # re-queued burst to station 2 goes first; station 1 is unservable
+    state = _window_state(num_stations=3, num_txops=2)
+    period = TIM.period_s
+    state.requeued[0] = [[-period, 2, 4]]
+    state.counts[0] += 4
+    state.heads[0] = -period
+    airtimes = _one_ap_airtimes(stations=(0, 1, 2))
+    airtimes[0][1] = None
+    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(37))
+    (tx,) = plan.transmissions
+    assert tx.queued == [(0, 4, -period, 2)]
+    # (queue position of window burst 0, start, end, first, last, skipped):
+    # the budget cuts burst 5 after 3 packets
+    assert tx.span == (1, 0, 6, 10, 3, [1, 4])
+    assert tx.packets == plan.packets == 37
+    assert tx.taken == [(0, 4, -period, 2), (1, 10, 0.0, 0), (3, 10, 0.0, 2),
+                        (4, 10, period, 0), (6, 3, period, 2)]
+    state.deliver(plan, 0.02)
+    assert _pairs(state) == [(0.02 + period, 4), (0.02, 10), (0.02, 10),
+                             (0.02 - period, 10), (0.02 - period, 3)]
+    # the skipped bursts are re-queued in order, the cut one stays at the cursor
+    assert state.requeued[0] == [[0.0, 1, 10], [period, 1, 10]]
+    assert (state.cursor[0], state.sent[0]) == (5, 3)
+    assert state.bursts(0) == [[0.0, 1, 10], [period, 1, 10], [period, 2, 7]]
+    assert (state.counts[0], state.heads[0]) == (27, 0.0)
+
+
+def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
+    state = _window_state(num_stations=2, num_txops=2)
+    period = TIM.period_s
+    airtimes = _one_ap_airtimes(stations=(0, 1))
+    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(7))
+    assert plan.transmissions[0].span == (0, 0, 1, 10, 7, [])
+    state.deliver(plan, 0.001)
+    # station 0 unservable: its part-sent burst 0 and burst 2 are skipped
+    airtimes[0][0] = None
+    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(15))
+    assert plan.transmissions[0].span == (0, 0, 4, 3, 5, [0, 2])
+    state.deliver(plan, 0.002)
+    assert state.requeued[0] == [[0.0, 0, 3], [period, 0, 10]]
+    assert (state.cursor[0], state.sent[0]) == (3, 5)
+    # station 1 unservable: the re-queued bursts go, and the window's one
+    # burst, skipped after them, stays in the window
+    airtimes[0][0], airtimes[0][1] = (7, PKT_US_MCS7), None
+    plan = plan_slot((0,), state, airtimes, TIM, 3000.0)
+    (tx,) = plan.transmissions
+    assert (tx.queued, tx.span) == ([(0, 3, 0.0, 0), (1, 10, period, 0)], None)
+    state.deliver(plan, 0.003)
+    assert _pairs(state) == [(0.001, 7), (0.002, 10), (0.002 - period, 5),
+                             (0.003, 3), (0.003 - period, 10)]
+    assert state.requeued[0] == []
+    assert state.bursts(0) == [[period, 1, 5]]
+    assert (state.counts[0], state.heads[0]) == (5, period)
 
 
 def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0,
@@ -584,7 +649,7 @@ def test_cursor_queue_matches_deque_fifo(data):
                 # every recorded burst is the one the reference FIFO hands out
                 assert ([(arrival, sta, k) for _, k, arrival, sta in tx.taken]
                         == ref[tx.ap].consume(consume))
-                state.consume(tx.ap, tx.taken)
+            state.deliver(plan, n * TIM.period_s + 1.0)
             assert_same_queues()
 
 

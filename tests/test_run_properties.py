@@ -1,7 +1,7 @@
 """Whole-run properties over small random configs: every scheduler kind on
 grids of 1x1 to 4x4 APs, with random load, burst size, TXOP cap and
-handshake switch, up to 200 TXOPs per run; per-station FIFO order also on
-weak links and below the MCS-0 threshold."""
+handshake switch, up to 200 TXOPs per run; per-station FIFO order and the
+booked delays also on weak links and below the MCS-0 threshold."""
 
 import warnings
 from dataclasses import replace
@@ -25,8 +25,9 @@ def configs(draw):
     top_load = 0.99 * burst * PACKET_BITS / period_s
     load = draw(st.floats(0.0, top_load), label="load_bps_per_sta")
     timing = TimingConfig(
-        # above the 289 us of handshake and one slot's fixed frames
-        txop_max_ms=draw(st.floats(0.289, 4.9, exclude_min=True), label="txop_max_ms"),
+        # above the 382 us of handshake, one slot's fixed frames and one
+        # 1500 B packet at the top MCS
+        txop_max_ms=draw(st.floats(0.382, 4.9), label="txop_max_ms"),
         num_txops=draw(st.integers(1, 200), label="num_txops"),
         always_handshake=draw(st.booleans(), label="always_handshake"))
     scenario = ScenarioConfig(subarea_rows=draw(st.integers(1, 4), label="rows"),
@@ -101,3 +102,42 @@ def test_each_station_gets_its_bursts_in_arrival_order(config, geometry):
                         assert arrival_s >= last_arrival.get(sta, arrival_s), (
                             kind, n, sta)
                         last_arrival[sta] = arrival_s
+
+
+def _trace_delays(records, timing):
+    """Every burst's (delay, packets) rebuilt from the trace: each slot's
+    delivery instant summed as run_txop sums it, less the arrival time of
+    each burst the slot sent from."""
+    slot_us = timing.map_tf_us + timing.te_us + timing.slot_overhead_us
+    values, counts = [], []
+    for rec in records:
+        consumed = rec.handshake_us
+        for slot in rec.slots:
+            consumed += slot_us + slot.duration_us
+            delivery_s = rec.start_time_s + consumed * 1e-6
+            for tx in slot.transmissions:
+                for _, k, arrival_s, _ in tx.taken:
+                    values.append(delivery_s - arrival_s)
+                    counts.append(k)
+    return np.repeat(np.asarray(values, dtype=float), np.asarray(counts, dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs(), st.sampled_from(GEOMETRIES))
+def test_booked_delays_equal_the_trace(config, geometry):
+    # the run books a span per AP and slot and expands the spans after its
+    # last TXOP; the trace lists every burst, so the two must agree exactly
+    side_m, walls, gamma_db = geometry
+    scenario = replace(config.scenario, subarea_side_m=side_m, wall_count=walls)
+    for kind in SCHEDULER_NAMES:
+        run = SimulationConfig(scenario, config.timing, config.traffic,
+                               gamma_db=gamma_db, scheduler=kind, seed=config.seed)
+        records = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # gamma below MCS 0
+            report = run_simulation(run, txop_trace=records)
+        delays = _trace_delays(records, config.timing)
+        assert len(delays) == report.packets_delivered, kind
+        assert np.array_equal(np.sort(delays), report.delays_sorted_s), kind
+        if len(delays):
+            assert float(delays.mean()) == report.mean_delay_s, kind
