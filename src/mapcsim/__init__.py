@@ -13,10 +13,10 @@ from .channel import (McsEntry, McsTable, build_rssi_matrix, data_rate_bps,
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
                      TrafficConfig, load_simulation_config,
                      save_simulation_config)
-from .engine import (ArrivalSchedule, Environment, MetricsReport, Packet,
-                     SlotPlan, TxopRecord, arrival_probability,
-                     build_environment, draw_arrivals, plan_slot,
-                     run_simulation, run_txop, step_arrivals)
+from .engine import (ArrivalSchedule, Environment, MetricsReport, SlotPlan,
+                     TxopRecord, arrival_probability, build_environment,
+                     draw_arrivals, plan_slot, run_simulation, run_txop,
+                     step_arrivals)
 from .grouping import (Group, GroupSet, build_all_groups, build_group,
                        candidate_order)
 from .scenario import (Deployment, generate_grid_deployment,

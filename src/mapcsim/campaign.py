@@ -182,6 +182,7 @@ def run_campaign(campaign: Campaign, out_dir: str | Path | None = None,
     Returns the written file paths. Output rows follow run-index order even
     when a worker pool is used, so reruns are byte-identical.
     """
+    check_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     specs = enumerate_runs(campaign)

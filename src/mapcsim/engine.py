@@ -26,7 +26,10 @@ window as one span (first and end burst, the packets of the first and
 last, any skipped); `deliver` moves each queue past a span in O(1) and
 books it as one record in typed columns, and the run expands the records
 into per-burst (delay, packets) pairs in one numpy pass after its last
-TXOP. The per-burst list and the segments are derived only when asked for.
+TXOP. Skipped bursts are re-queued as [schedule index, count], so every
+burst reads its arrival and station from the schedule, and a re-queued
+burst is booked as a span of one: there is one record kind. The
+per-burst list and the segments are derived only when asked for.
 
 The controller's view of the buffers (queued packets and head-of-line
 arrival per AP, +inf for an empty buffer, so the AP with the oldest head is
@@ -57,7 +60,7 @@ import numpy as np
 from .channel import (McsTable, build_rssi_matrix, data_rate_bps,
                       group_sinr_db, select_mcs)
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig)
+                     TrafficConfig, check_integer)
 from .grouping import GroupSet, build_all_groups
 from .scenario import Deployment, generate_grid_deployment
 from .scheduling import BufferSummary, SchedulerKind, select_group
@@ -69,24 +72,18 @@ from .stats import nearest_rank
 LinkAirtimes = Mapping[int, Mapping[int, "tuple[int, float] | None"]]
 
 
-@dataclass(frozen=True)
-class Packet:
-    """A downlink packet as tracked by the delivery log."""
-
-    arrival_time_s: float
-    dest_station: int
-    size_bytes: int = 1500
-    delivery_time_s: float | None = None
-
-
 def arrival_probability(load_bps: float, burst_packets: int, packet_bytes: int,
                         period_s: float) -> float:
     """Per-period burst probability p = load*T / (Np*L*8).
 
-    Raises when the load cannot be offered with this burst size (p > 1).
+    Raises on a load or period that is not finite, a size that is not an
+    integer, and when the load cannot be offered with this burst size (p > 1).
     """
-    if load_bps < 0 or burst_packets < 1 or packet_bytes < 1 or period_s <= 0:
-        raise ValueError("arrival_probability arguments must be positive")
+    check_integer("burst_packets", burst_packets)
+    check_integer("packet_bytes", packet_bytes)
+    if not (0 <= load_bps < inf and 0 < period_s < inf) or min(burst_packets, packet_bytes) < 1:
+        raise ValueError(f"arrival_probability needs a finite load >= 0, a finite period "
+                         f"> 0 and sizes >= 1, got {load_bps!r}, {period_s!r}")
     p = load_bps * period_s / (burst_packets * packet_bytes * 8)
     if p > 1.0:
         raise ValueError(
@@ -133,8 +130,11 @@ def draw_arrivals(deployment: Deployment, arrival_prob: float,
     One uniform draw per station per TXOP regardless of p, so runs with the
     same seed see the same arrival pattern across load levels. Drawn in
     row-major (TXOPs x stations) blocks, which consume `rng` exactly as one
-    `rng.random(num_stations)` call per TXOP would.
+    `rng.random(num_stations)` call per TXOP would. Raises unless
+    0 <= `arrival_prob` <= 1.
     """
+    if not 0.0 <= arrival_prob <= 1.0:  # also rejects NaN
+        raise ValueError(f"arrival_prob must lie in [0, 1], got {arrival_prob!r}")
     num_stations, num_aps = deployment.num_stations, deployment.num_aps
     sta_type = np.min_scalar_type(num_stations)
     ap_type = np.min_scalar_type(num_aps)
@@ -197,17 +197,18 @@ def step_arrivals(state: SimState, n: int) -> int:
 @dataclass
 class ApTransmission:
     """What one member AP sends in a slot, as `plan_slot` records it: each
-    re-queued burst it sends from in `queued`, then the part of its window
-    it drains as one `span` (None when it sends nothing from the window):
-    (queue position of window burst `start`, start, end, first, last,
-    skipped). The span covers the window bursts [start, end) of the
-    schedule's lists; `first` packets are left in burst `start` and `last`
-    are taken from burst end - 1, the bursts between are sent whole, and
-    those listed in `skipped` are left buffered (their station unservable
-    in the scheduled set)."""
+    re-queued burst it sends from in `queued`, as (queue position, count,
+    schedule index), then the part of its window it drains as one `span`
+    (None when it sends nothing from the window): (queue position of window
+    burst `start`, start, end, first, last, skipped). The span covers the
+    window bursts [start, end) of the schedule's lists; `first` packets are
+    left in burst `start` and `last` are taken from burst end - 1, the
+    bursts between are sent whole, and those listed in `skipped` are left
+    buffered (their station unservable in the scheduled set). Both kinds
+    index the schedule, which gives each burst's arrival and station."""
 
     ap: int
-    queued: list[tuple[int, int, float, int]]  # (queue pos, count, arrival_s, station)
+    queued: list[tuple[int, int, int]]       # (queue pos, count, schedule index)
     span: tuple[int, int, int, int, int, list[int]] | None
     packets: int                             # packets sent, queued and window
     airtime_us: float                        # preamble + A-MPDU segment times
@@ -218,11 +219,11 @@ class ApTransmission:
     def taken(self) -> list[tuple[int, int, float, int]]:
         """(queue pos, count, arrival_s, station) per burst sent from, in
         queue order: `queued`, then the span's bursts less the skipped."""
-        taken = list(self.queued)
+        source = self.source
+        stations, txops, period = source.stations, source.txops, source.period_s
+        taken = [(pos, k, txops[i] * period, stations[i]) for pos, k, i in self.queued]
         if self.span is not None:
             pos, start, end, first, last, skipped = self.span
-            source = self.source
-            stations, txops, period = source.stations, source.txops, source.period_s
             n = first
             for i in range(start, end):
                 if i not in skipped:
@@ -277,13 +278,13 @@ def plan_slot(members: Sequence[int], state: SimState,
     for ap in members:
         rates = link_airtimes[ap]
         acc = preamble_us
-        queued: list[tuple[int, int, float, int]] = []
+        queued: list[tuple[int, int, int]] = []
         packets = 0
         span = None
         batches = requeued[ap]
         # with integer n, k is min(n, int(room)): the packets that fit
-        for pos, (arrival, sta, n) in enumerate(batches):
-            entry = rates.get(sta)
+        for pos, (i, n) in enumerate(batches):
+            entry = rates.get(stations[i])
             if entry is None:
                 continue
             per_packet = entry[1]
@@ -292,7 +293,7 @@ def plan_slot(members: Sequence[int], state: SimState,
                 break
             k = n if room >= n else int(room)
             acc += k * per_packet
-            queued.append((pos, k, arrival, sta))
+            queued.append((pos, k, i))
             packets += k
             if k < n:
                 break
@@ -361,9 +362,10 @@ class SimState:
     and `deliver` moves `cursor[a]`. Window bursts are bursts of
     `burst_packets`, read where they lie in the schedule, less the `sent[a]`
     packets a slot that cut the burst at the cursor has sent. `requeued[a]`
-    holds mutable [arrival_s, station, count] entries: the window bursts a
-    slot skipped (their station unservable in the scheduled set), a
-    part-sent one with its remainder. `counts` and `heads` are the
+    holds mutable [schedule index, count] entries: the window bursts a slot
+    skipped (their station unservable in the scheduled set), a part-sent
+    one with its remainder; like window bursts, they read their arrival
+    and station from the schedule. `counts` and `heads` are the
     controller's view: queued packets and head-of-line arrival time (+inf
     when empty, so the oldest head is min(heads)) per AP, kept current by
     step_arrivals and deliver. `view` is the run's one `BufferSummary` over
@@ -371,10 +373,10 @@ class SimState:
     instant.
 
     `deliver` books what it sends in typed columns, one record per window
-    span or re-queued burst: `booked_at` holds the span's delivery time (a
-    re-queued burst's delay), `booked_lo`/`booked_hi` its window bursts
-    (-1/0 for a re-queued burst), `booked_head`/`booked_tail` the packets
-    of its first and last burst. `delay_pairs` expands them.
+    span or re-queued burst, which is booked as a span of one:
+    `booked_at` holds the delivery time, `booked_lo`/`booked_hi` the
+    schedule indices [lo, hi) of its bursts, `booked_head`/`booked_tail`
+    the packets of its first and last burst. `delay_pairs` expands them.
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
@@ -397,7 +399,6 @@ class SimState:
         self.burst_packets = traffic.burst_packets
         self.period_s = period_s
         self.link_airtimes = link_airtimes
-        self.packet_bytes = traffic.packet_bytes
         self.booked_at = array("d")
         self.booked_lo, self.booked_hi = array("q"), array("q")
         self.booked_head, self.booked_tail = array("q"), array("q")
@@ -405,7 +406,6 @@ class SimState:
             self.booked_at, self.booked_lo, self.booked_hi, self.booked_head,
             self.booked_tail))
         self.packets_arrived = 0
-        self.delivery_log: list[tuple[int, Packet, int]] | None = None
 
     def _window(self, start: int, end: int, sent: int) -> list[list]:
         """Window bursts [start, end), the first less its `sent` packets."""
@@ -418,7 +418,8 @@ class SimState:
 
     def bursts(self, ap: int) -> list[list]:
         """AP `ap`'s whole queue, oldest first, as [arrival_s, station, count]."""
-        return ([list(batch) for batch in self.requeued[ap]]
+        period, stations, txops = self.period_s, self.stations, self.txops
+        return ([[txops[i] * period, stations[i], n] for i, n in self.requeued[ap]]
                 + self._window(self.cursor[ap], self.arrived[ap], self.sent[ap]))
 
     def _book(self, *record: float) -> None:
@@ -426,46 +427,42 @@ class SimState:
         for append, value in zip(self.appenders, record):
             append(value)
 
-    def _take_queued(self, ap: int, queued: Sequence[tuple[int, int, float, int]],
+    def _take_queued(self, ap: int, queued: Sequence[tuple[int, int, int]],
                      delivery_time_s: float) -> None:
-        """Book the re-queued bursts a slot sends from and drop what it sent."""
+        """Book the re-queued bursts a slot sends from, each as a span of
+        one, and drop what it sent."""
         batches = self.requeued[ap]
-        for _, k, arrival, _ in queued:
-            self._book(delivery_time_s - arrival, -1, 0, k, k)
+        for _, k, i in queued:
+            self._book(delivery_time_s, i, i + 1, k, k)
         # back to front, so deleting a burst leaves the earlier positions valid
-        for pos, k, _, _ in reversed(queued):
-            if k == batches[pos][2]:
+        for pos, k, _ in reversed(queued):
+            if k == batches[pos][1]:
                 del batches[pos]
             else:
-                batches[pos][2] -= k
+                batches[pos][1] -= k
 
     def _skip(self, ap: int, span: tuple[int, int, int, int, int, list[int]],
               delivery_time_s: float) -> None:
         """Book a span with skipped bursts as its runs between them, and
         re-queue the skipped ones in their order."""
         _, start, end, first, last, skipped = span
-        burst, period = self.burst_packets, self.period_s
+        burst = self.burst_packets
         lo = start
         for i in skipped + [end]:
             if i > lo:
                 self._book(delivery_time_s, lo, i, first if lo == start else burst,
                            last if i == end else first if i - 1 == start else burst)
             lo = i + 1
-        self.requeued[ap] += [[self.txops[i] * period, self.stations[i],
-                               first if i == start else burst] for i in skipped]
+        self.requeued[ap] += [[i, first if i == start else burst] for i in skipped]
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
         """Book what `plan` sends and move each AP's FIFO past it: a window
         span in O(1), re-queued and skipped bursts one by one. A burst the
         plan cut stays at the cursor with its `sent` count."""
-        log = self.delivery_log
         cursor, sent, burst = self.cursor, self.sent, self.burst_packets
         at, lo, hi, head, tail = self.appenders
         for tx in plan.transmissions:
             ap = tx.ap
-            if log is not None:
-                log += [(ap, Packet(arrival, sta, self.packet_bytes, delivery_time_s), k)
-                        for _, k, arrival, sta in tx.taken]
             if tx.queued:
                 self._take_queued(ap, tx.queued, delivery_time_s)
             span = tx.span
@@ -486,15 +483,15 @@ class SimState:
                     cursor[ap], sent[ap] = end - 1, burst - whole + last
             self.counts[ap] -= tx.packets
             batches = self.requeued[ap]
-            self.heads[ap] = (batches[0][0] if batches
+            self.heads[ap] = (self.txops[batches[0][0]] * self.period_s if batches
                               else self.txops[cursor[ap]] * self.period_s
                               if cursor[ap] < self.arrived[ap] else inf)
 
     def delay_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(delay_s, packets) per burst sent from, in the order sent: the
-        booked records expanded in one numpy pass. A window burst's delay is
-        its span's delivery time less txops[i] * period, the product
-        plan_slot's arrival times are made of."""
+        booked records expanded in one numpy pass. A burst's delay is its
+        record's delivery time less txops[i] * period, the product its
+        arrival time is made of everywhere else."""
         if not self.booked_at:
             return np.empty(0), np.empty(0, np.int64)
         lo, hi, head, tail = (np.frombuffer(column, np.int64) for column in (
@@ -503,16 +500,12 @@ class SimState:
         ends = np.cumsum(lengths)
         starts = ends - lengths
         index = np.repeat(lo - starts, lengths)
-        index += np.arange(ends[-1])  # each record's window bursts, -1 when re-queued
+        index += np.arange(ends[-1])  # each record's schedule indices
         counts = np.full(ends[-1], self.burst_packets, np.int64)
         counts[starts] = head
         counts[ends - 1] = tail  # after head: a one-burst span's packets
         delays = np.repeat(np.frombuffer(self.booked_at, np.float64), lengths)
-        windowed = index >= 0
-        if windowed.all():
-            delays -= self.fifo_txops[index] * self.period_s
-        else:
-            delays[windowed] -= self.fifo_txops[index[windowed]] * self.period_s
+        delays -= self.fifo_txops[index] * self.period_s
         return delays, counts
 
 
@@ -670,14 +663,12 @@ class MetricsReport:
 
 
 def run_simulation(config: SimulationConfig,
-                   txop_trace: list[TxopRecord] | None = None,
-                   delivery_log: list[tuple[int, Packet, int]] | None = None,
-                   ) -> MetricsReport:
+                   txop_trace: list[TxopRecord] | None = None) -> MetricsReport:
     """Simulate `config.timing.num_txops` periods and report the run metrics.
 
     `config` is the whole run, already checked when it was built; the same
-    config gives the same report. `txop_trace` and `delivery_log`, when
-    given, collect per-TXOP records and per-delivery packets.
+    config gives the same report. `txop_trace`, when given, collects the
+    per-TXOP records.
     """
     scenario, timing, traffic = config.scenario, config.timing, config.traffic
     mcs_table = config.mcs_table
@@ -697,7 +688,6 @@ def run_simulation(config: SimulationConfig,
         dep_key, "arrivals", (p, timing.num_txops),
         lambda: draw_arrivals(env.deployment, p, traffic_rng, timing.num_txops))
     state = SimState(arrivals, airtimes, traffic, timing.period_s)
-    state.delivery_log = delivery_log
     occupancy = np.empty(timing.num_txops)
     txop_max, period_s, groups = timing.txop_max_us, timing.period_s, env.groups
     for n in range(timing.num_txops):

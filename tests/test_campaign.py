@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import multiprocessing
+import re
 
 import pytest
 
@@ -144,13 +145,16 @@ def test_campaign_validation():
         campaign_from_dict({"campaign": {"k_values": [0]}})
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 1.5, 2.0, True])
 def test_workers_below_one_rejected(workers, tmp_path, monkeypatch):
+    # and values that are not integers, floats and bools included
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    with pytest.raises(ValueError, match=rf"workers must be >= 1, got {workers}$"):
+    message = ">= 1" if type(workers) is int else "an integer"
+    with pytest.raises(ValueError,
+                       match=rf"workers must be {message}, got {re.escape(repr(workers))}$"):
         run_campaign(Campaign(**SMALL), out_dir=tmp_path / "out", workers=workers)
     assert not (tmp_path / "out").exists()
 

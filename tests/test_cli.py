@@ -10,7 +10,7 @@ import pytest
 import mapcsim.campaign
 import mapcsim.cli
 from mapcsim import (Campaign, ScenarioConfig, TimingConfig, TrafficConfig,
-                     load_simulation_config, run_campaign,
+                     load_simulation_config, run_campaign, run_simulation,
                      save_simulation_config)
 from mapcsim.campaign import (PER_RUN_COLUMNS, RunSpec, enumerate_runs,
                               execute_run, write_csv)
@@ -46,6 +46,19 @@ def test_run_subcommand(tmp_path, capsys):
     trace = (tmp_path / "out" / "txop_trace.csv").read_text().splitlines()
     assert len(trace) == 41  # header + one row per TXOP
     assert trace[0].startswith("txop_index,")
+    # each row holds its TXOP's record, and the rows add up to the run
+    config = replace(load_simulation_config(path), scheduler="numpk-single")
+    records = []
+    run_simulation(config, txop_trace=records)
+    rows = _read_rows(tmp_path / "out" / "txop_trace.csv")
+    assert [(int(row["num_slots"]), int(row["packets_delivered"]),
+             float(row["occupancy"])) for row in rows] == [
+        (len(rec.slots), rec.packets_delivered,
+         rec.total_duration_us / config.timing.txop_max_us) for rec in records]
+    assert any(rec.slots for rec in records)
+    (run_row,) = _read_rows(tmp_path / "out" / "run.csv")
+    assert (sum(int(row["packets_delivered"]) for row in rows)
+            == int(run_row["packets_delivered"]))
 
 
 def test_run_out_simulates_once(tmp_path, monkeypatch, capsys):

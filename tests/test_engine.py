@@ -33,6 +33,28 @@ def test_arrival_probability_values():
         arrival_probability(1e6, 0, 1500, 0.005)
 
 
+@pytest.mark.parametrize("args", [
+    (math.nan, 10, 1500, 0.005), (math.inf, 10, 1500, 0.005), (-1.0, 10, 1500, 0.005),
+    (1e6, 10, 1500, math.nan), (1e6, 10, 1500, math.inf), (1e6, 10, 1500, 0.0),
+    (1e6, 2.5, 1500, 0.005), (1e6, True, 1500, 0.005), (1e6, 10.0, 1500, 0.005),
+    (1e6, 10, 1500.0, 0.005), (1e6, 10, False, 0.005), (1e6, 10, 0, 0.005),
+], ids=["nan-load", "inf-load", "negative-load", "nan-period", "inf-period",
+        "zero-period", "fractional-burst", "bool-burst", "float-burst",
+        "float-packet", "bool-packet", "zero-packet"])
+def test_arrival_probability_rejects_bad_input(args):
+    with pytest.raises(ValueError):
+        arrival_probability(*args)
+
+
+@pytest.mark.parametrize("p", [math.nan, -0.01, 1.01, math.inf])
+def test_draw_arrivals_rejects_a_probability_outside_0_1(p):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="arrival_prob must lie in"):
+        draw_arrivals(_deployment(), p, rng, 5)
+    assert rng.bit_generator.state == state  # rejected before any draw
+
+
 def _deployment(seed=0, **cfg_kwargs):
     cfg = ScenarioConfig(**cfg_kwargs)
     return generate_grid_deployment(cfg, np.random.default_rng(seed))
@@ -73,15 +95,30 @@ def _one_ap_airtimes(per_pkt_us=PKT_US_MCS7, mcs=7, stations=(0,)):
     return {0: {sta: (mcs, per_pkt_us) for sta in stations}}
 
 
+def _hand_schedule(*lists):
+    """An arrival schedule whose AP a lists the (arrival_s, station) bursts
+    lists[a] in order. Each arrival is a whole number of periods, as in a
+    drawn schedule; only the per-AP lists are filled."""
+    bursts = [burst for bursts in lists for burst in bursts]
+    txops = [round(arrival / TIM.period_s) for arrival, _ in bursts]
+    assert [n * TIM.period_s for n in txops] == [arrival for arrival, _ in bursts]
+    return ArrivalSchedule(np.empty(0, np.uint8), np.zeros(1, np.int64),
+                           np.array([sta for _, sta in bursts], np.int64),
+                           np.array(txops, np.int64),
+                           np.cumsum([0] + [len(bursts) for bursts in lists]))
+
+
 def _queued_state(*queues):
-    """A run's state over an empty schedule in which AP a holds the
-    hand-made (arrival_s, station, count) bursts queues[a], oldest first."""
-    empty = np.empty(0, np.uint8)
-    schedule = ArrivalSchedule(empty, np.zeros(1, np.int64), empty, empty,
-                               np.zeros(len(queues) + 1, np.int64))
+    """A run's state in which AP a holds the hand-made (arrival_s, station,
+    count) bursts queues[a], oldest first, as re-queued bursts laid out in
+    a hand-built schedule, with an empty window after them."""
+    schedule = _hand_schedule(*([(arrival, sta) for arrival, sta, _ in queue]
+                                for queue in queues))
     state = SimState(schedule, {}, TrafficConfig(), TIM.period_s)
     for ap, queue in enumerate(queues):
-        state.requeued[ap] = [list(burst) for burst in queue]
+        lo, hi = schedule.ap_bounds[ap:ap + 2].tolist()
+        state.cursor[ap] = state.arrived[ap] = hi
+        state.requeued[ap] = [[lo + j, count] for j, (_, _, count) in enumerate(queue)]
         state.counts[ap] = sum(count for _, _, count in queue)
         state.heads[ap] = queue[0][0] if queue else math.inf
     return state
@@ -125,7 +162,7 @@ def test_plan_slot_splits_burst_at_budget():
     assert tx.taken == [(0, 7, 0.0, 0)]
     state.deliver(plan, 0.0)
     assert state.counts[0] == 3
-    assert state.requeued[0][0] == [0.0, 0, 3]  # remainder keeps its arrival time
+    assert state.bursts(0) == [[0.0, 0, 3]]  # remainder keeps its arrival time
 
 
 def test_plan_slot_skips_unservable_station():
@@ -139,7 +176,7 @@ def test_plan_slot_skips_unservable_station():
     state.deliver(plan, 0.0)
     # the unservable burst stays buffered, still first in line
     assert state.counts[0] == 2
-    assert state.requeued[0] == [[0.0, 0, 2]]
+    assert state.bursts(0) == [[0.0, 0, 2]]
 
 
 def test_plan_slot_strict_fifo_stops_at_first_misfit():
@@ -177,7 +214,7 @@ def test_ap_buffer_consume_across_batches():
     assert tx.taken == [(0, 4, 0.0, 0), (1, 2, 0.5, 1), (2, 1, 1.0, 0)]
     state.deliver(plan, 0.0)
     assert state.counts[0] == 2
-    assert state.requeued[0] == [[1.0, 0, 2]]
+    assert state.bursts(0) == [[1.0, 0, 2]]
 
     # a skipped middle burst stays ahead of the split remainder
     state = _queued_state(bursts)
@@ -187,7 +224,7 @@ def test_ap_buffer_consume_across_batches():
     assert tx.taken == [(0, 4, 0.0, 0), (2, 1, 1.0, 0)]
     state.deliver(plan, 0.0)
     assert state.counts[0] == 4
-    assert state.requeued[0] == [[0.5, 1, 2], [1.0, 0, 2]]
+    assert state.bursts(0) == [[0.5, 1, 2], [1.0, 0, 2]]
 
 
 def _window_state(num_stations, num_txops):
@@ -234,7 +271,7 @@ def test_skipped_split_burst_is_requeued_with_its_remainder():
     # skipped; the budget ends the drain after station 1's first burst
     airtimes[0][0] = None
     assert _plan_and_deliver(state, airtimes, _budget_for(10)) == [(1, 10, 0.0, 1)]
-    assert state.requeued[0] == [[0.0, 0, 3]]
+    assert state.requeued[0] == [[0, 3]]  # schedule index, count
     assert (state.cursor[0], state.sent[0]) == (2, 0)
     assert state.bursts(0) == [[0.0, 0, 3], [period, 0, 10], [period, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (23, 0.0)
@@ -253,28 +290,31 @@ def _pairs(state):
 
 def test_span_with_skipped_bursts_books_the_runs_between_them():
     # window: (TXOP 0: stations 0, 1, 2), (TXOP 1: 0, 1, 2); a hand-made
-    # re-queued burst to station 2 goes first; station 1 is unservable
-    state = _window_state(num_stations=3, num_txops=2)
+    # re-queued burst to station 2, laid out after them in the schedule,
+    # goes first; station 1 is unservable
     period = TIM.period_s
-    state.requeued[0] = [[-period, 2, 4]]
-    state.counts[0] += 4
-    state.heads[0] = -period
+    window = [(n * period, sta) for n in range(2) for sta in range(3)]
+    state = SimState(_hand_schedule(window + [(0.0, 2)]), {}, TrafficConfig(), period)
+    state.arrived[0] = 6
+    state.requeued[0] = [[6, 4]]
+    state.counts[0] = 64
+    state.heads[0] = 0.0
     airtimes = _one_ap_airtimes(stations=(0, 1, 2))
     airtimes[0][1] = None
     plan = plan_slot((0,), state, airtimes, TIM, _budget_for(37))
     (tx,) = plan.transmissions
-    assert tx.queued == [(0, 4, -period, 2)]
+    assert tx.queued == [(0, 4, 6)]  # (queue position, count, schedule index)
     # (queue position of window burst 0, start, end, first, last, skipped):
     # the budget cuts burst 5 after 3 packets
     assert tx.span == (1, 0, 6, 10, 3, [1, 4])
     assert tx.packets == plan.packets == 37
-    assert tx.taken == [(0, 4, -period, 2), (1, 10, 0.0, 0), (3, 10, 0.0, 2),
+    assert tx.taken == [(0, 4, 0.0, 2), (1, 10, 0.0, 0), (3, 10, 0.0, 2),
                         (4, 10, period, 0), (6, 3, period, 2)]
     state.deliver(plan, 0.02)
-    assert _pairs(state) == [(0.02 + period, 4), (0.02, 10), (0.02, 10),
+    assert _pairs(state) == [(0.02, 4), (0.02, 10), (0.02, 10),
                              (0.02 - period, 10), (0.02 - period, 3)]
     # the skipped bursts are re-queued in order, the cut one stays at the cursor
-    assert state.requeued[0] == [[0.0, 1, 10], [period, 1, 10]]
+    assert state.requeued[0] == [[1, 10], [4, 10]]
     assert (state.cursor[0], state.sent[0]) == (5, 3)
     assert state.bursts(0) == [[0.0, 1, 10], [period, 1, 10], [period, 2, 7]]
     assert (state.counts[0], state.heads[0]) == (27, 0.0)
@@ -292,14 +332,14 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     plan = plan_slot((0,), state, airtimes, TIM, _budget_for(15))
     assert plan.transmissions[0].span == (0, 0, 4, 3, 5, [0, 2])
     state.deliver(plan, 0.002)
-    assert state.requeued[0] == [[0.0, 0, 3], [period, 0, 10]]
+    assert state.requeued[0] == [[0, 3], [2, 10]]
     assert (state.cursor[0], state.sent[0]) == (3, 5)
     # station 1 unservable: the re-queued bursts go, and the window's one
     # burst, skipped after them, stays in the window
     airtimes[0][0], airtimes[0][1] = (7, PKT_US_MCS7), None
     plan = plan_slot((0,), state, airtimes, TIM, 3000.0)
     (tx,) = plan.transmissions
-    assert (tx.queued, tx.span) == ([(0, 3, 0.0, 0), (1, 10, period, 0)], None)
+    assert (tx.queued, tx.span) == ([(0, 3, 0), (1, 10, 2)], None)
     state.deliver(plan, 0.003)
     assert _pairs(state) == [(0.001, 7), (0.002, 10), (0.002 - period, 5),
                              (0.003, 3), (0.003 - period, 10)]
@@ -441,19 +481,29 @@ def test_simulation_determinism():
 
 def test_fifo_delivery_per_ap():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=400), TrafficConfig(load_bps_per_sta=4e6)
-    log = []
+    trace = []
     run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-group", seed=5),
-                   delivery_log=log)
-    assert log
+                   txop_trace=trace)
     last_arrival = {}
     last_delivery = {}
     handshake_s = tim.handshake_us * 1e-6
-    for ap, pkt, count in log:
-        assert pkt.delivery_time_s >= pkt.arrival_time_s + handshake_s
-        assert pkt.arrival_time_s >= last_arrival.get(ap, -1.0) - 1e-12
-        assert pkt.delivery_time_s >= last_delivery.get(ap, -1.0) - 1e-12
-        last_arrival[ap] = pkt.arrival_time_s
-        last_delivery[ap] = pkt.delivery_time_s
+    slot_us = tim.map_tf_us + tim.te_us + tim.slot_overhead_us
+    bursts = 0
+    for rec in trace:
+        consumed = rec.handshake_us
+        for slot in rec.slots:
+            consumed += slot_us + slot.duration_us  # summed as run_txop sums it
+            delivery_s = rec.start_time_s + consumed * 1e-6
+            for tx in slot.transmissions:
+                ap = tx.ap
+                for _, _, arrival_s, _ in tx.taken:
+                    assert delivery_s >= arrival_s + handshake_s
+                    assert arrival_s >= last_arrival.get(ap, -1.0) - 1e-12
+                    assert delivery_s >= last_delivery.get(ap, -1.0) - 1e-12
+                    last_arrival[ap] = arrival_s
+                    last_delivery[ap] = delivery_s
+                    bursts += 1
+    assert bursts
 
 
 def test_single_station_steady_state_closed_form():
@@ -464,9 +514,8 @@ def test_single_station_steady_state_closed_form():
     tim = TimingConfig(num_txops=100)
     tr = TrafficConfig(load_bps_per_sta=24e6)  # p = 1.0
     seed = 17
-    log = []
     rep = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-single",
-                                          seed=seed), delivery_log=log)
+                                          seed=seed))
     env, _ = build_environment(cfg, 20.0, 3, seed)
     sinr = station_sinr_db(0, 0, (0,), env.rssi_dbm, cfg.noise_dbm)
     mcs = select_mcs(sinr, default_mcs_table())
@@ -654,15 +703,17 @@ def test_cursor_queue_matches_deque_fifo(data):
 
 
 def _run_outcome(cfg, kind, seed, tr, mcs_table=default_mcs_table(), txops=150):
-    log = []
+    trace = []
     rep = run_simulation(SimulationConfig(cfg, TimingConfig(num_txops=txops), tr,
                                           20.0, 3, kind, seed, mcs_table),
-                         delivery_log=log)
+                         txop_trace=trace)
     assert rep.packets_delivered > 0
+    taken = [[(tx.ap, tx.taken) for tx in slot.transmissions]
+             for rec in trace for slot in rec.slots]
     return (rep.delays_sorted_s.tolist(), rep.per_txop_occupancy.tolist(),
             [rep.delay_percentile(q) for q in (0.5, 0.95, 0.99)],
             rep.mean_delay_s, rep.throughput_bps, rep.packets_arrived,
-            rep.packets_remaining, log)
+            rep.packets_remaining, taken)
 
 
 @pytest.mark.parametrize("cfg", [

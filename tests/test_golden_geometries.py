@@ -2,7 +2,8 @@
 bytes recorded before the per-AP queues became cursors over the arrival
 schedule. These are the runs that skip unservable bursts and re-queue them
 (weak links, gamma below MCS 0) or split bursts on a larger grid; the
-benchmark's workload hashes cover only the default geometry."""
+benchmark's workload hashes cover only the default geometry. A pool of two
+workers must write the same bytes."""
 
 import hashlib
 import warnings
@@ -30,10 +31,12 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_per_run_csv_matches_recorded_hash(name, tmp_path):
+@pytest.mark.parametrize("name, workers", [
+    pytest.param(name, workers, id=name if workers == 1 else f"{name}-{workers}-workers")
+    for workers in (1, 2) for name in sorted(CASES)])
+def test_per_run_csv_matches_recorded_hash(name, workers, tmp_path):
     campaign, expected = CASES[name]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # gamma below MCS 0
-        paths = run_campaign(campaign, out_dir=tmp_path)
+        paths = run_campaign(campaign, out_dir=tmp_path, workers=workers)
     assert hashlib.sha256(paths["per_run"].read_bytes()).hexdigest() == expected

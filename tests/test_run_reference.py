@@ -1,0 +1,101 @@
+"""`run_simulation` against the from-scratch simulator of `run_reference.py`
+over small random configs: grids of 1x1 to 4x4 APs, stations per subarea,
+subarea side, walls, gamma (also below the 2 dB MCS-0 threshold, where
+groups hold stations no MCS serves), K, burst size, load, TXOP cap, slot
+overhead and handshake switch, every scheduler kind, 50-300 TXOPs per run.
+Every TXOP and every report field must agree exactly."""
+
+import math
+import warnings
+from dataclasses import fields, replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mapcsim import (SCHEDULER_NAMES, MetricsReport, ScenarioConfig,
+                     SimulationConfig, TimingConfig, TrafficConfig,
+                     data_rate_bps, default_mcs_table, run_simulation)
+from run_reference import reference_run
+
+PACKET_BITS = TrafficConfig().packet_bits
+MCS_TABLE = default_mcs_table()
+DEFAULT_TIMING = TimingConfig()
+
+
+@st.composite
+def configs(draw):
+    scenario = ScenarioConfig(
+        subarea_rows=draw(st.integers(1, 4), label="rows"),
+        subarea_cols=draw(st.integers(1, 4), label="cols"),
+        stations_per_subarea=draw(st.integers(1, 4), label="stations_per_subarea"),
+        subarea_side_m=draw(st.floats(5.0, 60.0), label="subarea_side_m"),
+        wall_count=draw(st.integers(0, 6), label="wall_count"))
+    burst = draw(st.integers(1, 12), label="burst_packets")
+    top_load = burst * PACKET_BITS / DEFAULT_TIMING.period_s  # the load of p = 1
+    overhead_us = draw(st.sampled_from([0.0, 16.0, 60.5]), label="slot_overhead_us")
+    if draw(st.booleans(), label="exact_fit"):
+        # a first slot with room for exactly a whole number of packets at
+        # one MCS, which only plan_slot's 1e-9 fit slack lets through whole
+        mcs = draw(st.integers(0, len(MCS_TABLE) - 1), label="mcs")
+        packet_us = PACKET_BITS / data_rate_bps(mcs, MCS_TABLE, DEFAULT_TIMING) * 1e6
+        fixed_us = (DEFAULT_TIMING.handshake_us + DEFAULT_TIMING.map_tf_us
+                    + DEFAULT_TIMING.te_us + overhead_us + DEFAULT_TIMING.phy_preamble_us)
+        packets = draw(st.integers(1, int((4900.0 - fixed_us) // packet_us)), label="packets")
+        txop_max_ms = (fixed_us + packets * packet_us) * 1e-3
+    else:
+        # above the 382 us of handshake, one slot's fixed frames and one
+        # 1500 B packet at the top MCS, plus the slot overhead
+        txop_max_ms = draw(st.floats(0.383 + overhead_us * 1e-3, 4.9), label="txop_max_ms")
+    timing = TimingConfig(
+        txop_max_ms=txop_max_ms,
+        slot_overhead_us=overhead_us,
+        num_txops=draw(st.integers(50, 300), label="num_txops"),
+        always_handshake=draw(st.booleans(), label="always_handshake"))
+    # p in whole per cent, so most runs carry traffic
+    p = draw(st.integers(0, 99), label="p_percent") / 100
+    traffic = TrafficConfig(load_bps_per_sta=p * top_load, burst_packets=burst)
+    return SimulationConfig(scenario, timing, traffic,
+                            gamma_db=draw(st.floats(-5.0, 30.0), label="gamma_db"),
+                            max_group_size=draw(st.integers(1, 4), label="K"),
+                            seed=draw(st.integers(0, 10**6), label="seed"))
+
+
+def _engine_txops(records):
+    """The trace in the reference's terms: per TXOP (handshake_us, slots,
+    total_us), per slot (members, (ap, station, packets) per segment,
+    duration_us)."""
+    return [(rec.handshake_us,
+             [(slot.members,
+               [(tx.ap, sta, k) for tx in slot.transmissions for sta, _, k in tx.segments],
+               slot.duration_us) for slot in rec.slots],
+             rec.total_duration_us) for rec in records]
+
+
+def _assert_same_report(report, want, kind):
+    for field in fields(MetricsReport):
+        got, expected = getattr(report, field.name), want[field.name]
+        if isinstance(got, np.ndarray):
+            assert got.dtype == expected.dtype, (kind, field.name)
+            assert np.array_equal(got, expected), (kind, field.name)
+        elif isinstance(got, float) and math.isnan(got):
+            assert math.isnan(expected), (kind, field.name)
+        else:
+            assert (type(got), got) == (type(expected), expected), (kind, field.name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(configs())
+def test_runs_equal_the_reference_simulator(config):
+    for kind in SCHEDULER_NAMES:
+        run = replace(config, scheduler=kind)
+        records = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # gamma below MCS 0
+            report = run_simulation(run, txop_trace=records)
+        want_txops, want = reference_run(run)
+        got_txops = _engine_txops(records)
+        assert len(got_txops) == len(want_txops), kind
+        for n, (got, expected) in enumerate(zip(got_txops, want_txops)):
+            assert got == expected, (kind, n)
+        _assert_same_report(report, want, kind)
