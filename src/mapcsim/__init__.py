@@ -11,17 +11,16 @@ from .channel import (McsEntry, McsTable, build_rssi_matrix, data_rate_bps,
                       path_loss_db, rssi_matrix_to_csv, select_mcs,
                       station_sinr_db)
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig, load_simulation_config,
-                     save_simulation_config)
+                     TrafficConfig, arrival_probability,
+                     load_simulation_config, save_simulation_config)
 from .engine import (ArrivalSchedule, Environment, MetricsReport, SlotPlan,
-                     TxopRecord, arrival_probability, build_environment,
-                     draw_arrivals, plan_slot, run_simulation, run_txop,
-                     step_arrivals)
+                     TxopRecord, build_environment, draw_arrivals, plan_slot,
+                     run_simulation, run_txop, step_arrivals)
 from .grouping import (Group, GroupSet, build_all_groups, build_group,
                        candidate_order)
 from .scenario import (Deployment, generate_grid_deployment,
                        nearest_ap_association)
-from .scheduling import (SCHEDULER_NAMES, BufferSummary, SchedulerKind,
+from .scheduling import (SCHEDULER_NAMES, SchedulerKind, head_waits,
                          select_group)
 from .stats import empirical_cdf, percentile
 

@@ -26,6 +26,27 @@ def check_integer(name: str, value: Any) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def arrival_probability(load_bps: float, burst_packets: int, packet_bytes: int,
+                        period_s: float) -> float:
+    """Per-period burst probability p = load*T / (Np*L*8).
+
+    Raises on a load or period that is not finite, a size that is not an
+    integer, and when the load cannot be offered with this burst size (p > 1).
+    """
+    check_integer("burst_packets", burst_packets)
+    check_integer("packet_bytes", packet_bytes)
+    if (not (0 <= load_bps < math.inf and 0 < period_s < math.inf)
+            or min(burst_packets, packet_bytes) < 1):
+        raise ValueError(f"arrival_probability needs a finite load >= 0, a finite period "
+                         f"> 0 and sizes >= 1, got {load_bps!r}, {period_s!r}")
+    p = load_bps * period_s / (burst_packets * packet_bytes * 8)
+    if p > 1.0:
+        raise ValueError(
+            f"load {load_bps:g} bps needs p={p:.4f} > 1 with bursts of "
+            f"{burst_packets} x {packet_bytes} B per period")
+    return p
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Grid deployment geometry and radio constants."""
@@ -147,8 +168,9 @@ class TrafficConfig:
     packet_bytes: int = 1500
 
     def __post_init__(self) -> None:
-        if not self.load_bps_per_sta >= 0:  # also rejects NaN
-            raise ValueError("load_bps_per_sta must be >= 0")
+        if not 0 <= self.load_bps_per_sta < math.inf:  # also rejects NaN
+            raise ValueError(f"load_bps_per_sta must be >= 0 and finite, "
+                             f"got {self.load_bps_per_sta}")
         check_integer("burst_packets", self.burst_packets)
         check_integer("packet_bytes", self.packet_bytes)
         if self.burst_packets < 1 or self.packet_bytes < 1:
@@ -180,6 +202,9 @@ class SimulationConfig:
             raise ValueError("max_group_size must be >= 1")
         if not math.isfinite(self.gamma_db):
             raise ValueError(f"gamma_db must be finite, got {self.gamma_db}")
+        traffic = self.traffic  # raises on p > 1: bursts too small for the load
+        arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
+                            traffic.packet_bytes, self.timing.period_s)
         # run_txop's first slot and plan_slot's fit test, in their float order:
         # with less room than one packet at the top MCS, every backlogged TXOP
         # is charged the handshake and sends nothing

@@ -21,23 +21,24 @@ the station's in-group SINR allows, so an AP's airtime is one PHY preamble
 plus the sum of its segment times. The slot lasts as long as the busiest
 member; APs that finish early idle. The gap between the TXOP cap and the
 next period carries no simulated traffic (it is left to uncoordinated use).
-`plan_slot` reads each burst once and records what each AP takes from its
-window as one span (first and end burst, the packets of the first and
-last, any skipped); `deliver` moves each queue past a span in O(1) and
-books it as one record in typed columns, and the run expands the records
-into per-burst (delay, packets) pairs in one numpy pass after its last
-TXOP. Skipped bursts are re-queued as [schedule index, count], so every
-burst reads its arrival and station from the schedule, and a re-queued
-burst is booked as a span of one: there is one record kind. The
-per-burst list and the segments are derived only when asked for.
+`plan_slot` reads each burst once, changes nothing, and records what each
+AP sends as runs of schedule indices (lo, hi) with the packets of the
+first and last burst: a re-queued burst is a run of one, a window drain
+one run per stretch between skipped bursts. It also records where the
+AP's queue ends: its window (cursor, sent) and its re-queued bursts.
+`deliver` only commits that: it books each run as one record in typed
+columns and sets the queue, and the run expands the records into
+per-burst (delay, packets) pairs in one numpy pass after its last TXOP.
+Skipped bursts are re-queued as [schedule index, count], so every burst
+reads its arrival and station from the schedule. The per-burst list and
+the segments are derived only when asked for.
 
 The controller's view of the buffers (queued packets and head-of-line
 arrival per AP, +inf for an empty buffer, so the AP with the oldest head is
 the first minimum of the heads) is maintained incrementally: every buffer
-change updates it, so no slot or TXOP rebuilds it by walking all APs. A run
-has one view, a `BufferSummary` over the live lists whose `now` moves to
-each slot decision instant, and a `TimingConfig` works out its per-TXOP
-charges once.
+change updates it, so no slot or TXOP rebuilds it by walking all APs.
+`select_group` reads the run's two live lists and the slot decision
+instant, and a `TimingConfig` works out its per-TXOP charges once.
 
 Runs of one deployment share its static environments and airtime tables,
 one per (gamma, K), and the arrival schedule of each load: the traffic
@@ -60,36 +61,16 @@ import numpy as np
 from .channel import (McsTable, build_rssi_matrix, data_rate_bps,
                       group_sinr_db, select_mcs)
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig, check_integer)
+                     TrafficConfig, arrival_probability)
 from .grouping import GroupSet, build_all_groups
 from .scenario import Deployment, generate_grid_deployment
-from .scheduling import BufferSummary, SchedulerKind, select_group
+from .scheduling import SchedulerKind, select_group
 from .stats import nearest_rank
 
 # Per-station, per-packet transmit times within one scheduled AP set:
 # ap -> {station: (mcs, airtime_us)}; a station below the MCS-0 threshold
 # maps to None and cannot be served while that set transmits.
 LinkAirtimes = Mapping[int, Mapping[int, "tuple[int, float] | None"]]
-
-
-def arrival_probability(load_bps: float, burst_packets: int, packet_bytes: int,
-                        period_s: float) -> float:
-    """Per-period burst probability p = load*T / (Np*L*8).
-
-    Raises on a load or period that is not finite, a size that is not an
-    integer, and when the load cannot be offered with this burst size (p > 1).
-    """
-    check_integer("burst_packets", burst_packets)
-    check_integer("packet_bytes", packet_bytes)
-    if not (0 <= load_bps < inf and 0 < period_s < inf) or min(burst_packets, packet_bytes) < 1:
-        raise ValueError(f"arrival_probability needs a finite load >= 0, a finite period "
-                         f"> 0 and sizes >= 1, got {load_bps!r}, {period_s!r}")
-    p = load_bps * period_s / (burst_packets * packet_bytes * 8)
-    if p > 1.0:
-        raise ValueError(
-            f"load {load_bps:g} bps needs p={p:.4f} > 1 with bursts of "
-            f"{burst_packets} x {packet_bytes} B per period")
-    return p
 
 
 # Uniforms per block when drawing arrivals: bounds the transient draw to 128 kB,
@@ -196,41 +177,39 @@ def step_arrivals(state: SimState, n: int) -> int:
 
 @dataclass
 class ApTransmission:
-    """What one member AP sends in a slot, as `plan_slot` records it: each
-    re-queued burst it sends from in `queued`, as (queue position, count,
-    schedule index), then the part of its window it drains as one `span`
-    (None when it sends nothing from the window): (queue position of window
-    burst `start`, start, end, first, last, skipped). The span covers the
-    window bursts [start, end) of the schedule's lists; `first` packets are
-    left in burst `start` and `last` are taken from burst end - 1, the
-    bursts between are sent whole, and those listed in `skipped` are left
-    buffered (their station unservable in the scheduled set). Both kinds
-    index the schedule, which gives each burst's arrival and station."""
+    """What one member AP sends in a slot, as `plan_slot` plans it and
+    `deliver` books it. `runs` lists it in queue order as (queue position,
+    lo, hi, head, tail): the schedule's bursts [lo, hi), the first at that
+    position of the AP's queue, `head` packets sent of the first and `tail`
+    of the last (of the only one, in a run of one), the bursts between
+    whole. A re-queued burst sent from is a run of one, and the window
+    drain one run per stretch between skipped bursts (their station
+    unservable in the scheduled set). `window` (cursor, sent) and
+    `requeued` are the AP's queue as it stands after the slot (see
+    SimState); the schedule gives each burst's arrival and station."""
 
     ap: int
-    queued: list[tuple[int, int, int]]       # (queue pos, count, schedule index)
-    span: tuple[int, int, int, int, int, list[int]] | None
-    packets: int                             # packets sent, queued and window
-    airtime_us: float                        # preamble + A-MPDU segment times
+    runs: list[tuple[int, int, int, int, int]]  # (queue pos, lo, hi, head, tail)
+    window: tuple[int, int]                    # (cursor, sent) after the slot
+    requeued: list[list[int]]                  # re-queued bursts after the slot
+    airtime_us: float                          # preamble + A-MPDU segment times
     rates: Mapping[int, tuple[int, float] | None]  # the AP's link airtimes
-    source: SimState                         # whose schedule the span indexes
+    source: SimState                           # whose schedule the runs index
 
     @property
     def taken(self) -> list[tuple[int, int, float, int]]:
         """(queue pos, count, arrival_s, station) per burst sent from, in
-        queue order: `queued`, then the span's bursts less the skipped."""
+        queue order."""
         source = self.source
         stations, txops, period = source.stations, source.txops, source.period_s
-        taken = [(pos, k, txops[i] * period, stations[i]) for pos, k, i in self.queued]
-        if self.span is not None:
-            pos, start, end, first, last, skipped = self.span
-            n = first
-            for i in range(start, end):
-                if i not in skipped:
-                    taken.append((pos + i - start, last if i == end - 1 else n,
-                                  txops[i] * period, stations[i]))
-                n = source.burst_packets
-        return taken
+        burst = source.burst_packets
+        return [(pos + i - lo, tail if i == hi - 1 else head if i == lo else burst,
+                 txops[i] * period, stations[i])
+                for pos, lo, hi, head, tail in self.runs for i in range(lo, hi)]
+
+    @property
+    def packets(self) -> int:
+        return sum(k for _, k, _, _ in self.taken)
 
     @property
     def segments(self) -> list[tuple[int, int, int]]:
@@ -263,9 +242,9 @@ def plan_slot(members: Sequence[int], state: SimState,
     per AP, over its re-queued bursts and then its window (see SimState):
     the first packet that does not fit ends that AP's drain (a burst may be
     cut mid-way); packets to stations without a usable MCS are left
-    buffered and skipped over. Each AP's transmission records the re-queued
-    bursts it sends from one by one and its window part as one span (see
-    ApTransmission). Returns None when nothing fits at all.
+    buffered and skipped over. Each AP's transmission lists what it sends
+    as runs and where its queue ends (see ApTransmission); `state` is only
+    read, each burst once. Returns None when nothing fits at all.
     """
     cap_us = budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
     preamble_us = timing.phy_preamble_us
@@ -278,62 +257,68 @@ def plan_slot(members: Sequence[int], state: SimState,
     for ap in members:
         rates = link_airtimes[ap]
         acc = preamble_us
-        queued: list[tuple[int, int, int]] = []
-        packets = 0
-        span = None
+        runs: list[tuple[int, int, int, int, int]] = []
         batches = requeued[ap]
+        kept: list[list[int]] = []  # the re-queued bursts after the slot
+        window = cursor[ap], sent[ap]
         # with integer n, k is min(n, int(room)): the packets that fit
-        for pos, (i, n) in enumerate(batches):
-            entry = rates.get(stations[i])
-            if entry is None:
+        for pos, entry in enumerate(batches):
+            i, n = entry
+            rate = rates.get(stations[i])
+            if rate is None:
+                kept.append(entry)
                 continue
-            per_packet = entry[1]
+            per_packet = rate[1]
             room = (cap_us - acc) / per_packet + 1e-9
             if room < 1:
+                kept += batches[pos:]
                 break
             k = n if room >= n else int(room)
             acc += k * per_packet
-            queued.append((pos, k, i))
-            packets += k
+            runs.append((pos, i, i + 1, k, k))
             if k < n:
+                kept.append([i, n - k])
+                kept += batches[pos + 1:]
                 break
         else:
-            start = cursor[ap]
-            first = n = burst - sent[ap]  # the burst at the cursor may be part-sent
+            start, done = window
+            head = n = burst - done  # the burst at the cursor may be part-sent
+            lo = ran = start  # the open run's first burst; one past the last run
             end = arrived[ap]
-            last = 0  # set when the drain cuts burst end - 1
-            skipped: list[int] = []
+            offset = len(batches) - start  # window burst i's queue position - i
+            cut = 0
             for i in range(start, end):
-                entry = rates.get(stations[i])
-                if entry is None:
-                    skipped.append(i)
-                    n = burst
+                rate = rates.get(stations[i])
+                if rate is None:
+                    if i > lo:
+                        runs.append((offset + lo, lo, i, head, head if i - 1 == lo else burst))
+                        ran = i
+                    kept.append([i, n])
+                    lo = i + 1
+                    head = n = burst
                     continue
-                per_packet = entry[1]
+                per_packet = rate[1]
                 room = (cap_us - acc) / per_packet + 1e-9
                 if room < n:
                     if room >= 1:
-                        last = int(room)
-                        acc += last * per_packet
-                        end = i + 1
-                    else:
-                        end = i
+                        cut = int(room)
+                        acc += cut * per_packet
+                    end = i
                     break
                 acc += n * per_packet
                 n = burst
-            if not last:
-                while skipped and skipped[-1] == end - 1:  # they stay in the window
-                    skipped.pop()
-                    end -= 1
-                last = first if end - 1 == start else burst
-            if end > start:
-                span = (len(batches), start, end, first, last, skipped)
-                packets += (end - start - len(skipped) - 1) * burst + last
-                if end - 1 > start and (not skipped or skipped[0] != start):
-                    packets -= burst - first
-        if packets:
-            transmissions.append(ApTransmission(ap, queued, span, packets, acc, rates,
-                                                state))
+            if cut:  # burst `end` stays at the cursor, less what it sent
+                runs.append((offset + lo, lo, end + 1, head, cut))
+                window = end, burst - n + cut
+            else:
+                if end > lo:
+                    runs.append((offset + lo, lo, end, head, head if end - 1 == lo else burst))
+                else:  # bursts skipped after the last run stay in the window
+                    del kept[len(kept) - (end - ran):]
+                    end = ran
+                window = end, done if end == start else 0
+        if runs:
+            transmissions.append(ApTransmission(ap, runs, window, kept, acc, rates, state))
             if acc > duration:
                 duration = acc
     if not transmissions:
@@ -359,24 +344,22 @@ class SimState:
     AP a's FIFO is `requeued[a]`, then the window [cursor[a], arrived[a])
     of its list in the run's schedule, read through `stations` and `txops`
     (global indices, from ap_bounds[a]). `step_arrivals` moves `arrived[a]`
-    and `deliver` moves `cursor[a]`. Window bursts are bursts of
-    `burst_packets`, read where they lie in the schedule, less the `sent[a]`
-    packets a slot that cut the burst at the cursor has sent. `requeued[a]`
-    holds mutable [schedule index, count] entries: the window bursts a slot
-    skipped (their station unservable in the scheduled set), a part-sent
-    one with its remainder; like window bursts, they read their arrival
-    and station from the schedule. `counts` and `heads` are the
-    controller's view: queued packets and head-of-line arrival time (+inf
-    when empty, so the oldest head is min(heads)) per AP, kept current by
-    step_arrivals and deliver. `view` is the run's one `BufferSummary` over
-    those two live lists; run_txop moves its `now` to each slot decision
-    instant.
+    and `deliver` sets the rest as a slot's plan left it. Window bursts are
+    bursts of `burst_packets`, read where they lie in the schedule, less
+    the `sent[a]` packets a slot that cut the burst at the cursor has sent.
+    `requeued[a]` holds [schedule index, count] entries, never changed in
+    place: the window bursts a slot skipped (their station unservable in
+    the scheduled set), a part-sent one with its remainder; like window
+    bursts, they read their arrival and station from the schedule. `counts`
+    and `heads` are the controller's view: queued packets and head-of-line
+    arrival time (+inf when empty, so the oldest head is min(heads)) per
+    AP, kept current by step_arrivals and deliver.
 
-    `deliver` books what it sends in typed columns, one record per window
-    span or re-queued burst, which is booked as a span of one:
-    `booked_at` holds the delivery time, `booked_lo`/`booked_hi` the
-    schedule indices [lo, hi) of its bursts, `booked_head`/`booked_tail`
-    the packets of its first and last burst. `delay_pairs` expands them.
+    `deliver` books what it sends in typed columns, one record per run (see
+    ApTransmission): `booked_at` holds the delivery time, `booked_lo`/
+    `booked_hi` the schedule indices [lo, hi) of its bursts,
+    `booked_head`/`booked_tail` the packets of its first and last burst.
+    `delay_pairs` expands them.
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
@@ -385,11 +368,10 @@ class SimState:
         num_aps = len(arrivals.ap_bounds) - 1
         self.counts: list[int] = [0] * num_aps
         self.heads: list[float] = [inf] * num_aps
-        self.view = BufferSummary(0.0, self.counts, self.heads)
         self.cursor: list[int] = arrivals.ap_bounds[:-1].tolist()
         self.arrived: list[int] = list(self.cursor)
         self.sent: list[int] = [0] * num_aps
-        self.requeued: list[list[list]] = [[] for _ in range(num_aps)]
+        self.requeued: list[list[list[int]]] = [[] for _ in range(num_aps)]
         self.fifo_txops = arrivals.fifo_txops
         # memoryviews index to Python ints
         self.stations = memoryview(arrivals.fifo_stations)
@@ -407,85 +389,41 @@ class SimState:
             self.booked_tail))
         self.packets_arrived = 0
 
-    def _window(self, start: int, end: int, sent: int) -> list[list]:
-        """Window bursts [start, end), the first less its `sent` packets."""
-        period, stations, txops = self.period_s, self.stations, self.txops
-        window = [[txops[i] * period, stations[i], self.burst_packets]
-                  for i in range(start, end)]
-        if window:
-            window[0][2] -= sent
-        return window
-
     def bursts(self, ap: int) -> list[list]:
         """AP `ap`'s whole queue, oldest first, as [arrival_s, station, count]."""
         period, stations, txops = self.period_s, self.stations, self.txops
-        return ([[txops[i] * period, stations[i], n] for i, n in self.requeued[ap]]
-                + self._window(self.cursor[ap], self.arrived[ap], self.sent[ap]))
-
-    def _book(self, *record: float) -> None:
-        """Book (at, lo, hi, head, tail), one value per column."""
-        for append, value in zip(self.appenders, record):
-            append(value)
-
-    def _take_queued(self, ap: int, queued: Sequence[tuple[int, int, int]],
-                     delivery_time_s: float) -> None:
-        """Book the re-queued bursts a slot sends from, each as a span of
-        one, and drop what it sent."""
-        batches = self.requeued[ap]
-        for _, k, i in queued:
-            self._book(delivery_time_s, i, i + 1, k, k)
-        # back to front, so deleting a burst leaves the earlier positions valid
-        for pos, k, _ in reversed(queued):
-            if k == batches[pos][1]:
-                del batches[pos]
-            else:
-                batches[pos][1] -= k
-
-    def _skip(self, ap: int, span: tuple[int, int, int, int, int, list[int]],
-              delivery_time_s: float) -> None:
-        """Book a span with skipped bursts as its runs between them, and
-        re-queue the skipped ones in their order."""
-        _, start, end, first, last, skipped = span
-        burst = self.burst_packets
-        lo = start
-        for i in skipped + [end]:
-            if i > lo:
-                self._book(delivery_time_s, lo, i, first if lo == start else burst,
-                           last if i == end else first if i - 1 == start else burst)
-            lo = i + 1
-        self.requeued[ap] += [[i, first if i == start else burst] for i in skipped]
+        queue = [[txops[i] * period, stations[i], n] for i, n in self.requeued[ap]]
+        start = len(queue)
+        queue += [[txops[i] * period, stations[i], self.burst_packets]
+                  for i in range(self.cursor[ap], self.arrived[ap])]
+        if len(queue) > start:
+            queue[start][2] -= self.sent[ap]
+        return queue
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
-        """Book what `plan` sends and move each AP's FIFO past it: a window
-        span in O(1), re-queued and skipped bursts one by one. A burst the
-        plan cut stays at the cursor with its `sent` count."""
-        cursor, sent, burst = self.cursor, self.sent, self.burst_packets
+        """Commit `plan`: book each run at `delivery_time_s`, and set each
+        AP's window and re-queued bursts as the plan left them."""
         at, lo, hi, head, tail = self.appenders
+        cursor, sent, arrived, requeued = self.cursor, self.sent, self.arrived, self.requeued
+        counts, heads, txops = self.counts, self.heads, self.txops
+        period, burst = self.period_s, self.burst_packets
         for tx in plan.transmissions:
             ap = tx.ap
-            if tx.queued:
-                self._take_queued(ap, tx.queued, delivery_time_s)
-            span = tx.span
-            if span is not None:
-                _, start, end, first, last, skipped = span
-                if skipped:
-                    self._skip(ap, span, delivery_time_s)
-                else:
-                    at(delivery_time_s)
-                    lo(start)
-                    hi(end)
-                    head(first)
-                    tail(last)
-                whole = first if end - 1 == start else burst
-                if last == whole:
-                    cursor[ap], sent[ap] = end, 0
-                else:
-                    cursor[ap], sent[ap] = end - 1, burst - whole + last
-            self.counts[ap] -= tx.packets
-            batches = self.requeued[ap]
-            self.heads[ap] = (self.txops[batches[0][0]] * self.period_s if batches
-                              else self.txops[cursor[ap]] * self.period_s
-                              if cursor[ap] < self.arrived[ap] else inf)
+            for _, i, j, h, t in tx.runs:
+                at(delivery_time_s)
+                lo(i)
+                hi(j)
+                head(h)
+                tail(t)
+            start, done = cursor[ap], sent[ap] = tx.window
+            batches = requeued[ap] = tx.requeued
+            queued = (arrived[ap] - start) * burst - done  # in the window
+            if batches:
+                heads[ap] = txops[batches[0][0]] * period
+                counts[ap] = queued + sum([n for _, n in batches])
+            else:
+                heads[ap] = txops[start] * period if queued else inf
+                counts[ap] = queued
 
     def delay_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(delay_s, packets) per burst sent from, in the order sent: the
@@ -503,7 +441,7 @@ class SimState:
         index += np.arange(ends[-1])  # each record's schedule indices
         counts = np.full(ends[-1], self.burst_packets, np.int64)
         counts[starts] = head
-        counts[ends - 1] = tail  # after head: a one-burst span's packets
+        counts[ends - 1] = tail  # after head: a one-burst run's packets
         delays = np.repeat(np.frombuffer(self.booked_at, np.float64), lengths)
         delays -= self.fifo_txops[index] * self.period_s
         return delays, counts
@@ -515,24 +453,24 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
 
     With empty buffers no TXOP occurs at all (zero duration) unless
     `timing.always_handshake` is set. Group selection is re-evaluated after
-    every slot with updated buffers: the run's one controller view,
-    `state.view`, is dated at the slot decision instant, i.e. TXOP start
-    plus everything already transmitted, so even packets that arrived at
-    `now_s` have a positive waiting time. The charges come from `timing`.
+    every slot with updated buffers: the controller reads the run's live
+    `state.counts` and `state.heads` at the slot decision instant, i.e.
+    TXOP start plus everything already transmitted, so even packets that
+    arrived at `now_s` have a positive waiting time. The charges come from
+    `timing`.
     """
     if not any(state.counts) and not timing.always_handshake:
         return TxopRecord(now_s, 0.0, [], 0.0)
     (handshake_us, txop_max, preamble_us, map_tf, te, overhead,
      slot_us) = timing.txop_figures
     consumed = handshake_us
-    link_airtimes, view = state.link_airtimes, state.view
+    link_airtimes, counts, heads = state.link_airtimes, state.counts, state.heads
     slots: list[SlotPlan] = []
     while True:
         budget = txop_max - consumed
         if budget - map_tf - te - overhead <= preamble_us:
             break  # plan_slot would refuse whatever group is selected
-        view.now = now_s + consumed * 1e-6
-        members = select_group(kind, groups, view)
+        members = select_group(kind, groups, counts, heads, now_s + consumed * 1e-6)
         if members is None:
             break
         plan = plan_slot(members, state, link_airtimes[members], timing, budget)

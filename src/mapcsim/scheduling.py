@@ -15,7 +15,6 @@ work out waits only for the members of the groups holding it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import inf
 from typing import Mapping, Sequence
 
@@ -44,26 +43,10 @@ class SchedulerKind(enum.Enum):
 SCHEDULER_NAMES = tuple(kind.value for kind in SchedulerKind)
 
 
-@dataclass
-class BufferSummary:
-    """Controller view of all AP buffers at a slot decision instant.
-
-    counts[ap] packets queued; oldest_arrival[ap] is the head-of-line arrival
-    time in seconds, or +inf when the buffer is empty. `now` is the decision
-    time, so now - oldest_arrival is the head-of-line waiting time. A run
-    has one summary (SimState.view) over its live per-AP lists
-    (SimState.counts and .heads), not copies; run_txop moves its `now` to
-    each slot decision instant.
-    """
-
-    now: float
-    counts: Sequence[int]
-    oldest_arrival: Sequence[float]
-
-    def waits(self) -> list[float]:
-        """Waiting time of the oldest packet per AP; 0.0 for empty buffers."""
-        now = self.now
-        return [0.0 if t == inf else now - t for t in self.oldest_arrival]
+def head_waits(heads: Sequence[float], now: float) -> list[float]:
+    """Waiting time at `now` of each AP's oldest packet, from its head-of-line
+    arrival time; 0.0 for an empty buffer, whose head is +inf."""
+    return [0.0 if t == inf else now - t for t in heads]
 
 
 def _best_summed_group(groups: GroupSet, indices: Sequence[int],
@@ -128,17 +111,19 @@ def _best_mean_group_numpy(groups: GroupSet, scores: Sequence[float]) -> tuple[i
     return groups.member_tuples[int(np.argmax(total / groups.sizes))]
 
 
-def select_group(kind: SchedulerKind, groups: GroupSet,
-                 buffers: BufferSummary) -> tuple[int, ...] | None:
-    """AP set to serve in the next coordinated slot, or None if all buffers
-    are empty. c-TDMA kinds return singletons; the others return the member
-    set of one stored group."""
-    counts = buffers.counts
+def select_group(kind: SchedulerKind, groups: GroupSet, counts: Sequence[int],
+                 heads: Sequence[float], now: float) -> tuple[int, ...] | None:
+    """AP set to serve in the slot decided at `now`, or None if all buffers
+    are empty. The controller's view of the buffers is two per-AP lists:
+    `counts`, packets queued, and `heads`, head-of-line arrival times in
+    seconds (+inf for an empty buffer); a run passes its live lists
+    (SimState.counts, .heads). c-TDMA kinds return singletons; the others
+    return the member set of one stored group."""
     if not any(counts):
         return None
     if kind.per_group:  # two scorers that agree exactly; the faster by set size
         # empty APs score 0 under both metrics
-        scores = buffers.waits() if kind.scores_waits else counts
+        scores = head_waits(heads, now) if kind.scores_waits else counts
         if len(groups.member_tuples) <= LOOP_MAX_GROUPS:
             return _best_mean_group_loop(groups, scores)
         return _best_mean_group_numpy(groups, scores)
@@ -147,7 +132,6 @@ def select_group(kind: SchedulerKind, groups: GroupSet,
         # +inf, so that AP is backlogged; equal heads go to the lowest id.
         # Distinct heads lie whole periods apart, so `now - head` cannot
         # round two of them to a tie.
-        heads, now = buffers.oldest_arrival, buffers.now
         top_ap = heads.index(min(heads))
         if kind.is_ctdma:
             return (top_ap,)

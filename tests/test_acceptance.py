@@ -21,7 +21,6 @@ from mapcsim import (Campaign, ScenarioConfig, SchedulerKind,
                      step_arrivals)
 from mapcsim.engine import SimState
 from mapcsim.grouping import build_all_groups
-from mapcsim.scheduling import BufferSummary
 from oracles import (feasible_family, feasible_reference, path_loss_reference,
                      select_reference)
 
@@ -126,10 +125,9 @@ def test_criterion_04_scheduler_oracle():
         # discrete waits make ties common
         oldest = [None if c == 0 else now - float(rng.integers(0, 4)) / 200.0
                   for c in counts]
-        buffers = BufferSummary(now, counts,
-                                [math.inf if t is None else t for t in oldest])
+        heads = [math.inf if t is None else t for t in oldest]
         for kind in SchedulerKind:
-            got = select_group(kind, groups, buffers)
+            got = select_group(kind, groups, counts, heads, now)
             want = select_reference(kind.value, member_lists, counts, oldest,
                                     now)
             assert got == want, (kind, counts, oldest, member_lists, got, want)

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from mapcsim import Campaign, engine, load_campaign, run_campaign, run_seed
+from mapcsim import campaign as campaign_module
 from mapcsim.campaign import (PER_RUN_COLUMNS, CampaignRunError,
                               campaign_from_dict, enumerate_runs, execute_run,
                               write_csv)
@@ -159,16 +160,37 @@ def test_workers_below_one_rejected(workers, tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_failed_run_reports_offending_spec():
-    # an over-saturating load (p > 1) must abort with replayable context
+def test_failed_run_reports_offending_spec(monkeypatch):
+    # a run that fails must abort with replayable context
+    def failing(config):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr(campaign_module, "run_simulation", failing)
     campaign = Campaign(timing=TimingConfig(num_txops=10),
-                        loads_mbps=(25.0,), schedulers=("numpk-single",),
+                        loads_mbps=(2.5,), schedulers=("numpk-single",),
                         num_deployments=1, base_seed=1)
     spec = enumerate_runs(campaign)[0]
     with pytest.raises(CampaignRunError) as err:
         execute_run(spec)
     msg = str(err.value)
-    assert "seed=" in msg and "numpk-single" in msg and "25" in msg
+    assert "seed=" in msg and "numpk-single" in msg and "2.5" in msg
+    assert "simulated failure" in msg
+
+
+def test_unofferable_load_fails_before_any_run(tmp_path, monkeypatch):
+    # a load of p > 1 (30 Mbps/STA in 10 x 1500 B bursts per 5 ms) is
+    # refused while the runs are listed, so no run starts and nothing is
+    # written
+    started = []
+    monkeypatch.setattr(campaign_module, "run_simulation", started.append)
+    campaign = Campaign(timing=TimingConfig(num_txops=10), loads_mbps=(1.0, 30.0),
+                        schedulers=("numpk-single",), num_deployments=1)
+    with pytest.raises(ValueError, match="p=1.2500 > 1"):
+        enumerate_runs(campaign)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="p=1.2500 > 1"):
+        run_campaign(campaign, out_dir=out)
+    assert not out.exists() and not started
 
 
 @pytest.mark.parametrize("axes", [

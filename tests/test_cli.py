@@ -1,9 +1,11 @@
 import csv
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -241,10 +243,14 @@ def test_unknown_config_key_is_reported(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     path = _write_config(tmp_path)
+    # the child imports the package under test, installed or not
+    src = str(Path(mapcsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "mapcsim", "run", "--config", str(path),
          "--scheduler", "oldpk-group"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "throughput:" in proc.stdout
 

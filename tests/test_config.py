@@ -190,11 +190,26 @@ def test_non_finite_gamma_rejected(gamma_db):
 
 
 def test_nan_load_rejected():
-    with pytest.raises(ValueError, match="load_bps_per_sta"):
-        TrafficConfig(load_bps_per_sta=float("nan"))
-    with pytest.raises(ValueError, match="load_bps_per_sta"):
-        simulation_config_from_dict({"traffic": {"load_bps_per_sta": float("nan")}})
+    # an infinite load too; JSON's Infinity parses to float("inf")
+    for load in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="load_bps_per_sta must be >= 0 and finite"):
+            TrafficConfig(load_bps_per_sta=load)
+        data = json.loads(json.dumps({"traffic": {"load_bps_per_sta": load}}))
+        with pytest.raises(ValueError, match="load_bps_per_sta must be >= 0 and finite"):
+            simulation_config_from_dict(data)
     assert TrafficConfig(load_bps_per_sta=0.0).load_bps_per_sta == 0.0
+
+
+@pytest.mark.parametrize("traffic, timing", [
+    (TrafficConfig(load_bps_per_sta=24.1e6), TimingConfig()),
+    (TrafficConfig(load_bps_per_sta=6e6, burst_packets=2), TimingConfig()),
+    (TrafficConfig(load_bps_per_sta=6e6), TimingConfig(period_ms=25.0)),
+], ids=["load", "burst", "period"])
+def test_unofferable_load_rejected(traffic, timing):
+    # p = load * T / (burst * bits) > 1: the bursts cannot carry the load
+    with pytest.raises(ValueError, match=r"needs p=\d\.\d+ > 1"):
+        SimulationConfig(timing=timing, traffic=traffic)
+    SimulationConfig(traffic=TrafficConfig(load_bps_per_sta=24e6))  # p = 1
 
 
 # (field, its class, the JSON sections holding it)

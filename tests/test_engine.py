@@ -303,10 +303,13 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     airtimes[0][1] = None
     plan = plan_slot((0,), state, airtimes, TIM, _budget_for(37))
     (tx,) = plan.transmissions
-    assert tx.queued == [(0, 4, 6)]  # (queue position, count, schedule index)
-    # (queue position of window burst 0, start, end, first, last, skipped):
-    # the budget cuts burst 5 after 3 packets
-    assert tx.span == (1, 0, 6, 10, 3, [1, 4])
+    # (queue position, lo, hi, head, tail) per run: the re-queued burst,
+    # then the window's stretches around skipped bursts 1 and 4; the budget
+    # cuts burst 5 after 3 packets
+    assert tx.runs == [(0, 6, 7, 4, 4), (1, 0, 1, 10, 10), (3, 2, 4, 10, 10),
+                       (6, 5, 6, 10, 3)]
+    # where the queue ends: (cursor, sent), then the re-queued bursts
+    assert (tx.window, tx.requeued) == ((5, 3), [[1, 10], [4, 10]])
     assert tx.packets == plan.packets == 37
     assert tx.taken == [(0, 4, 0.0, 2), (1, 10, 0.0, 0), (3, 10, 0.0, 2),
                         (4, 10, period, 0), (6, 3, period, 2)]
@@ -325,12 +328,13 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
     plan = plan_slot((0,), state, airtimes, TIM, _budget_for(7))
-    assert plan.transmissions[0].span == (0, 0, 1, 10, 7, [])
+    assert plan.transmissions[0].runs == [(0, 0, 1, 10, 7)]
     state.deliver(plan, 0.001)
     # station 0 unservable: its part-sent burst 0 and burst 2 are skipped
     airtimes[0][0] = None
     plan = plan_slot((0,), state, airtimes, TIM, _budget_for(15))
-    assert plan.transmissions[0].span == (0, 0, 4, 3, 5, [0, 2])
+    (tx,) = plan.transmissions
+    assert (tx.runs, tx.window) == ([(1, 1, 2, 10, 10), (3, 3, 4, 10, 5)], (3, 5))
     state.deliver(plan, 0.002)
     assert state.requeued[0] == [[0, 3], [2, 10]]
     assert (state.cursor[0], state.sent[0]) == (3, 5)
@@ -339,7 +343,8 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     airtimes[0][0], airtimes[0][1] = (7, PKT_US_MCS7), None
     plan = plan_slot((0,), state, airtimes, TIM, 3000.0)
     (tx,) = plan.transmissions
-    assert (tx.queued, tx.span) == ([(0, 3, 0), (1, 10, 2)], None)
+    assert (tx.runs, tx.window, tx.requeued) == (
+        [(0, 0, 1, 3, 3), (1, 2, 3, 10, 10)], (3, 5), [])
     state.deliver(plan, 0.003)
     assert _pairs(state) == [(0.001, 7), (0.002, 10), (0.002 - period, 5),
                              (0.003, 3), (0.003 - period, 10)]
@@ -681,6 +686,12 @@ def test_cursor_queue_matches_deque_fifo(data):
             airtimes = {ap: {sta: None if sta in unservable else (7, per_packet[sta])
                              for sta in dep.stations_by_ap[ap]} for ap in members}
             plan = plan_slot(members, state, airtimes, TIM, budget)
+            # planning changes no state: a second plan of the same slot is
+            # the same, although it reads the re-queued entries the first
+            # plan's lists share
+            again = plan_slot(members, state, airtimes, TIM, budget)
+            assert _committed(again) == _committed(plan)
+            assert_same_queues()
             cap = budget - TIM.map_tf_us - TIM.te_us - TIM.slot_overhead_us
             want = []
             if cap > TIM.phy_preamble_us:
@@ -700,6 +711,12 @@ def test_cursor_queue_matches_deque_fifo(data):
                         == ref[tx.ap].consume(consume))
             state.deliver(plan, n * TIM.period_s + 1.0)
             assert_same_queues()
+
+
+def _committed(plan):
+    """What `deliver` commits of `plan`, per AP."""
+    return plan and [(tx.ap, tx.runs, tx.window, tx.requeued)
+                     for tx in plan.transmissions]
 
 
 def _run_outcome(cfg, kind, seed, tr, mcs_table=default_mcs_table(), txops=150):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapcsim import (BufferSummary, ScenarioConfig, SchedulerKind,
-                     build_environment, select_group)
+from mapcsim import (ScenarioConfig, SchedulerKind, build_environment,
+                     head_waits, select_group)
 from mapcsim import scheduling
 from mapcsim.grouping import Group, GroupSet
 from mapcsim.scheduling import (LOOP_MAX_GROUPS, _best_mean_group_loop,
@@ -21,10 +21,11 @@ def _group_set(member_lists):
     return GroupSet([Group(members[0], tuple(members)) for members in member_lists])
 
 
-def _summary(counts, oldest, now=1.0):
-    """The view of `counts` and `oldest`, where None marks an empty buffer
-    (as the oracle takes it) and the view holds +inf."""
-    return BufferSummary(now, counts, [inf if t is None else t for t in oldest])
+def _view(counts, oldest, now=1.0):
+    """select_group's (counts, heads, now) view of `counts` and `oldest`,
+    where None marks an empty buffer (as the oracle takes it) and the heads
+    hold +inf."""
+    return counts, [inf if t is None else t for t in oldest], now
 
 
 SPEC_GROUPS = _group_set([(0,), (1,), (2,), (0, 2)])
@@ -32,45 +33,45 @@ SPEC_GROUPS = _group_set([(0,), (1,), (2,), (0, 2)])
 
 def test_numpk_single_spec_example():
     # counts [5,0,9]: AP2 leads; among its groups {2} (9) vs {0,2} (14)
-    buf = _summary([5, 0, 9], [0.5, None, 0.5])
-    assert select_group(SchedulerKind.NUMPK_SINGLE, SPEC_GROUPS, buf) == (0, 2)
+    buf = _view([5, 0, 9], [0.5, None, 0.5])
+    assert select_group(SchedulerKind.NUMPK_SINGLE, SPEC_GROUPS, *buf) == (0, 2)
 
 
 def test_numpk_group_spec_example():
     # {0,2} scores 14/2 = 7 < 9 of {2}
-    buf = _summary([5, 0, 9], [0.5, None, 0.5])
-    assert select_group(SchedulerKind.NUMPK_GROUP, SPEC_GROUPS, buf) == (2,)
+    buf = _view([5, 0, 9], [0.5, None, 0.5])
+    assert select_group(SchedulerKind.NUMPK_GROUP, SPEC_GROUPS, *buf) == (2,)
 
 
 def test_all_empty_returns_none():
-    buf = _summary([0, 0, 0], [None, None, None])
+    buf = _view([0, 0, 0], [None, None, None])
     for kind in ALL_KINDS:
-        assert select_group(kind, SPEC_GROUPS, buf) is None
+        assert select_group(kind, SPEC_GROUPS, *buf) is None
 
 
 def test_oldpk_single_spec_example():
     # waits 12 ms / none / 3 ms: AP0 leads; {0,2} aggregates 15 ms > {0} 12 ms
     now = 1.0
-    buf = _summary([4, 0, 7], [now - 0.012, None, now - 0.003], now)
-    assert select_group(SchedulerKind.OLDPK_SINGLE, SPEC_GROUPS, buf) == (0, 2)
+    buf = _view([4, 0, 7], [now - 0.012, None, now - 0.003], now)
+    assert select_group(SchedulerKind.OLDPK_SINGLE, SPEC_GROUPS, *buf) == (0, 2)
 
 
 def test_ctdma_tie_breaks_to_lowest_ap():
     groups = _group_set([(0,), (1,)])
-    buf = _summary([4, 4], [0.2, 0.1])
-    assert select_group(SchedulerKind.CTDMA_NUMPK, groups, buf) == (0,)
+    buf = _view([4, 4], [0.2, 0.1])
+    assert select_group(SchedulerKind.CTDMA_NUMPK, groups, *buf) == (0,)
     # equal waits likewise; distinct waits pick the older head-of-line
-    tie = _summary([4, 4], [0.3, 0.3])
-    assert select_group(SchedulerKind.CTDMA_OLDPK, groups, tie) == (0,)
-    buf2 = _summary([4, 4], [0.2, 0.1])
-    assert select_group(SchedulerKind.CTDMA_OLDPK, groups, buf2) == (1,)
+    tie = _view([4, 4], [0.3, 0.3])
+    assert select_group(SchedulerKind.CTDMA_OLDPK, groups, *tie) == (0,)
+    buf2 = _view([4, 4], [0.2, 0.1])
+    assert select_group(SchedulerKind.CTDMA_OLDPK, groups, *buf2) == (1,)
 
 
 def test_ctdma_always_singleton():
     groups = _group_set([(0, 1, 2), (1,), (2,)])
-    buf = _summary([9, 5, 7], [0.1, 0.2, 0.3])
-    assert select_group(SchedulerKind.CTDMA_NUMPK, groups, buf) == (0,)
-    assert select_group(SchedulerKind.CTDMA_OLDPK, groups, buf) == (0,)
+    buf = _view([9, 5, 7], [0.1, 0.2, 0.3])
+    assert select_group(SchedulerKind.CTDMA_NUMPK, groups, *buf) == (0,)
+    assert select_group(SchedulerKind.CTDMA_OLDPK, groups, *buf) == (0,)
 
 
 def test_single_kind_selection_contains_top_ap():
@@ -80,16 +81,16 @@ def test_single_kind_selection_contains_top_ap():
         counts = [int(c) for c in rng.integers(0, 5, size=4)]
         oldest = [None if c == 0 else 1.0 - float(rng.integers(1, 6)) / 100
                   for c in counts]
-        buf = _summary(counts, oldest)
+        buf = _view(counts, oldest)
         if not any(counts):
             continue
         top_numpk = max(range(4), key=lambda a: (counts[a], -a))
-        sel = select_group(SchedulerKind.NUMPK_SINGLE, groups, buf)
+        sel = select_group(SchedulerKind.NUMPK_SINGLE, groups, *buf)
         assert top_numpk in sel
         waits = [0.0 if t is None else 1.0 - t for t in oldest]
         top_oldpk = max((a for a in range(4) if counts[a]),
                         key=lambda a: (waits[a], -a))
-        sel = select_group(SchedulerKind.OLDPK_SINGLE, groups, buf)
+        sel = select_group(SchedulerKind.OLDPK_SINGLE, groups, *buf)
         assert top_oldpk in sel
 
 
@@ -100,9 +101,9 @@ def test_selection_is_a_stored_group_or_singleton():
     for _ in range(300):
         counts = [int(c) for c in rng.integers(0, 4, size=5)]
         oldest = [None if c == 0 else float(rng.uniform(0, 1)) for c in counts]
-        buf = _summary(counts, oldest, now=2.0)
+        buf = _view(counts, oldest, now=2.0)
         for kind in ALL_KINDS:
-            sel = select_group(kind, groups, buf)
+            sel = select_group(kind, groups, *buf)
             if sel is None:
                 assert not any(counts)
             elif kind.is_ctdma:
@@ -119,17 +120,17 @@ def test_argmax_invariance():
         if not any(counts):
             continue
         oldest = [None if c == 0 else float(rng.uniform(0, 0.9)) for c in counts]
-        buf = _summary(counts, oldest)
-        scaled = _summary([7 * c for c in counts], oldest)
+        buf = _view(counts, oldest)
+        scaled = _view([7 * c for c in counts], oldest)
         for kind in (SchedulerKind.NUMPK_SINGLE, SchedulerKind.NUMPK_GROUP,
                      SchedulerKind.CTDMA_NUMPK):
-            assert select_group(kind, groups, buf) == select_group(kind, groups, scaled)
-        shifted = _summary(counts,
+            assert select_group(kind, groups, *buf) == select_group(kind, groups, *scaled)
+        shifted = _view(counts,
                            [None if t is None else t + 5.0 for t in oldest],
-                           now=buf.now + 5.0)
+                           now=buf[2] + 5.0)
         for kind in (SchedulerKind.OLDPK_SINGLE, SchedulerKind.OLDPK_GROUP,
                      SchedulerKind.CTDMA_OLDPK):
-            assert select_group(kind, groups, buf) == select_group(kind, groups, shifted)
+            assert select_group(kind, groups, *buf) == select_group(kind, groups, *shifted)
 
 
 def test_matches_exhaustive_scorer_on_random_states():
@@ -149,10 +150,10 @@ def test_matches_exhaustive_scorer_on_random_states():
         counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
         oldest = [None if c == 0 else 1.0 - float(rng.integers(0, 4)) / 8
                   for c in counts]
-        buf = _summary(counts, oldest)
+        buf = _view(counts, oldest)
         for kind in ALL_KINDS:
-            assert select_group(kind, groups, buf) == select_reference(
-                kind.value, member_lists, counts, oldest, buf.now)
+            assert select_group(kind, groups, *buf) == select_reference(
+                kind.value, member_lists, counts, oldest, buf[2])
 
 
 def test_matches_exhaustive_scorer_at_dense_scale():
@@ -186,15 +187,14 @@ def test_matches_exhaustive_scorer_at_dense_scale():
         states.append((tied, [1.0 - float(rng.integers(0, 4)) / 8 for _ in tied]))
         states.append((tied, [0.5] * n_aps))
         for counts, oldest in states:
-            buf = _summary(counts, oldest)
+            buf = _view(counts, oldest)
             for kind in ALL_KINDS:
-                assert select_group(kind, groups, buf) == select_reference(
-                    kind.value, member_lists, counts, oldest, buf.now)
+                assert select_group(kind, groups, *buf) == select_reference(
+                    kind.value, member_lists, counts, oldest, buf[2])
 
 
 def test_summary_waits():
-    buf = _summary([2, 0], [0.4, None], now=1.0)
-    assert buf.waits() == [pytest.approx(0.6), 0.0]
+    assert head_waits([0.4, inf], 1.0) == [pytest.approx(0.6), 0.0]
 
 
 @pytest.mark.parametrize("rows, num_groups", [(3, 8), (6, 36), (12, 144)])
@@ -225,14 +225,14 @@ def test_both_mean_scorers_match_exhaustive_scorer(rows, num_groups):
             else:
                 oldest = [None if c == 0 else 1.0 - float(rng.uniform(-0.25, 0.75))
                           for c in counts]
-            buf = _summary(counts, oldest)
+            buf = _view(counts, oldest)
             for kind, scores in ((SchedulerKind.NUMPK_GROUP, counts),
-                                 (SchedulerKind.OLDPK_GROUP, buf.waits())):
+                                 (SchedulerKind.OLDPK_GROUP, head_waits(*buf[1:]))):
                 want = select_reference(kind.value, member_lists, counts,
-                                        oldest, buf.now)
+                                        oldest, buf[2])
                 assert _best_mean_group_loop(groups, scores) == want, (kind, state)
                 assert _best_mean_group_numpy(groups, scores) == want, (kind, state)
-                assert select_group(kind, groups, buf) == want, (kind, state)
+                assert select_group(kind, groups, *buf) == want, (kind, state)
 
 
 def test_mean_scorer_is_picked_by_group_count(monkeypatch):
@@ -242,10 +242,10 @@ def test_mean_scorer_is_picked_by_group_count(monkeypatch):
     for num_groups, unused in ((LOOP_MAX_GROUPS, "_best_mean_group_numpy"),
                                (LOOP_MAX_GROUPS + 1, "_best_mean_group_loop")):
         groups = _group_set([(a,) for a in range(num_groups)])
-        buf = _summary([1] * num_groups, [0.5] * num_groups)
+        buf = _view([1] * num_groups, [0.5] * num_groups)
         with monkeypatch.context() as patch:
             patch.setattr(scheduling, unused, refuse)
-            assert select_group(SchedulerKind.NUMPK_GROUP, groups, buf) == (0,)
+            assert select_group(SchedulerKind.NUMPK_GROUP, groups, *buf) == (0,)
 
 
 def test_summed_group_adds_left_to_right():
@@ -285,7 +285,7 @@ def test_oldest_head_pick_matches_exhaustive_scorer(data):
     lags = data.draw(st.lists(st.integers(-2, oldest_lag), min_size=n_aps,
                               max_size=n_aps), label="lags")
     oldest = [(txop - lag) * period if c else None for c, lag in zip(counts, lags)]
-    buf = _summary(counts, oldest, now)
+    buf = _view(counts, oldest, now)
     for kind in (SchedulerKind.OLDPK_SINGLE, SchedulerKind.CTDMA_OLDPK):
-        assert select_group(kind, groups, buf) == select_reference(
+        assert select_group(kind, groups, *buf) == select_reference(
             kind.value, list(groups.member_tuples), counts, oldest, now), kind
