@@ -210,8 +210,7 @@ class SimulationConfig:
         # is charged the handshake and sends nothing
         handshake, txop_max, preamble, map_tf, te, overhead, _ = self.timing.txop_figures
         top = len(self.mcs_table) - 1
-        packet_us = (self.traffic.packet_bits
-                     / data_rate_bps(top, self.mcs_table, self.timing) * 1e6)
+        packet_us = self.packet_airtimes_us[top]
         room_us = txop_max - handshake - map_tf - te - overhead - preamble
         if room_us / packet_us + 1e-9 < 1:
             raise ValueError(
@@ -219,6 +218,12 @@ class SimulationConfig:
                 f"room after the handshake and one slot's MAP-TF, Te, overhead and PHY "
                 f"preamble, less than the {packet_us:g} us one "
                 f"{self.traffic.packet_bytes} B packet takes at the top MCS ({top})")
+
+    @cached_property
+    def packet_airtimes_us(self) -> tuple[float, ...]:
+        """One packet's airtime in us per MCS, for the airtime table and the check above."""
+        bits, table, timing = self.traffic.packet_bits, self.mcs_table, self.timing
+        return tuple(bits / data_rate_bps(m, table, timing) * 1e6 for m in range(len(table)))
 
 
 def _from_dict(cls: type, data: dict[str, Any]):

@@ -20,18 +20,20 @@ to the same station are aggregated into one A-MPDU segment sent at the MCS
 the station's in-group SINR allows, so an AP's airtime is one PHY preamble
 plus the sum of its segment times. The slot lasts as long as the busiest
 member; APs that finish early idle. The gap between the TXOP cap and the
-next period carries no simulated traffic (it is left to uncoordinated use).
-`plan_slot` reads each burst once, changes nothing, and records what each
-AP sends as runs of schedule indices (lo, hi) with the packets of the
-first and last burst: a re-queued burst is a run of one, a window drain
-one run per stretch between skipped bursts. It also records where the
-AP's queue ends: its window (cursor, sent) and its re-queued bursts.
-`deliver` only commits that: it books each run as one record in typed
-columns and sets the queue, and the run expands the records into
-per-burst (delay, packets) pairs in one numpy pass after its last TXOP.
-Skipped bursts are re-queued as [schedule index, count], so every burst
-reads its arrival and station from the schedule. The per-burst list and
-the segments are derived only when asked for.
+next period carries no simulated traffic (it is left to uncoordinated
+use). The airtime table holds each AP set's per-packet airtime and MCS per
+station it serves, as two dicts keyed by station. `plan_slot` reads each
+burst once, skips bursts to a station absent from them, changes nothing,
+and records what each AP sends as runs of schedule indices (lo, hi) with
+the packets of the first and last burst: a re-queued burst is a run of
+one, a window drain one run per stretch between skipped bursts. It also
+records where the AP's queue ends: its window (cursor, sent) and its
+re-queued bursts. `deliver` only commits that: it books each run as one
+record in typed columns and sets the queue, and the run expands the
+records into per-burst (delay, packets) pairs in one numpy pass after its
+last TXOP. Skipped bursts are re-queued as [schedule index, count], so
+every burst reads its arrival and station from the schedule. The per-burst
+list and the segments are derived only when asked for.
 
 The controller's view of the buffers (queued packets and head-of-line
 arrival per AP, +inf for an empty buffer, so the AP with the oldest head is
@@ -58,8 +60,7 @@ from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .channel import (McsTable, build_rssi_matrix, data_rate_bps,
-                      group_sinr_db, select_mcs)
+from .channel import build_rssi_matrix, group_sinr_db, select_mcs
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
                      TrafficConfig, arrival_probability)
 from .grouping import GroupSet, build_all_groups
@@ -67,10 +68,10 @@ from .scenario import Deployment, generate_grid_deployment
 from .scheduling import SchedulerKind, select_group
 from .stats import nearest_rank
 
-# Per-station, per-packet transmit times within one scheduled AP set:
-# ap -> {station: (mcs, airtime_us)}; a station below the MCS-0 threshold
-# maps to None and cannot be served while that set transmits.
-LinkAirtimes = Mapping[int, Mapping[int, "tuple[int, float] | None"]]
+# One AP set's links, (airtime_us, mcs): the per-packet airtime and MCS of each
+# station a member serves at a usable MCS while the set transmits, keyed by
+# global station id. A station absent from both is unservable in that set.
+SetLinks = tuple[Mapping[int, float], Mapping[int, int]]
 
 
 # Uniforms per block when drawing arrivals: bounds the transient draw to 128 kB,
@@ -193,7 +194,7 @@ class ApTransmission:
     window: tuple[int, int]                    # (cursor, sent) after the slot
     requeued: list[list[int]]                  # re-queued bursts after the slot
     airtime_us: float                          # preamble + A-MPDU segment times
-    rates: Mapping[int, tuple[int, float] | None]  # the AP's link airtimes
+    mcs: Mapping[int, int]                     # the set's MCS per servable station
     source: SimState                           # whose schedule the runs index
 
     @property
@@ -217,7 +218,7 @@ class ApTransmission:
         counts: dict[int, int] = {}
         for _, k, _, sta in self.taken:
             counts[sta] = counts.get(sta, 0) + k
-        return [(sta, self.rates[sta][0], k) for sta, k in counts.items()]
+        return [(sta, self.mcs[sta], k) for sta, k in counts.items()]
 
 
 @dataclass
@@ -231,9 +232,8 @@ class SlotPlan:
         return sum(tx.packets for tx in self.transmissions)
 
 
-def plan_slot(members: Sequence[int], state: SimState,
-              link_airtimes: LinkAirtimes, timing: TimingConfig,
-              budget_us: float) -> SlotPlan | None:
+def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
+              timing: TimingConfig, budget_us: float) -> SlotPlan | None:
     """Fill one coordinated slot for `members` within `budget_us`.
 
     The budget covers the trigger frame, guard and fixed overhead plus the
@@ -241,7 +241,7 @@ def plan_slot(members: Sequence[int], state: SimState,
     budget - T_MAP-TF - Te - overhead of airtime. Draining is strict FIFO
     per AP, over its re-queued bursts and then its window (see SimState):
     the first packet that does not fit ends that AP's drain (a burst may be
-    cut mid-way); packets to stations without a usable MCS are left
+    cut mid-way); packets to stations absent from the set's `links` are left
     buffered and skipped over. Each AP's transmission lists what it sends
     as runs and where its queue ends (see ApTransmission); `state` is only
     read, each burst once. Returns None when nothing fits at all.
@@ -254,8 +254,8 @@ def plan_slot(members: Sequence[int], state: SimState,
     duration = 0.0
     requeued, cursor, arrived, sent = state.requeued, state.cursor, state.arrived, state.sent
     stations, burst = state.stations, state.burst_packets
+    airtime_us, mcs = links
     for ap in members:
-        rates = link_airtimes[ap]
         acc = preamble_us
         runs: list[tuple[int, int, int, int, int]] = []
         batches = requeued[ap]
@@ -264,11 +264,10 @@ def plan_slot(members: Sequence[int], state: SimState,
         # with integer n, k is min(n, int(room)): the packets that fit
         for pos, entry in enumerate(batches):
             i, n = entry
-            rate = rates.get(stations[i])
-            if rate is None:
+            per_packet = airtime_us.get(stations[i])
+            if per_packet is None:
                 kept.append(entry)
                 continue
-            per_packet = rate[1]
             room = (cap_us - acc) / per_packet + 1e-9
             if room < 1:
                 kept += batches[pos:]
@@ -288,8 +287,8 @@ def plan_slot(members: Sequence[int], state: SimState,
             offset = len(batches) - start  # window burst i's queue position - i
             cut = 0
             for i in range(start, end):
-                rate = rates.get(stations[i])
-                if rate is None:
+                per_packet = airtime_us.get(stations[i])
+                if per_packet is None:
                     if i > lo:
                         runs.append((offset + lo, lo, i, head, head if i - 1 == lo else burst))
                         ran = i
@@ -297,7 +296,6 @@ def plan_slot(members: Sequence[int], state: SimState,
                     lo = i + 1
                     head = n = burst
                     continue
-                per_packet = rate[1]
                 room = (cap_us - acc) / per_packet + 1e-9
                 if room < n:
                     if room >= 1:
@@ -318,7 +316,7 @@ def plan_slot(members: Sequence[int], state: SimState,
                     end = ran
                 window = end, done if end == start else 0
         if runs:
-            transmissions.append(ApTransmission(ap, runs, window, kept, acc, rates, state))
+            transmissions.append(ApTransmission(ap, runs, window, kept, acc, mcs, state))
             if acc > duration:
                 duration = acc
     if not transmissions:
@@ -363,7 +361,7 @@ class SimState:
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
-                 link_airtimes: Mapping[tuple[int, ...], LinkAirtimes],
+                 airtimes: Mapping[tuple[int, ...], SetLinks],
                  traffic: TrafficConfig, period_s: float):
         num_aps = len(arrivals.ap_bounds) - 1
         self.counts: list[int] = [0] * num_aps
@@ -380,7 +378,7 @@ class SimState:
         self.bounds = memoryview(arrivals.bounds)
         self.burst_packets = traffic.burst_packets
         self.period_s = period_s
-        self.link_airtimes = link_airtimes
+        self.airtimes = airtimes
         self.booked_at = array("d")
         self.booked_lo, self.booked_hi = array("q"), array("q")
         self.booked_head, self.booked_tail = array("q"), array("q")
@@ -464,7 +462,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
     (handshake_us, txop_max, preamble_us, map_tf, te, overhead,
      slot_us) = timing.txop_figures
     consumed = handshake_us
-    link_airtimes, counts, heads = state.link_airtimes, state.counts, state.heads
+    airtimes, counts, heads = state.airtimes, state.counts, state.heads
     slots: list[SlotPlan] = []
     while True:
         budget = txop_max - consumed
@@ -473,7 +471,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
         members = select_group(kind, groups, counts, heads, now_s + consumed * 1e-6)
         if members is None:
             break
-        plan = plan_slot(members, state, link_airtimes[members], timing, budget)
+        plan = plan_slot(members, state, airtimes[members], timing, budget)
         if plan is None:
             break
         consumed += slot_us + plan.duration_us
@@ -551,30 +549,27 @@ def build_environment(scenario: ScenarioConfig, gamma_db: float,
     return env, np.random.default_rng(traffic_ss)
 
 
-def _selection_airtimes(env: Environment, scenario: ScenarioConfig,
-                        mcs_table: McsTable, timing: TimingConfig,
-                        packet_bits: int) -> dict[tuple[int, ...], dict]:
-    """Precompute per-packet airtimes for every AP set a scheduler can pick,
-    keyed by the member tuple `select_group` returns: all stored groups plus
-    every c-TDMA singleton. RSSI is static, so the in-group SINR (and hence
-    MCS and airtime) never changes during a run."""
+def _selection_airtimes(env: Environment, config: SimulationConfig
+                        ) -> dict[tuple[int, ...], SetLinks]:
+    """The airtime table: the (airtime_us, mcs) pair of every AP set a
+    scheduler can pick, keyed by the member tuple `select_group` returns:
+    all stored groups plus every c-TDMA singleton. RSSI is static, so the
+    in-group SINR (and hence MCS and airtime) never changes during a run."""
+    stations_by_ap, noise_dbm = env.deployment.stations_by_ap, config.scenario.noise_dbm
+    per_packet_us = config.packet_airtimes_us
 
-    def rates_for(members: tuple[int, ...]) -> dict[int, dict]:
-        out: dict[int, dict] = {ap: {} for ap in members}
-        for ap, sta, sinr in group_sinr_db(members, env.rssi_dbm,
-                                           env.deployment.stations_by_ap,
-                                           scenario.noise_dbm):
-            mcs = select_mcs(sinr, mcs_table)
-            out[ap][sta] = None if mcs is None else (
-                mcs, packet_bits / data_rate_bps(mcs, mcs_table, timing) * 1e6)
-        return out
+    def links(members: tuple[int, ...]) -> SetLinks:
+        airtime_us: dict[int, float] = {}
+        mcs_of: dict[int, int] = {}
+        for _, sta, sinr in group_sinr_db(members, env.rssi_dbm, stations_by_ap, noise_dbm):
+            mcs = select_mcs(sinr, config.mcs_table)
+            if mcs is not None:
+                airtime_us[sta], mcs_of[sta] = per_packet_us[mcs], mcs
+        return airtime_us, mcs_of
 
-    table: dict[tuple[int, ...], dict] = {}
-    for group in env.groups.groups:
-        table[group.members] = rates_for(group.members)
-    for ap in range(env.deployment.num_aps):
-        table.setdefault((ap,), rates_for((ap,)))
-    return table
+    singletons = tuple((ap,) for ap in range(env.deployment.num_aps))
+    return {members: links(members)
+            for members in dict.fromkeys(env.groups.member_tuples + singletons)}
 
 
 @dataclass
@@ -617,9 +612,9 @@ def run_simulation(config: SimulationConfig,
                       f"stations that no MCS can serve", UserWarning, stacklevel=2)
     dep_key, sweep = (scenario, config.seed), (config.gamma_db, config.max_group_size)
     env, traffic_rng = build_environment(scenario, *sweep, config.seed)
-    airtimes = _memoized(
-        dep_key, ("airtimes",) + sweep, (mcs_table, timing, traffic.packet_bits),
-        lambda: _selection_airtimes(env, scenario, mcs_table, timing, traffic.packet_bits))
+    airtimes = _memoized(dep_key, ("airtimes",) + sweep,
+                         (mcs_table.min_sinrs, config.packet_airtimes_us),
+                         lambda: _selection_airtimes(env, config))
     p = arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
                             traffic.packet_bytes, timing.period_s)
     arrivals = _memoized(

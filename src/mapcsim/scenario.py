@@ -30,8 +30,17 @@ class Deployment:
         self.ap_positions = np.asarray(self.ap_positions, dtype=float)
         self.station_positions = np.asarray(self.station_positions, dtype=float)
         self.association = np.asarray(self.association, dtype=int)
+        for name in ("ap_positions", "station_positions"):
+            xy = getattr(self, name)
+            if xy.ndim != 2 or xy.shape[1] != 2 or not np.isfinite(xy).all():
+                raise ValueError(f"{name} must be an (N, 2) array of finite coordinates")
         if not 0 <= self.sharing_ap_id < len(self.ap_positions):
             raise ValueError("sharing_ap_id is not a valid AP id")
+        # the airtime table keys links by station alone: each has exactly one AP
+        if (self.association.shape != (len(self.station_positions),)
+                or not ((self.association >= 0) & (self.association < self.num_aps)).all()):
+            raise ValueError(f"association must give each of the {self.num_stations} "
+                             f"stations an AP id in [0, {self.num_aps})")
         groups: list[list[int]] = [[] for _ in range(len(self.ap_positions))]
         for sta, ap in enumerate(self.association):
             groups[ap].append(sta)

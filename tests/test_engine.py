@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 import weakref
 from collections import deque
@@ -95,6 +96,18 @@ def _one_ap_airtimes(per_pkt_us=PKT_US_MCS7, mcs=7, stations=(0,)):
     return {0: {sta: (mcs, per_pkt_us) for sta in stations}}
 
 
+def _links(per_ap):
+    """The (airtime_us, mcs) pair of station-keyed dicts that `plan_slot`
+    reads, from per-AP {station: (mcs, airtime_us) or None} literals; a
+    station mapped to None is left out, as unservable."""
+    airtime_us, mcs = {}, {}
+    for rates in per_ap.values():
+        for sta, rate in rates.items():
+            if rate is not None:
+                mcs[sta], airtime_us[sta] = rate
+    return airtime_us, mcs
+
+
 def _hand_schedule(*lists):
     """An arrival schedule whose AP a lists the (arrival_s, station) bursts
     lists[a] in order. Each arrival is a whole number of periods, as in a
@@ -126,7 +139,7 @@ def _queued_state(*queues):
 
 def test_plan_slot_five_packet_ampdu():
     state = _queued_state([(0.0, 0, 5)])
-    plan = plan_slot((0,), state, _one_ap_airtimes(), TIM, budget_us=3000.0)
+    plan = plan_slot((0,), state, _links(_one_ap_airtimes()), TIM, budget_us=3000.0)
     assert plan is not None
     assert plan.duration_us == pytest.approx(44 + 5 * PKT_US_MCS7, abs=0.1)
     assert plan.duration_us == pytest.approx(741.4, abs=0.1)
@@ -139,7 +152,7 @@ def test_plan_slot_nothing_fits():
     state = _queued_state([(0.0, 0, 5)])
     mcs0_rate = data_rate_bps(0, default_mcs_table(), TIM)
     per = 12000 / mcs0_rate * 1e6  # ~1395 us
-    plan = plan_slot((0,), state, _one_ap_airtimes(per, mcs=0), TIM,
+    plan = plan_slot((0,), state, _links(_one_ap_airtimes(per, mcs=0)), TIM,
                      budget_us=200.0)
     assert plan is None
     assert state.counts[0] == 5  # untouched
@@ -148,7 +161,7 @@ def test_plan_slot_nothing_fits():
 def test_plan_slot_duration_is_max_over_members():
     state = _queued_state([(0.0, 0, 3)], [(0.0, 1, 1)])
     airtimes = {0: {0: (7, PKT_US_MCS7)}, 1: {1: (7, PKT_US_MCS7)}}
-    plan = plan_slot((0, 1), state, airtimes, TIM, budget_us=3000.0)
+    plan = plan_slot((0, 1), state, _links(airtimes), TIM, budget_us=3000.0)
     assert plan.duration_us == pytest.approx(44 + 3 * PKT_US_MCS7, abs=1e-6)
     by_ap = {tx.ap: tx for tx in plan.transmissions}
     assert by_ap[0].airtime_us > by_ap[1].airtime_us  # AP1 idles after 1 packet
@@ -157,7 +170,7 @@ def test_plan_slot_duration_is_max_over_members():
 def test_plan_slot_splits_burst_at_budget():
     state = _queued_state([(0.0, 0, 10)])
     budget = TIM.map_tf_us + TIM.te_us + 44 + 7.5 * PKT_US_MCS7
-    plan = plan_slot((0,), state, _one_ap_airtimes(), TIM, budget_us=budget)
+    plan = plan_slot((0,), state, _links(_one_ap_airtimes()), TIM, budget_us=budget)
     (tx,) = plan.transmissions
     assert tx.taken == [(0, 7, 0.0, 0)]
     state.deliver(plan, 0.0)
@@ -169,7 +182,7 @@ def test_plan_slot_skips_unservable_station():
     # station 0 is below MCS 0 in this selection
     state = _queued_state([(0.0, 0, 2), (1.0, 1, 2)])
     airtimes = {0: {0: None, 1: (7, PKT_US_MCS7)}}
-    plan = plan_slot((0,), state, airtimes, TIM, budget_us=3000.0)
+    plan = plan_slot((0,), state, _links(airtimes), TIM, budget_us=3000.0)
     (tx,) = plan.transmissions
     assert tx.segments == [(1, 7, 2)]
     assert tx.taken == [(1, 2, 1.0, 1)]
@@ -185,7 +198,7 @@ def test_plan_slot_strict_fifo_stops_at_first_misfit():
     slow = PKT_US_MCS7 * 4
     budget = TIM.map_tf_us + TIM.te_us + 44 + 2.2 * slow
     airtimes = {0: {0: (3, slow), 1: (10, 1.0)}}
-    plan = plan_slot((0,), state, airtimes, TIM, budget_us=budget)
+    plan = plan_slot((0,), state, _links(airtimes), TIM, budget_us=budget)
     (tx,) = plan.transmissions
     assert tx.taken == [(0, 2, 0.0, 0)]  # burst cut mid-way, later burst untouched
 
@@ -195,7 +208,7 @@ def test_segments_merge_a_station_across_bursts():
     # in order of first appearance
     state = _queued_state([(0.0, 0, 2), (0.5, 1, 3), (1.0, 0, 4)])
     airtimes = {0: {0: (7, PKT_US_MCS7), 1: (5, 2 * PKT_US_MCS7)}}
-    (tx,) = plan_slot((0,), state, airtimes, TIM, budget_us=3000.0).transmissions
+    (tx,) = plan_slot((0,), state, _links(airtimes), TIM, budget_us=3000.0).transmissions
     assert [sta for _, _, _, sta in tx.taken] == [0, 1, 0]
     assert tx.segments == [(0, 7, 6), (1, 5, 3)]
 
@@ -209,7 +222,7 @@ def test_ap_buffer_consume_across_batches():
     bursts = [(0.0, 0, 4), (0.5, 1, 2), (1.0, 0, 3)]
     state = _queued_state(bursts)
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(7))
+    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(7))
     (tx,) = plan.transmissions
     assert tx.taken == [(0, 4, 0.0, 0), (1, 2, 0.5, 1), (2, 1, 1.0, 0)]
     state.deliver(plan, 0.0)
@@ -219,7 +232,7 @@ def test_ap_buffer_consume_across_batches():
     # a skipped middle burst stays ahead of the split remainder
     state = _queued_state(bursts)
     airtimes[0][1] = None
-    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(5))
+    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(5))
     (tx,) = plan.transmissions
     assert tx.taken == [(0, 4, 0.0, 0), (2, 1, 1.0, 0)]
     state.deliver(plan, 0.0)
@@ -240,7 +253,7 @@ def _window_state(num_stations, num_txops):
 
 
 def _plan_and_deliver(state, airtimes, budget):
-    plan = plan_slot((0,), state, airtimes, TIM, budget)
+    plan = plan_slot((0,), state, _links(airtimes), TIM, budget)
     state.deliver(plan, 0.0)
     (tx,) = plan.transmissions
     return tx.taken
@@ -301,7 +314,7 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     state.heads[0] = 0.0
     airtimes = _one_ap_airtimes(stations=(0, 1, 2))
     airtimes[0][1] = None
-    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(37))
+    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(37))
     (tx,) = plan.transmissions
     # (queue position, lo, hi, head, tail) per run: the re-queued burst,
     # then the window's stretches around skipped bursts 1 and 4; the budget
@@ -327,12 +340,12 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     state = _window_state(num_stations=2, num_txops=2)
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(7))
+    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(7))
     assert plan.transmissions[0].runs == [(0, 0, 1, 10, 7)]
     state.deliver(plan, 0.001)
     # station 0 unservable: its part-sent burst 0 and burst 2 are skipped
     airtimes[0][0] = None
-    plan = plan_slot((0,), state, airtimes, TIM, _budget_for(15))
+    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(15))
     (tx,) = plan.transmissions
     assert (tx.runs, tx.window) == ([(1, 1, 2, 10, 10), (3, 3, 4, 10, 5)], (3, 5))
     state.deliver(plan, 0.002)
@@ -341,7 +354,7 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     # station 1 unservable: the re-queued bursts go, and the window's one
     # burst, skipped after them, stays in the window
     airtimes[0][0], airtimes[0][1] = (7, PKT_US_MCS7), None
-    plan = plan_slot((0,), state, airtimes, TIM, 3000.0)
+    plan = plan_slot((0,), state, _links(airtimes), TIM, 3000.0)
     (tx,) = plan.transmissions
     assert (tx.runs, tx.window, tx.requeued) == (
         [(0, 0, 1, 3, 3), (1, 2, 3, 10, 10)], (3, 5), [])
@@ -360,8 +373,8 @@ def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0,
     from mapcsim.engine import _selection_airtimes
 
     env, rng = build_environment(scenario, gamma, k, seed)
-    airtimes = _selection_airtimes(env, scenario, default_mcs_table(), timing,
-                                   traffic.packet_bits)
+    airtimes = _selection_airtimes(env, SimulationConfig(scenario, timing, traffic,
+                                                         gamma, k, seed=seed))
     schedule = draw_arrivals(env.deployment, arrival_prob, rng, num_txops)
     return SimState(schedule, airtimes, traffic, timing.period_s), env
 
@@ -685,11 +698,11 @@ def test_cursor_queue_matches_deque_fifo(data):
             budget = data.draw(st.floats(0.0, TIM.txop_max_us), label="budget")
             airtimes = {ap: {sta: None if sta in unservable else (7, per_packet[sta])
                              for sta in dep.stations_by_ap[ap]} for ap in members}
-            plan = plan_slot(members, state, airtimes, TIM, budget)
+            plan = plan_slot(members, state, _links(airtimes), TIM, budget)
             # planning changes no state: a second plan of the same slot is
             # the same, although it reads the re-queued entries the first
             # plan's lists share
-            again = plan_slot(members, state, airtimes, TIM, budget)
+            again = plan_slot(members, state, _links(airtimes), TIM, budget)
             assert _committed(again) == _committed(plan)
             assert_same_queues()
             cap = budget - TIM.map_tf_us - TIM.te_us - TIM.slot_overhead_us
@@ -908,6 +921,25 @@ def test_shared_environment_is_read_only():
             array[0] = array[0]
     with pytest.raises(ValueError):
         env.rssi_dbm += 1.0
+
+
+def test_airtime_table_of_a_12x12_deployment_stays_small():
+    # 288 AP sets x 432 stations: two station-keyed dicts per set trace about
+    # 0.2 MB, where two lists per set indexed by station would take about 2 MB
+    from mapcsim.engine import _selection_airtimes
+
+    scenario = ScenarioConfig(subarea_rows=12, subarea_cols=12)
+    config = SimulationConfig(scenario, TIM, TrafficConfig(load_bps_per_sta=2e6), seed=901)
+    env, _ = build_environment(scenario, config.gamma_db, config.max_group_size, config.seed)
+    tracemalloc.start()
+    try:
+        table = _selection_airtimes(env, config)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 288
+    assert sum(len(airtime_us) for airtime_us, _ in table.values()) > 288 * 3
+    assert traced < 1 << 20
 
 
 def test_gamma_below_mcs0_warns():

@@ -1,19 +1,24 @@
 """Campaigns away from the default geometry still produce the per_run.csv
 bytes recorded before the per-AP queues became cursors over the arrival
 schedule. These are the runs that skip unservable bursts and re-queue them
-(weak links, gamma below MCS 0) or split bursts on a larger grid; the
-benchmark's workload hashes cover only the default geometry. A pool of two
-workers must write the same bytes."""
+(weak links, gamma below MCS 0) or split bursts on a larger grid, plus a
+default-geometry run on a stricter MCS table and 1000 B packets; the
+benchmark's workload hashes cover only the default geometry, MCS table and
+packet size. A pool of two workers must write the same bytes."""
 
 import hashlib
 import warnings
+from dataclasses import replace
 
 import pytest
 
-from mapcsim import ScenarioConfig, TimingConfig
+from mapcsim import (McsTable, ScenarioConfig, TimingConfig, TrafficConfig,
+                     default_mcs_table)
 from mapcsim.campaign import Campaign, run_campaign
 
 TIMING = TimingConfig(num_txops=300)
+STRICTER_MCS = McsTable(tuple(replace(e, min_sinr_db=e.min_sinr_db + 6.0)
+                              for e in default_mcs_table().entries))
 
 CASES = {
     "weak-links": (
@@ -28,6 +33,10 @@ CASES = {
         Campaign(scenario=ScenarioConfig(subarea_rows=6, subarea_cols=6),
                  timing=TIMING, loads_mbps=(2.0, 4.0), num_deployments=2),
         "797e7d666ca466f36d125198227893197491e8ec9e426cf30daceca54530e1ef"),
+    "mcs-plus-6db-1000b": (
+        Campaign(timing=TIMING, traffic=TrafficConfig(packet_bytes=1000),
+                 mcs_table=STRICTER_MCS, loads_mbps=(2.0, 6.0), num_deployments=2),
+        "a445c12b93e6f4fa2a0b3a9825cfbd4641670cfe0b1dcca5dbabee133698792e"),
 }
 
 

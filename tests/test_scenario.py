@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,36 @@ def test_config_validation():
             with pytest.raises(ValueError, match=name):
                 ScenarioConfig(**{name: value})
     ScenarioConfig(tx_power_dbm=-10.0, noise_dbm=-120.0)
+
+
+def _valid_deployment_parts():
+    dep = generate_grid_deployment(ScenarioConfig(), np.random.default_rng(5))
+    return dep.to_jsonable()
+
+
+@pytest.mark.parametrize("edit, match", [
+    # station 0 would be filed under the last AP, and its arrivals fail later
+    (lambda d: d["association"].__setitem__(0, -1), "association"),
+    (lambda d: d["association"].__setitem__(0, 9), "association"),
+    # the last station would belong to no AP
+    (lambda d: d["association"].pop(), "association"),
+    (lambda d: d["association"].append(0), "association"),
+    # a NaN SINR would map to the top MCS
+    (lambda d: d["station_positions"][0].__setitem__(0, float("nan")), "station_positions"),
+    (lambda d: d["station_positions"][1].__setitem__(1, float("inf")), "station_positions"),
+    (lambda d: d["ap_positions"][2].__setitem__(0, float("nan")), "ap_positions"),
+    (lambda d: [xy.append(0.0) for xy in d["station_positions"]], "station_positions"),
+    (lambda d: d.__setitem__("ap_positions", [0.0, 1.0]), "ap_positions"),
+], ids=["association-minus-1", "association-past-last-ap", "association-short",
+        "association-long", "nan-station", "inf-station", "nan-ap",
+        "station-3-coordinates", "ap-positions-1d"])
+def test_deployment_rejects_malformed_input(edit, match, tmp_path):
+    data = _valid_deployment_parts()
+    Deployment.from_jsonable(data)
+    edit(data)
+    with pytest.raises(ValueError, match=match):
+        Deployment.from_jsonable(data)
+    path = tmp_path / "deployment.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=match):
+        Deployment.load_json(path)
