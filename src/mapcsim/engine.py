@@ -10,10 +10,12 @@ Traffic lands in per-AP FIFO buffers just before each TXOP as bursts of
 `burst_packets` packets per station (Bernoulli with probability p derived
 from the offered load). `draw_arrivals` draws a run's arrivals ahead into
 an `ArrivalSchedule`, which lists each AP's arrivals in FIFO order, and
-`SimState` queues each AP's traffic as a window over its AP's list. So an
-arrival costs no Python object, only the schedule's 5 B on a 12x12 grid
-(4 B of it the per-AP lists). A burst cut at the budget stays at the head
-of the window, less the packets it has sent.
+`SimState` queues each AP's traffic as a window over its AP's list that
+ends at the first burst still to come. So an arrival costs no Python
+object, only the schedule's 5 B on a 12x12 grid (4 B of it the per-AP
+lists), and adding it only adds its packets to its AP's count. A burst cut
+at the budget stays at the head of the window, less the packets it has
+sent.
 
 Inside a slot every member AP drains its FIFO oldest packet first. Packets
 to the same station are aggregated into one A-MPDU segment sent at the MCS
@@ -35,12 +37,17 @@ last TXOP. Skipped bursts are re-queued as [schedule index, count], so
 every burst reads its arrival and station from the schedule. The per-burst
 list and the segments are derived only when asked for.
 
-The controller's view of the buffers (queued packets and head-of-line
-arrival per AP, +inf for an empty buffer, so the AP with the oldest head is
-the first minimum of the heads) is maintained incrementally: every buffer
-change updates it, so no slot or TXOP rebuilds it by walking all APs.
-`select_group` reads the run's two live lists and the slot decision
-instant, and a `TimingConfig` works out its per-TXOP charges once.
+The controller's view of the buffers is kept incrementally, so no slot or
+TXOP rebuilds it by walking all APs: per AP, the packets queued, which
+arrivals add and deliveries take off, and the head, the arrival time of the
+first unsent burst of the AP's list, arrived or not (+inf once the list is
+spent), which only deliveries move. A queued head is at most the TXOP
+start, and a burst still to come arrives a period after it, later than any
+decision instant (the TXOP cap is below the period), so the AP with the
+oldest head is the first minimum of the heads whenever an AP has packets.
+`select_group` reads the run's live view, lists on small grids and numpy
+vectors on large ones, and the slot decision instant; a `TimingConfig`
+works out the per-TXOP charges once.
 
 Runs of one deployment share its static environments and airtime tables,
 one per (gamma, K), and the arrival schedule of each load: the traffic
@@ -73,6 +80,14 @@ from .stats import nearest_rank
 # global station id. A station absent from both is unservable in that set.
 SetLinks = tuple[Mapping[int, float], Mapping[int, int]]
 
+
+# Most APs whose controller view SimState keeps in lists; on more APs it keeps
+# numpy vectors, and select_group scores them with numpy. Run time of the six
+# kinds, 1000 TXOPs, two seeds, memos warm, lists over vectors (Python 3.11,
+# numpy 2.4, 2-vCPU x86_64 VM): 4x4 0.73 / 0.78 at 2 / 8 Mbps per station,
+# 5x5 0.84 / 0.89, 6x6 0.88 / 0.96, 7x7 0.98 / 1.07 and 8x8 1.04 / 1.20;
+# per-Group kinds cross first, per-AP kinds last.
+LIST_VIEW_MAX_APS = 48
 
 # Uniforms per block when drawing arrivals: bounds the transient draw to 128 kB,
 # or to one TXOP's row on a grid of more than 2^14 stations.
@@ -163,17 +178,21 @@ def draw_arrivals(deployment: Deployment, arrival_prob: float,
 
 def step_arrivals(state: SimState, n: int) -> int:
     """Let TXOP `n`'s bursts of the run's schedule arrive at its start: each
-    arriving station's AP window grows by one burst. Returns packets added."""
+    arriving station's AP count grows by one burst, and TXOP `n` becomes the
+    last one whose bursts have arrived. Heads stay as they are (see
+    SimState). Returns packets added."""
     bounds = state.bounds
     lo, hi = bounds[n], bounds[n + 1]
-    arrived, counts, heads = state.arrived, state.counts, state.heads
-    burst, now = state.burst_packets, n * state.period_s
-    for ap in state.aps[lo:hi]:
-        arrived[ap] += 1
-        if not counts[ap]:
-            heads[ap] = now
-        counts[ap] += burst
-    return burst * (hi - lo)
+    burst, counts = state.burst_packets, state.counts
+    state.txop = n
+    if state.vector_view:
+        np.add.at(counts, state.ap_ids[lo:hi], burst)
+    else:
+        for ap in state.aps[lo:hi]:
+            counts[ap] += burst
+    added = burst * (hi - lo)
+    state.queued += added
+    return added
 
 
 @dataclass
@@ -187,12 +206,14 @@ class ApTransmission:
     drain one run per stretch between skipped bursts (their station
     unservable in the scheduled set). `window` (cursor, sent) and
     `requeued` are the AP's queue as it stands after the slot (see
-    SimState); the schedule gives each burst's arrival and station."""
+    SimState), and `packets` what it sends in all; the schedule gives each
+    burst's arrival and station."""
 
     ap: int
     runs: list[tuple[int, int, int, int, int]]  # (queue pos, lo, hi, head, tail)
     window: tuple[int, int]                    # (cursor, sent) after the slot
     requeued: list[list[int]]                  # re-queued bursts after the slot
+    packets: int                               # packets sent
     airtime_us: float                          # preamble + A-MPDU segment times
     mcs: Mapping[int, int]                     # the set's MCS per servable station
     source: SimState                           # whose schedule the runs index
@@ -207,10 +228,6 @@ class ApTransmission:
         return [(pos + i - lo, tail if i == hi - 1 else head if i == lo else burst,
                  txops[i] * period, stations[i])
                 for pos, lo, hi, head, tail in self.runs for i in range(lo, hi)]
-
-    @property
-    def packets(self) -> int:
-        return sum(k for _, k, _, _ in self.taken)
 
     @property
     def segments(self) -> list[tuple[int, int, int]]:
@@ -252,11 +269,13 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
         return None
     transmissions: list[ApTransmission] = []
     duration = 0.0
-    requeued, cursor, arrived, sent = state.requeued, state.cursor, state.arrived, state.sent
-    stations, burst = state.stations, state.burst_packets
+    requeued, cursor, ends, sent = state.requeued, state.cursor, state.ends, state.sent
+    stations, txops, last = state.stations, state.txops, state.txop
+    burst = state.burst_packets
     airtime_us, mcs = links
     for ap in members:
         acc = preamble_us
+        took = 0
         runs: list[tuple[int, int, int, int, int]] = []
         batches = requeued[ap]
         kept: list[list[int]] = []  # the re-queued bursts after the slot
@@ -274,6 +293,7 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
                 break
             k = n if room >= n else int(room)
             acc += k * per_packet
+            took += k
             runs.append((pos, i, i + 1, k, k))
             if k < n:
                 kept.append([i, n - k])
@@ -283,10 +303,13 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
             start, done = window
             head = n = burst - done  # the burst at the cursor may be part-sent
             lo = ran = start  # the open run's first burst; one past the last run
-            end = arrived[ap]
+            end = ends[ap]
             offset = len(batches) - start  # window burst i's queue position - i
             cut = 0
             for i in range(start, end):
+                if txops[i] > last:  # the window ends at the first burst to come
+                    end = i
+                    break
                 per_packet = airtime_us.get(stations[i])
                 if per_packet is None:
                     if i > lo:
@@ -301,9 +324,11 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
                     if room >= 1:
                         cut = int(room)
                         acc += cut * per_packet
+                        took += cut
                     end = i
                     break
                 acc += n * per_packet
+                took += n
                 n = burst
             if cut:  # burst `end` stays at the cursor, less what it sent
                 runs.append((offset + lo, lo, end + 1, head, cut))
@@ -316,7 +341,8 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
                     end = ran
                 window = end, done if end == start else 0
         if runs:
-            transmissions.append(ApTransmission(ap, runs, window, kept, acc, mcs, state))
+            transmissions.append(ApTransmission(ap, runs, window, kept, took, acc, mcs,
+                                                state))
             if acc > duration:
                 duration = acc
     if not transmissions:
@@ -339,19 +365,26 @@ class TxopRecord:
 class SimState:
     """Mutable state of one run: every AP's FIFO plus delivery bookkeeping.
 
-    AP a's FIFO is `requeued[a]`, then the window [cursor[a], arrived[a])
-    of its list in the run's schedule, read through `stations` and `txops`
-    (global indices, from ap_bounds[a]). `step_arrivals` moves `arrived[a]`
-    and `deliver` sets the rest as a slot's plan left it. Window bursts are
-    bursts of `burst_packets`, read where they lie in the schedule, less
-    the `sent[a]` packets a slot that cut the burst at the cursor has sent.
-    `requeued[a]` holds [schedule index, count] entries, never changed in
-    place: the window bursts a slot skipped (their station unservable in
+    AP a's list is the schedule's [ap_bounds[a], ends[a]), read through
+    `stations` and `txops` (global indices); `txop` is the last TXOP whose
+    bursts have arrived (-1 before the first). AP a's FIFO is `requeued[a]`,
+    then its window: the bursts from `cursor[a]` on that have arrived, so
+    the window ends at the first burst of a later TXOP. `deliver` sets
+    cursor, `sent` and `requeued` as a slot's plan left them. Window bursts
+    are bursts of `burst_packets`, read where they lie in the schedule,
+    less the `sent[a]` packets a slot that cut the burst at the cursor has
+    sent. `requeued[a]` holds [schedule index, count] entries, never changed
+    in place: the window bursts a slot skipped (their station unservable in
     the scheduled set), a part-sent one with its remainder; like window
-    bursts, they read their arrival and station from the schedule. `counts`
-    and `heads` are the controller's view: queued packets and head-of-line
-    arrival time (+inf when empty, so the oldest head is min(heads)) per
-    AP, kept current by step_arrivals and deliver.
+    bursts, they read their arrival and station from the schedule.
+
+    `counts` and `heads` are the controller's view (see the module
+    docstring): per AP, the packets queued, which step_arrivals adds to and
+    deliver takes from, and the arrival time of the first unsent burst of
+    its list, the first re-queued one or else the one at the cursor (+inf
+    once the list is spent), which only deliver moves. `queued` is the sum
+    of `counts`. Both are lists on up to LIST_VIEW_MAX_APS APs and numpy
+    vectors (int64, float64) on more.
 
     `deliver` books what it sends in typed columns, one record per run (see
     ApTransmission): `booked_at` holds the delivery time, `booked_lo`/
@@ -363,13 +396,14 @@ class SimState:
     def __init__(self, arrivals: ArrivalSchedule,
                  airtimes: Mapping[tuple[int, ...], SetLinks],
                  traffic: TrafficConfig, period_s: float):
-        num_aps = len(arrivals.ap_bounds) - 1
-        self.counts: list[int] = [0] * num_aps
-        self.heads: list[float] = [inf] * num_aps
-        self.cursor: list[int] = arrivals.ap_bounds[:-1].tolist()
-        self.arrived: list[int] = list(self.cursor)
+        ap_bounds = arrivals.ap_bounds
+        num_aps = len(ap_bounds) - 1
+        self.cursor: list[int] = ap_bounds[:-1].tolist()
+        self.ends: list[int] = ap_bounds[1:].tolist()
         self.sent: list[int] = [0] * num_aps
         self.requeued: list[list[list[int]]] = [[] for _ in range(num_aps)]
+        self.txop = -1
+        self.queued = 0
         self.fifo_txops = arrivals.fifo_txops
         # memoryviews index to Python ints
         self.stations = memoryview(arrivals.fifo_stations)
@@ -379,6 +413,16 @@ class SimState:
         self.burst_packets = traffic.burst_packets
         self.period_s = period_s
         self.airtimes = airtimes
+        heads = [self.txops[i] * period_s if i < end else inf
+                 for i, end in zip(self.cursor, self.ends)]
+        self.vector_view = num_aps > LIST_VIEW_MAX_APS
+        if self.vector_view:
+            self.ap_ids = arrivals.aps
+            self.counts: Any = np.zeros(num_aps, np.int64)
+            self.heads: Any = np.array(heads, np.float64)
+        else:
+            self.counts = [0] * num_aps
+            self.heads = heads
         self.booked_at = array("d")
         self.booked_lo, self.booked_hi = array("q"), array("q")
         self.booked_head, self.booked_tail = array("q"), array("q")
@@ -392,19 +436,24 @@ class SimState:
         period, stations, txops = self.period_s, self.stations, self.txops
         queue = [[txops[i] * period, stations[i], n] for i, n in self.requeued[ap]]
         start = len(queue)
-        queue += [[txops[i] * period, stations[i], self.burst_packets]
-                  for i in range(self.cursor[ap], self.arrived[ap])]
+        i = self.cursor[ap]
+        while i < self.ends[ap] and txops[i] <= self.txop:
+            queue.append([txops[i] * period, stations[i], self.burst_packets])
+            i += 1
         if len(queue) > start:
             queue[start][2] -= self.sent[ap]
         return queue
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
-        """Commit `plan`: book each run at `delivery_time_s`, and set each
-        AP's window and re-queued bursts as the plan left them."""
+        """Commit `plan`: book each run at `delivery_time_s`, set each AP's
+        window and re-queued bursts as the plan left them, take the packets
+        sent off the counts, and move each head to the AP's first unsent
+        burst."""
         at, lo, hi, head, tail = self.appenders
-        cursor, sent, arrived, requeued = self.cursor, self.sent, self.arrived, self.requeued
+        cursor, sent, ends, requeued = self.cursor, self.sent, self.ends, self.requeued
         counts, heads, txops = self.counts, self.heads, self.txops
-        period, burst = self.period_s, self.burst_packets
+        period = self.period_s
+        taken = 0
         for tx in plan.transmissions:
             ap = tx.ap
             for _, i, j, h, t in tx.runs:
@@ -413,15 +462,16 @@ class SimState:
                 hi(j)
                 head(h)
                 tail(t)
-            start, done = cursor[ap], sent[ap] = tx.window
+            counts[ap] -= tx.packets
+            taken += tx.packets
+            cursor[ap], sent[ap] = tx.window
             batches = requeued[ap] = tx.requeued
-            queued = (arrived[ap] - start) * burst - done  # in the window
             if batches:
                 heads[ap] = txops[batches[0][0]] * period
-                counts[ap] = queued + sum([n for _, n in batches])
             else:
-                heads[ap] = txops[start] * period if queued else inf
-                counts[ap] = queued
+                start = cursor[ap]
+                heads[ap] = txops[start] * period if start < ends[ap] else inf
+        self.queued -= taken
 
     def delay_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(delay_s, packets) per burst sent from, in the order sent: the
@@ -457,7 +507,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
     arrived at `now_s` have a positive waiting time. The charges come from
     `timing`.
     """
-    if not any(state.counts) and not timing.always_handshake:
+    if not state.queued and not timing.always_handshake:
         return TxopRecord(now_s, 0.0, [], 0.0)
     (handshake_us, txop_max, preamble_us, map_tf, te, overhead,
      slot_us) = timing.txop_figures
@@ -540,7 +590,7 @@ def build_environment(scenario: ScenarioConfig, gamma_db: float,
         groups = build_all_groups(rssi, deployment, scenario.noise_dbm, gamma_db,
                                   max_group_size)
         for array in (deployment.ap_positions, deployment.station_positions,
-                      deployment.association, rssi, groups.member_matrix, groups.sizes):
+                      deployment.association, rssi, groups.member_columns, groups.sizes):
             array.flags.writeable = False
         return Environment(deployment, rssi, groups)
 
@@ -648,5 +698,5 @@ def run_simulation(config: SimulationConfig,
         per_txop_occupancy=occupancy,
         packets_arrived=state.packets_arrived,
         packets_delivered=delivered,
-        packets_remaining=sum(state.counts),
+        packets_remaining=state.queued,
     )

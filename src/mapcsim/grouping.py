@@ -40,25 +40,25 @@ class Group:
 @dataclass
 class GroupSet:
     """The stored groups plus lookups the scheduler builds once: each
-    group's member tuple, the groups holding each AP, and a G x K matrix of
-    member indices in member order (shorter groups padded with -1) with the
-    vector of group sizes."""
+    group's member tuple, the groups holding each AP, and a K x G matrix
+    whose row c holds each group's c-th member (-1 for a group of c members
+    or fewer), with the vector of group sizes."""
 
     groups: list[Group]
     member_tuples: tuple[tuple[int, ...], ...] = field(init=False, repr=False,
                                                        compare=False)
     contains_index: dict[int, tuple[int, ...]] = field(init=False)
-    member_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    member_columns: np.ndarray = field(init=False, repr=False, compare=False)
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index: dict[int, list[int]] = {}
         width = max((len(g) for g in self.groups), default=0)
-        self.member_matrix = np.full((len(self.groups), width), -1, dtype=np.intp)
+        self.member_columns = np.full((width, len(self.groups)), -1, dtype=np.intp)
         for gi, group in enumerate(self.groups):
             for ap in group.members:
                 index.setdefault(ap, []).append(gi)
-            self.member_matrix[gi, :len(group)] = group.members
+            self.member_columns[:len(group), gi] = group.members
         self.member_tuples = tuple(g.members for g in self.groups)
         self.contains_index = {ap: tuple(gis) for ap, gis in index.items()}
         self.sizes = np.array([len(g) for g in self.groups], dtype=float)
@@ -92,9 +92,9 @@ def candidate_order(ref_ap: int, rssi_dbm: np.ndarray,
     stations = deployment.stations_by_ap[ref_ap]
     if not stations:
         return []
-    loudest = rssi_dbm[:, list(stations)].max(axis=1).tolist()
-    others = [ap for ap in range(deployment.num_aps) if ap != ref_ap]
-    return sorted(others, key=lambda ap: (loudest[ap], ap))
+    loudest = rssi_dbm[:, list(stations)].max(axis=1)
+    # a stable sort keeps equal RSSIs in AP id order
+    return [ap for ap in np.argsort(loudest, kind="stable").tolist() if ap != ref_ap]
 
 
 def build_group(ref_ap: int, rssi_dbm: np.ndarray, deployment: Deployment,

@@ -16,6 +16,17 @@ from .config import ScenarioConfig
 MIN_AP_STATION_DISTANCE_M = 0.1
 
 
+def _whole_ids(values: Any, name: str) -> np.ndarray:
+    """`values` as an int array; raises unless each entry is a whole number,
+    an int or a finite float with no fraction, so that an id of 1.5 is an
+    error and never AP 1."""
+    ids = np.asarray(values)
+    if ids.size and not (ids.dtype.kind in "iu" or (
+            ids.dtype.kind == "f" and np.isfinite(ids).all() and (ids == np.floor(ids)).all())):
+        raise ValueError(f"{name}: AP ids must be whole numbers")
+    return ids.astype(int)
+
+
 @dataclass
 class Deployment:
     """AP and station positions (meters) with the station -> AP association."""
@@ -29,11 +40,15 @@ class Deployment:
     def __post_init__(self) -> None:
         self.ap_positions = np.asarray(self.ap_positions, dtype=float)
         self.station_positions = np.asarray(self.station_positions, dtype=float)
-        self.association = np.asarray(self.association, dtype=int)
         for name in ("ap_positions", "station_positions"):
             xy = getattr(self, name)
             if xy.ndim != 2 or xy.shape[1] != 2 or not np.isfinite(xy).all():
                 raise ValueError(f"{name} must be an (N, 2) array of finite coordinates")
+        self.association = _whole_ids(self.association, "association")
+        sharing = _whole_ids(self.sharing_ap_id, "sharing_ap_id")
+        if sharing.ndim:
+            raise ValueError("sharing_ap_id must be one AP id")
+        self.sharing_ap_id = int(sharing)
         if not 0 <= self.sharing_ap_id < len(self.ap_positions):
             raise ValueError("sharing_ap_id is not a valid AP id")
         # the airtime table keys links by station alone: each has exactly one AP
@@ -64,12 +79,11 @@ class Deployment:
 
     @classmethod
     def from_jsonable(cls, data: dict[str, Any]) -> "Deployment":
-        return cls(
-            ap_positions=np.array(data["ap_positions"], dtype=float),
-            station_positions=np.array(data["station_positions"], dtype=float),
-            association=np.array(data["association"], dtype=int),
-            sharing_ap_id=int(data["sharing_ap_id"]),
-        )
+        keys = ("ap_positions", "station_positions", "association", "sharing_ap_id")
+        missing = [key for key in keys if key not in data]
+        if missing:
+            raise ValueError(f"deployment is missing {', '.join(missing)}")
+        return cls(**{key: data[key] for key in keys})
 
     def save_json(self, path: str | Path) -> None:
         with open(path, "w") as fh:
@@ -99,25 +113,35 @@ def generate_grid_deployment(config: ScenarioConfig,
     """One AP at the center of each subarea, N stations uniform inside it.
 
     AP ids run row-major (x fastest); station ids are grouped by subarea in
-    the same order. The sharing AP is the grid-center one.
+    the same order. The sharing AP is the grid-center one. Each station
+    takes uniform (x, y) pairs in turn until one lands at least
+    MIN_AP_STATION_DISTANCE_M from its AP; a rejected pair is used up and
+    the station takes the next. The pairs come in blocks of one per station
+    still to place, which draw from `rng` what one `rng.random(2)` call per
+    attempt would, so the positions and the generator's final state are
+    those of a per-attempt loop.
     """
     side = config.subarea_side_m
-    ap_positions = np.array([
-        (c * side + side / 2.0, r * side + side / 2.0)
-        for r in range(config.subarea_rows)
-        for c in range(config.subarea_cols)
-    ])
-    stations = []
-    for r in range(config.subarea_rows):
-        for c in range(config.subarea_cols):
-            ap_xy = ap_positions[r * config.subarea_cols + c]
-            for _ in range(config.stations_per_subarea):
-                while True:
-                    xy = np.array([c * side, r * side]) + rng.random(2) * side
-                    if np.hypot(*(xy - ap_xy)) >= MIN_AP_STATION_DISTANCE_M:
-                        break
-                stations.append(xy)
-    station_positions = np.array(stations)
+    cells = [(r, c) for r in range(config.subarea_rows) for c in range(config.subarea_cols)]
+    ap_positions = np.array([(c * side + side / 2.0, r * side + side / 2.0)
+                             for r, c in cells])
+    per = config.stations_per_subarea
+    corners = np.array([(c * side, r * side) for r, c in cells]).repeat(per, axis=0)
+    own_ap = ap_positions.repeat(per, axis=0)
+    station_positions = np.empty_like(corners)
+    placed = 0
+    while placed < len(corners):
+        offsets = rng.random((len(corners) - placed, 2)) * side
+        used = 0
+        while used < len(offsets):
+            tried = len(offsets) - used
+            xy = corners[placed:placed + tried] + offsets[used:]
+            gap = xy - own_ap[placed:placed + tried]
+            fits = np.hypot(gap[:, 0], gap[:, 1]) >= MIN_AP_STATION_DISTANCE_M
+            kept = tried if fits.all() else int(fits.argmin())
+            station_positions[placed:placed + kept] = xy[:kept]
+            placed += kept
+            used += kept + 1  # the first rejected pair, if any, is used up
     association = nearest_ap_association(ap_positions, station_positions)
     sharing_ap = (config.subarea_rows // 2) * config.subarea_cols + config.subarea_cols // 2
     return Deployment(ap_positions, station_positions, association, sharing_ap)

@@ -7,15 +7,19 @@ groups do not starve. Per-AP kinds (*Single) pick the single neediest
 backlogged AP and then the group containing it with the best summed score.
 The two c-TDMA baselines are per-AP kinds that schedule that AP alone.
 
-An empty buffer's head-of-line arrival is +inf, so the OldPk per-AP kinds
-find their AP, the one with the oldest head, as min() of the heads and
-work out waits only for the members of the groups holding it.
+An AP's head is the arrival time of its first unsent burst, arrived or
+not (+inf once its arrivals are spent). A burst still to come arrives after
+every queued one, so the OldPk per-AP kinds find their AP, the one with the
+oldest head, as the first minimum of the heads, and work out waits only for
+the members of the groups holding it. An AP with no packets waits 0. The
+view comes as lists (small grids, scored by Python loops) or as numpy
+vectors (large grids, scored by argmax, argmin and numpy column sums); both
+give the same pick.
 """
 
 from __future__ import annotations
 
 import enum
-from math import inf
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,10 +47,11 @@ class SchedulerKind(enum.Enum):
 SCHEDULER_NAMES = tuple(kind.value for kind in SchedulerKind)
 
 
-def head_waits(heads: Sequence[float], now: float) -> list[float]:
+def head_waits(counts: Sequence[int], heads: Sequence[float], now: float) -> list[float]:
     """Waiting time at `now` of each AP's oldest packet, from its head-of-line
-    arrival time; 0.0 for an empty buffer, whose head is +inf."""
-    return [0.0 if t == inf else now - t for t in heads]
+    arrival time; 0.0 for an AP with no packets queued, whose head is +inf or
+    a burst still to come."""
+    return [now - t if c else 0.0 for c, t in zip(counts, heads)]
 
 
 def _best_summed_group(groups: GroupSet, indices: Sequence[int],
@@ -66,14 +71,6 @@ def _best_summed_group(groups: GroupSet, indices: Sequence[int],
             best_score = s
             best_members = members
     return best_members
-
-
-# Largest group count scored by the plain loop; larger sets are scored by
-# numpy column sums. Per call on default-geometry deployments (Python 3.11,
-# numpy 2.4, 2-vCPU x86_64 VM) the loop takes 1.8-2.5 us at 8 groups (3x3)
-# against 7.3-7.9 for numpy, the two are about even at 30-42 groups, and at
-# 144 groups (12x12) the loop takes 31-38 us against 15-16.
-LOOP_MAX_GROUPS = 32
 
 
 def _best_mean_group_loop(groups: GroupSet, scores: Sequence[float]) -> tuple[int, ...]:
@@ -98,51 +95,63 @@ def _best_mean_group_loop(groups: GroupSet, scores: Sequence[float]) -> tuple[in
 def _best_mean_group_numpy(groups: GroupSet, scores: Sequence[float]) -> tuple[int, ...]:
     """`_best_mean_group_loop` over all groups at once.
 
-    Each group's members are summed left to right, one matrix column at a
-    time. Padding (-1) reads the 0.0 appended after the last AP, and adding
-    0.0 leaves a sum unchanged.
+    Each group's members are summed left to right, one row of member
+    indices at a time. Padding (-1) reads the 0.0 appended after the last
+    AP, and adding 0.0 leaves a sum unchanged.
     """
     padded = np.zeros(len(scores) + 1)
     padded[:-1] = scores
-    by_member = padded[groups.member_matrix]
-    total = by_member[:, 0]
-    for col in range(1, by_member.shape[1]):
-        total = total + by_member[:, col]
-    return groups.member_tuples[int(np.argmax(total / groups.sizes))]
+    by_member = padded.take(groups.member_columns)
+    total = by_member[0]
+    for row in by_member[1:]:
+        total += row
+    total /= groups.sizes
+    return groups.member_tuples[int(total.argmax())]
 
 
 def select_group(kind: SchedulerKind, groups: GroupSet, counts: Sequence[int],
                  heads: Sequence[float], now: float) -> tuple[int, ...] | None:
     """AP set to serve in the slot decided at `now`, or None if all buffers
-    are empty. The controller's view of the buffers is two per-AP lists:
-    `counts`, packets queued, and `heads`, head-of-line arrival times in
-    seconds (+inf for an empty buffer); a run passes its live lists
-    (SimState.counts, .heads). c-TDMA kinds return singletons; the others
-    return the member set of one stored group."""
-    if not any(counts):
-        return None
-    if kind.per_group:  # two scorers that agree exactly; the faster by set size
-        # empty APs score 0 under both metrics
-        scores = head_waits(heads, now) if kind.scores_waits else counts
-        if len(groups.member_tuples) <= LOOP_MAX_GROUPS:
-            return _best_mean_group_loop(groups, scores)
-        return _best_mean_group_numpy(groups, scores)
+    are empty. The controller's view of the buffers is, per AP, `counts`,
+    packets queued, and `heads`, head-of-line arrival times in seconds: a
+    run passes its live view (SimState.counts, .heads), two lists or, on
+    large grids, two numpy vectors, scored by a Python loop or by numpy. An
+    AP with no packets is empty whatever its head (+inf, or a burst still
+    to come, after `now`) and waits 0.0. c-TDMA kinds return singletons;
+    the others return the member set of one stored group."""
+    vector = isinstance(counts, np.ndarray)
+    if kind.per_group:
+        # empty APs score 0 under both metrics; the two scorers agree exactly
+        if not (np.count_nonzero(counts) if vector else any(counts)):
+            return None
+        if not kind.scores_waits:
+            scores = counts
+        elif vector:
+            scores = now - heads
+            scores[counts == 0] = 0.0
+        else:
+            scores = head_waits(counts, heads, now)
+        return (_best_mean_group_numpy if vector else _best_mean_group_loop)(groups, scores)
     if kind.scores_waits:
-        # The top wait is the oldest head's, and an empty buffer's head is
-        # +inf, so that AP is backlogged; equal heads go to the lowest id.
-        # Distinct heads lie whole periods apart, so `now - head` cannot
-        # round two of them to a tie.
-        top_ap = heads.index(min(heads))
+        # The oldest head is a backlogged AP's whenever one is backlogged: a
+        # burst still to come arrives after every queued one. Equal heads go
+        # to the lowest id. Distinct heads lie whole periods apart, so
+        # `now - head` cannot round two of them to a tie.
+        top_ap = int(heads.argmin()) if vector else heads.index(min(heads))
+        if not counts[top_ap]:
+            return None
         if kind.is_ctdma:
             return (top_ap,)
         # only the members of the groups holding that AP need a wait
         holders, member_tuples = groups.contains_index[top_ap], groups.member_tuples
-        waits = {ap: 0.0 if heads[ap] == inf else now - heads[ap]
+        waits = {ap: now - heads[ap] if counts[ap] else 0.0
                  for gi in holders for ap in member_tuples[gi]}
         return _best_summed_group(groups, holders, waits)
     # Only a backlogged AP has a positive count, so the first maximum is the
     # backlogged AP with the most packets and the lowest id.
-    top_ap = counts.index(max(counts))
+    top_ap = int(counts.argmax()) if vector else counts.index(max(counts))
+    if not counts[top_ap]:
+        return None
     if kind.is_ctdma:
         return (top_ap,)
     return _best_summed_group(groups, groups.contains_index[top_ap], counts)

@@ -121,18 +121,21 @@ def _recording(monkeypatch, events, owner, name):
     monkeypatch.setattr(owner, name, recording)
 
 
-@pytest.mark.parametrize("scenario, load_bps, refuses", [
-    (ScenarioConfig(), 8e6, False),
+@pytest.mark.parametrize("scenario, load_bps, refuses, vector_view", [
+    (ScenarioConfig(), 8e6, False, False),
     # weak links: plans refused for unservable backlogs
-    (ScenarioConfig(subarea_side_m=60.0, wall_count=5), 4e6, True),
-], ids=["3x3", "weak-links"])
+    (ScenarioConfig(subarea_side_m=60.0, wall_count=5), 4e6, True, False),
+    # the controller view in numpy vectors
+    (ScenarioConfig(subarea_rows=7, subarea_cols=8), 4e6, False, True),
+], ids=["3x3", "weak-links", "7x8"])
 def test_slot_layers_are_called_once_per_slot(monkeypatch, scenario, load_bps,
-                                              refuses):
+                                              refuses, vector_view):
     # engine.host_us_per_slot and plan_slot.useful_ratio divide by these counts
     events = []
     for name in ("run_txop", "select_group", "plan_slot"):
         _recording(monkeypatch, events, engine, name)
     _recording(monkeypatch, events, engine.SimState, "deliver")
+    assert (scenario.num_aps > engine.LIST_VIEW_MAX_APS) == vector_view
     refused = 0
     for kind in SCHEDULER_NAMES:
         events.clear()

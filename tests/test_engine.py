@@ -130,10 +130,11 @@ def _queued_state(*queues):
     state = SimState(schedule, {}, TrafficConfig(), TIM.period_s)
     for ap, queue in enumerate(queues):
         lo, hi = schedule.ap_bounds[ap:ap + 2].tolist()
-        state.cursor[ap] = state.arrived[ap] = hi
+        state.cursor[ap] = hi
         state.requeued[ap] = [[lo + j, count] for j, (_, _, count) in enumerate(queue)]
         state.counts[ap] = sum(count for _, _, count in queue)
         state.heads[ap] = queue[0][0] if queue else math.inf
+    state.queued = sum(state.counts)
     return state
 
 
@@ -302,13 +303,13 @@ def _pairs(state):
 
 
 def test_span_with_skipped_bursts_books_the_runs_between_them():
-    # window: (TXOP 0: stations 0, 1, 2), (TXOP 1: 0, 1, 2); a hand-made
-    # re-queued burst to station 2, laid out after them in the schedule,
-    # goes first; station 1 is unservable
+    # window: (TXOP 0: stations 0, 1, 2), (TXOP 1: 0, 1, 2), both arrived;
+    # a hand-made re-queued burst to station 2, laid out after them in the
+    # schedule (in the next AP's list), goes first; station 1 is unservable
     period = TIM.period_s
     window = [(n * period, sta) for n in range(2) for sta in range(3)]
-    state = SimState(_hand_schedule(window + [(0.0, 2)]), {}, TrafficConfig(), period)
-    state.arrived[0] = 6
+    state = SimState(_hand_schedule(window, [(0.0, 2)]), {}, TrafficConfig(), period)
+    state.txop = 1
     state.requeued[0] = [[6, 4]]
     state.counts[0] = 64
     state.heads[0] = 0.0
@@ -418,11 +419,36 @@ def test_run_txop_accounting_and_budget():
     assert slots > 0 and packets > 0
 
 
+def _next_arrival(fifo_txops, lo, hi, n):
+    """Arrival time of the first burst after TXOP `n` in an AP's list
+    fifo_txops[lo:hi] (+inf if none): the head of an AP with no packets."""
+    later = [txop for txop in fifo_txops[lo:hi].tolist() if txop > n]
+    return later[0] * TIM.period_s if later else math.inf
+
+
+def _head_or_next(view, schedule, ap, n):
+    """A reference buffer's (count, head), with an empty buffer's head at the
+    AP's next arrival after TXOP `n` in `schedule`."""
+    count, head = view
+    if count:
+        return view
+    return count, _next_arrival(schedule.fifo_txops, *schedule.ap_bounds[ap:ap + 2], n)
+
+
+def _view_lists(state):
+    """The run's controller view as two lists, whichever container holds it."""
+    return np.asarray(state.counts).tolist(), np.asarray(state.heads).tolist()
+
+
 def _view_from_buffers(state):
-    """The controller view rebuilt from the bursts themselves."""
+    """The controller view rebuilt from the bursts themselves and the AP
+    lists of the schedule."""
     queues = [state.bursts(ap) for ap in range(len(state.counts))]
     counts = [sum(batch[2] for batch in queue) for queue in queues]
-    heads = [queue[0][0] if queue else math.inf for queue in queues]
+    starts = [0] + state.ends[:-1]
+    heads = [queue[0][0] if queue else
+             _next_arrival(state.fifo_txops, lo, hi, state.txop)
+             for queue, lo, hi in zip(queues, starts, state.ends)]
     return counts, heads
 
 
@@ -445,10 +471,50 @@ def test_controller_view_tracks_buffers(cfg, load_bps, txops):
             step_arrivals(state, n)
             delivered += run_txop(state, kind, env.groups, tim,
                                   now).packets_delivered
-            assert (state.counts, state.heads) == _view_from_buffers(state), (
-                kind, n)
+            assert _view_lists(state) == _view_from_buffers(state), (kind, n)
         assert delivered > 0
         assert any(state.counts)
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(subarea_side_m=60.0, wall_count=5),
+    ScenarioConfig(subarea_rows=7, subarea_cols=7, subarea_side_m=60.0, wall_count=5),
+], ids=["lists-3x3", "vectors-7x7"])
+def test_view_invariant_after_every_arrival_and_delivery(cfg):
+    # weak links, so that slots skip and re-queue unservable bursts
+    tim, tr, txops = TimingConfig(), TrafficConfig(load_bps_per_sta=4e6), 120
+    p = arrival_probability(4e6, tr.burst_packets, tr.packet_bytes, tim.period_s)
+    period, requeues = tim.period_s, 0
+    for kind in SchedulerKind:
+        state, env = _make_state(cfg, tim, tr, seed=2, arrival_prob=p, num_txops=txops)
+        assert state.vector_view == (cfg.num_aps > engine.LIST_VIEW_MAX_APS)
+        assert isinstance(state.counts, np.ndarray) == state.vector_view
+
+        def check(txop_start):
+            counts, heads = _view_lists(state)
+            assert state.queued == sum(counts)
+            for ap, (count, head) in enumerate(zip(counts, heads)):
+                assert (count > 0) == (head <= txop_start), (kind, ap)
+                # the first unsent burst: re-queued, else at the cursor
+                if state.requeued[ap]:
+                    first = state.requeued[ap][0][0]
+                else:
+                    first = state.cursor[ap] if state.cursor[ap] < state.ends[ap] else None
+                assert head == (math.inf if first is None
+                                else int(state.fifo_txops[first]) * period), (kind, ap)
+
+        def deliver(plan, delivery_time_s, commit=state.deliver):
+            nonlocal requeues
+            commit(plan, delivery_time_s)
+            requeues += sum(bool(tx.requeued) for tx in plan.transmissions)
+            check(n * period)
+
+        state.deliver = deliver
+        for n in range(txops):
+            step_arrivals(state, n)
+            check(n * period)
+            run_txop(state, kind, env.groups, tim, n * period)
+    assert requeues > 0
 
 
 def test_delay_percentile_is_nearest_rank():
@@ -638,8 +704,8 @@ def test_step_arrivals_matches_station_loop(cfg, p):
     env, _ = build_environment(cfg, 20.0, 3, seed=5)
     tr = TrafficConfig()
     rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-    new = SimState(draw_arrivals(env.deployment, p, rng_new, 6), {}, tr,
-                   TIM.period_s)
+    schedule = draw_arrivals(env.deployment, p, rng_new, 6)
+    new = SimState(schedule, {}, tr, TIM.period_s)
     num_aps = env.deployment.num_aps
     ref = [_DequeBuffer() for _ in range(num_aps)]
     for n in range(6):
@@ -651,7 +717,7 @@ def test_step_arrivals_matches_station_loop(cfg, p):
         assert [repr(new.bursts(ap)) for ap in range(num_aps)] == \
             [repr(list(b.batches)) for b in ref]
         assert [(new.counts[ap], new.heads[ap]) for ap in range(num_aps)] == \
-            [b.view() for b in ref]
+            [_head_or_next(b.view(), schedule, ap, n) for ap, b in enumerate(ref)]
     # the whole run was drawn before its first TXOP
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
     assert any(new.counts) == (p > 0)
@@ -681,15 +747,16 @@ def test_cursor_queue_matches_deque_fifo(data):
     rng_ref = np.random.default_rng(seed)  # the reference draws per TXOP
     ref = [_DequeBuffer() for _ in range(num_aps)]
 
-    def assert_same_queues():
+    def assert_same_queues(n):
         for ap in range(num_aps):
             assert state.bursts(ap) == list(map(list, ref[ap].batches))
-            assert (state.counts[ap], state.heads[ap]) == ref[ap].view()
+            assert (state.counts[ap], state.heads[ap]) == _head_or_next(
+                ref[ap].view(), schedule, ap, n)
 
     for n in range(num_txops):
         assert step_arrivals(state, n) == _loop_step_arrivals(
             ref, dep, traffic, p, rng_ref, n * TIM.period_s)
-        assert_same_queues()
+        assert_same_queues(n)
         for _ in range(data.draw(st.integers(0, 3), label="slots")):
             members = tuple(data.draw(st.permutations(range(num_aps)), label="order")[
                 :data.draw(st.integers(1, num_aps), label="size")])
@@ -704,7 +771,7 @@ def test_cursor_queue_matches_deque_fifo(data):
             # plan's lists share
             again = plan_slot(members, state, _links(airtimes), TIM, budget)
             assert _committed(again) == _committed(plan)
-            assert_same_queues()
+            assert_same_queues(n)
             cap = budget - TIM.map_tf_us - TIM.te_us - TIM.slot_overhead_us
             want = []
             if cap > TIM.phy_preamble_us:
@@ -722,8 +789,9 @@ def test_cursor_queue_matches_deque_fifo(data):
                 # every recorded burst is the one the reference FIFO hands out
                 assert ([(arrival, sta, k) for _, k, arrival, sta in tx.taken]
                         == ref[tx.ap].consume(consume))
+                assert tx.packets == sum(k for _, k in consume)
             state.deliver(plan, n * TIM.period_s + 1.0)
-            assert_same_queues()
+            assert_same_queues(n)
 
 
 def _committed(plan):
@@ -916,7 +984,7 @@ def test_shared_environment_is_read_only():
     env, _ = build_environment(ScenarioConfig(), 20.0, 3, seed=6)
     dep, groups = env.deployment, env.groups
     for array in (env.rssi_dbm, dep.ap_positions, dep.station_positions,
-                  dep.association, groups.member_matrix, groups.sizes):
+                  dep.association, groups.member_columns, groups.sizes):
         with pytest.raises(ValueError):
             array[0] = array[0]
     with pytest.raises(ValueError):

@@ -44,6 +44,42 @@ def test_candidate_order_tie_breaks_by_id():
     assert candidate_order(0, rssi, dep) == [1, 2]
 
 
+def _tuple_key_order(ref_ap, rssi, dep):
+    """candidate_order by its definition: the other APs sorted by the key
+    (loudest RSSI at the reference's stations, AP id)."""
+    stations = dep.stations_by_ap[ref_ap]
+    if not stations:
+        return []
+    loudest = rssi[:, list(stations)].max(axis=1).tolist()
+    others = [ap for ap in range(dep.num_aps) if ap != ref_ap]
+    return sorted(others, key=lambda ap: (loudest[ap], ap))
+
+
+@pytest.mark.parametrize("rows, cols, seed", [(3, 3, 0), (4, 5, 1), (6, 6, 2), (12, 12, 3)])
+def test_candidate_order_equals_tuple_key_sort(rows, cols, seed):
+    cfg, dep, rssi = _grid_env(seed=seed, subarea_rows=rows, subarea_cols=cols)
+    # the drawn RSSIs, then the same rounded to whole dB so that many tie
+    for matrix in (rssi, np.round(rssi)):
+        for ref in range(dep.num_aps):
+            assert candidate_order(ref, matrix, dep) == _tuple_key_order(ref, matrix, dep)
+
+
+def test_candidate_order_ties_on_hand_made_rssi():
+    # five APs with one station each; every AP is heard alike by some
+    # reference, and AP 2 has no station at all
+    import mapcsim.scenario as scen
+    dep = scen.Deployment(np.zeros((5, 2)), np.zeros((4, 2)), np.array([0, 1, 3, 4]), 0)
+    rssi = np.array([[-50.0, -60.0, -60.0, -0.0],
+                     [-60.0, -50.0, -60.0, 0.0],
+                     [-60.0, -60.0, -60.0, -70.0],
+                     [-70.0, -60.0, -50.0, -0.0],
+                     [-60.0, -70.0, -60.0, 0.0]])
+    for ref in range(5):
+        assert candidate_order(ref, rssi, dep) == _tuple_key_order(ref, rssi, dep)
+    assert candidate_order(0, rssi, dep) == [3, 1, 2, 4]
+    assert candidate_order(2, rssi, dep) == []
+
+
 def test_build_group_gamma_extremes():
     cfg, dep, rssi = _grid_env(seed=5)
     hopeless = build_group(0, rssi, dep, NOISE, 1000.0, 3)

@@ -3,8 +3,9 @@ over small random configs: grids of 1x1 to 4x4 APs, stations per subarea,
 subarea side, walls, gamma (also below the MCS-0 threshold, where groups
 hold stations no MCS serves), K, burst size, packet size, a shift of every
 MCS threshold, load, TXOP cap, slot overhead and handshake switch, every
-scheduler kind, 50-300 TXOPs per run. Every TXOP, the MCS of every A-MPDU
-segment and every report field must agree exactly."""
+scheduler kind, 50-300 TXOPs per run; and a few shorter runs on 7x7 to 8x8
+grids, where a run keeps its controller view in numpy vectors. Every TXOP,
+the MCS of every A-MPDU segment and every report field must agree exactly."""
 
 import math
 import warnings
@@ -18,6 +19,7 @@ from mapcsim import (SCHEDULER_NAMES, McsTable, MetricsReport, ScenarioConfig,
                      SimulationConfig, TimingConfig, TrafficConfig,
                      build_rssi_matrix, data_rate_bps, default_mcs_table,
                      generate_grid_deployment, run_simulation)
+from mapcsim.engine import LIST_VIEW_MAX_APS
 from run_reference import _link_airtimes, reference_run
 
 MCS_TABLE = default_mcs_table()
@@ -25,13 +27,15 @@ DEFAULT_TIMING = TimingConfig()
 
 
 @st.composite
-def configs(draw):
+def configs(draw, sides=st.integers(1, 4), stations=st.integers(1, 4),
+            subarea_m=st.floats(5.0, 60.0), walls=st.integers(0, 6),
+            txops=st.integers(50, 300), p_percent=st.integers(0, 99)):
     scenario = ScenarioConfig(
-        subarea_rows=draw(st.integers(1, 4), label="rows"),
-        subarea_cols=draw(st.integers(1, 4), label="cols"),
-        stations_per_subarea=draw(st.integers(1, 4), label="stations_per_subarea"),
-        subarea_side_m=draw(st.floats(5.0, 60.0), label="subarea_side_m"),
-        wall_count=draw(st.integers(0, 6), label="wall_count"))
+        subarea_rows=draw(sides, label="rows"),
+        subarea_cols=draw(sides, label="cols"),
+        stations_per_subarea=draw(stations, label="stations_per_subarea"),
+        subarea_side_m=draw(subarea_m, label="subarea_side_m"),
+        wall_count=draw(walls, label="wall_count"))
     burst = draw(st.integers(1, 12), label="burst_packets")
     packet_bytes = draw(st.integers(64, 1500), label="packet_bytes")
     packet_bits = packet_bytes * 8
@@ -58,10 +62,10 @@ def configs(draw):
     timing = TimingConfig(
         txop_max_ms=txop_max_ms,
         slot_overhead_us=overhead_us,
-        num_txops=draw(st.integers(50, 300), label="num_txops"),
+        num_txops=draw(txops, label="num_txops"),
         always_handshake=draw(st.booleans(), label="always_handshake"))
     # p in whole per cent, so most runs carry traffic
-    p = draw(st.integers(0, 99), label="p_percent") / 100
+    p = draw(p_percent, label="p_percent") / 100
     traffic = TrafficConfig(load_bps_per_sta=p * top_load, burst_packets=burst,
                             packet_bytes=packet_bytes)
     return SimulationConfig(scenario, timing, traffic,
@@ -117,6 +121,33 @@ def _assert_same_report(report, want, kind):
 @settings(max_examples=40, deadline=None)
 @given(configs())
 def test_runs_equal_the_reference_simulator(config):
+    _assert_runs_equal_the_reference(config)
+
+
+# 7x7 to 8x8 grids, more than LIST_VIEW_MAX_APS APs, where a run keeps its
+# controller view in numpy vectors: a few short runs, on geometries where
+# links are usable and on weak links, which re-queue unservable bursts.
+def large_configs(subarea_m, walls):
+    return configs(sides=st.integers(7, 8), stations=st.integers(1, 2),
+                   subarea_m=subarea_m, walls=walls, txops=st.integers(20, 60),
+                   p_percent=st.integers(5, 99))
+
+
+@settings(max_examples=6, deadline=None)
+@given(large_configs(st.floats(8.0, 20.0), st.integers(0, 2)))
+def test_vector_view_runs_equal_the_reference_simulator(config):
+    assert config.scenario.num_aps > LIST_VIEW_MAX_APS
+    _assert_runs_equal_the_reference(config)
+
+
+@settings(max_examples=6, deadline=None)
+@given(large_configs(st.floats(50.0, 60.0), st.integers(4, 6)))
+def test_vector_view_weak_link_runs_equal_the_reference_simulator(config):
+    assert config.scenario.num_aps > LIST_VIEW_MAX_APS
+    _assert_runs_equal_the_reference(config)
+
+
+def _assert_runs_equal_the_reference(config):
     for kind in SCHEDULER_NAMES:
         run = replace(config, scheduler=kind)
         records = []

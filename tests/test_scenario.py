@@ -63,6 +63,46 @@ def test_association_matches_subarea_membership():
         assert dep.association.tolist() == subarea
 
 
+def _per_attempt_grid_deployment(config, rng):
+    """Reference: the station placement loop generate_grid_deployment used to
+    run, one `rng.random(2)` call, array and np.hypot per attempt."""
+    side = config.subarea_side_m
+    ap_positions = np.array([
+        (c * side + side / 2.0, r * side + side / 2.0)
+        for r in range(config.subarea_rows)
+        for c in range(config.subarea_cols)
+    ])
+    stations = []
+    for r in range(config.subarea_rows):
+        for c in range(config.subarea_cols):
+            ap_xy = ap_positions[r * config.subarea_cols + c]
+            for _ in range(config.stations_per_subarea):
+                while True:
+                    xy = np.array([c * side, r * side]) + rng.random(2) * side
+                    if np.hypot(*(xy - ap_xy)) >= MIN_AP_STATION_DISTANCE_M:
+                        break
+                stations.append(xy)
+    return ap_positions, np.array(stations)
+
+
+@pytest.mark.parametrize("side", [10.0, 60.0, 0.3, 0.25])
+@pytest.mark.parametrize("rows, cols, per", [(1, 1, 1), (1, 3, 4), (3, 3, 3), (5, 4, 2),
+                                             (12, 12, 3)])
+def test_block_drawn_stations_equal_the_per_attempt_loop(rows, cols, per, side):
+    # at 0.25-0.3 m subareas the 0.1 m minimum distance rejects about half
+    # of the draws, so many pairs are used up by rejections
+    cfg = ScenarioConfig(subarea_rows=rows, subarea_cols=cols, stations_per_subarea=per,
+                         subarea_side_m=side)
+    for seed in range(3):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        dep = generate_grid_deployment(cfg, rng)
+        ap_positions, station_positions = _per_attempt_grid_deployment(cfg, rng_ref)
+        assert dep.ap_positions.tobytes() == ap_positions.tobytes()
+        assert dep.station_positions.tobytes() == station_positions.tobytes()
+        # the generator ends where the loop left it
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_nearest_ap_zero_distance_and_tie_break():
     aps = np.array([[5.0, 5.0], [15.0, 5.0]])
     assert nearest_ap_association(aps, np.array([[5.0, 5.0]])).tolist() == [0]
@@ -133,9 +173,22 @@ def _valid_deployment_parts():
     (lambda d: d["ap_positions"][2].__setitem__(0, float("nan")), "ap_positions"),
     (lambda d: [xy.append(0.0) for xy in d["station_positions"]], "station_positions"),
     (lambda d: d.__setitem__("ap_positions", [0.0, 1.0]), "ap_positions"),
+    # a fractional id would be truncated to another AP
+    (lambda d: d["association"].__setitem__(slice(0, 3), [0.9, 1.5, 1]), "association"),
+    (lambda d: d["association"].__setitem__(0, float("nan")), "association"),
+    (lambda d: d["association"].__setitem__(0, "0"), "association"),
+    (lambda d: d.__setitem__("sharing_ap_id", 0.7), "sharing_ap_id"),
+    (lambda d: d.__setitem__("sharing_ap_id", None), "sharing_ap_id"),
+    (lambda d: d.__setitem__("sharing_ap_id", [4]), "sharing_ap_id"),
+    # a missing key is named
+    (lambda d: d.pop("association"), "missing association"),
+    (lambda d: d.pop("sharing_ap_id"), "missing sharing_ap_id"),
+    (lambda d: d.pop("ap_positions"), "missing ap_positions"),
 ], ids=["association-minus-1", "association-past-last-ap", "association-short",
         "association-long", "nan-station", "inf-station", "nan-ap",
-        "station-3-coordinates", "ap-positions-1d"])
+        "station-3-coordinates", "ap-positions-1d", "association-fractional",
+        "association-nan", "association-string", "sharing-fractional", "sharing-none",
+        "sharing-list", "missing-association", "missing-sharing", "missing-ap-positions"])
 def test_deployment_rejects_malformed_input(edit, match, tmp_path):
     data = _valid_deployment_parts()
     Deployment.from_jsonable(data)

@@ -10,8 +10,8 @@ from mapcsim import (ScenarioConfig, SchedulerKind, build_environment,
                      head_waits, select_group)
 from mapcsim import scheduling
 from mapcsim.grouping import Group, GroupSet
-from mapcsim.scheduling import (LOOP_MAX_GROUPS, _best_mean_group_loop,
-                                _best_mean_group_numpy, _best_summed_group)
+from mapcsim.scheduling import (_best_mean_group_loop, _best_mean_group_numpy,
+                                _best_summed_group)
 from oracles import select_reference
 
 ALL_KINDS = list(SchedulerKind)
@@ -169,7 +169,7 @@ def test_matches_exhaustive_scorer_at_dense_scale():
             member_lists.append((ref, *(int(a) for a in rng.choice(
                 others, size=size - 1, replace=False))))
         groups = _group_set(member_lists)
-        assert (groups.member_matrix == -1).any()
+        assert (groups.member_columns == -1).any()
         states = []
         for _ in range(25):
             counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
@@ -194,7 +194,9 @@ def test_matches_exhaustive_scorer_at_dense_scale():
 
 
 def test_summary_waits():
-    assert head_waits([0.4, inf], 1.0) == [pytest.approx(0.6), 0.0]
+    # an AP with no packets waits 0.0, whether its head is +inf or a burst
+    # still to come
+    assert head_waits([3, 0, 0], [0.4, inf, 1.005], 1.0) == [pytest.approx(0.6), 0.0, 0.0]
 
 
 @pytest.mark.parametrize("rows, num_groups", [(3, 8), (6, 36), (12, 144)])
@@ -227,7 +229,7 @@ def test_both_mean_scorers_match_exhaustive_scorer(rows, num_groups):
                           for c in counts]
             buf = _view(counts, oldest)
             for kind, scores in ((SchedulerKind.NUMPK_GROUP, counts),
-                                 (SchedulerKind.OLDPK_GROUP, head_waits(*buf[1:]))):
+                                 (SchedulerKind.OLDPK_GROUP, head_waits(*buf))):
                 want = select_reference(kind.value, member_lists, counts,
                                         oldest, buf[2])
                 assert _best_mean_group_loop(groups, scores) == want, (kind, state)
@@ -235,17 +237,20 @@ def test_both_mean_scorers_match_exhaustive_scorer(rows, num_groups):
                 assert select_group(kind, groups, *buf) == want, (kind, state)
 
 
-def test_mean_scorer_is_picked_by_group_count(monkeypatch):
+def test_mean_scorer_follows_the_view(monkeypatch):
+    # a run keeps lists on small grids and numpy vectors on large ones
     def refuse(groups, scores):
-        raise AssertionError(f"wrong scorer for {len(groups)} groups")
+        raise AssertionError(f"wrong scorer for {type(scores).__name__} scores")
 
-    for num_groups, unused in ((LOOP_MAX_GROUPS, "_best_mean_group_numpy"),
-                               (LOOP_MAX_GROUPS + 1, "_best_mean_group_loop")):
+    for num_groups in (8, 144):
         groups = _group_set([(a,) for a in range(num_groups)])
-        buf = _view([1] * num_groups, [0.5] * num_groups)
-        with monkeypatch.context() as patch:
-            patch.setattr(scheduling, unused, refuse)
-            assert select_group(SchedulerKind.NUMPK_GROUP, groups, *buf) == (0,)
+        counts, heads, now = _view([1] * num_groups, [0.5] * num_groups)
+        for view, unused in (((counts, heads), "_best_mean_group_numpy"),
+                             ((np.array(counts), np.array(heads)), "_best_mean_group_loop")):
+            with monkeypatch.context() as patch:
+                patch.setattr(scheduling, unused, refuse)
+                for kind in (SchedulerKind.NUMPK_GROUP, SchedulerKind.OLDPK_GROUP):
+                    assert select_group(kind, groups, *view, now) == (0,)
 
 
 def test_summed_group_adds_left_to_right():
@@ -289,3 +294,30 @@ def test_oldest_head_pick_matches_exhaustive_scorer(data):
     for kind in (SchedulerKind.OLDPK_SINGLE, SchedulerKind.CTDMA_OLDPK):
         assert select_group(kind, groups, *buf) == select_reference(
             kind.value, list(groups.member_tuples), counts, oldest, now), kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_list_and_vector_views_pick_alike(data):
+    # Views as a run keeps them, in both containers: a backlogged AP's head
+    # at or before the TXOP start, an empty AP's head +inf or a burst still
+    # to come, a whole number of periods after it.
+    rows = data.draw(st.sampled_from([3, 6, 12]), label="rows")
+    groups = _stored_groups(rows)
+    n_aps, period = rows * rows, 0.005
+    txop = data.draw(st.integers(4, 20), label="txop")
+    now = txop * period + data.draw(st.floats(0.0, 3000.0), label="consumed_us") * 1e-6
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=n_aps, max_size=n_aps),
+                       label="counts")
+    lags = data.draw(st.lists(st.integers(0, 4), min_size=n_aps, max_size=n_aps),
+                     label="lags")
+    to_come = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=n_aps,
+                                 max_size=n_aps), label="to_come")
+    oldest = [(txop - lag) * period if c else None for c, lag in zip(counts, lags)]
+    heads = [t if t is not None else inf if k is None else (txop + k) * period
+             for t, k in zip(oldest, to_come)]
+    for kind in ALL_KINDS:
+        want = select_reference(kind.value, list(groups.member_tuples), counts, oldest, now)
+        assert select_group(kind, groups, counts, heads, now) == want, kind
+        assert select_group(kind, groups, np.array(counts, np.int64), np.array(heads),
+                            now) == want, kind
