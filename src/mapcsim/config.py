@@ -26,6 +26,13 @@ def check_integer(name: str, value: Any) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_finite(name: str, value: Any) -> None:
+    """Raise unless `value` is a finite Python or numpy real; bool is refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def arrival_probability(load_bps: float, burst_packets: int, packet_bytes: int,
                         period_s: float) -> float:
     """Per-period burst probability p = load*T / (Np*L*8).
@@ -70,8 +77,7 @@ class ScenarioConfig:
             raise ValueError("stations_per_subarea must be >= 1")
         for name in ("subarea_side_m", "carrier_freq_ghz", "tx_power_dbm",
                      "wall_count", "breakpoint_m", "noise_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            check_finite(name, getattr(self, name))
         for name in ("subarea_side_m", "carrier_freq_ghz", "breakpoint_m"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -113,8 +119,9 @@ class TimingConfig:
 
     def __post_init__(self) -> None:
         for name in (f.name for f in fields(self) if f.name != "always_handshake"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            check_finite(name, getattr(self, name))
+        if not isinstance(self.always_handshake, bool):  # "false" is truthy
+            raise ValueError(f"always_handshake must be a bool, got {self.always_handshake!r}")
         if self.txop_max_ms >= self.period_ms:
             raise ValueError("txop_max_ms must be smaller than period_ms")
         for name in ("period_ms", "txop_max_ms", "map_rts_us", "map_cts_us",
@@ -168,9 +175,9 @@ class TrafficConfig:
     packet_bytes: int = 1500
 
     def __post_init__(self) -> None:
-        if not 0 <= self.load_bps_per_sta < math.inf:  # also rejects NaN
-            raise ValueError(f"load_bps_per_sta must be >= 0 and finite, "
-                             f"got {self.load_bps_per_sta}")
+        load = self.load_bps_per_sta
+        if isinstance(load, bool) or not 0 <= load < math.inf:  # also rejects NaN
+            raise ValueError(f"load_bps_per_sta must be >= 0 and finite, got {load!r}")
         check_integer("burst_packets", self.burst_packets)
         check_integer("packet_bytes", self.packet_bytes)
         if self.burst_packets < 1 or self.packet_bytes < 1:
@@ -200,8 +207,7 @@ class SimulationConfig:
         check_integer("seed", self.seed)
         if self.max_group_size < 1:
             raise ValueError("max_group_size must be >= 1")
-        if not math.isfinite(self.gamma_db):
-            raise ValueError(f"gamma_db must be finite, got {self.gamma_db}")
+        check_finite("gamma_db", self.gamma_db)
         traffic = self.traffic  # raises on p > 1: bursts too small for the load
         arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
                             traffic.packet_bytes, self.timing.period_s)

@@ -4,7 +4,7 @@ Timeline per period T (times below in microseconds within the TXOP):
 
     MAP-RTS, Te, MAP-CTS, Te                       <- handshake, once
     repeat: MAP-TF, Te, [overhead,] coordinated slot
-    ... until no group is selected, nothing fits, or the TXOP cap is hit.
+    ... until the buffers are empty, nothing fits, or the TXOP cap is hit.
 
 Traffic lands in per-AP FIFO buffers just before each TXOP as bursts of
 `burst_packets` packets per station (Bernoulli with probability p derived
@@ -45,9 +45,9 @@ spent), which only deliveries move. A queued head is at most the TXOP
 start, and a burst still to come arrives a period after it, later than any
 decision instant (the TXOP cap is below the period), so the AP with the
 oldest head is the first minimum of the heads whenever an AP has packets.
-`select_group` reads the run's live view, lists on small grids and numpy
-vectors on large ones, and the slot decision instant; a `TimingConfig`
-works out the per-TXOP charges once.
+`run_txop` picks only while packets are queued, and `select_group` reads
+the run's live view, lists on small grids and numpy vectors on large ones,
+and the slot decision instant; a `TimingConfig` works out the charges once.
 
 Runs of one deployment share its static environments and airtime tables,
 one per (gamma, K), and the arrival schedule of each load: the traffic
@@ -429,7 +429,6 @@ class SimState:
         self.appenders = tuple(column.append for column in (
             self.booked_at, self.booked_lo, self.booked_hi, self.booked_head,
             self.booked_tail))
-        self.packets_arrived = 0
 
     def bursts(self, ap: int) -> list[list]:
         """AP `ap`'s whole queue, oldest first, as [arrival_s, station, count]."""
@@ -501,7 +500,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
 
     With empty buffers no TXOP occurs at all (zero duration) unless
     `timing.always_handshake` is set. Group selection is re-evaluated after
-    every slot with updated buffers: the controller reads the run's live
+    every slot while packets are queued: the controller reads the run's live
     `state.counts` and `state.heads` at the slot decision instant, i.e.
     TXOP start plus everything already transmitted, so even packets that
     arrived at `now_s` have a positive waiting time. The charges come from
@@ -514,13 +513,11 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
     consumed = handshake_us
     airtimes, counts, heads = state.airtimes, state.counts, state.heads
     slots: list[SlotPlan] = []
-    while True:
+    while state.queued:
         budget = txop_max - consumed
         if budget - map_tf - te - overhead <= preamble_us:
             break  # plan_slot would refuse whatever group is selected
         members = select_group(kind, groups, counts, heads, now_s + consumed * 1e-6)
-        if members is None:
-            break
         plan = plan_slot(members, state, airtimes[members], timing, budget)
         if plan is None:
             break
@@ -674,7 +671,7 @@ def run_simulation(config: SimulationConfig,
     occupancy = np.empty(timing.num_txops)
     txop_max, period_s, groups = timing.txop_max_us, timing.period_s, env.groups
     for n in range(timing.num_txops):
-        state.packets_arrived += step_arrivals(state, n)
+        step_arrivals(state, n)
         record = run_txop(state, kind, groups, timing, n * period_s)
         occupancy[n] = record.total_duration_us / txop_max
         if txop_trace is not None:
@@ -696,7 +693,7 @@ def run_simulation(config: SimulationConfig,
         mean_delay_s=mean_delay,
         delays_sorted_s=delays_sorted,
         per_txop_occupancy=occupancy,
-        packets_arrived=state.packets_arrived,
+        packets_arrived=traffic.burst_packets * len(arrivals.aps),
         packets_delivered=delivered,
         packets_remaining=state.queued,
     )

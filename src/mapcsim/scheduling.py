@@ -9,12 +9,14 @@ The two c-TDMA baselines are per-AP kinds that schedule that AP alone.
 
 An AP's head is the arrival time of its first unsent burst, arrived or
 not (+inf once its arrivals are spent). A burst still to come arrives after
-every queued one, so the OldPk per-AP kinds find their AP, the one with the
-oldest head, as the first minimum of the heads, and work out waits only for
-the members of the groups holding it. An AP with no packets waits 0. The
-view comes as lists (small grids, scored by Python loops) or as numpy
-vectors (large grids, scored by argmax, argmin and numpy column sums); both
-give the same pick.
+every decision instant, so a head at or before `now` is a backlogged AP's
+and waits `now - head`, and any other waits 0.0: NumPk reads only the
+counts, OldPk only the heads. With an AP backlogged, as the caller
+guarantees, the OldPk per-AP kinds find theirs, the one with the oldest
+head, as the first minimum of the heads, and work out waits only for the
+members of the groups holding it. The view comes as lists (small grids,
+scored by Python loops) or as numpy vectors (large grids, scored by argmax,
+argmin and numpy column sums); both give the same pick.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ class SchedulerKind(enum.Enum):
 SCHEDULER_NAMES = tuple(kind.value for kind in SchedulerKind)
 
 
-def head_waits(counts: Sequence[int], heads: Sequence[float], now: float) -> list[float]:
+def head_waits(heads: Sequence[float], now: float) -> list[float]:
     """Waiting time at `now` of each AP's oldest packet, from its head-of-line
-    arrival time; 0.0 for an AP with no packets queued, whose head is +inf or
-    a burst still to come."""
-    return [now - t if c else 0.0 for c, t in zip(counts, heads)]
+    arrival time; 0.0 for a head after `now`, which in a run is an AP with no
+    packets queued (its head +inf or a burst still to come)."""
+    return [now - t if t <= now else 0.0 for t in heads]
 
 
 def _best_summed_group(groups: GroupSet, indices: Sequence[int],
@@ -110,48 +112,41 @@ def _best_mean_group_numpy(groups: GroupSet, scores: Sequence[float]) -> tuple[i
 
 
 def select_group(kind: SchedulerKind, groups: GroupSet, counts: Sequence[int],
-                 heads: Sequence[float], now: float) -> tuple[int, ...] | None:
-    """AP set to serve in the slot decided at `now`, or None if all buffers
-    are empty. The controller's view of the buffers is, per AP, `counts`,
+                 heads: Sequence[float], now: float) -> tuple[int, ...]:
+    """AP set to serve in the slot decided at `now`; at least one AP must
+    hold packets. The controller's view of the buffers is, per AP, `counts`,
     packets queued, and `heads`, head-of-line arrival times in seconds: a
     run passes its live view (SimState.counts, .heads), two lists or, on
-    large grids, two numpy vectors, scored by a Python loop or by numpy. An
-    AP with no packets is empty whatever its head (+inf, or a burst still
-    to come, after `now`) and waits 0.0. c-TDMA kinds return singletons;
-    the others return the member set of one stored group."""
+    large grids, two numpy vectors, scored by a Python loop or by numpy. A
+    head after `now` (+inf, or a burst still to come) waits 0.0. c-TDMA
+    kinds return singletons; the others return the member set of one stored
+    group."""
     vector = isinstance(counts, np.ndarray)
     if kind.per_group:
         # empty APs score 0 under both metrics; the two scorers agree exactly
-        if not (np.count_nonzero(counts) if vector else any(counts)):
-            return None
         if not kind.scores_waits:
             scores = counts
         elif vector:
-            scores = now - heads
-            scores[counts == 0] = 0.0
+            scores = np.maximum(now - heads, 0.0)
         else:
-            scores = head_waits(counts, heads, now)
+            scores = head_waits(heads, now)
         return (_best_mean_group_numpy if vector else _best_mean_group_loop)(groups, scores)
     if kind.scores_waits:
-        # The oldest head is a backlogged AP's whenever one is backlogged: a
-        # burst still to come arrives after every queued one. Equal heads go
-        # to the lowest id. Distinct heads lie whole periods apart, so
-        # `now - head` cannot round two of them to a tie.
+        # The oldest head is a backlogged AP's: a burst still to come arrives
+        # after every queued one. Equal heads go to the lowest id. Distinct
+        # heads lie whole periods apart, so `now - head` cannot round two of
+        # them to a tie.
         top_ap = int(heads.argmin()) if vector else heads.index(min(heads))
-        if not counts[top_ap]:
-            return None
         if kind.is_ctdma:
             return (top_ap,)
         # only the members of the groups holding that AP need a wait
         holders, member_tuples = groups.contains_index[top_ap], groups.member_tuples
-        waits = {ap: now - heads[ap] if counts[ap] else 0.0
+        waits = {ap: now - heads[ap] if heads[ap] <= now else 0.0
                  for gi in holders for ap in member_tuples[gi]}
         return _best_summed_group(groups, holders, waits)
     # Only a backlogged AP has a positive count, so the first maximum is the
     # backlogged AP with the most packets and the lowest id.
     top_ap = int(counts.argmax()) if vector else counts.index(max(counts))
-    if not counts[top_ap]:
-        return None
     if kind.is_ctdma:
         return (top_ap,)
     return _best_summed_group(groups, groups.contains_index[top_ap], counts)

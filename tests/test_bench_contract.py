@@ -123,11 +123,13 @@ def _recording(monkeypatch, events, owner, name):
 
 @pytest.mark.parametrize("scenario, load_bps, refuses, vector_view", [
     (ScenarioConfig(), 8e6, False, False),
+    # TXOPs that end because every buffer empties
+    (ScenarioConfig(), 1e6, False, False),
     # weak links: plans refused for unservable backlogs
     (ScenarioConfig(subarea_side_m=60.0, wall_count=5), 4e6, True, False),
     # the controller view in numpy vectors
     (ScenarioConfig(subarea_rows=7, subarea_cols=8), 4e6, False, True),
-], ids=["3x3", "weak-links", "7x8"])
+], ids=["3x3", "3x3-1mbps", "weak-links", "7x8"])
 def test_slot_layers_are_called_once_per_slot(monkeypatch, scenario, load_bps,
                                               refuses, vector_view):
     # engine.host_us_per_slot and plan_slot.useful_ratio divide by these counts

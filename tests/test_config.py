@@ -1,7 +1,7 @@
 import json
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +248,41 @@ def test_integer_fields_reject_non_integers(name, cls, sections, value):
     load = campaign_from_dict if cls is Campaign else simulation_config_from_dict
     with pytest.raises(ValueError, match=message):
         load(_nested(sections, name, value))
+
+
+# (field, its class, the JSON sections holding it) for every float field
+FLOAT_FIELDS = [(f.name, cls, sections)
+                for cls, sections in ((ScenarioConfig, ("scenario",)),
+                                      (TimingConfig, ("timing",)),
+                                      (TrafficConfig, ("traffic",)), (SimulationConfig, ()))
+                for f in fields(cls) if f.type == "float"]
+
+
+@pytest.mark.parametrize("name, cls, sections", FLOAT_FIELDS,
+                         ids=[name for name, _, _ in FLOAT_FIELDS])
+@pytest.mark.parametrize("value", [True, False])
+def test_float_fields_reject_bool(name, cls, sections, value):
+    # "gamma_db": true once ran at 1 dB
+    assert len(FLOAT_FIELDS) == 17
+    message = f"{name} must be (>= 0 and )?finite"
+    with pytest.raises(ValueError, match=message):
+        cls(**{name: value})
+    with pytest.raises(ValueError, match=message):
+        simulation_config_from_dict(_nested(sections, name, value))
+
+
+def test_always_handshake_must_be_a_bool():
+    # "false" once turned the handshake on: at zero load every TXOP was
+    # charged its 160 us
+    for value in ("false", "true", 1.5, 1, 0, None):
+        with pytest.raises(ValueError, match="always_handshake must be a bool"):
+            TimingConfig(always_handshake=value)
+        with pytest.raises(ValueError, match="always_handshake must be a bool"):
+            simulation_config_from_dict({"timing": {"always_handshake": value}})
+    config = simulation_config_from_dict(json.loads(
+        '{"timing": {"always_handshake": false, "num_txops": 20},'
+        ' "traffic": {"load_bps_per_sta": 0}}'))
+    assert run_simulation(config).mean_occupancy == 0.0
 
 
 def test_integer_fields_accept_numpy_integers():

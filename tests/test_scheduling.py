@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapcsim import (ScenarioConfig, SchedulerKind, build_environment,
-                     head_waits, select_group)
-from mapcsim import scheduling
+from mapcsim import (SCHEDULER_NAMES, ScenarioConfig, SchedulerKind, SimulationConfig,
+                     TimingConfig, TrafficConfig, build_environment, head_waits,
+                     select_group)
+from mapcsim import engine, scheduling
 from mapcsim.grouping import Group, GroupSet
 from mapcsim.scheduling import (_best_mean_group_loop, _best_mean_group_numpy,
                                 _best_summed_group)
@@ -21,11 +22,36 @@ def _group_set(member_lists):
     return GroupSet([Group(members[0], tuple(members)) for members in member_lists])
 
 
-def _view(counts, oldest, now=1.0):
-    """select_group's (counts, heads, now) view of `counts` and `oldest`,
-    where None marks an empty buffer (as the oracle takes it) and the heads
-    hold +inf."""
-    return counts, [inf if t is None else t for t in oldest], now
+PERIOD = 0.005
+
+
+def _run_view(ints, n_aps, counts=(0, 3), lags=(0, 4), consumed_us=(0, 3000)):
+    """A controller view as a run hands it to select_group, drawn with
+    `ints(lo, hi, n)`, n integers in [lo, hi] (each range below is one):
+    the decision instant `consumed_us` into a TXOP; an AP with `counts`
+    packets, at least one backlogged; a backlogged AP's head `lags` whole
+    periods at or before the TXOP start; an empty AP's head +inf or a burst
+    still to come, 1 to 3 periods after the start. Returns (counts, heads,
+    now) and the oracle's head-of-line times, None for an empty AP."""
+    txop = ints(4, 20, 1)[0]
+    now = txop * PERIOD + ints(*consumed_us, 1)[0] * 1e-6
+    drawn = ints(*counts, n_aps)
+    busy = ints(0, n_aps - 1, 1)[0]
+    drawn[busy] = max(drawn[busy], 1)
+    oldest = [(txop - lag) * PERIOD if c else None
+              for c, lag in zip(drawn, ints(*lags, n_aps))]
+    heads = [t if t is not None else inf if k == 0 else (txop + k) * PERIOD
+             for t, k in zip(oldest, ints(0, 3, n_aps))]
+    return (drawn, heads, now), oldest
+
+
+def _numpy_ints(rng):
+    return lambda lo, hi, n: rng.integers(lo, hi + 1, size=n).tolist()
+
+
+def _drawn_ints(data):
+    return lambda lo, hi, n: data.draw(st.lists(st.integers(lo, hi), min_size=n,
+                                                max_size=n))
 
 
 SPEC_GROUPS = _group_set([(0,), (1,), (2,), (0, 2)])
@@ -33,101 +59,115 @@ SPEC_GROUPS = _group_set([(0,), (1,), (2,), (0, 2)])
 
 def test_numpk_single_spec_example():
     # counts [5,0,9]: AP2 leads; among its groups {2} (9) vs {0,2} (14)
-    buf = _view([5, 0, 9], [0.5, None, 0.5])
+    buf = [5, 0, 9], [0.5, inf, 0.5], 1.0
     assert select_group(SchedulerKind.NUMPK_SINGLE, SPEC_GROUPS, *buf) == (0, 2)
 
 
 def test_numpk_group_spec_example():
     # {0,2} scores 14/2 = 7 < 9 of {2}
-    buf = _view([5, 0, 9], [0.5, None, 0.5])
+    buf = [5, 0, 9], [0.5, inf, 0.5], 1.0
     assert select_group(SchedulerKind.NUMPK_GROUP, SPEC_GROUPS, *buf) == (2,)
 
 
-def test_all_empty_returns_none():
-    buf = _view([0, 0, 0], [None, None, None])
-    for kind in ALL_KINDS:
-        assert select_group(kind, SPEC_GROUPS, *buf) is None
+# 7x8 saturates at 1 Mbps/STA; at 0.2 its 168 stations offer 34 Mbps, near
+# the 27 Mbps of 3x3 at 1 Mbps/STA
+@pytest.mark.parametrize("rows, cols, load_bps", [(3, 3, 1e6), (7, 8, 0.2e6)],
+                         ids=["lists-3x3", "vectors-7x8"])
+def test_select_group_never_sees_an_empty_view(monkeypatch, rows, cols, load_bps):
+    # run_txop ends a TXOP once no packet is queued. At these loads about
+    # half the TXOPs empty every buffer before the cap; none of them may
+    # then ask for one more pick.
+    def checked(kind, groups, counts, heads, now):
+        assert sum(counts) > 0, (kind, now)
+        return select_group(kind, groups, counts, heads, now)
+
+    emptied, run_txop = 0, engine.run_txop
+
+    def counted(state, *args):
+        nonlocal emptied
+        record = run_txop(state, *args)
+        emptied += bool(record.slots) and not state.queued
+        return record
+
+    monkeypatch.setattr(engine, "select_group", checked)
+    monkeypatch.setattr(engine, "run_txop", counted)
+    scenario = ScenarioConfig(subarea_rows=rows, subarea_cols=cols)
+    assert (scenario.num_aps > engine.LIST_VIEW_MAX_APS) == (rows > 3)
+    for kind in SCHEDULER_NAMES:
+        emptied = 0
+        engine.run_simulation(SimulationConfig(
+            scenario, TimingConfig(num_txops=100), TrafficConfig(load_bps_per_sta=load_bps),
+            20.0, 3, kind, seed=1))
+        assert emptied > 10, kind
 
 
 def test_oldpk_single_spec_example():
     # waits 12 ms / none / 3 ms: AP0 leads; {0,2} aggregates 15 ms > {0} 12 ms
     now = 1.0
-    buf = _view([4, 0, 7], [now - 0.012, None, now - 0.003], now)
+    buf = [4, 0, 7], [now - 0.012, inf, now - 0.003], now
     assert select_group(SchedulerKind.OLDPK_SINGLE, SPEC_GROUPS, *buf) == (0, 2)
 
 
 def test_ctdma_tie_breaks_to_lowest_ap():
     groups = _group_set([(0,), (1,)])
-    buf = _view([4, 4], [0.2, 0.1])
+    buf = [4, 4], [0.2, 0.1], 1.0
     assert select_group(SchedulerKind.CTDMA_NUMPK, groups, *buf) == (0,)
     # equal waits likewise; distinct waits pick the older head-of-line
-    tie = _view([4, 4], [0.3, 0.3])
+    tie = [4, 4], [0.3, 0.3], 1.0
     assert select_group(SchedulerKind.CTDMA_OLDPK, groups, *tie) == (0,)
-    buf2 = _view([4, 4], [0.2, 0.1])
-    assert select_group(SchedulerKind.CTDMA_OLDPK, groups, *buf2) == (1,)
+    assert select_group(SchedulerKind.CTDMA_OLDPK, groups, *buf) == (1,)
 
 
 def test_ctdma_always_singleton():
     groups = _group_set([(0, 1, 2), (1,), (2,)])
-    buf = _view([9, 5, 7], [0.1, 0.2, 0.3])
+    buf = [9, 5, 7], [0.1, 0.2, 0.3], 1.0
     assert select_group(SchedulerKind.CTDMA_NUMPK, groups, *buf) == (0,)
     assert select_group(SchedulerKind.CTDMA_OLDPK, groups, *buf) == (0,)
 
 
 def test_single_kind_selection_contains_top_ap():
-    rng = np.random.default_rng(12)
+    ints = _numpy_ints(np.random.default_rng(12))
     groups = _group_set([(0,), (1,), (2,), (3,), (0, 2), (1, 3), (0, 1, 2)])
     for _ in range(500):
-        counts = [int(c) for c in rng.integers(0, 5, size=4)]
-        oldest = [None if c == 0 else 1.0 - float(rng.integers(1, 6)) / 100
-                  for c in counts]
-        buf = _view(counts, oldest)
-        if not any(counts):
-            continue
+        buf, oldest = _run_view(ints, 4)
+        counts, _, now = buf
         top_numpk = max(range(4), key=lambda a: (counts[a], -a))
-        sel = select_group(SchedulerKind.NUMPK_SINGLE, groups, *buf)
-        assert top_numpk in sel
-        waits = [0.0 if t is None else 1.0 - t for t in oldest]
+        assert top_numpk in select_group(SchedulerKind.NUMPK_SINGLE, groups, *buf)
         top_oldpk = max((a for a in range(4) if counts[a]),
-                        key=lambda a: (waits[a], -a))
-        sel = select_group(SchedulerKind.OLDPK_SINGLE, groups, *buf)
-        assert top_oldpk in sel
+                        key=lambda a: (now - oldest[a], -a))
+        assert top_oldpk in select_group(SchedulerKind.OLDPK_SINGLE, groups, *buf)
 
 
 def test_selection_is_a_stored_group_or_singleton():
-    rng = np.random.default_rng(13)
+    ints = _numpy_ints(np.random.default_rng(13))
     groups = _group_set([(0, 4), (1, 3), (2,), (3,), (4,), (0,), (1,)])
     stored = {frozenset(g.members) for g in groups.groups}
     for _ in range(300):
-        counts = [int(c) for c in rng.integers(0, 4, size=5)]
-        oldest = [None if c == 0 else float(rng.uniform(0, 1)) for c in counts]
-        buf = _view(counts, oldest, now=2.0)
+        buf, _ = _run_view(ints, 5)
         for kind in ALL_KINDS:
             sel = select_group(kind, groups, *buf)
-            if sel is None:
-                assert not any(counts)
-            elif kind.is_ctdma:
+            if kind.is_ctdma:
                 assert len(sel) == 1
             else:
                 assert frozenset(sel) in stored
 
 
 def test_argmax_invariance():
+    # heads drawn from a continuum, so no two waits tie and shifting every
+    # time by 5 s cannot round a tie either way
     groups = _group_set([(0,), (1,), (2,), (0, 2), (1, 2)])
     rng = np.random.default_rng(14)
     for _ in range(200):
         counts = [int(c) for c in rng.integers(0, 6, size=3)]
         if not any(counts):
             continue
-        oldest = [None if c == 0 else float(rng.uniform(0, 0.9)) for c in counts]
-        buf = _view(counts, oldest)
-        scaled = _view([7 * c for c in counts], oldest)
+        heads = [inf if c == 0 else float(rng.uniform(0, 0.9)) for c in counts]
+        buf = counts, heads, 1.0
+        scaled = [7 * c for c in counts], heads, 1.0
         for kind in (SchedulerKind.NUMPK_SINGLE, SchedulerKind.NUMPK_GROUP,
                      SchedulerKind.CTDMA_NUMPK):
             assert select_group(kind, groups, *buf) == select_group(kind, groups, *scaled)
-        shifted = _view(counts,
-                           [None if t is None else t + 5.0 for t in oldest],
-                           now=buf[2] + 5.0)
+        shifted = counts, [t + 5.0 for t in heads], 6.0
         for kind in (SchedulerKind.OLDPK_SINGLE, SchedulerKind.OLDPK_GROUP,
                      SchedulerKind.CTDMA_OLDPK):
             assert select_group(kind, groups, *buf) == select_group(kind, groups, *shifted)
@@ -136,6 +176,7 @@ def test_argmax_invariance():
 def test_matches_exhaustive_scorer_on_random_states():
     # smaller replica of the acceptance-scale oracle run, with tie-rich draws
     rng = np.random.default_rng(15)
+    ints = _numpy_ints(rng)
     for _ in range(300):
         n_aps = int(rng.integers(2, 10))
         singles = [(a,) for a in range(n_aps)]
@@ -147,19 +188,17 @@ def test_matches_exhaustive_scorer_on_random_states():
             extra.append(members)
         groups = _group_set(singles + extra)
         member_lists = [g.members for g in groups.groups]
-        counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
-        oldest = [None if c == 0 else 1.0 - float(rng.integers(0, 4)) / 8
-                  for c in counts]
-        buf = _view(counts, oldest)
+        buf, oldest = _run_view(ints, n_aps)
         for kind in ALL_KINDS:
             assert select_group(kind, groups, *buf) == select_reference(
-                kind.value, member_lists, counts, oldest, buf[2])
+                kind.value, member_lists, buf[0], oldest, buf[2])
 
 
 def test_matches_exhaustive_scorer_at_dense_scale():
     # 144 APs, one group per reference AP of 1-3 members (so the member
     # matrix is padded), counts and waits from small sets (so scores tie)
     rng = np.random.default_rng(16)
+    ints = _numpy_ints(rng)
     n_aps = 144
     for _ in range(4):
         member_lists = []
@@ -170,33 +209,22 @@ def test_matches_exhaustive_scorer_at_dense_scale():
                 others, size=size - 1, replace=False))))
         groups = _group_set(member_lists)
         assert (groups.member_columns == -1).any()
-        states = []
-        for _ in range(25):
-            counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
-            oldest = [None if c == 0 else 1.0 - float(rng.integers(0, 4)) / 8
-                      for c in counts]
-            states.append((counts, oldest))
-        # no positive wait: every backlogged head at `now` (waits 0.0) or
-        # after it (waits <= 0), so the per-AP pick falls back to the loop
-        counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
-        states.append((counts, [None if c == 0 else 1.0 for c in counts]))
-        states.append((counts, [None if c == 0 else 1.0 + float(rng.integers(0, 4)) / 8
-                                for c in counts]))
+        views = [_run_view(ints, n_aps) for _ in range(25)]
+        # no positive wait: every backlogged head at `now`, a TXOP's first pick
+        views.append(_run_view(ints, n_aps, lags=(0, 0), consumed_us=(0, 0)))
         # every AP backlogged with the same count: ties go to the lowest id
-        tied = [3] * n_aps
-        states.append((tied, [1.0 - float(rng.integers(0, 4)) / 8 for _ in tied]))
-        states.append((tied, [0.5] * n_aps))
-        for counts, oldest in states:
-            buf = _view(counts, oldest)
+        views.append(_run_view(ints, n_aps, counts=(3, 3)))
+        views.append(_run_view(ints, n_aps, counts=(3, 3), lags=(2, 2)))
+        for buf, oldest in views:
             for kind in ALL_KINDS:
                 assert select_group(kind, groups, *buf) == select_reference(
-                    kind.value, member_lists, counts, oldest, buf[2])
+                    kind.value, member_lists, buf[0], oldest, buf[2])
 
 
 def test_summary_waits():
-    # an AP with no packets waits 0.0, whether its head is +inf or a burst
-    # still to come
-    assert head_waits([3, 0, 0], [0.4, inf, 1.005], 1.0) == [pytest.approx(0.6), 0.0, 0.0]
+    # a head after `now`, +inf or a burst still to come, waits 0.0; so does a
+    # head at `now`
+    assert head_waits([0.4, inf, 1.005, 1.0], 1.0) == [pytest.approx(0.6), 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("rows, num_groups", [(3, 8), (6, 36), (12, 144)])
@@ -212,26 +240,17 @@ def test_both_mean_scorers_match_exhaustive_scorer(rows, num_groups):
     mixed = GroupSet(stored.groups + [Group(a, (a,)) for a in range(n_aps)
                                       if (a,) not in stored.member_tuples])
     assert len({len(m) for m in mixed.member_tuples}) > 1
-    rng = np.random.default_rng(rows)
+    ints = _numpy_ints(np.random.default_rng(rows))
     for groups in (stored, mixed):
         member_lists = list(groups.member_tuples)
         for state in range(150):
-            # counts and waits from small sets, so scores tie; empty APs
-            # wait 0.0, and heads after `now` wait less than 0
-            counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
-            if not any(counts):
-                continue
-            if state % 2:
-                oldest = [None if c == 0 else 1.0 - float(rng.integers(-2, 4)) / 8
-                          for c in counts]
-            else:
-                oldest = [None if c == 0 else 1.0 - float(rng.uniform(-0.25, 0.75))
-                          for c in counts]
-            buf = _view(counts, oldest)
+            # counts and waits from small sets, so scores tie; every other
+            # view at a TXOP start, where waits are whole periods
+            buf, oldest = _run_view(ints, n_aps, consumed_us=(0, 3000 * (state % 2)))
+            counts, heads, now = buf
             for kind, scores in ((SchedulerKind.NUMPK_GROUP, counts),
-                                 (SchedulerKind.OLDPK_GROUP, head_waits(*buf))):
-                want = select_reference(kind.value, member_lists, counts,
-                                        oldest, buf[2])
+                                 (SchedulerKind.OLDPK_GROUP, head_waits(heads, now))):
+                want = select_reference(kind.value, member_lists, counts, oldest, now)
                 assert _best_mean_group_loop(groups, scores) == want, (kind, state)
                 assert _best_mean_group_numpy(groups, scores) == want, (kind, state)
                 assert select_group(kind, groups, *buf) == want, (kind, state)
@@ -244,7 +263,7 @@ def test_mean_scorer_follows_the_view(monkeypatch):
 
     for num_groups in (8, 144):
         groups = _group_set([(a,) for a in range(num_groups)])
-        counts, heads, now = _view([1] * num_groups, [0.5] * num_groups)
+        counts, heads, now = [1] * num_groups, [0.5] * num_groups, 1.0
         for view, unused in (((counts, heads), "_best_mean_group_numpy"),
                              ((np.array(counts), np.array(heads)), "_best_mean_group_loop")):
             with monkeypatch.context() as patch:
@@ -273,49 +292,25 @@ def _stored_groups(rows):
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_oldest_head_pick_matches_exhaustive_scorer(data):
-    # Views as a run keeps them: a head exactly when the count is positive,
-    # heads whole periods apart (n * period, so many tie), the decision
-    # instant inside a TXOP, and some heads after it; in some views no head
-    # lies before it.
+    # Views as a run keeps them, heads whole periods apart (so many tie);
+    # the lags bounded by a drawn oldest lag, so the oldest heads tie often.
     rows = data.draw(st.sampled_from([3, 6, 12]), label="rows")
     groups = _stored_groups(rows)
-    n_aps, period = rows * rows, 0.005
-    txop = data.draw(st.integers(4, 20), label="txop")
-    consumed_us = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 3000.0)),
-                            label="consumed_us")
-    now = txop * period + consumed_us * 1e-6
-    counts = data.draw(st.lists(st.integers(0, 3), min_size=n_aps, max_size=n_aps),
-                       label="counts")
-    oldest_lag = data.draw(st.integers(-1, 4), label="oldest_lag")
-    lags = data.draw(st.lists(st.integers(-2, oldest_lag), min_size=n_aps,
-                              max_size=n_aps), label="lags")
-    oldest = [(txop - lag) * period if c else None for c, lag in zip(counts, lags)]
-    buf = _view(counts, oldest, now)
+    oldest_lag = data.draw(st.integers(0, 4), label="oldest_lag")
+    (counts, heads, now), oldest = _run_view(_drawn_ints(data), rows * rows,
+                                             lags=(0, oldest_lag))
     for kind in (SchedulerKind.OLDPK_SINGLE, SchedulerKind.CTDMA_OLDPK):
-        assert select_group(kind, groups, *buf) == select_reference(
+        assert select_group(kind, groups, counts, heads, now) == select_reference(
             kind.value, list(groups.member_tuples), counts, oldest, now), kind
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_list_and_vector_views_pick_alike(data):
-    # Views as a run keeps them, in both containers: a backlogged AP's head
-    # at or before the TXOP start, an empty AP's head +inf or a burst still
-    # to come, a whole number of periods after it.
+    # Views as a run keeps them, in both containers.
     rows = data.draw(st.sampled_from([3, 6, 12]), label="rows")
     groups = _stored_groups(rows)
-    n_aps, period = rows * rows, 0.005
-    txop = data.draw(st.integers(4, 20), label="txop")
-    now = txop * period + data.draw(st.floats(0.0, 3000.0), label="consumed_us") * 1e-6
-    counts = data.draw(st.lists(st.integers(0, 3), min_size=n_aps, max_size=n_aps),
-                       label="counts")
-    lags = data.draw(st.lists(st.integers(0, 4), min_size=n_aps, max_size=n_aps),
-                     label="lags")
-    to_come = data.draw(st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=n_aps,
-                                 max_size=n_aps), label="to_come")
-    oldest = [(txop - lag) * period if c else None for c, lag in zip(counts, lags)]
-    heads = [t if t is not None else inf if k is None else (txop + k) * period
-             for t, k in zip(oldest, to_come)]
+    (counts, heads, now), oldest = _run_view(_drawn_ints(data), rows * rows)
     for kind in ALL_KINDS:
         want = select_reference(kind.value, list(groups.member_tuples), counts, oldest, now)
         assert select_group(kind, groups, counts, heads, now) == want, kind
