@@ -8,8 +8,7 @@ slot-occupancy metrics.
 from .campaign import Campaign, load_campaign, run_campaign, run_seed
 from .channel import (McsEntry, McsTable, build_rssi_matrix, data_rate_bps,
                       default_mcs_table, group_feasible, group_sinr_db,
-                      path_loss_db, rssi_matrix_to_csv, select_mcs,
-                      station_sinr_db)
+                      path_loss_db, select_mcs, station_sinr_db)
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
                      TrafficConfig, arrival_probability,
                      load_simulation_config, save_simulation_config)
@@ -22,6 +21,6 @@ from .scenario import (Deployment, generate_grid_deployment,
                        nearest_ap_association)
 from .scheduling import (SCHEDULER_NAMES, SchedulerKind, head_waits,
                          select_group)
-from .stats import empirical_cdf, percentile
+from .stats import empirical_cdf
 
 __version__ = "0.1.0"

@@ -21,8 +21,9 @@ from typing import Any, Iterable
 
 from .channel import McsTable, default_mcs_table
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig, _read_json_object, check_integer,
-                     simulation_config_from_dict, simulation_config_to_dict)
+                     TrafficConfig, _read_json_object, check_finite,
+                     check_integer, simulation_config_from_dict,
+                     simulation_config_to_dict)
 from .engine import MetricsReport, TxopRecord, clear_memos, run_simulation
 from .scheduling import SCHEDULER_NAMES
 from .stats import empirical_cdf
@@ -55,16 +56,14 @@ class Campaign:
                 raise ValueError(f"sweep axis {axis} must be non-empty")
         check_integer("num_deployments", self.num_deployments)
         check_integer("base_seed", self.base_seed)  # run_seed hashes its text
+        for i, load in enumerate(self.loads_mbps):
+            check_finite(f"loads_mbps[{i}]", load)
         for i, k in enumerate(self.k_values):
             check_integer(f"k_values[{i}]", k)
         if self.num_deployments < 1:
             raise ValueError("num_deployments must be >= 1")
         if min(self.k_values) < 1:
             raise ValueError("k_values must be >= 1")
-        unknown = set(self.schedulers) - set(SCHEDULER_NAMES)
-        if unknown:
-            raise ValueError(f"unknown schedulers: {sorted(unknown)} "
-                             f"(valid: {', '.join(SCHEDULER_NAMES)})")
 
     @property
     def num_runs(self) -> int:

@@ -15,12 +15,10 @@ back to dB at the end; summing interference in dB would be wrong.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -95,15 +93,6 @@ def group_feasible(group: Iterable[int], rssi_dbm: np.ndarray,
         if sinr < gamma_db:
             return False
     return True
-
-
-def rssi_matrix_to_csv(rssi_dbm: np.ndarray, path: str | Path) -> None:
-    """Debug dump: one row per AP, one column per station."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ap"] + [f"sta{j}" for j in range(rssi_dbm.shape[1])])
-        for i, row in enumerate(rssi_dbm):
-            writer.writerow([i] + [repr(float(v)) for v in row])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .channel import McsTable, data_rate_bps, default_mcs_table
+from .scheduling import SCHEDULER_NAMES
 
 
 def check_integer(name: str, value: Any) -> None:
@@ -208,6 +209,9 @@ class SimulationConfig:
         if self.max_group_size < 1:
             raise ValueError("max_group_size must be >= 1")
         check_finite("gamma_db", self.gamma_db)
+        if self.scheduler not in SCHEDULER_NAMES:
+            raise ValueError(f"unknown scheduler {self.scheduler!r} "
+                             f"(valid: {', '.join(SCHEDULER_NAMES)})")
         traffic = self.traffic  # raises on p > 1: bursts too small for the load
         arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
                             traffic.packet_bytes, self.timing.period_s)

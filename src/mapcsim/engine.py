@@ -265,8 +265,6 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
     """
     cap_us = budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
     preamble_us = timing.phy_preamble_us
-    if cap_us <= preamble_us:
-        return None
     transmissions: list[ApTransmission] = []
     duration = 0.0
     requeued, cursor, ends, sent = state.requeued, state.cursor, state.ends, state.sent

@@ -11,10 +11,8 @@ references collapse to a single group.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -69,16 +67,6 @@ class GroupSet:
     def to_jsonable(self) -> list[dict[str, Any]]:
         return [{"reference_ap": g.reference_ap, "members": list(g.members)}
                 for g in self.groups]
-
-    @classmethod
-    def from_jsonable(cls, rows: Sequence[dict[str, Any]]) -> "GroupSet":
-        return cls([Group(int(r["reference_ap"]), tuple(int(m) for m in r["members"]))
-                    for r in rows])
-
-    def save_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_jsonable(), fh, indent=2)
-            fh.write("\n")
 
 
 def candidate_order(ref_ap: int, rssi_dbm: np.ndarray,

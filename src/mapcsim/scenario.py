@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -68,32 +66,6 @@ class Deployment:
     @property
     def num_stations(self) -> int:
         return len(self.station_positions)
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "ap_positions": self.ap_positions.tolist(),
-            "station_positions": self.station_positions.tolist(),
-            "association": self.association.tolist(),
-            "sharing_ap_id": self.sharing_ap_id,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict[str, Any]) -> "Deployment":
-        keys = ("ap_positions", "station_positions", "association", "sharing_ap_id")
-        missing = [key for key in keys if key not in data]
-        if missing:
-            raise ValueError(f"deployment is missing {', '.join(missing)}")
-        return cls(**{key: data[key] for key in keys})
-
-    def save_json(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_jsonable(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "Deployment":
-        with open(path) as fh:
-            return cls.from_jsonable(json.load(fh))
 
 
 def nearest_ap_association(ap_positions: np.ndarray,

@@ -22,11 +22,12 @@ argmin and numpy column sums); both give the same pick.
 from __future__ import annotations
 
 import enum
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .grouping import GroupSet
+if TYPE_CHECKING:
+    from .grouping import GroupSet
 
 
 class SchedulerKind(enum.Enum):

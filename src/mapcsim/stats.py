@@ -7,16 +7,8 @@ import math
 import numpy as np
 
 
-def percentile(samples, q: float) -> float:
-    """Nearest-rank percentile: the ceil(q*n)-th smallest sample (1-indexed)."""
-    values = np.sort(np.asarray(samples, dtype=float))
-    if values.size == 0:
-        raise ValueError("percentile of an empty sample")
-    return nearest_rank(values, q)
-
-
 def nearest_rank(sorted_values, q: float) -> float:
-    """`percentile` of samples already sorted ascending (not re-sorted)."""
+    """Nearest-rank percentile, the ceil(q*n)-th smallest of samples sorted ascending."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
     rank = max(1, math.ceil(q * len(sorted_values)))

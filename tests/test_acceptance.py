@@ -16,10 +16,10 @@ import pytest
 from mapcsim import (Campaign, ScenarioConfig, SchedulerKind,
                      SimulationConfig, TimingConfig, TrafficConfig,
                      build_rssi_matrix, draw_arrivals, generate_grid_deployment,
-                     group_feasible, path_loss_db,
-                     percentile, run_campaign, run_simulation, select_group,
-                     step_arrivals)
+                     group_feasible, path_loss_db, run_campaign,
+                     run_simulation, select_group, step_arrivals)
 from mapcsim.engine import SimState
+from mapcsim.stats import nearest_rank
 from mapcsim.grouping import build_all_groups
 from oracles import (feasible_family, feasible_reference, path_loss_reference,
                      select_reference)
@@ -259,7 +259,7 @@ def test_criterion_09_random_deployment_cdfs(tmp_path):
         samples = [float(r["p95_delay_s"]) for r in rows
                    if r["scheduler"] == kind]
         assert len(samples) == 100
-        medians[kind] = percentile(samples, 0.5)
+        medians[kind] = nearest_rank(np.sort(samples), 0.5)
     sr_kinds = ("numpk-single", "numpk-group", "oldpk-single", "oldpk-group")
     gaps = [medians[ct] - medians[sr]
             for ct in ("ctdma-numpk", "ctdma-oldpk") for sr in sr_kinds]

@@ -136,14 +136,25 @@ def test_campaign_validation():
         Campaign(loads_mbps=())
     with pytest.raises(ValueError):
         Campaign(num_deployments=0)
-    with pytest.raises(ValueError):
-        Campaign(schedulers=("numpk-single", "bogus"))
+    # every run's SimulationConfig is built, and the scheduler name checked,
+    # before any run starts
+    with pytest.raises(ValueError, match="unknown scheduler 'bogus'"):
+        enumerate_runs(Campaign(schedulers=("numpk-single", "bogus")))
     with pytest.raises(ValueError):
         campaign_from_dict({"campaign": {"nope": 1}})
     with pytest.raises(ValueError):
         Campaign(k_values=(3, 0))
     with pytest.raises(ValueError):
         campaign_from_dict({"campaign": {"k_values": [0]}})
+
+
+@pytest.mark.parametrize("load", [True, "1", None])
+def test_non_finite_loads_rejected(load):
+    # a bool would run at 1 Mbps/STA; a string or None would fail in the sweep
+    with pytest.raises(ValueError, match=r"loads_mbps\[1\] must be finite"):
+        Campaign(loads_mbps=(6.0, load))
+    with pytest.raises(ValueError, match=r"loads_mbps\[1\] must be finite"):
+        campaign_from_dict({"campaign": {"loads_mbps": [6.0, load]}})
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5, 2.0, True])

@@ -5,8 +5,8 @@ import pytest
 
 from mapcsim import (McsTable, ScenarioConfig, TimingConfig, build_rssi_matrix,
                      data_rate_bps, default_mcs_table, generate_grid_deployment,
-                     group_feasible, group_sinr_db, path_loss_db,
-                     rssi_matrix_to_csv, select_mcs, station_sinr_db)
+                     group_feasible, group_sinr_db, path_loss_db, select_mcs,
+                     station_sinr_db)
 from oracles import feasible_reference, path_loss_reference, sinr_reference
 
 
@@ -88,19 +88,6 @@ def test_rssi_finite_at_resampling_boundary():
     assert np.isfinite(rssi).all()
     assert rssi[0, 0] == pytest.approx(
         cfg.tx_power_dbm - path_loss_db(0.1, cfg.carrier_freq_ghz, cfg.wall_count))
-
-
-def test_rssi_csv_dump(tmp_path):
-    cfg = ScenarioConfig()
-    dep = generate_grid_deployment(cfg, np.random.default_rng(1))
-    rssi = build_rssi_matrix(dep, cfg)
-    path = tmp_path / "rssi.csv"
-    rssi_matrix_to_csv(rssi, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 10  # header + one row per AP
-    assert lines[0].split(",")[:2] == ["ap", "sta0"]
-    first = lines[1].split(",")
-    assert float(first[1]) == pytest.approx(rssi[0, 0])
 
 
 def test_sinr_no_interferers_is_snr():

@@ -189,6 +189,16 @@ def test_non_finite_gamma_rejected(gamma_db):
         simulation_config_from_dict({"gamma_db": gamma_db})
 
 
+def test_unknown_scheduler_rejected(tmp_path):
+    # refused when built, so no config file can carry an unknown name
+    with pytest.raises(ValueError, match=r"unknown scheduler 'bogus' \(valid: numpk-single, "):
+        SimulationConfig(scheduler="bogus")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scheduler": "bogus"}))
+    with pytest.raises(ValueError, match="unknown scheduler 'bogus'"):
+        load_simulation_config(path)
+
+
 def test_nan_load_rejected():
     # an infinite load too; JSON's Infinity parses to float("inf")
     for load in (float("nan"), float("inf")):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mapcsim import (Group, GroupSet, ScenarioConfig, build_all_groups,
-                     build_group, build_rssi_matrix, candidate_order,
+from mapcsim import (Group, ScenarioConfig, build_all_groups, build_group,
+                     build_rssi_matrix, candidate_order,
                      generate_grid_deployment)
 from oracles import feasible_family, feasible_reference
 
@@ -190,14 +190,3 @@ def test_group_validation():
         Group(2, (0, 1))  # reference not a member
     with pytest.raises(ValueError):
         Group(0, (0, 1, 1))  # duplicate member
-
-
-def test_group_set_json_roundtrip(tmp_path):
-    cfg, dep, rssi = _grid_env(seed=4)
-    gs = build_all_groups(rssi, dep, NOISE, 20.0, 3)
-    path = tmp_path / "groups.json"
-    gs.save_json(path)
-    import json
-    loaded = GroupSet.from_jsonable(json.loads(path.read_text()))
-    assert [g.members for g in loaded.groups] == [g.members for g in gs.groups]
-    assert loaded.contains_index == gs.contains_index
