@@ -74,14 +74,21 @@ class Campaign:
 def campaign_from_dict(data: dict[str, Any]) -> Campaign:
     base = simulation_config_from_dict(data)
     camp = dict(data.get("campaign", {}))
+
+    def axis(key: str, default: Any) -> tuple:
+        """A sweep axis: a list, else the base config's one point."""
+        values = camp.pop(key, [default])
+        if not isinstance(values, list):
+            raise ValueError(f"campaign {key} must be a list, got {values!r}")
+        return tuple(values)
+
     kwargs = dict(
         scenario=base.scenario, timing=base.timing, traffic=base.traffic,
         mcs_table=base.mcs_table,
-        loads_mbps=tuple(camp.pop("loads_mbps",
-                                  (base.traffic.load_bps_per_sta / 1e6,))),
-        gammas_db=tuple(camp.pop("gammas_db", (base.gamma_db,))),
-        k_values=tuple(camp.pop("k_values", (base.max_group_size,))),
-        schedulers=tuple(camp.pop("schedulers", (base.scheduler,))),
+        loads_mbps=axis("loads_mbps", base.traffic.load_bps_per_sta / 1e6),
+        gammas_db=axis("gammas_db", base.gamma_db),
+        k_values=axis("k_values", base.max_group_size),
+        schedulers=axis("schedulers", base.scheduler),
         base_seed=camp.pop("base_seed", base.seed),
     )
     for key in ("num_deployments", "out_dir"):  # else Campaign's defaults

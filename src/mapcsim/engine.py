@@ -26,16 +26,16 @@ next period carries no simulated traffic (it is left to uncoordinated
 use). The airtime table holds each AP set's per-packet airtime and MCS per
 station it serves, as two dicts keyed by station. `plan_slot` reads each
 burst once, skips bursts to a station absent from them, changes nothing,
-and records what each AP sends as runs of schedule indices (lo, hi) with
-the packets of the first and last burst: a re-queued burst is a run of
-one, a window drain one run per stretch between skipped bursts. It also
-records where the AP's queue ends: its window (cursor, sent) and its
-re-queued bursts. `deliver` only commits that: it books each run as one
-record in typed columns and sets the queue, and the run expands the
-records into per-burst (delay, packets) pairs in one numpy pass after its
-last TXOP. Skipped bursts are re-queued as [schedule index, count], so
-every burst reads its arrival and station from the schedule. The per-burst
-list and the segments are derived only when asked for.
+and records what each AP sends as runs (lo, hi, head, tail): the schedule's
+bursts [lo, hi) with the packets of the first and last burst. A re-queued
+burst is a run of one, a window drain one run per stretch between skipped
+bursts. It also records where the AP's queue ends: its window (cursor,
+sent) and its re-queued bursts. `deliver` only commits that: it books each
+run whole, with its delivery time, and sets the queue, and the run expands
+the records into per-burst (delay, packets) pairs in one numpy pass after
+its last TXOP. Every skipped burst is re-queued as [schedule index, count],
+so every burst reads its arrival and station from the schedule. The
+per-burst list and the segments are derived only when asked for.
 
 The controller's view of the buffers is kept incrementally, so no slot or
 TXOP rebuilds it by walking all APs: per AP, the packets queued, which
@@ -198,19 +198,18 @@ def step_arrivals(state: SimState, n: int) -> int:
 @dataclass
 class ApTransmission:
     """What one member AP sends in a slot, as `plan_slot` plans it and
-    `deliver` books it. `runs` lists it in queue order as (queue position,
-    lo, hi, head, tail): the schedule's bursts [lo, hi), the first at that
-    position of the AP's queue, `head` packets sent of the first and `tail`
-    of the last (of the only one, in a run of one), the bursts between
-    whole. A re-queued burst sent from is a run of one, and the window
-    drain one run per stretch between skipped bursts (their station
+    `deliver` books it. `runs` lists it in queue order as (lo, hi, head,
+    tail): the schedule's bursts [lo, hi), `head` packets sent of the first
+    and `tail` of the last (of the only one, in a run of one), the bursts
+    between whole. A re-queued burst sent from is a run of one, and the
+    window drain one run per stretch between skipped bursts (their station
     unservable in the scheduled set). `window` (cursor, sent) and
     `requeued` are the AP's queue as it stands after the slot (see
     SimState), and `packets` what it sends in all; the schedule gives each
     burst's arrival and station."""
 
     ap: int
-    runs: list[tuple[int, int, int, int, int]]  # (queue pos, lo, hi, head, tail)
+    runs: list[tuple[int, int, int, int]]      # (lo, hi, head, tail)
     window: tuple[int, int]                    # (cursor, sent) after the slot
     requeued: list[list[int]]                  # re-queued bursts after the slot
     packets: int                               # packets sent
@@ -219,21 +218,20 @@ class ApTransmission:
     source: SimState                           # whose schedule the runs index
 
     @property
-    def taken(self) -> list[tuple[int, int, float, int]]:
-        """(queue pos, count, arrival_s, station) per burst sent from, in
-        queue order."""
+    def taken(self) -> list[tuple[int, float, int]]:
+        """(count, arrival_s, station) per burst sent from, in queue order."""
         source = self.source
         stations, txops, period = source.stations, source.txops, source.period_s
         burst = source.burst_packets
-        return [(pos + i - lo, tail if i == hi - 1 else head if i == lo else burst,
+        return [(tail if i == hi - 1 else head if i == lo else burst,
                  txops[i] * period, stations[i])
-                for pos, lo, hi, head, tail in self.runs for i in range(lo, hi)]
+                for lo, hi, head, tail in self.runs for i in range(lo, hi)]
 
     @property
     def segments(self) -> list[tuple[int, int, int]]:
         """(station, mcs, packet count) per station, by first appearance."""
         counts: dict[int, int] = {}
-        for _, k, _, sta in self.taken:
+        for k, _, sta in self.taken:
             counts[sta] = counts.get(sta, 0) + k
         return [(sta, self.mcs[sta], k) for sta, k in counts.items()]
 
@@ -258,10 +256,11 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
     budget - T_MAP-TF - Te - overhead of airtime. Draining is strict FIFO
     per AP, over its re-queued bursts and then its window (see SimState):
     the first packet that does not fit ends that AP's drain (a burst may be
-    cut mid-way); packets to stations absent from the set's `links` are left
-    buffered and skipped over. Each AP's transmission lists what it sends
-    as runs and where its queue ends (see ApTransmission); `state` is only
-    read, each burst once. Returns None when nothing fits at all.
+    cut mid-way); bursts to stations absent from the set's `links` are
+    skipped over and stay queued in order, re-queued if from the window.
+    Each AP's transmission lists what it sends as runs and where its queue
+    ends (see ApTransmission); `state` is only read, each burst once.
+    Returns None when nothing fits at all.
     """
     cap_us = budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
     preamble_us = timing.phy_preamble_us
@@ -274,7 +273,7 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
     for ap in members:
         acc = preamble_us
         took = 0
-        runs: list[tuple[int, int, int, int, int]] = []
+        runs: list[tuple[int, int, int, int]] = []
         batches = requeued[ap]
         kept: list[list[int]] = []  # the re-queued bursts after the slot
         window = cursor[ap], sent[ap]
@@ -292,7 +291,7 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
             k = n if room >= n else int(room)
             acc += k * per_packet
             took += k
-            runs.append((pos, i, i + 1, k, k))
+            runs.append((i, i + 1, k, k))
             if k < n:
                 kept.append([i, n - k])
                 kept += batches[pos + 1:]
@@ -300,9 +299,8 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
         else:
             start, done = window
             head = n = burst - done  # the burst at the cursor may be part-sent
-            lo = ran = start  # the open run's first burst; one past the last run
+            lo = start  # the open run's first burst
             end = ends[ap]
-            offset = len(batches) - start  # window burst i's queue position - i
             cut = 0
             for i in range(start, end):
                 if txops[i] > last:  # the window ends at the first burst to come
@@ -311,8 +309,7 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
                 per_packet = airtime_us.get(stations[i])
                 if per_packet is None:
                     if i > lo:
-                        runs.append((offset + lo, lo, i, head, head if i - 1 == lo else burst))
-                        ran = i
+                        runs.append((lo, i, head, head if i - 1 == lo else burst))
                     kept.append([i, n])
                     lo = i + 1
                     head = n = burst
@@ -329,14 +326,11 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
                 took += n
                 n = burst
             if cut:  # burst `end` stays at the cursor, less what it sent
-                runs.append((offset + lo, lo, end + 1, head, cut))
+                runs.append((lo, end + 1, head, cut))
                 window = end, burst - n + cut
             else:
                 if end > lo:
-                    runs.append((offset + lo, lo, end, head, head if end - 1 == lo else burst))
-                else:  # bursts skipped after the last run stay in the window
-                    del kept[len(kept) - (end - ran):]
-                    end = ran
+                    runs.append((lo, end, head, head if end - 1 == lo else burst))
                 window = end, done if end == start else 0
         if runs:
             transmissions.append(ApTransmission(ap, runs, window, kept, took, acc, mcs,
@@ -372,7 +366,7 @@ class SimState:
     are bursts of `burst_packets`, read where they lie in the schedule,
     less the `sent[a]` packets a slot that cut the burst at the cursor has
     sent. `requeued[a]` holds [schedule index, count] entries, never changed
-    in place: the window bursts a slot skipped (their station unservable in
+    in place: every window burst a slot skipped (its station unservable in
     the scheduled set), a part-sent one with its remainder; like window
     bursts, they read their arrival and station from the schedule.
 
@@ -384,11 +378,10 @@ class SimState:
     of `counts`. Both are lists on up to LIST_VIEW_MAX_APS APs and numpy
     vectors (int64, float64) on more.
 
-    `deliver` books what it sends in typed columns, one record per run (see
-    ApTransmission): `booked_at` holds the delivery time, `booked_lo`/
-    `booked_hi` the schedule indices [lo, hi) of its bursts,
-    `booked_head`/`booked_tail` the packets of its first and last burst.
-    `delay_pairs` expands them.
+    `deliver` books what it sends in two typed columns, one record per run:
+    `booked_at` holds its delivery time and `booked_runs` the run itself,
+    four numbers (lo, hi, head, tail; see ApTransmission). `delay_pairs`
+    expands them.
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
@@ -422,11 +415,7 @@ class SimState:
             self.counts = [0] * num_aps
             self.heads = heads
         self.booked_at = array("d")
-        self.booked_lo, self.booked_hi = array("q"), array("q")
-        self.booked_head, self.booked_tail = array("q"), array("q")
-        self.appenders = tuple(column.append for column in (
-            self.booked_at, self.booked_lo, self.booked_hi, self.booked_head,
-            self.booked_tail))
+        self.booked_runs = array("q")
 
     def bursts(self, ap: int) -> list[list]:
         """AP `ap`'s whole queue, oldest first, as [arrival_s, station, count]."""
@@ -446,19 +435,16 @@ class SimState:
         window and re-queued bursts as the plan left them, take the packets
         sent off the counts, and move each head to the AP's first unsent
         burst."""
-        at, lo, hi, head, tail = self.appenders
+        at, book = self.booked_at.append, self.booked_runs.extend
         cursor, sent, ends, requeued = self.cursor, self.sent, self.ends, self.requeued
         counts, heads, txops = self.counts, self.heads, self.txops
         period = self.period_s
         taken = 0
         for tx in plan.transmissions:
             ap = tx.ap
-            for _, i, j, h, t in tx.runs:
+            for run in tx.runs:
                 at(delivery_time_s)
-                lo(i)
-                hi(j)
-                head(h)
-                tail(t)
+                book(run)
             counts[ap] -= tx.packets
             taken += tx.packets
             cursor[ap], sent[ap] = tx.window
@@ -477,8 +463,7 @@ class SimState:
         arrival time is made of everywhere else."""
         if not self.booked_at:
             return np.empty(0), np.empty(0, np.int64)
-        lo, hi, head, tail = (np.frombuffer(column, np.int64) for column in (
-            self.booked_lo, self.booked_hi, self.booked_head, self.booked_tail))
+        lo, hi, head, tail = np.frombuffer(self.booked_runs, np.int64).reshape(-1, 4).T
         lengths = hi - lo
         ends = np.cumsum(lengths)
         starts = ends - lengths

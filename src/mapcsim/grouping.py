@@ -110,8 +110,6 @@ def build_all_groups(rssi_dbm: np.ndarray, deployment: Deployment,
                      noise_dbm: float, gamma_db: float, max_size: int) -> GroupSet:
     """One greedy group per reference AP, with duplicate member sets (as
     unordered sets) collapsed onto the lowest reference id."""
-    if deployment.num_aps < 1:
-        raise ValueError("deployment has no APs")
     groups: list[Group] = []
     seen: set[frozenset[int]] = set()
     for ref_ap in range(deployment.num_aps):

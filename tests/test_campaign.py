@@ -11,6 +11,7 @@ from mapcsim import campaign as campaign_module
 from mapcsim.campaign import (PER_RUN_COLUMNS, CampaignRunError,
                               campaign_from_dict, enumerate_runs, execute_run,
                               write_csv)
+from mapcsim.cli import main
 from mapcsim.config import TimingConfig
 from oracles import nearest_rank_reference
 
@@ -146,6 +147,23 @@ def test_campaign_validation():
         Campaign(k_values=(3, 0))
     with pytest.raises(ValueError):
         campaign_from_dict({"campaign": {"k_values": [0]}})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("schedulers", "numpk-single"), ("loads_mbps", 8.0), ("gammas_db", "20"),
+    ("k_values", 3)])
+def test_sweep_axes_must_be_lists(key, value, tmp_path, capsys):
+    # a bare string was split into characters ("unknown scheduler 'n'") and
+    # a bare number was not iterable
+    out = tmp_path / "out"
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"campaign": {key: value, "out_dir": str(out)}}))
+    message = f"campaign {key} must be a list, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_campaign(path)
+    assert main(["campaign", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("load", [True, "1", None])

@@ -146,7 +146,7 @@ def test_plan_slot_five_packet_ampdu():
     assert plan.duration_us == pytest.approx(741.4, abs=0.1)
     (tx,) = plan.transmissions
     assert tx.segments == [(0, 7, 5)]
-    assert tx.taken == [(0, 5, 0.0, 0)]  # (queue position, count, arrival_s, station)
+    assert tx.taken == [(5, 0.0, 0)]  # (count, arrival_s, station)
 
 
 def test_plan_slot_nothing_fits():
@@ -173,7 +173,7 @@ def test_plan_slot_splits_burst_at_budget():
     budget = TIM.map_tf_us + TIM.te_us + 44 + 7.5 * PKT_US_MCS7
     plan = plan_slot((0,), state, _links(_one_ap_airtimes()), TIM, budget_us=budget)
     (tx,) = plan.transmissions
-    assert tx.taken == [(0, 7, 0.0, 0)]
+    assert tx.taken == [(7, 0.0, 0)]
     state.deliver(plan, 0.0)
     assert state.counts[0] == 3
     assert state.bursts(0) == [[0.0, 0, 3]]  # remainder keeps its arrival time
@@ -186,7 +186,7 @@ def test_plan_slot_skips_unservable_station():
     plan = plan_slot((0,), state, _links(airtimes), TIM, budget_us=3000.0)
     (tx,) = plan.transmissions
     assert tx.segments == [(1, 7, 2)]
-    assert tx.taken == [(1, 2, 1.0, 1)]
+    assert tx.taken == [(2, 1.0, 1)]
     state.deliver(plan, 0.0)
     # the unservable burst stays buffered, still first in line
     assert state.counts[0] == 2
@@ -201,7 +201,7 @@ def test_plan_slot_strict_fifo_stops_at_first_misfit():
     airtimes = {0: {0: (3, slow), 1: (10, 1.0)}}
     plan = plan_slot((0,), state, _links(airtimes), TIM, budget_us=budget)
     (tx,) = plan.transmissions
-    assert tx.taken == [(0, 2, 0.0, 0)]  # burst cut mid-way, later burst untouched
+    assert tx.taken == [(2, 0.0, 0)]  # burst cut mid-way, later burst untouched
 
 
 def test_segments_merge_a_station_across_bursts():
@@ -210,7 +210,7 @@ def test_segments_merge_a_station_across_bursts():
     state = _queued_state([(0.0, 0, 2), (0.5, 1, 3), (1.0, 0, 4)])
     airtimes = {0: {0: (7, PKT_US_MCS7), 1: (5, 2 * PKT_US_MCS7)}}
     (tx,) = plan_slot((0,), state, _links(airtimes), TIM, budget_us=3000.0).transmissions
-    assert [sta for _, _, _, sta in tx.taken] == [0, 1, 0]
+    assert [sta for _, _, sta in tx.taken] == [0, 1, 0]
     assert tx.segments == [(0, 7, 6), (1, 5, 3)]
 
 
@@ -225,7 +225,7 @@ def test_ap_buffer_consume_across_batches():
     airtimes = _one_ap_airtimes(stations=(0, 1))
     plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(7))
     (tx,) = plan.transmissions
-    assert tx.taken == [(0, 4, 0.0, 0), (1, 2, 0.5, 1), (2, 1, 1.0, 0)]
+    assert tx.taken == [(4, 0.0, 0), (2, 0.5, 1), (1, 1.0, 0)]
     state.deliver(plan, 0.0)
     assert state.counts[0] == 2
     assert state.bursts(0) == [[1.0, 0, 2]]
@@ -235,7 +235,7 @@ def test_ap_buffer_consume_across_batches():
     airtimes[0][1] = None
     plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(5))
     (tx,) = plan.transmissions
-    assert tx.taken == [(0, 4, 0.0, 0), (2, 1, 1.0, 0)]
+    assert tx.taken == [(4, 0.0, 0), (1, 1.0, 0)]
     state.deliver(plan, 0.0)
     assert state.counts[0] == 4
     assert state.bursts(0) == [[0.5, 1, 2], [1.0, 0, 2]]
@@ -263,14 +263,14 @@ def _plan_and_deliver(state, airtimes, budget):
 def test_split_window_burst_stays_at_cursor_until_sent():
     state = _window_state(num_stations=2, num_txops=1)
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(0, 7, 0.0, 0)]
+    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
     # the cut burst stays in the window, its 7 sent packets counted aside
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (0, 7, [])
     assert state.bursts(0) == [[0.0, 0, 3], [0.0, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (13, 0.0)
     # the next slot takes the remainder, then the next burst
-    assert _plan_and_deliver(state, airtimes, 3000.0) == [(0, 3, 0.0, 0),
-                                                          (1, 10, 0.0, 1)]
+    assert _plan_and_deliver(state, airtimes, 3000.0) == [(3, 0.0, 0),
+                                                          (10, 0.0, 1)]
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (2, 0, [])
     assert state.bursts(0) == []
     assert (state.counts[0], state.heads[0]) == (0, math.inf)
@@ -280,19 +280,20 @@ def test_skipped_split_burst_is_requeued_with_its_remainder():
     state = _window_state(num_stations=2, num_txops=2)
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(0, 7, 0.0, 0)]
+    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
     # station 0 is unservable in the next slot, so its part-sent burst is
-    # skipped; the budget ends the drain after station 1's first burst
+    # skipped; the budget ends the drain after station 1's first burst, and
+    # station 0's next burst, skipped after it, is re-queued too
     airtimes[0][0] = None
-    assert _plan_and_deliver(state, airtimes, _budget_for(10)) == [(1, 10, 0.0, 1)]
-    assert state.requeued[0] == [[0, 3]]  # schedule index, count
-    assert (state.cursor[0], state.sent[0]) == (2, 0)
+    assert _plan_and_deliver(state, airtimes, _budget_for(10)) == [(10, 0.0, 1)]
+    assert state.requeued[0] == [[0, 3], [2, 10]]  # schedule index, count
+    assert (state.cursor[0], state.sent[0]) == (3, 0)
     assert state.bursts(0) == [[0.0, 0, 3], [period, 0, 10], [period, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (23, 0.0)
     # re-queued bursts drain first; the remainder keeps its arrival time
     airtimes[0][0] = (7, PKT_US_MCS7)
     assert _plan_and_deliver(state, airtimes, _budget_for(13)) == [
-        (0, 3, 0.0, 0), (1, 10, period, 0)]
+        (3, 0.0, 0), (10, period, 0)]
     assert state.bursts(0) == [[period, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (10, period)
 
@@ -317,16 +318,15 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     airtimes[0][1] = None
     plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(37))
     (tx,) = plan.transmissions
-    # (queue position, lo, hi, head, tail) per run: the re-queued burst,
-    # then the window's stretches around skipped bursts 1 and 4; the budget
-    # cuts burst 5 after 3 packets
-    assert tx.runs == [(0, 6, 7, 4, 4), (1, 0, 1, 10, 10), (3, 2, 4, 10, 10),
-                       (6, 5, 6, 10, 3)]
+    # (lo, hi, head, tail) per run: the re-queued burst, then the window's
+    # stretches around skipped bursts 1 and 4; the budget cuts burst 5
+    # after 3 packets
+    assert tx.runs == [(6, 7, 4, 4), (0, 1, 10, 10), (2, 4, 10, 10), (5, 6, 10, 3)]
     # where the queue ends: (cursor, sent), then the re-queued bursts
     assert (tx.window, tx.requeued) == ((5, 3), [[1, 10], [4, 10]])
     assert tx.packets == plan.packets == 37
-    assert tx.taken == [(0, 4, 0.0, 2), (1, 10, 0.0, 0), (3, 10, 0.0, 2),
-                        (4, 10, period, 0), (6, 3, period, 2)]
+    assert tx.taken == [(4, 0.0, 2), (10, 0.0, 0), (10, 0.0, 2), (10, period, 0),
+                        (3, period, 2)]
     state.deliver(plan, 0.02)
     assert _pairs(state) == [(0.02, 4), (0.02, 10), (0.02, 10),
                              (0.02 - period, 10), (0.02 - period, 3)]
@@ -342,29 +342,61 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
     plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(7))
-    assert plan.transmissions[0].runs == [(0, 0, 1, 10, 7)]
+    assert plan.transmissions[0].runs == [(0, 1, 10, 7)]
     state.deliver(plan, 0.001)
     # station 0 unservable: its part-sent burst 0 and burst 2 are skipped
     airtimes[0][0] = None
     plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(15))
     (tx,) = plan.transmissions
-    assert (tx.runs, tx.window) == ([(1, 1, 2, 10, 10), (3, 3, 4, 10, 5)], (3, 5))
+    assert (tx.runs, tx.window) == ([(1, 2, 10, 10), (3, 4, 10, 5)], (3, 5))
     state.deliver(plan, 0.002)
     assert state.requeued[0] == [[0, 3], [2, 10]]
     assert (state.cursor[0], state.sent[0]) == (3, 5)
     # station 1 unservable: the re-queued bursts go, and the window's one
-    # burst, skipped after them, stays in the window
+    # burst, part-sent and skipped after them, is re-queued with its remainder
     airtimes[0][0], airtimes[0][1] = (7, PKT_US_MCS7), None
     plan = plan_slot((0,), state, _links(airtimes), TIM, 3000.0)
     (tx,) = plan.transmissions
     assert (tx.runs, tx.window, tx.requeued) == (
-        [(0, 0, 1, 3, 3), (1, 2, 3, 10, 10)], (3, 5), [])
+        [(0, 1, 3, 3), (2, 3, 10, 10)], (4, 0), [[3, 5]])
     state.deliver(plan, 0.003)
     assert _pairs(state) == [(0.001, 7), (0.002, 10), (0.002 - period, 5),
                              (0.003, 3), (0.003 - period, 10)]
-    assert state.requeued[0] == []
+    assert state.requeued[0] == [[3, 5]]
     assert state.bursts(0) == [[period, 1, 5]]
     assert (state.counts[0], state.heads[0]) == (5, period)
+
+
+def test_trailing_skipped_bursts_are_requeued_in_order():
+    # window: (TXOP 0: stations 0-3), (TXOP 1: 0-3); burst 0 is cut after
+    # 7 packets, then only station 1 is servable: the part-sent burst 0,
+    # bursts 2-4 and the trailing bursts 6 and 7 are all re-queued, in FIFO
+    # order, and the queue is the one before the slot less bursts 1 and 5
+    state = _window_state(num_stations=4, num_txops=2)
+    period = TIM.period_s
+    airtimes = _one_ap_airtimes(stations=(0, 1, 2, 3))
+    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
+    before = state.bursts(0)
+    assert before == [[0.0, 0, 3]] + [[0.0, sta, 10] for sta in (1, 2, 3)] + [
+        [period, sta, 10] for sta in range(4)]
+    assert (state.counts[0], state.heads[0]) == (73, 0.0)
+    for sta in (0, 2, 3):
+        airtimes[0][sta] = None
+    plan = plan_slot((0,), state, _links(airtimes), TIM, 3000.0)
+    (tx,) = plan.transmissions
+    assert (tx.runs, tx.window) == ([(1, 2, 10, 10), (5, 6, 10, 10)], (8, 0))
+    assert tx.requeued == [[0, 3], [2, 10], [3, 10], [4, 10], [6, 10], [7, 10]]
+    state.deliver(plan, 0.002)
+    assert _pairs(state)[1:] == [(0.002, 10), (0.002 - period, 10)]
+    assert state.bursts(0) == [b for b in before if b[1] != 1]
+    assert (state.counts[0], state.heads[0]) == (53, 0.0)
+    # once servable, the re-queued bursts drain first, oldest first
+    airtimes = _one_ap_airtimes(stations=(0, 1, 2, 3))
+    assert _plan_and_deliver(state, airtimes, _budget_for(53)) == [
+        (3, 0.0, 0), (10, 0.0, 2), (10, 0.0, 3), (10, period, 0), (10, period, 2),
+        (10, period, 3)]
+    assert state.bursts(0) == []
+    assert (state.counts[0], state.heads[0]) == (0, math.inf)
 
 
 def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0,
@@ -580,7 +612,7 @@ def test_fifo_delivery_per_ap():
             delivery_s = rec.start_time_s + consumed * 1e-6
             for tx in slot.transmissions:
                 ap = tx.ap
-                for _, _, arrival_s, _ in tx.taken:
+                for _, arrival_s, _ in tx.taken:
                     assert delivery_s >= arrival_s + handshake_s
                     assert arrival_s >= last_arrival.get(ap, -1.0) - 1e-12
                     assert delivery_s >= last_delivery.get(ap, -1.0) - 1e-12
@@ -783,11 +815,13 @@ def test_cursor_queue_matches_deque_fifo(data):
             if not want:
                 assert plan is None
                 continue
-            assert [(tx.ap, tx.segments, [(pos, k) for pos, k, _, _ in tx.taken],
-                     tx.airtime_us) for tx in plan.transmissions] == want
+            assert [(tx.ap, tx.segments, [k for k, _, _ in tx.taken], tx.airtime_us)
+                    for tx in plan.transmissions] == [
+                (ap, segments, [k for _, k in consume], acc)
+                for ap, segments, consume, acc in want]
             for tx, (_, _, consume, _) in zip(plan.transmissions, want):
                 # every recorded burst is the one the reference FIFO hands out
-                assert ([(arrival, sta, k) for _, k, arrival, sta in tx.taken]
+                assert ([(arrival, sta, k) for k, arrival, sta in tx.taken]
                         == ref[tx.ap].consume(consume))
                 assert tx.packets == sum(k for _, k in consume)
             state.deliver(plan, n * TIM.period_s + 1.0)

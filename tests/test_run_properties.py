@@ -97,7 +97,7 @@ def test_each_station_gets_its_bursts_in_arrival_order(config, geometry):
         for n, rec in enumerate(records):
             for slot in rec.slots:
                 for tx in slot.transmissions:
-                    for _, _, arrival_s, sta in tx.taken:
+                    for _, arrival_s, sta in tx.taken:
                         assert arrival_s >= last_arrival.get(sta, arrival_s), (
                             kind, n, sta)
                         last_arrival[sta] = arrival_s
@@ -115,7 +115,7 @@ def _trace_delays(records, timing):
             consumed += slot_us + slot.duration_us
             delivery_s = rec.start_time_s + consumed * 1e-6
             for tx in slot.transmissions:
-                for _, k, arrival_s, _ in tx.taken:
+                for k, arrival_s, _ in tx.taken:
                     values.append(delivery_s - arrival_s)
                     counts.append(k)
     return np.repeat(np.asarray(values, dtype=float), np.asarray(counts, dtype=np.int64))
