@@ -16,6 +16,7 @@ back to dB at the end; summing interference in dB would be wrong.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,7 +148,18 @@ class McsTable:
 
     @classmethod
     def from_jsonable(cls, rows: Iterable[Sequence[float]]) -> "McsTable":
-        return cls(tuple(McsEntry(int(i), float(s), float(b)) for i, s, b in rows))
+        """Raises on a row that is not [integer index, real threshold, real
+        bits per symbol]: a fraction, bool or string is refused, not cast."""
+        entries = []
+        for pos, row in enumerate(rows):
+            if not (isinstance(row, (list, tuple)) and len(row) == 3
+                    and not any(isinstance(x, bool) for x in row)
+                    and isinstance(row[0], numbers.Integral)
+                    and all(isinstance(x, numbers.Real) for x in row[1:])):
+                raise ValueError(f"MCS row {pos}, {row!r}, must be [integer index, "
+                                 f"SINR threshold dB, bits per symbol]")
+            entries.append(McsEntry(int(row[0]), float(row[1]), float(row[2])))
+        return cls(tuple(entries))
 
 
 # 802.11ax MCS 0-10 at 20 MHz, single stream: modulation bits x coding rate.

@@ -177,7 +177,8 @@ class TrafficConfig:
 
     def __post_init__(self) -> None:
         load = self.load_bps_per_sta
-        if isinstance(load, bool) or not 0 <= load < math.inf:  # also rejects NaN
+        if (isinstance(load, bool) or not isinstance(load, numbers.Real)
+                or not 0 <= load < math.inf):  # also rejects NaN
             raise ValueError(f"load_bps_per_sta must be >= 0 and finite, got {load!r}")
         check_integer("burst_packets", self.burst_packets)
         check_integer("packet_bytes", self.packet_bytes)

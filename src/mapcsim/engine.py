@@ -25,17 +25,19 @@ member; APs that finish early idle. The gap between the TXOP cap and the
 next period carries no simulated traffic (it is left to uncoordinated
 use). The airtime table holds each AP set's per-packet airtime and MCS per
 station it serves, as two dicts keyed by station. `plan_slot` reads each
-burst once, skips bursts to a station absent from them, changes nothing,
-and records what each AP sends as runs (lo, hi, head, tail): the schedule's
-bursts [lo, hi) with the packets of the first and last burst. A re-queued
-burst is a run of one, a window drain one run per stretch between skipped
-bursts. It also records where the AP's queue ends: its window (cursor,
-sent) and its re-queued bursts. `deliver` only commits that: it books each
-run whole, with its delivery time, and sets the queue, and the run expands
-the records into per-burst (delay, packets) pairs in one numpy pass after
-its last TXOP. Every skipped burst is re-queued as [schedule index, count],
-so every burst reads its arrival and station from the schedule. The
-per-burst list and the segments are derived only when asked for.
+burst once, skips bursts to a station absent from its airtime dict,
+changes nothing, and records what each AP sends as runs (lo, hi, head,
+tail): the schedule's bursts [lo, hi) with the packets of the first and
+last burst. A re-queued burst is a run of one, a window drain one run per
+stretch between skipped bursts. It also records where the AP's queue ends:
+its window (cursor, sent) and its re-queued bursts. A plan holds only that,
+which `deliver` commits: it books each run whole, with its delivery time,
+and sets the queue, and the run expands the records into per-burst (delay,
+packets) pairs in one numpy pass after its last TXOP. Every skipped burst is
+re-queued as [schedule index, count], so every burst reads its arrival and
+station from the schedule. A plan's per-burst list, its A-MPDU segments and
+each AP's airtime follow from its runs, the schedule and the set's dicts;
+no run needs them, so the engine does not derive them.
 
 The controller's view of the buffers is kept incrementally, so no slot or
 TXOP rebuilds it by walking all APs: per AP, the packets queued, which
@@ -78,6 +80,8 @@ from .stats import nearest_rank
 # One AP set's links, (airtime_us, mcs): the per-packet airtime and MCS of each
 # station a member serves at a usable MCS while the set transmits, keyed by
 # global station id. A station absent from both is unservable in that set.
+# plan_slot reads airtime_us alone; mcs names the MCS of each A-MPDU segment
+# for a reader of the plans.
 SetLinks = tuple[Mapping[int, float], Mapping[int, int]]
 
 
@@ -198,42 +202,22 @@ def step_arrivals(state: SimState, n: int) -> int:
 @dataclass
 class ApTransmission:
     """What one member AP sends in a slot, as `plan_slot` plans it and
-    `deliver` books it. `runs` lists it in queue order as (lo, hi, head,
-    tail): the schedule's bursts [lo, hi), `head` packets sent of the first
-    and `tail` of the last (of the only one, in a run of one), the bursts
-    between whole. A re-queued burst sent from is a run of one, and the
-    window drain one run per stretch between skipped bursts (their station
-    unservable in the scheduled set). `window` (cursor, sent) and
-    `requeued` are the AP's queue as it stands after the slot (see
-    SimState), and `packets` what it sends in all; the schedule gives each
-    burst's arrival and station."""
+    `deliver` commits it, and nothing else. `runs` lists it in queue order
+    as (lo, hi, head, tail): the schedule's bursts [lo, hi), `head` packets
+    sent of the first and `tail` of the last (of the only one, in a run of
+    one), the bursts between whole. A re-queued burst sent from is a run of
+    one, and the window drain one run per stretch between skipped bursts
+    (their station unservable in the scheduled set). `window` (cursor,
+    sent) and `requeued` are the AP's queue as it stands after the slot (see
+    SimState), and `packets` what it sends in all. The schedule gives each
+    burst's arrival and station, and the set's `mcs` dict each segment's
+    MCS; the plan holds no reference back into the run."""
 
     ap: int
     runs: list[tuple[int, int, int, int]]      # (lo, hi, head, tail)
     window: tuple[int, int]                    # (cursor, sent) after the slot
     requeued: list[list[int]]                  # re-queued bursts after the slot
     packets: int                               # packets sent
-    airtime_us: float                          # preamble + A-MPDU segment times
-    mcs: Mapping[int, int]                     # the set's MCS per servable station
-    source: SimState                           # whose schedule the runs index
-
-    @property
-    def taken(self) -> list[tuple[int, float, int]]:
-        """(count, arrival_s, station) per burst sent from, in queue order."""
-        source = self.source
-        stations, txops, period = source.stations, source.txops, source.period_s
-        burst = source.burst_packets
-        return [(tail if i == hi - 1 else head if i == lo else burst,
-                 txops[i] * period, stations[i])
-                for lo, hi, head, tail in self.runs for i in range(lo, hi)]
-
-    @property
-    def segments(self) -> list[tuple[int, int, int]]:
-        """(station, mcs, packet count) per station, by first appearance."""
-        counts: dict[int, int] = {}
-        for k, _, sta in self.taken:
-            counts[sta] = counts.get(sta, 0) + k
-        return [(sta, self.mcs[sta], k) for sta, k in counts.items()]
 
 
 @dataclass
@@ -247,7 +231,7 @@ class SlotPlan:
         return sum(tx.packets for tx in self.transmissions)
 
 
-def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
+def plan_slot(members: Sequence[int], state: SimState, airtime_us: Mapping[int, float],
               timing: TimingConfig, budget_us: float) -> SlotPlan | None:
     """Fill one coordinated slot for `members` within `budget_us`.
 
@@ -256,11 +240,13 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
     budget - T_MAP-TF - Te - overhead of airtime. Draining is strict FIFO
     per AP, over its re-queued bursts and then its window (see SimState):
     the first packet that does not fit ends that AP's drain (a burst may be
-    cut mid-way); bursts to stations absent from the set's `links` are
-    skipped over and stay queued in order, re-queued if from the window.
-    Each AP's transmission lists what it sends as runs and where its queue
-    ends (see ApTransmission); `state` is only read, each burst once.
-    Returns None when nothing fits at all.
+    cut mid-way); bursts to stations absent from the set's per-packet
+    `airtime_us` are skipped over and stay queued in order, re-queued if
+    from the window. An AP's airtime is its preamble plus k * per-packet
+    airtime per burst, summed in queue order. Each AP's transmission lists
+    what it sends as runs and where its queue ends (see ApTransmission);
+    `state` is only read, each burst once. Returns None when nothing fits
+    at all.
     """
     cap_us = budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
     preamble_us = timing.phy_preamble_us
@@ -269,7 +255,6 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
     requeued, cursor, ends, sent = state.requeued, state.cursor, state.ends, state.sent
     stations, txops, last = state.stations, state.txops, state.txop
     burst = state.burst_packets
-    airtime_us, mcs = links
     for ap in members:
         acc = preamble_us
         took = 0
@@ -333,8 +318,7 @@ def plan_slot(members: Sequence[int], state: SimState, links: SetLinks,
                     runs.append((lo, end, head, head if end - 1 == lo else burst))
                 window = end, done if end == start else 0
         if runs:
-            transmissions.append(ApTransmission(ap, runs, window, kept, took, acc, mcs,
-                                                state))
+            transmissions.append(ApTransmission(ap, runs, window, kept, took))
             if acc > duration:
                 duration = acc
     if not transmissions:
@@ -381,7 +365,8 @@ class SimState:
     `deliver` books what it sends in two typed columns, one record per run:
     `booked_at` holds its delivery time and `booked_runs` the run itself,
     four numbers (lo, hi, head, tail; see ApTransmission). `delay_pairs`
-    expands them.
+    expands them. Plans do not refer back to the state, so a kept trace of
+    them does not keep it alive.
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
@@ -416,19 +401,6 @@ class SimState:
             self.heads = heads
         self.booked_at = array("d")
         self.booked_runs = array("q")
-
-    def bursts(self, ap: int) -> list[list]:
-        """AP `ap`'s whole queue, oldest first, as [arrival_s, station, count]."""
-        period, stations, txops = self.period_s, self.stations, self.txops
-        queue = [[txops[i] * period, stations[i], n] for i, n in self.requeued[ap]]
-        start = len(queue)
-        i = self.cursor[ap]
-        while i < self.ends[ap] and txops[i] <= self.txop:
-            queue.append([txops[i] * period, stations[i], self.burst_packets])
-            i += 1
-        if len(queue) > start:
-            queue[start][2] -= self.sent[ap]
-        return queue
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
         """Commit `plan`: book each run at `delivery_time_s`, set each AP's
@@ -501,7 +473,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
         if budget - map_tf - te - overhead <= preamble_us:
             break  # plan_slot would refuse whatever group is selected
         members = select_group(kind, groups, counts, heads, now_s + consumed * 1e-6)
-        plan = plan_slot(members, state, airtimes[members], timing, budget)
+        plan = plan_slot(members, state, airtimes[members][0], timing, budget)
         if plan is None:
             break
         consumed += slot_us + plan.duration_us

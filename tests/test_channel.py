@@ -236,3 +236,11 @@ def test_mcs_table_validation_and_roundtrip():
         rows[pos][column] = value
         with pytest.raises(ValueError, match="MCS"):
             McsTable.from_jsonable(rows)
+    # rows that were once cast instead of refused: a fractional index was
+    # truncated, a bool or string threshold or payload made a float
+    for rows, pos in (([[0.9, 2, 117], [1.4, 5, 234]], 0), ([[0, 2, 117], [1.0, 5, 234]], 1),
+                      ([[0, True, 117]], 0), ([[0, 2, 117], [1, 5, "234"]], 1),
+                      ([[0, "2", 117]], 0), ([[0, 2, False]], 0), ([[True, 2, 117]], 0),
+                      ([[0, 2, 117, 1]], 0), ([[0, 2]], 0)):
+        with pytest.raises(ValueError, match=f"MCS row {pos}, "):
+            McsTable.from_jsonable(rows)

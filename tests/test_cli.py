@@ -141,6 +141,9 @@ def test_non_finite_flags_rejected(argv, message, capsys):
     # nor did a cap with room for a slot's frames but not for one packet
     ({"timing": {"num_txops": 40, "txop_max_ms": 0.3}},
      "less than the 92.9915 us one 1500 B packet takes at the top MCS (10)"),
+    # a fractional index was once truncated, a bool threshold made 1.0 dB
+    ({"mcs_table": [[0.9, 2, 117], [1.4, 5, 234]]}, "MCS row 0, [0.9, 2, 117], must be"),
+    ({"mcs_table": [[0, True, 117]]}, "MCS row 0, [0, True, 117], must be"),
 ])
 def test_non_finite_config_rejected(tmp_path, extra, message, capsys):
     path = _write_config(tmp_path, extra)  # json writes NaN, as it reads it

@@ -200,8 +200,9 @@ def test_unknown_scheduler_rejected(tmp_path):
 
 
 def test_nan_load_rejected():
-    # an infinite load too; JSON's Infinity parses to float("inf")
-    for load in (float("nan"), float("inf")):
+    # an infinite load too; JSON's Infinity parses to float("inf"); a string,
+    # null or list load once raised a bare TypeError from the comparison with 0
+    for load in (float("nan"), float("inf"), "1", None, [1]):
         with pytest.raises(ValueError, match="load_bps_per_sta must be >= 0 and finite"):
             TrafficConfig(load_bps_per_sta=load)
         data = json.loads(json.dumps({"traffic": {"load_bps_per_sta": load}}))

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 import warnings
@@ -17,6 +18,7 @@ from mapcsim import (ArrivalSchedule, Deployment, McsTable, ScenarioConfig,
                      generate_grid_deployment, plan_slot, run_simulation,
                      select_mcs, station_sinr_db, step_arrivals)
 from mapcsim.engine import SimState, run_txop
+import views
 from oracles import nearest_rank_reference
 
 TIM = TimingConfig()
@@ -73,7 +75,7 @@ def test_step_arrivals_p0_and_p1():
     assert added == 27 * 10
     assert sum(state.counts) == 270
     for ap in range(dep.num_aps):
-        assert all(batch[0] == 0.0 for batch in state.bursts(ap))
+        assert all(batch[0] == 0.0 for batch in views.bursts(state, ap))
     # per-AP split: 3 stations x 10 packets each
     assert state.counts == [30] * 9
 
@@ -97,9 +99,10 @@ def _one_ap_airtimes(per_pkt_us=PKT_US_MCS7, mcs=7, stations=(0,)):
 
 
 def _links(per_ap):
-    """The (airtime_us, mcs) pair of station-keyed dicts that `plan_slot`
-    reads, from per-AP {station: (mcs, airtime_us) or None} literals; a
-    station mapped to None is left out, as unservable."""
+    """One AP set's (airtime_us, mcs) pair of station-keyed dicts, from
+    per-AP {station: (mcs, airtime_us) or None} literals; a station mapped
+    to None is left out, as unservable. `plan_slot` reads the first, and
+    `views.segments` takes the second as the MCS labels."""
     airtime_us, mcs = {}, {}
     for rates in per_ap.values():
         for sta, rate in rates.items():
@@ -140,20 +143,21 @@ def _queued_state(*queues):
 
 def test_plan_slot_five_packet_ampdu():
     state = _queued_state([(0.0, 0, 5)])
-    plan = plan_slot((0,), state, _links(_one_ap_airtimes()), TIM, budget_us=3000.0)
+    airtime_us, mcs = _links(_one_ap_airtimes())
+    plan = plan_slot((0,), state, airtime_us, TIM, budget_us=3000.0)
     assert plan is not None
     assert plan.duration_us == pytest.approx(44 + 5 * PKT_US_MCS7, abs=0.1)
     assert plan.duration_us == pytest.approx(741.4, abs=0.1)
     (tx,) = plan.transmissions
-    assert tx.segments == [(0, 7, 5)]
-    assert tx.taken == [(5, 0.0, 0)]  # (count, arrival_s, station)
+    assert views.segments(tx, state, mcs) == [(0, 7, 5)]
+    assert views.taken(tx, state) == [(5, 0.0, 0)]  # (count, arrival_s, station)
 
 
 def test_plan_slot_nothing_fits():
     state = _queued_state([(0.0, 0, 5)])
     mcs0_rate = data_rate_bps(0, default_mcs_table(), TIM)
     per = 12000 / mcs0_rate * 1e6  # ~1395 us
-    plan = plan_slot((0,), state, _links(_one_ap_airtimes(per, mcs=0)), TIM,
+    plan = plan_slot((0,), state, _links(_one_ap_airtimes(per, mcs=0))[0], TIM,
                      budget_us=200.0)
     assert plan is None
     assert state.counts[0] == 5  # untouched
@@ -162,35 +166,37 @@ def test_plan_slot_nothing_fits():
 def test_plan_slot_duration_is_max_over_members():
     state = _queued_state([(0.0, 0, 3)], [(0.0, 1, 1)])
     airtimes = {0: {0: (7, PKT_US_MCS7)}, 1: {1: (7, PKT_US_MCS7)}}
-    plan = plan_slot((0, 1), state, _links(airtimes), TIM, budget_us=3000.0)
+    airtime_us, _ = _links(airtimes)
+    plan = plan_slot((0, 1), state, airtime_us, TIM, budget_us=3000.0)
     assert plan.duration_us == pytest.approx(44 + 3 * PKT_US_MCS7, abs=1e-6)
-    by_ap = {tx.ap: tx for tx in plan.transmissions}
-    assert by_ap[0].airtime_us > by_ap[1].airtime_us  # AP1 idles after 1 packet
+    ap_airtime = {tx.ap: views.airtime_us(tx, state, airtime_us, TIM)
+                  for tx in plan.transmissions}
+    assert ap_airtime[0] > ap_airtime[1]  # AP1 idles after 1 packet
 
 
 def test_plan_slot_splits_burst_at_budget():
     state = _queued_state([(0.0, 0, 10)])
     budget = TIM.map_tf_us + TIM.te_us + 44 + 7.5 * PKT_US_MCS7
-    plan = plan_slot((0,), state, _links(_one_ap_airtimes()), TIM, budget_us=budget)
+    plan = plan_slot((0,), state, _links(_one_ap_airtimes())[0], TIM, budget_us=budget)
     (tx,) = plan.transmissions
-    assert tx.taken == [(7, 0.0, 0)]
+    assert views.taken(tx, state) == [(7, 0.0, 0)]
     state.deliver(plan, 0.0)
     assert state.counts[0] == 3
-    assert state.bursts(0) == [[0.0, 0, 3]]  # remainder keeps its arrival time
+    assert views.bursts(state, 0) == [[0.0, 0, 3]]  # remainder keeps its arrival time
 
 
 def test_plan_slot_skips_unservable_station():
     # station 0 is below MCS 0 in this selection
     state = _queued_state([(0.0, 0, 2), (1.0, 1, 2)])
-    airtimes = {0: {0: None, 1: (7, PKT_US_MCS7)}}
-    plan = plan_slot((0,), state, _links(airtimes), TIM, budget_us=3000.0)
+    airtime_us, mcs = _links({0: {0: None, 1: (7, PKT_US_MCS7)}})
+    plan = plan_slot((0,), state, airtime_us, TIM, budget_us=3000.0)
     (tx,) = plan.transmissions
-    assert tx.segments == [(1, 7, 2)]
-    assert tx.taken == [(2, 1.0, 1)]
+    assert views.segments(tx, state, mcs) == [(1, 7, 2)]
+    assert views.taken(tx, state) == [(2, 1.0, 1)]
     state.deliver(plan, 0.0)
     # the unservable burst stays buffered, still first in line
     assert state.counts[0] == 2
-    assert state.bursts(0) == [[0.0, 0, 2]]
+    assert views.bursts(state, 0) == [[0.0, 0, 2]]
 
 
 def test_plan_slot_strict_fifo_stops_at_first_misfit():
@@ -199,19 +205,19 @@ def test_plan_slot_strict_fifo_stops_at_first_misfit():
     slow = PKT_US_MCS7 * 4
     budget = TIM.map_tf_us + TIM.te_us + 44 + 2.2 * slow
     airtimes = {0: {0: (3, slow), 1: (10, 1.0)}}
-    plan = plan_slot((0,), state, _links(airtimes), TIM, budget_us=budget)
+    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, budget_us=budget)
     (tx,) = plan.transmissions
-    assert tx.taken == [(2, 0.0, 0)]  # burst cut mid-way, later burst untouched
+    assert views.taken(tx, state) == [(2, 0.0, 0)]  # burst cut mid-way, later burst untouched
 
 
 def test_segments_merge_a_station_across_bursts():
     # station 0's two bursts are split by station 1's: one segment each,
     # in order of first appearance
     state = _queued_state([(0.0, 0, 2), (0.5, 1, 3), (1.0, 0, 4)])
-    airtimes = {0: {0: (7, PKT_US_MCS7), 1: (5, 2 * PKT_US_MCS7)}}
-    (tx,) = plan_slot((0,), state, _links(airtimes), TIM, budget_us=3000.0).transmissions
-    assert [sta for _, _, sta in tx.taken] == [0, 1, 0]
-    assert tx.segments == [(0, 7, 6), (1, 5, 3)]
+    airtime_us, mcs = _links({0: {0: (7, PKT_US_MCS7), 1: (5, 2 * PKT_US_MCS7)}})
+    (tx,) = plan_slot((0,), state, airtime_us, TIM, budget_us=3000.0).transmissions
+    assert [sta for _, _, sta in views.taken(tx, state)] == [0, 1, 0]
+    assert views.segments(tx, state, mcs) == [(0, 7, 6), (1, 5, 3)]
 
 
 def _budget_for(packets):
@@ -223,22 +229,22 @@ def test_ap_buffer_consume_across_batches():
     bursts = [(0.0, 0, 4), (0.5, 1, 2), (1.0, 0, 3)]
     state = _queued_state(bursts)
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(7))
+    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(7))
     (tx,) = plan.transmissions
-    assert tx.taken == [(4, 0.0, 0), (2, 0.5, 1), (1, 1.0, 0)]
+    assert views.taken(tx, state) == [(4, 0.0, 0), (2, 0.5, 1), (1, 1.0, 0)]
     state.deliver(plan, 0.0)
     assert state.counts[0] == 2
-    assert state.bursts(0) == [[1.0, 0, 2]]
+    assert views.bursts(state, 0) == [[1.0, 0, 2]]
 
     # a skipped middle burst stays ahead of the split remainder
     state = _queued_state(bursts)
     airtimes[0][1] = None
-    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(5))
+    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(5))
     (tx,) = plan.transmissions
-    assert tx.taken == [(4, 0.0, 0), (1, 1.0, 0)]
+    assert views.taken(tx, state) == [(4, 0.0, 0), (1, 1.0, 0)]
     state.deliver(plan, 0.0)
     assert state.counts[0] == 4
-    assert state.bursts(0) == [[0.5, 1, 2], [1.0, 0, 2]]
+    assert views.bursts(state, 0) == [[0.5, 1, 2], [1.0, 0, 2]]
 
 
 def _window_state(num_stations, num_txops):
@@ -254,10 +260,10 @@ def _window_state(num_stations, num_txops):
 
 
 def _plan_and_deliver(state, airtimes, budget):
-    plan = plan_slot((0,), state, _links(airtimes), TIM, budget)
+    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, budget)
     state.deliver(plan, 0.0)
     (tx,) = plan.transmissions
-    return tx.taken
+    return views.taken(tx, state)
 
 
 def test_split_window_burst_stays_at_cursor_until_sent():
@@ -266,13 +272,13 @@ def test_split_window_burst_stays_at_cursor_until_sent():
     assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
     # the cut burst stays in the window, its 7 sent packets counted aside
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (0, 7, [])
-    assert state.bursts(0) == [[0.0, 0, 3], [0.0, 1, 10]]
+    assert views.bursts(state, 0) == [[0.0, 0, 3], [0.0, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (13, 0.0)
     # the next slot takes the remainder, then the next burst
     assert _plan_and_deliver(state, airtimes, 3000.0) == [(3, 0.0, 0),
                                                           (10, 0.0, 1)]
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (2, 0, [])
-    assert state.bursts(0) == []
+    assert views.bursts(state, 0) == []
     assert (state.counts[0], state.heads[0]) == (0, math.inf)
 
 
@@ -288,13 +294,13 @@ def test_skipped_split_burst_is_requeued_with_its_remainder():
     assert _plan_and_deliver(state, airtimes, _budget_for(10)) == [(10, 0.0, 1)]
     assert state.requeued[0] == [[0, 3], [2, 10]]  # schedule index, count
     assert (state.cursor[0], state.sent[0]) == (3, 0)
-    assert state.bursts(0) == [[0.0, 0, 3], [period, 0, 10], [period, 1, 10]]
+    assert views.bursts(state, 0) == [[0.0, 0, 3], [period, 0, 10], [period, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (23, 0.0)
     # re-queued bursts drain first; the remainder keeps its arrival time
     airtimes[0][0] = (7, PKT_US_MCS7)
     assert _plan_and_deliver(state, airtimes, _budget_for(13)) == [
         (3, 0.0, 0), (10, period, 0)]
-    assert state.bursts(0) == [[period, 1, 10]]
+    assert views.bursts(state, 0) == [[period, 1, 10]]
     assert (state.counts[0], state.heads[0]) == (10, period)
 
 
@@ -316,7 +322,7 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     state.heads[0] = 0.0
     airtimes = _one_ap_airtimes(stations=(0, 1, 2))
     airtimes[0][1] = None
-    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(37))
+    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(37))
     (tx,) = plan.transmissions
     # (lo, hi, head, tail) per run: the re-queued burst, then the window's
     # stretches around skipped bursts 1 and 4; the budget cuts burst 5
@@ -325,15 +331,15 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     # where the queue ends: (cursor, sent), then the re-queued bursts
     assert (tx.window, tx.requeued) == ((5, 3), [[1, 10], [4, 10]])
     assert tx.packets == plan.packets == 37
-    assert tx.taken == [(4, 0.0, 2), (10, 0.0, 0), (10, 0.0, 2), (10, period, 0),
-                        (3, period, 2)]
+    assert views.taken(tx, state) == [(4, 0.0, 2), (10, 0.0, 0), (10, 0.0, 2),
+                                      (10, period, 0), (3, period, 2)]
     state.deliver(plan, 0.02)
     assert _pairs(state) == [(0.02, 4), (0.02, 10), (0.02, 10),
                              (0.02 - period, 10), (0.02 - period, 3)]
     # the skipped bursts are re-queued in order, the cut one stays at the cursor
     assert state.requeued[0] == [[1, 10], [4, 10]]
     assert (state.cursor[0], state.sent[0]) == (5, 3)
-    assert state.bursts(0) == [[0.0, 1, 10], [period, 1, 10], [period, 2, 7]]
+    assert views.bursts(state, 0) == [[0.0, 1, 10], [period, 1, 10], [period, 2, 7]]
     assert (state.counts[0], state.heads[0]) == (27, 0.0)
 
 
@@ -341,12 +347,12 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     state = _window_state(num_stations=2, num_txops=2)
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(7))
+    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(7))
     assert plan.transmissions[0].runs == [(0, 1, 10, 7)]
     state.deliver(plan, 0.001)
     # station 0 unservable: its part-sent burst 0 and burst 2 are skipped
     airtimes[0][0] = None
-    plan = plan_slot((0,), state, _links(airtimes), TIM, _budget_for(15))
+    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(15))
     (tx,) = plan.transmissions
     assert (tx.runs, tx.window) == ([(1, 2, 10, 10), (3, 4, 10, 5)], (3, 5))
     state.deliver(plan, 0.002)
@@ -355,7 +361,7 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     # station 1 unservable: the re-queued bursts go, and the window's one
     # burst, part-sent and skipped after them, is re-queued with its remainder
     airtimes[0][0], airtimes[0][1] = (7, PKT_US_MCS7), None
-    plan = plan_slot((0,), state, _links(airtimes), TIM, 3000.0)
+    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, 3000.0)
     (tx,) = plan.transmissions
     assert (tx.runs, tx.window, tx.requeued) == (
         [(0, 1, 3, 3), (2, 3, 10, 10)], (4, 0), [[3, 5]])
@@ -363,7 +369,7 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     assert _pairs(state) == [(0.001, 7), (0.002, 10), (0.002 - period, 5),
                              (0.003, 3), (0.003 - period, 10)]
     assert state.requeued[0] == [[3, 5]]
-    assert state.bursts(0) == [[period, 1, 5]]
+    assert views.bursts(state, 0) == [[period, 1, 5]]
     assert (state.counts[0], state.heads[0]) == (5, period)
 
 
@@ -376,26 +382,26 @@ def test_trailing_skipped_bursts_are_requeued_in_order():
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1, 2, 3))
     assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
-    before = state.bursts(0)
+    before = views.bursts(state, 0)
     assert before == [[0.0, 0, 3]] + [[0.0, sta, 10] for sta in (1, 2, 3)] + [
         [period, sta, 10] for sta in range(4)]
     assert (state.counts[0], state.heads[0]) == (73, 0.0)
     for sta in (0, 2, 3):
         airtimes[0][sta] = None
-    plan = plan_slot((0,), state, _links(airtimes), TIM, 3000.0)
+    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, 3000.0)
     (tx,) = plan.transmissions
     assert (tx.runs, tx.window) == ([(1, 2, 10, 10), (5, 6, 10, 10)], (8, 0))
     assert tx.requeued == [[0, 3], [2, 10], [3, 10], [4, 10], [6, 10], [7, 10]]
     state.deliver(plan, 0.002)
     assert _pairs(state)[1:] == [(0.002, 10), (0.002 - period, 10)]
-    assert state.bursts(0) == [b for b in before if b[1] != 1]
+    assert views.bursts(state, 0) == [b for b in before if b[1] != 1]
     assert (state.counts[0], state.heads[0]) == (53, 0.0)
     # once servable, the re-queued bursts drain first, oldest first
     airtimes = _one_ap_airtimes(stations=(0, 1, 2, 3))
     assert _plan_and_deliver(state, airtimes, _budget_for(53)) == [
         (3, 0.0, 0), (10, 0.0, 2), (10, 0.0, 3), (10, period, 0), (10, period, 2),
         (10, period, 3)]
-    assert state.bursts(0) == []
+    assert views.bursts(state, 0) == []
     assert (state.counts[0], state.heads[0]) == (0, math.inf)
 
 
@@ -475,7 +481,7 @@ def _view_lists(state):
 def _view_from_buffers(state):
     """The controller view rebuilt from the bursts themselves and the AP
     lists of the schedule."""
-    queues = [state.bursts(ap) for ap in range(len(state.counts))]
+    queues = [views.bursts(state, ap) for ap in range(len(state.counts))]
     counts = [sum(batch[2] for batch in queue) for queue in queues]
     starts = [0] + state.ends[:-1]
     heads = [queue[0][0] if queue else
@@ -598,8 +604,9 @@ def test_simulation_determinism():
 def test_fifo_delivery_per_ap():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=400), TrafficConfig(load_bps_per_sta=4e6)
     trace = []
-    run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-group", seed=5),
-                   txop_trace=trace)
+    config = SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-group", seed=5)
+    run_simulation(config, txop_trace=trace)
+    source = views.fresh_state(config)
     last_arrival = {}
     last_delivery = {}
     handshake_s = tim.handshake_us * 1e-6
@@ -612,7 +619,7 @@ def test_fifo_delivery_per_ap():
             delivery_s = rec.start_time_s + consumed * 1e-6
             for tx in slot.transmissions:
                 ap = tx.ap
-                for _, arrival_s, _ in tx.taken:
+                for _, arrival_s, _ in views.taken(tx, source):
                     assert delivery_s >= arrival_s + handshake_s
                     assert arrival_s >= last_arrival.get(ap, -1.0) - 1e-12
                     assert delivery_s >= last_delivery.get(ap, -1.0) - 1e-12
@@ -661,6 +668,24 @@ def test_txop_trace_collects_records():
                                           seed=2), txop_trace=trace)
     assert len(trace) == 40
     assert sum(rec.packets_delivered for rec in trace) == rep.packets_delivered
+
+
+def test_kept_trace_does_not_pin_the_runs_state(monkeypatch):
+    states = []  # weak references to each run's state
+
+    class RecordedState(SimState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "SimState", RecordedState)
+    config = SimulationConfig(ScenarioConfig(), TimingConfig(num_txops=200),
+                              TrafficConfig(load_bps_per_sta=8e6), seed=2)
+    trace = []
+    run_simulation(config, txop_trace=trace)
+    gc.collect()
+    assert len(states) == 1 and states[0]() is None
+    assert sum(len(rec.slots) for rec in trace) > 0  # the trace is still held
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +771,7 @@ def test_step_arrivals_matches_station_loop(cfg, p):
         want = _loop_step_arrivals(ref, env.deployment, tr, p, rng_ref, now)
         assert got == want and type(got) is type(want)
         # repr also tells a numpy integer station id from a Python int
-        assert [repr(new.bursts(ap)) for ap in range(num_aps)] == \
+        assert [repr(views.bursts(new, ap)) for ap in range(num_aps)] == \
             [repr(list(b.batches)) for b in ref]
         assert [(new.counts[ap], new.heads[ap]) for ap in range(num_aps)] == \
             [_head_or_next(b.view(), schedule, ap, n) for ap, b in enumerate(ref)]
@@ -781,7 +806,7 @@ def test_cursor_queue_matches_deque_fifo(data):
 
     def assert_same_queues(n):
         for ap in range(num_aps):
-            assert state.bursts(ap) == list(map(list, ref[ap].batches))
+            assert views.bursts(state, ap) == list(map(list, ref[ap].batches))
             assert (state.counts[ap], state.heads[ap]) == _head_or_next(
                 ref[ap].view(), schedule, ap, n)
 
@@ -797,11 +822,12 @@ def test_cursor_queue_matches_deque_fifo(data):
             budget = data.draw(st.floats(0.0, TIM.txop_max_us), label="budget")
             airtimes = {ap: {sta: None if sta in unservable else (7, per_packet[sta])
                              for sta in dep.stations_by_ap[ap]} for ap in members}
-            plan = plan_slot(members, state, _links(airtimes), TIM, budget)
+            airtime_us, mcs = _links(airtimes)
+            plan = plan_slot(members, state, airtime_us, TIM, budget)
             # planning changes no state: a second plan of the same slot is
             # the same, although it reads the re-queued entries the first
             # plan's lists share
-            again = plan_slot(members, state, _links(airtimes), TIM, budget)
+            again = plan_slot(members, state, airtime_us, TIM, budget)
             assert _committed(again) == _committed(plan)
             assert_same_queues(n)
             cap = budget - TIM.map_tf_us - TIM.te_us - TIM.slot_overhead_us
@@ -815,13 +841,15 @@ def test_cursor_queue_matches_deque_fifo(data):
             if not want:
                 assert plan is None
                 continue
-            assert [(tx.ap, tx.segments, [k for k, _, _ in tx.taken], tx.airtime_us)
+            assert [(tx.ap, views.segments(tx, state, mcs),
+                     [k for k, _, _ in views.taken(tx, state)],
+                     views.airtime_us(tx, state, airtime_us, TIM))
                     for tx in plan.transmissions] == [
                 (ap, segments, [k for _, k in consume], acc)
                 for ap, segments, consume, acc in want]
             for tx, (_, _, consume, _) in zip(plan.transmissions, want):
                 # every recorded burst is the one the reference FIFO hands out
-                assert ([(arrival, sta, k) for k, arrival, sta in tx.taken]
+                assert ([(arrival, sta, k) for k, arrival, sta in views.taken(tx, state)]
                         == ref[tx.ap].consume(consume))
                 assert tx.packets == sum(k for _, k in consume)
             state.deliver(plan, n * TIM.period_s + 1.0)
@@ -836,11 +864,12 @@ def _committed(plan):
 
 def _run_outcome(cfg, kind, seed, tr, mcs_table=default_mcs_table(), txops=150):
     trace = []
-    rep = run_simulation(SimulationConfig(cfg, TimingConfig(num_txops=txops), tr,
-                                          20.0, 3, kind, seed, mcs_table),
-                         txop_trace=trace)
+    config = SimulationConfig(cfg, TimingConfig(num_txops=txops), tr, 20.0, 3, kind,
+                              seed, mcs_table)
+    rep = run_simulation(config, txop_trace=trace)
     assert rep.packets_delivered > 0
-    taken = [[(tx.ap, tx.taken) for tx in slot.transmissions]
+    source = views.fresh_state(config)
+    taken = [[(tx.ap, views.taken(tx, source)) for tx in slot.transmissions]
              for rec in trace for slot in rec.slots]
     return (rep.delays_sorted_s.tolist(), rep.per_txop_occupancy.tolist(),
             [rep.delay_percentile(q) for q in (0.5, 0.95, 0.99)],

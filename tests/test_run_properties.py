@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapcsim import (SCHEDULER_NAMES, ScenarioConfig, SimulationConfig,
-                     TimingConfig, TrafficConfig, arrival_probability,
-                     build_environment, draw_arrivals, run_simulation)
+                     TimingConfig, TrafficConfig, run_simulation)
+import views
 
 PACKET_BITS = TrafficConfig().packet_bits
 
@@ -39,13 +39,8 @@ def configs(draw):
 def _backlog_at_start(config, records):
     """Packets queued as each TXOP starts, after its arrivals: the run's
     schedule drawn again from the same seed, less what earlier TXOPs sent."""
-    timing, traffic = config.timing, config.traffic
-    env, rng = build_environment(config.scenario, config.gamma_db,
-                                 config.max_group_size, config.seed)
-    p = arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
-                            traffic.packet_bytes, timing.period_s)
-    arrived = traffic.burst_packets * np.asarray(
-        draw_arrivals(env.deployment, p, rng, timing.num_txops).bounds[1:])
+    arrived = config.traffic.burst_packets * np.asarray(
+        views.run_schedule(config).bounds[1:])
     sent = np.cumsum([0] + [rec.packets_delivered for rec in records[:-1]])
     return (arrived - sent).tolist()
 
@@ -93,20 +88,21 @@ def test_each_station_gets_its_bursts_in_arrival_order(config, geometry):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # gamma below MCS 0
             run_simulation(run, txop_trace=records)
+        source = views.fresh_state(run)
         last_arrival: dict[int, float] = {}
         for n, rec in enumerate(records):
             for slot in rec.slots:
                 for tx in slot.transmissions:
-                    for _, arrival_s, sta in tx.taken:
+                    for _, arrival_s, sta in views.taken(tx, source):
                         assert arrival_s >= last_arrival.get(sta, arrival_s), (
                             kind, n, sta)
                         last_arrival[sta] = arrival_s
 
 
-def _trace_delays(records, timing):
+def _trace_delays(records, timing, source):
     """Every burst's (delay, packets) rebuilt from the trace: each slot's
     delivery instant summed as run_txop sums it, less the arrival time of
-    each burst the slot sent from."""
+    each burst the slot sent from, read through `source` (see views)."""
     slot_us = timing.map_tf_us + timing.te_us + timing.slot_overhead_us
     values, counts = [], []
     for rec in records:
@@ -115,7 +111,7 @@ def _trace_delays(records, timing):
             consumed += slot_us + slot.duration_us
             delivery_s = rec.start_time_s + consumed * 1e-6
             for tx in slot.transmissions:
-                for k, arrival_s, _ in tx.taken:
+                for k, arrival_s, _ in views.taken(tx, source):
                     values.append(delivery_s - arrival_s)
                     counts.append(k)
     return np.repeat(np.asarray(values, dtype=float), np.asarray(counts, dtype=np.int64))
@@ -135,7 +131,7 @@ def test_booked_delays_equal_the_trace(config, geometry):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # gamma below MCS 0
             report = run_simulation(run, txop_trace=records)
-        delays = _trace_delays(records, config.timing)
+        delays = _trace_delays(records, config.timing, views.fresh_state(run))
         assert len(delays) == report.packets_delivered, kind
         assert np.array_equal(np.sort(delays), report.delays_sorted_s), kind
         if len(delays):

@@ -20,6 +20,7 @@ from mapcsim import (SCHEDULER_NAMES, McsTable, MetricsReport, ScenarioConfig,
                      build_rssi_matrix, data_rate_bps, default_mcs_table,
                      generate_grid_deployment, run_simulation)
 from mapcsim.engine import LIST_VIEW_MAX_APS
+import views
 from run_reference import _link_airtimes, reference_run
 
 MCS_TABLE = default_mcs_table()
@@ -75,14 +76,16 @@ def configs(draw, sides=st.integers(1, 4), stations=st.integers(1, 4),
                             mcs_table=mcs_table)
 
 
-def _engine_txops(records):
+def _engine_txops(records, source):
     """The trace in the reference's terms: per TXOP (handshake_us, slots,
     total_us), per slot (members, (ap, station, mcs, packets) per segment,
-    duration_us)."""
+    duration_us), each segment's MCS from the set's `mcs` dict in the
+    airtime table of `source` (see views)."""
     return [(rec.handshake_us,
              [(slot.members,
                [(tx.ap, sta, mcs, k) for tx in slot.transmissions
-                for sta, mcs, k in tx.segments],
+                for sta, mcs, k in views.segments(tx, source,
+                                                  source.airtimes[slot.members][1])],
                slot.duration_us) for slot in rec.slots],
              rec.total_duration_us) for rec in records]
 
@@ -156,7 +159,7 @@ def _assert_runs_equal_the_reference(config):
             report = run_simulation(run, txop_trace=records)
         want_txops, want = reference_run(run)
         want_txops = _with_reference_mcs(run, want_txops)
-        got_txops = _engine_txops(records)
+        got_txops = _engine_txops(records, views.fresh_state(run))
         assert len(got_txops) == len(want_txops), kind
         for n, (got, expected) in enumerate(zip(got_txops, want_txops)):
             assert got == expected, (kind, n)

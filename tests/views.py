@@ -1,0 +1,81 @@
+"""Views of slot plans and queues that only tests read, derived from a
+plan's runs, the run's arrival schedule and its airtime table.
+
+A plan's `ApTransmission` holds only what `SimState.deliver` commits: its
+runs (lo, hi, head, tail) over the schedule, its queue after the slot and
+the packets it sends. The views below expand the runs per burst, group them
+into A-MPDU segments and sum the AP's airtime. They read the schedule
+through a `source`: anything with a `SimState`'s `stations`, `txops`,
+`period_s` and `burst_packets`. A hand-built test passes its own state; a
+finished run passes `fresh_state(config)`, a new state over the same
+schedule and airtime table, since a plan keeps no reference to its run.
+"""
+
+from mapcsim import arrival_probability, build_environment, draw_arrivals
+from mapcsim.engine import SimState, _selection_airtimes
+
+
+def taken(tx, source):
+    """(count, arrival_s, station) per burst `tx` sends from, in queue
+    order; a burst's arrival is txops[i] * period, as in the engine."""
+    stations, txops, period = source.stations, source.txops, source.period_s
+    burst = source.burst_packets
+    return [(tail if i == hi - 1 else head if i == lo else burst,
+             txops[i] * period, stations[i])
+            for lo, hi, head, tail in tx.runs for i in range(lo, hi)]
+
+
+def segments(tx, source, mcs):
+    """(station, mcs, packet count) per station `tx` sends to, by first
+    appearance, with the MCS from the station -> MCS map `mcs`: a run's
+    set's `mcs` dict, or a hand-built test's own labels."""
+    counts = {}
+    for k, _, sta in taken(tx, source):
+        counts[sta] = counts.get(sta, 0) + k
+    return [(sta, mcs[sta], k) for sta, k in counts.items()]
+
+
+def airtime_us(tx, source, per_packet_us, timing):
+    """The AP's airtime in the slot: the PHY preamble plus k packets of
+    `per_packet_us[station]` per burst, summed in queue order as
+    `plan_slot` sums it, so the float is the one it compared."""
+    acc = timing.phy_preamble_us
+    for k, _, sta in taken(tx, source):
+        acc += k * per_packet_us[sta]
+    return acc
+
+
+def bursts(state, ap):
+    """AP `ap`'s whole queue, oldest first, as [arrival_s, station, count]."""
+    period, stations, txops = state.period_s, state.stations, state.txops
+    queue = [[txops[i] * period, stations[i], n] for i, n in state.requeued[ap]]
+    start = len(queue)
+    i = state.cursor[ap]
+    while i < state.ends[ap] and txops[i] <= state.txop:
+        queue.append([txops[i] * period, stations[i], state.burst_packets])
+        i += 1
+    if len(queue) > start:
+        queue[start][2] -= state.sent[ap]
+    return queue
+
+
+def run_schedule(config):
+    """The arrival schedule of run `config`, drawn again: the environment is
+    rebuilt (or shared) for the seed with a fresh traffic RNG, and the draw
+    is deterministic, so the schedule equals the run's."""
+    timing, traffic = config.timing, config.traffic
+    env, rng = build_environment(config.scenario, config.gamma_db,
+                                 config.max_group_size, config.seed)
+    p = arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
+                            traffic.packet_bytes, timing.period_s)
+    return draw_arrivals(env.deployment, p, rng, timing.num_txops)
+
+
+def fresh_state(config):
+    """A new state over run `config`'s schedule and airtime table: a source
+    for the views of its trace, whose `airtimes[members]` is the set's
+    (airtime_us, mcs) pair."""
+    env, _ = build_environment(config.scenario, config.gamma_db,
+                               config.max_group_size, config.seed)
+    return SimState(run_schedule(config), _selection_airtimes(env, config),
+                    config.traffic, config.timing.period_s)
