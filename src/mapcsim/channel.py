@@ -33,16 +33,26 @@ def path_loss_db(distance_m: float | np.ndarray, freq_ghz: float,
                  wall_count: float, breakpoint_m: float = 10.0) -> float | np.ndarray:
     """Path loss in dB at `distance_m` meters, a scalar or an array.
 
-    Raises if any distance is <= 0.
+    Raises if any distance is not a positive finite number. The loss and
+    the P' term are each built in place in one array the size of the input,
+    with the float operations in the formula's order; up to the breakpoint
+    P' is 35*log10(1) = 0 exactly, so it needs no mask.
     """
     dist = np.asarray(distance_m, dtype=float)
-    if (dist <= 0).any():
-        raise ValueError("distance must be positive")
-    capped = np.minimum(dist, breakpoint_m)
-    loss = 40.05 + 20.0 * np.log10(capped * freq_ghz / 2.4) + 7.0 * wall_count
-    loss = loss + np.where(dist > breakpoint_m,
-                           35.0 * np.log10(np.maximum(dist, breakpoint_m) / breakpoint_m),
-                           0.0)
+    if not ((dist > 0) & (dist < math.inf)).all():  # NaN fails both tests
+        raise ValueError("distance must be positive and finite")
+    loss = np.minimum(dist, breakpoint_m, out=np.empty_like(dist))
+    loss *= freq_ghz
+    loss /= 2.4
+    np.log10(loss, out=loss)
+    loss *= 20.0
+    loss += 40.05
+    loss += 7.0 * wall_count
+    beyond = np.maximum(dist, breakpoint_m, out=np.empty_like(dist))
+    beyond /= breakpoint_m
+    np.log10(beyond, out=beyond)
+    beyond *= 35.0
+    loss += beyond
     return loss if loss.ndim else float(loss)
 
 
@@ -52,10 +62,12 @@ def build_rssi_matrix(deployment: "Deployment", config: "ScenarioConfig") -> np.
     Shape (num_aps, num_stations); rssi[i, s] = tx_power - PL(dist(AP i, STA s)).
     This is the database the central controller keeps for group formation.
     """
-    diff = deployment.ap_positions[:, None, :] - deployment.station_positions[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    return config.tx_power_dbm - path_loss_db(dist, config.carrier_freq_ghz,
-                                              config.wall_count, config.breakpoint_m)
+    aps, stations = deployment.ap_positions, deployment.station_positions
+    dist = np.subtract.outer(aps[:, 0], stations[:, 0])
+    np.hypot(dist, np.subtract.outer(aps[:, 1], stations[:, 1]), out=dist)
+    loss = path_loss_db(dist, config.carrier_freq_ghz, config.wall_count,
+                        config.breakpoint_m)
+    return np.subtract(config.tx_power_dbm, loss, out=loss)
 
 
 def station_sinr_db(ap: int, station: int, group: Iterable[int],
@@ -63,12 +75,15 @@ def station_sinr_db(ap: int, station: int, group: Iterable[int],
     """SINR at `station` served by `ap` while all of `group` transmit.
 
     `ap` must be a member of `group`; the other members are the interferers.
+    The RSSIs are read as Python floats, and the interference is summed in
+    milliwatts from the noise on, in member order.
     """
+    rssi = rssi_dbm.item
     interference_mw = 10.0 ** (noise_dbm / 10.0)
     for j in group:
         if j != ap:
-            interference_mw += 10.0 ** (rssi_dbm[j, station] / 10.0)
-    return rssi_dbm[ap, station] - 10.0 * math.log10(interference_mw)
+            interference_mw += 10.0 ** (rssi(j, station) / 10.0)
+    return rssi(ap, station) - 10.0 * math.log10(interference_mw)
 
 
 def group_sinr_db(members: Sequence[int], rssi_dbm: np.ndarray,
@@ -99,6 +114,15 @@ def group_feasible(group: Iterable[int], rssi_dbm: np.ndarray,
 # ---------------------------------------------------------------------------
 # Link adaptation
 
+def _mcs_fields_typed(index: object, min_sinr_db: object, bits_per_symbol: object) -> bool:
+    """True iff the index is an integer and the two values are real numbers,
+    none of them a bool."""
+    return (not any(isinstance(x, bool) for x in (index, min_sinr_db, bits_per_symbol))
+            and isinstance(index, numbers.Integral)
+            and isinstance(min_sinr_db, numbers.Real)
+            and isinstance(bits_per_symbol, numbers.Real))
+
+
 @dataclass(frozen=True)
 class McsEntry:
     index: int
@@ -121,6 +145,9 @@ class McsTable:
         if not self.entries:
             raise ValueError("MCS table must not be empty")
         for pos, entry in enumerate(self.entries):
+            if not _mcs_fields_typed(entry.index, entry.min_sinr_db, entry.bits_per_symbol):
+                raise ValueError(f"MCS entry {pos}, {entry!r}, must have an integer "
+                                 f"index and a real SINR threshold and bits per symbol")
             if entry.index != pos:
                 raise ValueError("MCS indices must be consecutive from 0")
         sinrs = [e.min_sinr_db for e in self.entries]
@@ -153,9 +180,7 @@ class McsTable:
         entries = []
         for pos, row in enumerate(rows):
             if not (isinstance(row, (list, tuple)) and len(row) == 3
-                    and not any(isinstance(x, bool) for x in row)
-                    and isinstance(row[0], numbers.Integral)
-                    and all(isinstance(x, numbers.Real) for x in row[1:])):
+                    and _mcs_fields_typed(*row)):
                 raise ValueError(f"MCS row {pos}, {row!r}, must be [integer index, "
                                  f"SINR threshold dB, bits per symbol]")
             entries.append(McsEntry(int(row[0]), float(row[1]), float(row[2])))

@@ -69,6 +69,25 @@ class GroupSet:
                 for g in self.groups]
 
 
+def candidate_orders(rssi_dbm: np.ndarray, deployment: Deployment) -> list[list[int]]:
+    """`candidate_order` of every reference AP, in one pass: one max over
+    each AP's station columns, then one stable argsort of all the keys."""
+    stations_by_ap = deployment.stations_by_ap
+    orders: list[list[int]] = [[] for _ in stations_by_ap]
+    refs = [ap for ap, stations in enumerate(stations_by_ap) if stations]
+    if not refs:
+        return orders
+    columns = [sta for stations in stations_by_ap for sta in stations]
+    starts = np.cumsum([0] + [len(stations_by_ap[ap]) for ap in refs[:-1]])
+    # loudest[a, k]: the strongest RSSI any station of refs[k] hears from AP a
+    loudest = np.maximum.reduceat(rssi_dbm[:, columns], starts, axis=1)
+    # a stable sort keeps equal RSSIs in AP id order
+    ranked = np.argsort(loudest, axis=0, kind="stable").T.tolist()
+    for ref, order in zip(refs, ranked):
+        orders[ref] = [ap for ap in order if ap != ref]
+    return orders
+
+
 def candidate_order(ref_ap: int, rssi_dbm: np.ndarray,
                     deployment: Deployment) -> list[int]:
     """Other APs sorted by the strongest RSSI any of the reference's stations
@@ -77,12 +96,23 @@ def candidate_order(ref_ap: int, rssi_dbm: np.ndarray,
     The max over stations is the worst-case victim; an AP with no stations
     yields no candidates (it can only form its own singleton group).
     """
-    stations = deployment.stations_by_ap[ref_ap]
-    if not stations:
-        return []
-    loudest = rssi_dbm[:, list(stations)].max(axis=1)
-    # a stable sort keeps equal RSSIs in AP id order
-    return [ap for ap in np.argsort(loudest, kind="stable").tolist() if ap != ref_ap]
+    return candidate_orders(rssi_dbm, deployment)[ref_ap]
+
+
+def _grow(ref_ap: int, order: list[int], rssi_dbm: np.ndarray, deployment: Deployment,
+          noise_dbm: float, gamma_db: float, max_size: int) -> Group:
+    """The greedy walk of `build_group` over the candidates in `order`."""
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    members = [ref_ap]
+    for candidate in order:
+        if len(members) >= max_size:
+            break
+        tentative = members + [candidate]
+        if group_feasible(tentative, rssi_dbm, deployment.stations_by_ap,
+                          noise_dbm, gamma_db):
+            members = tentative
+    return Group(ref_ap, tuple(members))
 
 
 def build_group(ref_ap: int, rssi_dbm: np.ndarray, deployment: Deployment,
@@ -93,17 +123,8 @@ def build_group(ref_ap: int, rssi_dbm: np.ndarray, deployment: Deployment,
     every member (new and old) still clears gamma, which enforces
     compatibility in both directions.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    members = [ref_ap]
-    for candidate in candidate_order(ref_ap, rssi_dbm, deployment):
-        if len(members) >= max_size:
-            break
-        tentative = members + [candidate]
-        if group_feasible(tentative, rssi_dbm, deployment.stations_by_ap,
-                          noise_dbm, gamma_db):
-            members = tentative
-    return Group(ref_ap, tuple(members))
+    return _grow(ref_ap, candidate_order(ref_ap, rssi_dbm, deployment), rssi_dbm,
+                 deployment, noise_dbm, gamma_db, max_size)
 
 
 def build_all_groups(rssi_dbm: np.ndarray, deployment: Deployment,
@@ -112,9 +133,10 @@ def build_all_groups(rssi_dbm: np.ndarray, deployment: Deployment,
     unordered sets) collapsed onto the lowest reference id."""
     groups: list[Group] = []
     seen: set[frozenset[int]] = set()
-    for ref_ap in range(deployment.num_aps):
-        group = build_group(ref_ap, rssi_dbm, deployment, noise_dbm, gamma_db,
-                            max_size)
+    orders = candidate_orders(rssi_dbm, deployment)
+    for ref_ap, order in enumerate(orders):
+        group = _grow(ref_ap, order, rssi_dbm, deployment, noise_dbm, gamma_db,
+                      max_size)
         key = frozenset(group.members)
         if key not in seen:
             seen.add(key)

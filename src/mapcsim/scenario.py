@@ -55,7 +55,7 @@ class Deployment:
             raise ValueError(f"association must give each of the {self.num_stations} "
                              f"stations an AP id in [0, {self.num_aps})")
         groups: list[list[int]] = [[] for _ in range(len(self.ap_positions))]
-        for sta, ap in enumerate(self.association):
+        for sta, ap in enumerate(self.association.tolist()):
             groups[ap].append(sta)
         self.stations_by_ap = tuple(tuple(g) for g in groups)
 
@@ -70,13 +70,19 @@ class Deployment:
 
 def nearest_ap_association(ap_positions: np.ndarray,
                            station_positions: np.ndarray) -> np.ndarray:
-    """Map each station to the closest AP; ties go to the lowest AP id."""
+    """Map each station to the closest AP; ties go to the lowest AP id.
+
+    The squared distances are summed as dx^2 + dy^2 in a (station x AP)
+    array, worked on in place."""
     ap_positions = np.asarray(ap_positions, dtype=float)
     station_positions = np.asarray(station_positions, dtype=float)
     if len(ap_positions) == 0:
         raise ValueError("at least one AP is required for association")
-    diff = station_positions[:, None, :] - ap_positions[None, :, :]
-    dist_sq = (diff ** 2).sum(axis=2)
+    dist_sq = np.subtract.outer(station_positions[:, 0], ap_positions[:, 0])
+    np.square(dist_sq, out=dist_sq)
+    dy = np.subtract.outer(station_positions[:, 1], ap_positions[:, 1])
+    np.square(dy, out=dy)
+    dist_sq += dy
     return dist_sq.argmin(axis=1)  # argmin takes the first (lowest id) on ties
 
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mapcsim import (McsTable, ScenarioConfig, TimingConfig, build_rssi_matrix,
-                     data_rate_bps, default_mcs_table, generate_grid_deployment,
-                     group_feasible, group_sinr_db, path_loss_db, select_mcs,
-                     station_sinr_db)
+from mapcsim import (McsEntry, McsTable, ScenarioConfig, TimingConfig,
+                     build_rssi_matrix, data_rate_bps, default_mcs_table,
+                     generate_grid_deployment, group_feasible, group_sinr_db,
+                     path_loss_db, select_mcs, station_sinr_db)
 from oracles import feasible_reference, path_loss_reference, sinr_reference
 
 
@@ -53,6 +53,22 @@ def test_path_loss_rejects_nonpositive_distance():
         path_loss_db(-2, 5.0, 3)
     with pytest.raises(ValueError):
         path_loss_db(np.array([3.0, 0.0, 12.0]), 5.0, 3)
+
+
+@pytest.mark.parametrize("distance_m", [
+    math.nan, math.inf, -math.inf, [1.0, math.nan], np.array([[3.0, 12.0], [math.inf, 5.0]])])
+def test_path_loss_rejects_non_finite_distance(distance_m):
+    # once NaN and inf came out as losses: [1, nan] gave [67.4, nan]
+    with pytest.raises(ValueError, match="positive and finite"):
+        path_loss_db(distance_m, 5.0, 3)
+
+
+def test_path_loss_keeps_its_input_and_returns_a_float_for_a_scalar():
+    ds = np.array([0.5, 10.0, 30.0])
+    assert path_loss_db(ds, 5.0, 3).shape == (3,)
+    assert ds.tolist() == [0.5, 10.0, 30.0]
+    assert type(path_loss_db(30.0, 5.0, 3)) is float
+    assert type(path_loss_db(np.float64(30.0), 5.0, 3)) is float
 
 
 def test_rssi_matrix_values_and_shape():
@@ -244,3 +260,28 @@ def test_mcs_table_validation_and_roundtrip():
                       ([[0, 2, 117, 1]], 0), ([[0, 2]], 0)):
         with pytest.raises(ValueError, match=f"MCS row {pos}, "):
             McsTable.from_jsonable(rows)
+
+
+@pytest.mark.parametrize("entries", [
+    (McsEntry(False, 2.0, 117.0),),
+    (McsEntry(0, 2.0, 117.0), McsEntry(True, 5.0, 234.0)),
+    (McsEntry(0.0, 2.0, 117.0),),
+    (McsEntry(0, 2.0, 117.0), McsEntry(1.5, 5.0, 234.0)),
+    (McsEntry(0, "2", 117.0),),
+    (McsEntry(0, 2.0, "117"),),
+    (McsEntry(0, True, 117.0),),
+    (McsEntry(0, 2.0, None),),
+    (McsEntry(0, 2.0, 117.0), McsEntry(1, 5.0, True)),
+], ids=["bool-index", "bool-index-1", "float-index", "fractional-index", "string-threshold",
+        "string-payload", "bool-threshold", "none-payload", "bool-payload"])
+def test_mcs_table_refuses_entries_of_the_wrong_type(entries):
+    # the Python API refuses what from_jsonable refuses, naming the entry
+    pos = len(entries) - 1
+    with pytest.raises(ValueError, match=f"MCS entry {pos}, "):
+        McsTable(entries)
+
+
+def test_mcs_table_takes_numpy_numbers():
+    table = McsTable((McsEntry(np.int64(0), np.float64(2.0), 117),
+                      McsEntry(1, 5, np.float32(234.0))))
+    assert table.min_sinrs == (2.0, 5)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mapcsim import (Group, ScenarioConfig, build_all_groups, build_group,
-                     build_rssi_matrix, candidate_order,
+from mapcsim import (Deployment, Group, ScenarioConfig, build_all_groups,
+                     build_group, build_rssi_matrix, candidate_order,
                      generate_grid_deployment)
+from mapcsim.grouping import candidate_orders
 from oracles import feasible_family, feasible_reference
 
 NOISE = -94.0
@@ -58,10 +59,21 @@ def _tuple_key_order(ref_ap, rssi, dep):
 @pytest.mark.parametrize("rows, cols, seed", [(3, 3, 0), (4, 5, 1), (6, 6, 2), (12, 12, 3)])
 def test_candidate_order_equals_tuple_key_sort(rows, cols, seed):
     cfg, dep, rssi = _grid_env(seed=seed, subarea_rows=rows, subarea_cols=cols)
+    # AP 1's stations moved to AP 0, so AP 1 has none and AP 0's columns are
+    # not one run of station ids
+    association = dep.association.copy()
+    association[association == 1] = 0
+    emptied = Deployment(dep.ap_positions, dep.station_positions, association, 0)
+    assert emptied.stations_by_ap[1] == ()
     # the drawn RSSIs, then the same rounded to whole dB so that many tie
-    for matrix in (rssi, np.round(rssi)):
-        for ref in range(dep.num_aps):
-            assert candidate_order(ref, matrix, dep) == _tuple_key_order(ref, matrix, dep)
+    for deployment in (dep, emptied):
+        for matrix in (rssi, np.round(rssi)):
+            expected = [_tuple_key_order(ref, matrix, deployment)
+                        for ref in range(deployment.num_aps)]
+            assert candidate_orders(matrix, deployment) == expected
+            for ref in range(deployment.num_aps):
+                assert candidate_order(ref, matrix, deployment) == expected[ref]
+    assert candidate_orders(rssi, emptied)[1] == []
 
 
 def test_candidate_order_ties_on_hand_made_rssi():
@@ -76,6 +88,7 @@ def test_candidate_order_ties_on_hand_made_rssi():
                      [-60.0, -70.0, -60.0, 0.0]])
     for ref in range(5):
         assert candidate_order(ref, rssi, dep) == _tuple_key_order(ref, rssi, dep)
+    assert candidate_orders(rssi, dep) == [_tuple_key_order(ref, rssi, dep) for ref in range(5)]
     assert candidate_order(0, rssi, dep) == [3, 1, 2, 4]
     assert candidate_order(2, rssi, dep) == []
 
@@ -179,6 +192,9 @@ def test_zero_station_reference_forms_singleton():
                           np.array([0, 0]), 0)
     assert dep.stations_by_ap == ((0, 1), ())
     assert candidate_order(1, rssi, dep) == []
+    # and with no station anywhere, no AP has a candidate
+    bare = scen.Deployment(dep.ap_positions, np.zeros((0, 2)), [], 0)
+    assert candidate_orders(np.empty((2, 0)), bare) == [[], []]
     gs = build_all_groups(rssi, dep, NOISE, 20.0, 3)
     by_ref = {g.reference_ap: g.members for g in gs.groups}
     assert by_ref[1] == (1,)
