@@ -28,12 +28,12 @@ for ap in order:
 for gamma in (14.0, 20.0, 26.0):
     for k in (2, 3):
         groups = build_all_groups(rssi, dep, cfg.noise_dbm, gamma, k)
-        sizes = sorted((len(g.members) for g in groups.groups), reverse=True)
+        sizes = sorted((len(g) for g in groups.groups), reverse=True)
         print(f"\ngamma={gamma:g} dB, K={k}: {len(groups.groups)} groups, "
               f"sizes {sizes}")
         for g in groups.groups:
             worst = min(
-                station_sinr_db(ap, sta, g.members, rssi, cfg.noise_dbm)
-                for ap in g.members for sta in dep.stations_by_ap[ap])
-            print(f"  ref {g.reference_ap}: members {g.members} "
+                station_sinr_db(ap, sta, g, rssi, cfg.noise_dbm)
+                for ap in g for sta in dep.stations_by_ap[ap])
+            print(f"  ref {g[0]}: members {g} "
                   f"(worst station SINR {worst:6.2f} dB)")

@@ -15,8 +15,7 @@ from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
 from .engine import (ArrivalSchedule, Environment, MetricsReport, SlotPlan,
                      TxopRecord, build_environment, draw_arrivals, plan_slot,
                      run_simulation, run_txop, step_arrivals)
-from .grouping import (Group, GroupSet, build_all_groups, build_group,
-                       candidate_order)
+from .grouping import GroupSet, build_all_groups, build_group, candidate_order
 from .scenario import (Deployment, generate_grid_deployment,
                        nearest_ap_association)
 from .scheduling import (SCHEDULER_NAMES, SchedulerKind, head_waits,

@@ -72,7 +72,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.load_mbps is not None:
         config = replace(config, traffic=replace(
             config.traffic, load_bps_per_sta=args.load_mbps * 1e6))
-    trace = [] if args.trace else None
+    trace = [] if args.trace and args.out else None
+    if args.trace and not args.out:
+        print("note: --trace has no effect without --out", file=sys.stderr)
     report = run_simulation(config, txop_trace=trace)
     print(f"scheduler={config.scheduler} gamma={config.gamma_db:g} dB "
           f"k={config.max_group_size} "
@@ -97,8 +99,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             write_txop_trace(trace, config.timing.txop_max_us,
                              out / "txop_trace.csv")
             print(f"wrote {out / 'txop_trace.csv'}")
-    elif args.trace:
-        print("note: --trace has no effect without --out", file=sys.stderr)
     return 0
 
 

@@ -571,7 +571,7 @@ def _selection_airtimes(env: Environment, config: SimulationConfig
 
     singletons = tuple((ap,) for ap in range(env.deployment.num_aps))
     return {members: links(members)
-            for members in dict.fromkeys(env.groups.member_tuples + singletons)}
+            for members in dict.fromkeys(env.groups.groups + singletons)}
 
 
 @dataclass

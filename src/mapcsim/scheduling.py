@@ -62,7 +62,7 @@ def _best_summed_group(groups: GroupSet, indices: Sequence[int],
     """Group among `indices` with the highest summed member score; lowest
     group index on ties. Members are added left to right, not by the
     built-in sum, which compensates float sums from Python 3.12 on."""
-    member_tuples = groups.member_tuples
+    member_tuples = groups.groups
     best_members: tuple[int, ...] = ()
     best_score = float("-inf")
     for gi in indices:
@@ -84,7 +84,7 @@ def _best_mean_group_loop(groups: GroupSet, scores: Sequence[float]) -> tuple[in
     its order, so both pick the same group."""
     best_members: tuple[int, ...] = ()
     best_mean = float("-inf")
-    for members in groups.member_tuples:
+    for members in groups.groups:
         total = 0
         for ap in members:
             total += scores[ap]
@@ -109,7 +109,7 @@ def _best_mean_group_numpy(groups: GroupSet, scores: Sequence[float]) -> tuple[i
     for row in by_member[1:]:
         total += row
     total /= groups.sizes
-    return groups.member_tuples[int(total.argmax())]
+    return groups.groups[int(total.argmax())]
 
 
 def select_group(kind: SchedulerKind, groups: GroupSet, counts: Sequence[int],
@@ -141,7 +141,7 @@ def select_group(kind: SchedulerKind, groups: GroupSet, counts: Sequence[int],
         if kind.is_ctdma:
             return (top_ap,)
         # only the members of the groups holding that AP need a wait
-        holders, member_tuples = groups.contains_index[top_ap], groups.member_tuples
+        holders, member_tuples = groups.contains_index[top_ap], groups.groups
         waits = {ap: now - heads[ap] if heads[ap] <= now else 0.0
                  for gi in holders for ap in member_tuples[gi]}
         return _best_summed_group(groups, holders, waits)

@@ -82,7 +82,7 @@ def reference_run(config):
     rssi = build_rssi_matrix(deployment, scenario)
     group_set = build_all_groups(rssi, deployment, scenario.noise_dbm,
                                  config.gamma_db, config.max_group_size)
-    groups = [group.members for group in group_set.groups]
+    groups = list(group_set.groups)
     rng = np.random.default_rng(traffic_ss)
 
     period_s = timing.period_ms * 1e-3

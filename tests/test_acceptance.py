@@ -96,10 +96,10 @@ def test_criterion_03_group_formation_soundness():
                                  20.0)
         assert len(groups.groups) <= 9
         for g in groups.groups:
-            assert len(g.members) <= 3
-            assert feasible_reference(g.members, rssi, dep.stations_by_ap,
+            assert len(g) <= 3
+            assert feasible_reference(g, rssi, dep.stations_by_ap,
                                       cfg.noise_dbm, 20.0)
-            assert frozenset(g.members) in family
+            assert frozenset(g) in family
             total_groups += 1
     elapsed = time.perf_counter() - start
     _report(3, elapsed < 30.0,
@@ -110,7 +110,7 @@ def test_criterion_03_group_formation_soundness():
 def test_criterion_04_scheduler_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(404)
-    from mapcsim.grouping import Group, GroupSet
+    from mapcsim.grouping import GroupSet
 
     n_aps = 9
     for state in range(10_000):
@@ -119,7 +119,7 @@ def test_criterion_04_scheduler_oracle():
             size = int(rng.integers(2, 4))
             member_lists.append(tuple(
                 int(a) for a in rng.choice(n_aps, size=size, replace=False)))
-        groups = GroupSet([Group(m[0], m) for m in member_lists])
+        groups = GroupSet(member_lists)
         counts = [int(c) for c in rng.integers(0, 4, size=n_aps)]
         now = 1.0
         # discrete waits make ties common

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -77,6 +78,23 @@ def test_run_out_simulates_once(tmp_path, monkeypatch, capsys):
     rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_run_trace_without_out_collects_no_trace(tmp_path, monkeypatch, capsys):
+    # nothing would write the trace, so the run gets no list to fill, and the
+    # note is on stderr before the run starts
+    seen = []
+    real = mapcsim.cli.run_simulation
+
+    def recording(config, *, txop_trace=None):
+        seen.append((txop_trace, capsys.readouterr().err))
+        return real(config, txop_trace=txop_trace)
+
+    monkeypatch.setattr(mapcsim.cli, "run_simulation", recording)
+    rc = main(["run", "--config", str(_write_config(tmp_path)), "--trace"])
+    assert rc == 0
+    assert seen == [(None, "note: --trace has no effect without --out\n")]
+    assert capsys.readouterr().err == ""
 
 
 def test_run_out_row_matches_execute_run(tmp_path, capsys):
@@ -184,6 +202,18 @@ def test_groups_subcommand(tmp_path, capsys):
     all_aps = set().union(*members)
     assert all_aps == set(range(9))
     assert all(len(g["members"]) <= 3 for g in payload["groups"])
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "b7b90e82c6aac5f1b16d46588a1aeff3c7f58f1cfda721e8f4cf98fd4fa6b470"),
+    (["--gamma", "5", "--k", "2", "--seed", "9"],
+     "b87629cd01bf0f4de4ff4165e8115fce6fc1cb877ae52e80bad038f14075bdb3"),
+], ids=["defaults", "gamma5-k2-seed9"])
+def test_groups_stdout_is_pinned(argv, digest, capsys):
+    # the JSON of the stored groups, byte for byte as recorded when each
+    # group still carried its reference AP as a separate field
+    assert main(["groups", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_campaign_subcommand(tmp_path, capsys):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from mapcsim import (Deployment, Group, ScenarioConfig, build_all_groups,
+from mapcsim import (Deployment, GroupSet, ScenarioConfig, build_all_groups,
                      build_group, build_rssi_matrix, candidate_order,
                      generate_grid_deployment)
-from mapcsim.grouping import candidate_orders
 from oracles import feasible_family, feasible_reference
 
 NOISE = -94.0
@@ -70,10 +69,9 @@ def test_candidate_order_equals_tuple_key_sort(rows, cols, seed):
         for matrix in (rssi, np.round(rssi)):
             expected = [_tuple_key_order(ref, matrix, deployment)
                         for ref in range(deployment.num_aps)]
-            assert candidate_orders(matrix, deployment) == expected
             for ref in range(deployment.num_aps):
                 assert candidate_order(ref, matrix, deployment) == expected[ref]
-    assert candidate_orders(rssi, emptied)[1] == []
+    assert candidate_order(1, rssi, emptied) == []
 
 
 def test_candidate_order_ties_on_hand_made_rssi():
@@ -88,7 +86,6 @@ def test_candidate_order_ties_on_hand_made_rssi():
                      [-60.0, -70.0, -60.0, 0.0]])
     for ref in range(5):
         assert candidate_order(ref, rssi, dep) == _tuple_key_order(ref, rssi, dep)
-    assert candidate_orders(rssi, dep) == [_tuple_key_order(ref, rssi, dep) for ref in range(5)]
     assert candidate_order(0, rssi, dep) == [3, 1, 2, 4]
     assert candidate_order(2, rssi, dep) == []
 
@@ -96,10 +93,10 @@ def test_candidate_order_ties_on_hand_made_rssi():
 def test_build_group_gamma_extremes():
     cfg, dep, rssi = _grid_env(seed=5)
     hopeless = build_group(0, rssi, dep, NOISE, 1000.0, 3)
-    assert hopeless.members == (0,)
+    assert hopeless == (0,)
     easy = build_group(0, rssi, dep, NOISE, -1000.0, 3)
-    assert len(easy.members) == 3
-    assert easy.members == (0,) + tuple(candidate_order(0, rssi, dep)[:2])
+    assert len(easy) == 3
+    assert easy == (0,) + tuple(candidate_order(0, rssi, dep)[:2])
 
 
 def test_build_group_replays_greedy_walk_against_oracle():
@@ -108,6 +105,7 @@ def test_build_group_replays_greedy_walk_against_oracle():
         cfg, dep, rssi = _grid_env(seed=100 + trial, subarea_rows=1,
                                    subarea_cols=5, stations_per_subarea=2)
         gamma = float(rng.uniform(5, 25))
+        replays = []
         for ref in range(dep.num_aps):
             group = build_group(ref, rssi, dep, NOISE, gamma, 3)
             # independent replay: greedy walk checked with the brute-force
@@ -119,13 +117,21 @@ def test_build_group_replays_greedy_walk_against_oracle():
                 if feasible_reference(members + [cand], rssi,
                                       dep.stations_by_ap, NOISE, gamma):
                     members.append(cand)
-            assert group.members == tuple(members)
+            assert group == tuple(members)
+            replays.append(tuple(members))
+        # the stored groups: the replays with each unordered set kept once,
+        # in first-seen order, so the lowest reference wins
+        kept = []
+        for members in replays:
+            if all(set(members) != set(other) for other in kept):
+                kept.append(members)
+        assert build_all_groups(rssi, dep, NOISE, gamma, 3).groups == tuple(kept)
 
 
 def test_build_all_groups_singletons_at_huge_gamma():
     cfg, dep, rssi = _grid_env(seed=1)
     gs = build_all_groups(rssi, dep, NOISE, 1000.0, 3)
-    assert [g.members for g in gs.groups] == [(ap,) for ap in range(9)]
+    assert gs.groups == tuple((ap,) for ap in range(9))
     assert all(gs.contains_index[ap] == (ap,) for ap in range(9))
 
 
@@ -140,8 +146,9 @@ def test_build_all_groups_dedup_mutually_compatible_pair():
     rssi = build_rssi_matrix(dep, cfg)
     gs = build_all_groups(rssi, dep, NOISE, 20.0, 2)
     assert len(gs.groups) == 1
-    assert set(gs.groups[0].members) == {0, 1}
-    assert gs.groups[0].reference_ap == 0  # lowest reference kept
+    assert set(gs.groups[0]) == {0, 1}
+    assert gs.groups[0][0] == 0  # lowest reference kept
+    assert gs.to_jsonable() == [{"reference_ap": 0, "members": [0, 1]}]
     assert gs.contains_index[0] == (0,) and gs.contains_index[1] == (0,)
 
 
@@ -161,15 +168,15 @@ def test_groups_sound_and_within_enumerated_family():
         family = feasible_family(5, rssi, dep.stations_by_ap, NOISE, 15.0)
         gs = build_all_groups(rssi, dep, NOISE, 15.0, 3)
         for g in gs.groups:
-            assert len(g.members) <= 3
-            assert frozenset(g.members) in family
+            assert len(g) <= 3
+            assert frozenset(g) in family
 
 
 def test_group_determinism():
     cfg, dep, rssi = _grid_env(seed=3)
     a = build_all_groups(rssi, dep, NOISE, 20.0, 3)
     b = build_all_groups(rssi, dep, NOISE, 20.0, 3)
-    assert [g.members for g in a.groups] == [g.members for g in b.groups]
+    assert a.groups == b.groups
 
 
 def test_group_size_monotone_in_gamma():
@@ -179,7 +186,7 @@ def test_group_size_monotone_in_gamma():
             for ref in range(dep.num_aps):
                 loose = build_group(ref, rssi, dep, NOISE, lo, 3)
                 strict = build_group(ref, rssi, dep, NOISE, hi, 3)
-                assert len(strict.members) <= len(loose.members)
+                assert len(strict) <= len(loose)
 
 
 def test_zero_station_reference_forms_singleton():
@@ -194,15 +201,15 @@ def test_zero_station_reference_forms_singleton():
     assert candidate_order(1, rssi, dep) == []
     # and with no station anywhere, no AP has a candidate
     bare = scen.Deployment(dep.ap_positions, np.zeros((0, 2)), [], 0)
-    assert candidate_orders(np.empty((2, 0)), bare) == [[], []]
+    assert [candidate_order(ap, np.empty((2, 0)), bare) for ap in range(2)] == [[], []]
     gs = build_all_groups(rssi, dep, NOISE, 20.0, 3)
-    by_ref = {g.reference_ap: g.members for g in gs.groups}
+    by_ref = {g[0]: g for g in gs.groups}
     assert by_ref[1] == (1,)
     assert by_ref[0] == (0, 1)  # AP 1 joined: station SINRs stay above 20
 
 
 def test_group_validation():
     with pytest.raises(ValueError):
-        Group(2, (0, 1))  # reference not a member
+        GroupSet([(0,), ()])  # empty group
     with pytest.raises(ValueError):
-        Group(0, (0, 1, 1))  # duplicate member
+        GroupSet([(0, 1, 1)])  # duplicate member

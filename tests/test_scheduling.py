@@ -10,16 +10,12 @@ from mapcsim import (SCHEDULER_NAMES, ScenarioConfig, SchedulerKind, SimulationC
                      TimingConfig, TrafficConfig, build_environment, head_waits,
                      select_group)
 from mapcsim import engine, scheduling
-from mapcsim.grouping import Group, GroupSet
+from mapcsim.grouping import GroupSet
 from mapcsim.scheduling import (_best_mean_group_loop, _best_mean_group_numpy,
                                 _best_summed_group)
 from oracles import select_reference
 
 ALL_KINDS = list(SchedulerKind)
-
-
-def _group_set(member_lists):
-    return GroupSet([Group(members[0], tuple(members)) for members in member_lists])
 
 
 PERIOD = 0.005
@@ -54,7 +50,7 @@ def _drawn_ints(data):
                                                 max_size=n))
 
 
-SPEC_GROUPS = _group_set([(0,), (1,), (2,), (0, 2)])
+SPEC_GROUPS = GroupSet([(0,), (1,), (2,), (0, 2)])
 
 
 def test_numpk_single_spec_example():
@@ -109,7 +105,7 @@ def test_oldpk_single_spec_example():
 
 
 def test_ctdma_tie_breaks_to_lowest_ap():
-    groups = _group_set([(0,), (1,)])
+    groups = GroupSet([(0,), (1,)])
     buf = [4, 4], [0.2, 0.1], 1.0
     assert select_group(SchedulerKind.CTDMA_NUMPK, groups, *buf) == (0,)
     # equal waits likewise; distinct waits pick the older head-of-line
@@ -119,7 +115,7 @@ def test_ctdma_tie_breaks_to_lowest_ap():
 
 
 def test_ctdma_always_singleton():
-    groups = _group_set([(0, 1, 2), (1,), (2,)])
+    groups = GroupSet([(0, 1, 2), (1,), (2,)])
     buf = [9, 5, 7], [0.1, 0.2, 0.3], 1.0
     assert select_group(SchedulerKind.CTDMA_NUMPK, groups, *buf) == (0,)
     assert select_group(SchedulerKind.CTDMA_OLDPK, groups, *buf) == (0,)
@@ -127,7 +123,7 @@ def test_ctdma_always_singleton():
 
 def test_single_kind_selection_contains_top_ap():
     ints = _numpy_ints(np.random.default_rng(12))
-    groups = _group_set([(0,), (1,), (2,), (3,), (0, 2), (1, 3), (0, 1, 2)])
+    groups = GroupSet([(0,), (1,), (2,), (3,), (0, 2), (1, 3), (0, 1, 2)])
     for _ in range(500):
         buf, oldest = _run_view(ints, 4)
         counts, _, now = buf
@@ -140,8 +136,8 @@ def test_single_kind_selection_contains_top_ap():
 
 def test_selection_is_a_stored_group_or_singleton():
     ints = _numpy_ints(np.random.default_rng(13))
-    groups = _group_set([(0, 4), (1, 3), (2,), (3,), (4,), (0,), (1,)])
-    stored = {frozenset(g.members) for g in groups.groups}
+    groups = GroupSet([(0, 4), (1, 3), (2,), (3,), (4,), (0,), (1,)])
+    stored = {frozenset(g) for g in groups.groups}
     for _ in range(300):
         buf, _ = _run_view(ints, 5)
         for kind in ALL_KINDS:
@@ -155,7 +151,7 @@ def test_selection_is_a_stored_group_or_singleton():
 def test_argmax_invariance():
     # heads drawn from a continuum, so no two waits tie and shifting every
     # time by 5 s cannot round a tie either way
-    groups = _group_set([(0,), (1,), (2,), (0, 2), (1, 2)])
+    groups = GroupSet([(0,), (1,), (2,), (0, 2), (1, 2)])
     rng = np.random.default_rng(14)
     for _ in range(200):
         counts = [int(c) for c in rng.integers(0, 6, size=3)]
@@ -186,8 +182,8 @@ def test_matches_exhaustive_scorer_on_random_states():
             members = tuple(int(a) for a in rng.choice(n_aps, size=size,
                                                        replace=False))
             extra.append(members)
-        groups = _group_set(singles + extra)
-        member_lists = [g.members for g in groups.groups]
+        groups = GroupSet(singles + extra)
+        member_lists = list(groups.groups)
         buf, oldest = _run_view(ints, n_aps)
         for kind in ALL_KINDS:
             assert select_group(kind, groups, *buf) == select_reference(
@@ -207,7 +203,7 @@ def test_matches_exhaustive_scorer_at_dense_scale():
             size = int(rng.integers(1, 4))
             member_lists.append((ref, *(int(a) for a in rng.choice(
                 others, size=size - 1, replace=False))))
-        groups = _group_set(member_lists)
+        groups = GroupSet(member_lists)
         assert (groups.member_columns == -1).any()
         views = [_run_view(ints, n_aps) for _ in range(25)]
         # no positive wait: every backlogged head at `now`, a TXOP's first pick
@@ -237,12 +233,12 @@ def test_both_mean_scorers_match_exhaustive_scorer(rows, num_groups):
     assert len(stored) == num_groups
     n_aps = rows * rows
     # plus every singleton not stored, so group sizes mix at every scale
-    mixed = GroupSet(stored.groups + [Group(a, (a,)) for a in range(n_aps)
-                                      if (a,) not in stored.member_tuples])
-    assert len({len(m) for m in mixed.member_tuples}) > 1
+    mixed = GroupSet(stored.groups + tuple((a,) for a in range(n_aps)
+                                           if (a,) not in stored.groups))
+    assert len({len(m) for m in mixed.groups}) > 1
     ints = _numpy_ints(np.random.default_rng(rows))
     for groups in (stored, mixed):
-        member_lists = list(groups.member_tuples)
+        member_lists = list(groups.groups)
         for state in range(150):
             # counts and waits from small sets, so scores tie; every other
             # view at a TXOP start, where waits are whole periods
@@ -262,7 +258,7 @@ def test_mean_scorer_follows_the_view(monkeypatch):
         raise AssertionError(f"wrong scorer for {type(scores).__name__} scores")
 
     for num_groups in (8, 144):
-        groups = _group_set([(a,) for a in range(num_groups)])
+        groups = GroupSet([(a,) for a in range(num_groups)])
         counts, heads, now = [1] * num_groups, [0.5] * num_groups, 1.0
         for view, unused in (((counts, heads), "_best_mean_group_numpy"),
                              ((np.array(counts), np.array(heads)), "_best_mean_group_loop")):
@@ -276,7 +272,7 @@ def test_summed_group_adds_left_to_right():
     # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right but 0.6 by the
     # compensated built-in sum of Python 3.12+, which would tie (2, 3)'s
     # 0.3 + 0.3 and pick the lower index
-    groups = _group_set([(2, 3), (0, 1, 2)])
+    groups = GroupSet([(2, 3), (0, 1, 2)])
     scores = [0.1, 0.2, 0.3, 0.3]
     assert _best_summed_group(groups, groups.contains_index[2], scores) == (0, 1, 2)
 
@@ -301,7 +297,7 @@ def test_oldest_head_pick_matches_exhaustive_scorer(data):
                                              lags=(0, oldest_lag))
     for kind in (SchedulerKind.OLDPK_SINGLE, SchedulerKind.CTDMA_OLDPK):
         assert select_group(kind, groups, counts, heads, now) == select_reference(
-            kind.value, list(groups.member_tuples), counts, oldest, now), kind
+            kind.value, list(groups.groups), counts, oldest, now), kind
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,7 +308,7 @@ def test_list_and_vector_views_pick_alike(data):
     groups = _stored_groups(rows)
     (counts, heads, now), oldest = _run_view(_drawn_ints(data), rows * rows)
     for kind in ALL_KINDS:
-        want = select_reference(kind.value, list(groups.member_tuples), counts, oldest, now)
+        want = select_reference(kind.value, list(groups.groups), counts, oldest, now)
         assert select_group(kind, groups, counts, heads, now) == want, kind
         assert select_group(kind, groups, np.array(counts, np.int64), np.array(heads),
                             now) == want, kind

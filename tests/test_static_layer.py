@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from mapcsim import (ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig, build_environment, build_rssi_matrix,
-                     generate_grid_deployment)
+                     TrafficConfig, build_all_groups, build_environment,
+                     build_rssi_matrix, generate_grid_deployment)
 from mapcsim.engine import _selection_airtimes, clear_memos
 
 SCENARIOS = {
@@ -62,7 +62,7 @@ def _static_layer_digest(scenario, gamma_db, max_group_size):
                               max_group_size, seed=SEED)
     env, _ = build_environment(scenario, gamma_db, max_group_size, SEED)
     table = _selection_airtimes(env, config)
-    digest = hashlib.sha256(repr(env.groups.member_tuples).encode())
+    digest = hashlib.sha256(repr(env.groups.groups).encode())
     for members, (airtime_us, mcs) in table.items():
         digest.update(repr((members, airtime_us, mcs)).encode())
     return digest.hexdigest()
@@ -83,17 +83,28 @@ def test_dense_deployment_and_rssi_build_stay_small():
     # is 0.47 MB. The RSSI build holds three at its peak (the distances, the
     # loss and the beyond-breakpoint term), about 1.5 MB; building the
     # distances as (AP x station x 2) differences and the P' term through a
-    # full-size np.where once took 3.4 MB. A small build first does the
-    # lazy set-up of the first call, which is not what is measured.
+    # full-size np.where once took 3.4 MB. The group build needs no such
+    # array: each walk reads its reference's few station columns, where an
+    # all-references ranking pass once copied the whole matrix (0.64 MB). A
+    # small build first does the lazy set-up of the first call, which is not
+    # what is measured.
     small = ScenarioConfig(subarea_rows=1, subarea_cols=1)
-    build_rssi_matrix(generate_grid_deployment(small, np.random.default_rng(0)), small)
+    small_deployment = generate_grid_deployment(small, np.random.default_rng(0))
+    small_rssi = build_rssi_matrix(small_deployment, small)
+    build_all_groups(small_rssi, small_deployment, small.noise_dbm, 5.0, 3)
     scenario = SCENARIOS["12x12"]
     tracemalloc.start()
     try:
         deployment = generate_grid_deployment(scenario, np.random.default_rng(SEED))
         rssi = build_rssi_matrix(deployment, scenario)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        groups = build_all_groups(rssi, deployment, scenario.noise_dbm, 5.0, 3)
+        _, group_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rssi.shape == (144, 432)
     assert peak < 2 << 20
+    assert len(groups) == 144
+    assert group_peak - base < 0.25 * (1 << 20)
