@@ -96,9 +96,6 @@ LIST_VIEW_MAX_APS = 48
 # Uniforms per block when drawing arrivals: bounds the transient draw to 128 kB,
 # or to one TXOP's row on a grid of more than 2^14 stations.
 ARRIVAL_BLOCK_DOUBLES = 1 << 14
-# Blocks grouped by AP at a time: bounds the int64 sort index to 2^18
-# arrivals (2 MB), whatever the run length.
-GROUPING_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,9 @@ class ArrivalSchedule:
     APs, 1 B of station id on a 3x3 grid (27 stations) and 2 B on 12x12
     (432 stations), and 2 B of TXOP index while num_txops <= 2^16. So a
     10^4-TXOP run holds 4 B per arrival on 3x3 and 5 B on 12x12: on 12x12,
-    1.8 MB at the 2 Mbps/STA of p = 1/12, and 21.6 MB at p = 1."""
+    1.8 MB at the 2 Mbps/STA of p = 1/12, and 21.6 MB at p = 1. Drawing it
+    briefly takes more: the int64 index of one stable sort by AP, 8 B per
+    arrival, beside TXOP-major copies of the ids (see draw_arrivals)."""
 
     aps: np.ndarray            # smallest unsigned int dtype holding an AP id
     bounds: np.ndarray         # int64, num_txops + 1 offsets
@@ -131,49 +130,33 @@ def draw_arrivals(deployment: Deployment, arrival_prob: float,
     One uniform draw per station per TXOP regardless of p, so runs with the
     same seed see the same arrival pattern across load levels. Drawn in
     row-major (TXOPs x stations) blocks, which consume `rng` exactly as one
-    `rng.random(num_stations)` call per TXOP would. Raises unless
-    0 <= `arrival_prob` <= 1.
+    `rng.random(num_stations)` call per TXOP would. One stable argsort of the
+    arrivals' AP ids then builds every AP's list; it needs an int64 index
+    (8 B per arrival) beside the TXOP-major copies of the ids, so the traced
+    peak of a 10^4-TXOP 12x12 draw is 6.2 MB at 2 Mbps/STA and 74 MB at
+    p = 1. Raises unless 0 <= `arrival_prob` <= 1.
     """
     if not 0.0 <= arrival_prob <= 1.0:  # also rejects NaN
         raise ValueError(f"arrival_prob must lie in [0, 1], got {arrival_prob!r}")
     num_stations, num_aps = deployment.num_stations, deployment.num_aps
     sta_type = np.min_scalar_type(num_stations)
-    ap_type = np.min_scalar_type(num_aps)
     txop_type = np.min_scalar_type(max(num_txops - 1, 0))
-    block = max(1, ARRIVAL_BLOCK_DOUBLES // num_stations)
-    bounds = np.zeros(num_txops + 1, dtype=np.int64)  # counts, then offsets
-    ap_bounds = np.zeros(num_aps + 1, dtype=np.int64)  # likewise per AP
-    stations, aps, txops = ([np.empty(0, t)] for t in (sta_type, ap_type, txop_type))
+    block = max(1, ARRIVAL_BLOCK_DOUBLES // max(num_stations, 1))
+    stations, txops = [np.empty(0, sta_type)], [np.empty(0, txop_type)]
     for start in range(0, num_txops, block):
         rows = min(block, num_txops - start)
         txop, sta = np.nonzero(rng.random((rows, num_stations)) < arrival_prob)
-        bounds[start + 1:start + rows + 1] = np.bincount(txop, minlength=rows)
-        ap = deployment.association[sta].astype(ap_type)
-        ap_bounds[1:] += np.bincount(ap, minlength=num_aps)
         stations.append(sta.astype(sta_type))
-        aps.append(ap)
         txops.append((txop + start).astype(txop_type))
-    np.cumsum(bounds, out=bounds)
-    np.cumsum(ap_bounds, out=ap_bounds)
-    # Stably grouped by AP, each group of blocks' arrivals extends each AP's
-    # list, which so stays in (TXOP, station) order.
-    fifo_stations = np.empty(ap_bounds[-1], sta_type)
-    fifo_txops = np.empty(ap_bounds[-1], txop_type)
-    ends = ap_bounds[:-1].tolist()
-    for first in range(0, len(stations), GROUPING_BLOCKS):
-        sta, ap, txop = (np.concatenate(parts[first:first + GROUPING_BLOCKS])
-                         for parts in (stations, aps, txops))
-        by_ap = np.argsort(ap, kind="stable")
-        sta, txop = sta[by_ap], txop[by_ap]
-        lo = 0
-        for a, count in enumerate(np.bincount(ap, minlength=num_aps).tolist()):
-            fifo_stations[ends[a]:ends[a] + count] = sta[lo:lo + count]
-            fifo_txops[ends[a]:ends[a] + count] = txop[lo:lo + count]
-            ends[a] += count
-            lo += count
-    del stations, txops
-    schedule = ArrivalSchedule(np.concatenate(aps), bounds, fifo_stations, fifo_txops,
-                               ap_bounds)
+    sta, txop = np.concatenate(stations), np.concatenate(txops)
+    del stations, txops  # the blocks, before the lookup's and the sort's transients
+    aps = deployment.association.astype(np.min_scalar_type(num_aps))[sta]
+    bounds = np.zeros(num_txops + 1, dtype=np.int64)
+    np.cumsum(np.bincount(txop, minlength=num_txops), out=bounds[1:])
+    ap_bounds = np.zeros(num_aps + 1, dtype=np.int64)
+    np.cumsum(np.bincount(aps, minlength=num_aps), out=ap_bounds[1:])
+    by_ap = np.argsort(aps, kind="stable")  # keeps each AP's (TXOP, station) order
+    schedule = ArrivalSchedule(aps, bounds, sta[by_ap], txop[by_ap], ap_bounds)
     for array in (schedule.aps, schedule.bounds, schedule.fifo_stations,
                   schedule.fifo_txops, schedule.ap_bounds):
         array.flags.writeable = False

@@ -12,8 +12,10 @@ reference first, then the accepted candidates in walk order.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -26,7 +28,8 @@ class GroupSet:
     """The stored AP sets plus lookups the scheduler builds once: the groups
     holding each AP, and a K x G matrix whose row c holds each group's c-th
     member (-1 for a group of c members or fewer), with the vector of group
-    sizes. Takes any iterable of member sequences and keeps them as tuples."""
+    sizes. Takes any iterable of member sequences and keeps them as tuples of
+    Python ints; a bool, a non-integer or a negative id is refused."""
 
     groups: tuple[tuple[int, ...], ...]
     contains_index: dict[int, tuple[int, ...]] = field(init=False)
@@ -34,13 +37,11 @@ class GroupSet:
     sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.groups = tuple(tuple(members) for members in self.groups)
+        self.groups = tuple(map(_member_ids, self.groups))
         index: dict[int, list[int]] = {}
         width = max((len(g) for g in self.groups), default=0)
         self.member_columns = np.full((width, len(self.groups)), -1, dtype=np.intp)
         for gi, members in enumerate(self.groups):
-            if not members or len(set(members)) != len(members):
-                raise ValueError(f"group {members} must hold one or more distinct APs")
             for ap in members:
                 index.setdefault(ap, []).append(gi)
             self.member_columns[:len(members), gi] = members
@@ -53,6 +54,19 @@ class GroupSet:
     def to_jsonable(self) -> list[dict[str, Any]]:
         return [{"reference_ap": members[0], "members": list(members)}
                 for members in self.groups]
+
+
+def _member_ids(members: Iterable[Any]) -> tuple[int, ...]:
+    """One or more distinct AP ids as Python ints; raises ValueError naming
+    the group otherwise (-1 pads `member_columns`)."""
+    members = tuple(members)
+    if not all(isinstance(ap, numbers.Integral) and not isinstance(ap, bool) and ap >= 0
+               for ap in members):
+        raise ValueError(f"group {members} must hold integer AP ids >= 0")
+    ids = tuple(map(operator.index, members))
+    if not ids or len(set(ids)) != len(ids):
+        raise ValueError(f"group {members} must hold one or more distinct APs")
+    return ids
 
 
 def candidate_order(ref_ap: int, rssi_dbm: np.ndarray,

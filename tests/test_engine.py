@@ -960,11 +960,11 @@ def _assert_fifo_lists(schedule, association, draws):
         assert schedule.fifo_txops[lo:hi].tolist() == txop_of[mine].tolist()
 
 
-def test_fifo_lists_span_several_groupings():
-    # more than two groups of GROUPING_BLOCKS blocks, TXOP ids past 16 bits
+def test_fifo_lists_span_many_blocks():
+    # 33 whole blocks and a part block, TXOP ids past 16 bits
     num_stations, num_aps = 6, 3
     block = engine.ARRIVAL_BLOCK_DOUBLES // num_stations
-    num_txops = (2 * engine.GROUPING_BLOCKS + 1) * block + 7
+    num_txops = (2 * 16 + 1) * block + 7
     assert num_txops > 1 << 16
     association = np.random.default_rng(3).integers(0, num_aps, num_stations)
     dep = Deployment(np.zeros((num_aps, 2)), np.zeros((num_stations, 2)),
@@ -972,6 +972,34 @@ def test_fifo_lists_span_several_groupings():
     schedule = draw_arrivals(dep, 0.3, np.random.default_rng(4), num_txops)
     draws = _reference_draws(np.random.default_rng(4), num_stations, 0.3, num_txops)
     _assert_fifo_lists(schedule, association, draws)
+
+
+def test_deployment_without_stations_draws_an_empty_schedule():
+    dep = Deployment(np.zeros((2, 2)), np.zeros((0, 2)), [], 0)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    schedule = draw_arrivals(dep, 0.5, rng, 3 * engine.ARRIVAL_BLOCK_DOUBLES + 1)
+    assert rng.bit_generator.state == state  # as one rng.random(0) per TXOP
+    assert len(schedule.bounds) == 3 * engine.ARRIVAL_BLOCK_DOUBLES + 2
+    assert not schedule.bounds.any() and schedule.ap_bounds.tolist() == [0, 0, 0]
+    assert len(schedule.aps) == len(schedule.fifo_stations) == len(schedule.fifo_txops) == 0
+
+
+def test_draw_of_a_default_run_stays_small():
+    # 90k arrivals: the one sort's int64 index and the TXOP-major ids trace
+    # about 1.4 MB; grouping by AP in a per-AP copy loop traced 2.3 MB
+    scenario = ScenarioConfig()
+    dep = generate_grid_deployment(scenario, np.random.default_rng(1))
+    p = arrival_probability(8e6, TrafficConfig().burst_packets,
+                            TrafficConfig().packet_bytes, TIM.period_s)
+    tracemalloc.start()
+    try:
+        schedule = draw_arrivals(dep, p, np.random.default_rng(1), 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(schedule.aps) > 80_000
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("traffic, txops", [

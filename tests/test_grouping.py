@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,22 @@ def test_group_validation():
         GroupSet([(0,), ()])  # empty group
     with pytest.raises(ValueError):
         GroupSet([(0, 1, 1)])  # duplicate member
+
+
+@pytest.mark.parametrize("members", [(0.0, 1.5), (0, 1.0), (True, 2), (0, np.True_),
+                                     (-1, 0), (0, np.int64(-2)), ("0", 1), (None,)],
+                         ids=["floats", "whole-float", "bool", "numpy-bool",
+                              "negative", "numpy-negative", "string", "none"])
+def test_group_set_refuses_ids_that_are_not_ap_ids(members):
+    with pytest.raises(ValueError, match=r"^group \("):
+        GroupSet([(3,), members])
+
+
+def test_group_set_stores_numpy_ids_as_python_ints():
+    gs = GroupSet([np.array([0, 1]), (np.uint8(2),), [np.int64(4), 3]])
+    assert gs.groups == ((0, 1), (2,), (4, 3))
+    assert all(type(ap) is int for members in gs.groups for ap in members)
+    assert json.loads(json.dumps(gs.to_jsonable())) == [
+        {"reference_ap": 0, "members": [0, 1]}, {"reference_ap": 2, "members": [2]},
+        {"reference_ap": 4, "members": [4, 3]}]
+    assert gs.member_columns.tolist() == [[0, 2, 4], [1, -1, 3]]
