@@ -207,6 +207,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         check_integer("max_group_size", self.max_group_size)
         check_integer("seed", self.seed)
+        if self.seed < 0:  # numpy's SeedSequence refuses it only when the run starts
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.max_group_size < 1:
             raise ValueError("max_group_size must be >= 1")
         check_finite("gamma_db", self.gamma_db)

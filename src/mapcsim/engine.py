@@ -13,9 +13,9 @@ an `ArrivalSchedule`, which lists each AP's arrivals in FIFO order, and
 `SimState` queues each AP's traffic as a window over its AP's list that
 ends at the first burst still to come. So an arrival costs no Python
 object, only the schedule's 5 B on a 12x12 grid (4 B of it the per-AP
-lists), and adding it only adds its packets to its AP's count. A burst cut
-at the budget stays at the head of the window, less the packets it has
-sent.
+lists), and adding it only adds its packets to the queued total and, in a
+run that keeps counts, to its AP's count. A burst cut at the budget stays
+at the head of the window, less the packets it has sent.
 
 Inside a slot every member AP drains its FIFO oldest packet first. Packets
 to the same station are aggregated into one A-MPDU segment sent at the MCS
@@ -43,9 +43,11 @@ The controller's view of the buffers is kept incrementally, so no slot or
 TXOP rebuilds it by walking all APs: per AP, the packets queued, which
 arrivals add and deliveries take off, and the head, the arrival time of the
 first unsent burst of the AP's list, arrived or not (+inf once the list is
-spent), which only deliveries move. A queued head is at most the TXOP
-start, and a burst still to come arrives a period after it, later than any
-decision instant (the TXOP cap is below the period), so the AP with the
+spent), which only deliveries move. A run keeps only the half its
+scheduler reads: a NumPk run the counts, an OldPk run the heads. Every run
+keeps `queued`, the packets queued in all. A queued head is at most the
+TXOP start, and a burst still to come arrives a period after it, later than
+any decision instant (the TXOP cap is below the period), so the AP with the
 oldest head is the first minimum of the heads whenever an AP has packets.
 `run_txop` picks only while packets are queued, and `select_group` reads
 the run's live view, lists on small grids and numpy vectors on large ones,
@@ -164,19 +166,21 @@ def draw_arrivals(deployment: Deployment, arrival_prob: float,
 
 
 def step_arrivals(state: SimState, n: int) -> int:
-    """Let TXOP `n`'s bursts of the run's schedule arrive at its start: each
-    arriving station's AP count grows by one burst, and TXOP `n` becomes the
-    last one whose bursts have arrived. Heads stay as they are (see
-    SimState). Returns packets added."""
+    """Let TXOP `n`'s bursts of the run's schedule arrive at its start: the
+    queued total grows by one burst per arriving station, and so does its
+    AP's count when the run keeps counts; TXOP `n` becomes the last one
+    whose bursts have arrived. Heads stay as they are (see SimState).
+    Returns packets added."""
     bounds = state.bounds
     lo, hi = bounds[n], bounds[n + 1]
     burst, counts = state.burst_packets, state.counts
     state.txop = n
-    if state.vector_view:
-        np.add.at(counts, state.ap_ids[lo:hi], burst)
-    else:
-        for ap in state.aps[lo:hi]:
-            counts[ap] += burst
+    if counts is not None:  # an OldPk run keeps none
+        if state.vector_view:
+            np.add.at(counts, state.ap_ids[lo:hi], burst)
+        else:
+            for ap in state.aps[lo:hi]:
+                counts[ap] += burst
     added = burst * (hi - lo)
     state.queued += added
     return added
@@ -341,9 +345,12 @@ class SimState:
     docstring): per AP, the packets queued, which step_arrivals adds to and
     deliver takes from, and the arrival time of the first unsent burst of
     its list, the first re-queued one or else the one at the cursor (+inf
-    once the list is spent), which only deliver moves. `queued` is the sum
-    of `counts`. Both are lists on up to LIST_VIEW_MAX_APS APs and numpy
-    vectors (int64, float64) on more.
+    once the list is spent), which only deliver moves. Both are lists on up
+    to LIST_VIEW_MAX_APS APs and numpy vectors (int64, float64) on more. A
+    state built for a scheduler `kind` keeps only the half that kind reads
+    and sets the other to None: `counts` for NumPk kinds, `heads` for OldPk
+    kinds. One built without a kind keeps both. `queued`, the packets queued
+    in all (the sum of the counts), is kept either way.
 
     `deliver` books what it sends in two typed columns, one record per run:
     `booked_at` holds its delivery time and `booked_runs` the run itself,
@@ -354,7 +361,8 @@ class SimState:
 
     def __init__(self, arrivals: ArrivalSchedule,
                  airtimes: Mapping[tuple[int, ...], SetLinks],
-                 traffic: TrafficConfig, period_s: float):
+                 traffic: TrafficConfig, period_s: float,
+                 kind: SchedulerKind | None = None):
         ap_bounds = arrivals.ap_bounds
         num_aps = len(ap_bounds) - 1
         self.cursor: list[int] = ap_bounds[:-1].tolist()
@@ -372,24 +380,24 @@ class SimState:
         self.burst_packets = traffic.burst_packets
         self.period_s = period_s
         self.airtimes = airtimes
-        heads = [self.txops[i] * period_s if i < end else inf
-                 for i, end in zip(self.cursor, self.ends)]
-        self.vector_view = num_aps > LIST_VIEW_MAX_APS
-        if self.vector_view:
-            self.ap_ids = arrivals.aps
-            self.counts: Any = np.zeros(num_aps, np.int64)
-            self.heads: Any = np.array(heads, np.float64)
-        else:
-            self.counts = [0] * num_aps
-            self.heads = heads
+        self.vector_view = vector = num_aps > LIST_VIEW_MAX_APS
+        self.ap_ids = arrivals.aps
+        self.counts: Any = None
+        self.heads: Any = None
+        if kind is None or not kind.scores_waits:
+            self.counts = np.zeros(num_aps, np.int64) if vector else [0] * num_aps
+        if kind is None or kind.scores_waits:
+            heads = [self.txops[i] * period_s if i < end else inf
+                     for i, end in zip(self.cursor, self.ends)]
+            self.heads = np.array(heads, np.float64) if vector else heads
         self.booked_at = array("d")
         self.booked_runs = array("q")
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
         """Commit `plan`: book each run at `delivery_time_s`, set each AP's
         window and re-queued bursts as the plan left them, take the packets
-        sent off the counts, and move each head to the AP's first unsent
-        burst."""
+        sent off the queued total and the counts, and move each head to the
+        AP's first unsent burst; a run without counts or heads skips them."""
         at, book = self.booked_at.append, self.booked_runs.extend
         cursor, sent, ends, requeued = self.cursor, self.sent, self.ends, self.requeued
         counts, heads, txops = self.counts, self.heads, self.txops
@@ -400,10 +408,13 @@ class SimState:
             for run in tx.runs:
                 at(delivery_time_s)
                 book(run)
-            counts[ap] -= tx.packets
+            if counts is not None:
+                counts[ap] -= tx.packets
             taken += tx.packets
             cursor[ap], sent[ap] = tx.window
             batches = requeued[ap] = tx.requeued
+            if heads is None:
+                continue
             if batches:
                 heads[ap] = txops[batches[0][0]] * period
             else:
@@ -439,7 +450,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
     With empty buffers no TXOP occurs at all (zero duration) unless
     `timing.always_handshake` is set. Group selection is re-evaluated after
     every slot while packets are queued: the controller reads the run's live
-    `state.counts` and `state.heads` at the slot decision instant, i.e.
+    `state.counts` or `state.heads` at the slot decision instant, i.e.
     TXOP start plus everything already transmitted, so even packets that
     arrived at `now_s` have a positive waiting time. The charges come from
     `timing`.
@@ -605,7 +616,7 @@ def run_simulation(config: SimulationConfig,
     arrivals = _memoized(
         dep_key, "arrivals", (p, timing.num_txops),
         lambda: draw_arrivals(env.deployment, p, traffic_rng, timing.num_txops))
-    state = SimState(arrivals, airtimes, traffic, timing.period_s)
+    state = SimState(arrivals, airtimes, traffic, timing.period_s, kind)
     occupancy = np.empty(timing.num_txops)
     txop_max, period_s, groups = timing.txop_max_us, timing.period_s, env.groups
     for n in range(timing.num_txops):

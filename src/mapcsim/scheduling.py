@@ -11,12 +11,13 @@ An AP's head is the arrival time of its first unsent burst, arrived or
 not (+inf once its arrivals are spent). A burst still to come arrives after
 every decision instant, so a head at or before `now` is a backlogged AP's
 and waits `now - head`, and any other waits 0.0: NumPk reads only the
-counts, OldPk only the heads. With an AP backlogged, as the caller
-guarantees, the OldPk per-AP kinds find theirs, the one with the oldest
-head, as the first minimum of the heads, and work out waits only for the
-members of the groups holding it. The view comes as lists (small grids,
-scored by Python loops) or as numpy vectors (large grids, scored by argmax,
-argmin and numpy column sums); both give the same pick.
+counts, OldPk only the heads, and a run keeps only the half its kind reads.
+With an AP backlogged, as the caller guarantees, the OldPk per-AP kinds
+find theirs, the one with the oldest head, as the first minimum of the
+heads, and work out waits only for the members of the groups holding it.
+The view comes as lists (small grids, scored by Python loops) or as numpy
+vectors (large grids, scored by argmax, argmin and numpy column sums); both
+give the same pick.
 """
 
 from __future__ import annotations
@@ -112,17 +113,17 @@ def _best_mean_group_numpy(groups: GroupSet, scores: Sequence[float]) -> tuple[i
     return groups.groups[int(total.argmax())]
 
 
-def select_group(kind: SchedulerKind, groups: GroupSet, counts: Sequence[int],
-                 heads: Sequence[float], now: float) -> tuple[int, ...]:
+def select_group(kind: SchedulerKind, groups: GroupSet, counts: Sequence[int] | None,
+                 heads: Sequence[float] | None, now: float) -> tuple[int, ...]:
     """AP set to serve in the slot decided at `now`; at least one AP must
     hold packets. The controller's view of the buffers is, per AP, `counts`,
     packets queued, and `heads`, head-of-line arrival times in seconds: a
-    run passes its live view (SimState.counts, .heads), two lists or, on
-    large grids, two numpy vectors, scored by a Python loop or by numpy. A
-    head after `now` (+inf, or a burst still to come) waits 0.0. c-TDMA
-    kinds return singletons; the others return the member set of one stored
-    group."""
-    vector = isinstance(counts, np.ndarray)
+    run passes its live view (SimState.counts, .heads), lists or, on large
+    grids, numpy vectors, scored by a Python loop or by numpy. Only the half
+    the kind reads is needed; a run passes None for the other. A head after
+    `now` (+inf, or a burst still to come) waits 0.0. c-TDMA kinds return
+    singletons; the others return the member set of one stored group."""
+    vector = isinstance(heads if kind.scores_waits else counts, np.ndarray)
     if kind.per_group:
         # empty APs score 0 under both metrics; the two scorers agree exactly
         if not kind.scores_waits:

@@ -145,6 +145,16 @@ def test_non_finite_flags_rejected(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [["run", "--seed", "-1"], ["groups", "--seed", "-3"]],
+                         ids=["run", "groups"])
+def test_negative_seed_flag_rejected(argv, capsys):
+    # both once started and died with numpy's bare "expected non-negative integer"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: seed must be >= 0, got {argv[-1]}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("extra, message", [
     ({"scenario": {"subarea_side_m": float("nan")}}, "subarea_side_m must be finite"),
     ({"scenario": {"noise_dbm": float("nan")}}, "noise_dbm must be finite"),

@@ -11,7 +11,7 @@ from mapcsim import (Campaign, McsTable, ScenarioConfig, SimulationConfig,
                      TimingConfig, TrafficConfig, data_rate_bps,
                      default_mcs_table, load_campaign, load_simulation_config,
                      run_simulation, save_simulation_config)
-from mapcsim.campaign import campaign_from_dict
+from mapcsim.campaign import campaign_from_dict, run_seed
 from mapcsim.config import simulation_config_from_dict
 
 
@@ -300,6 +300,23 @@ def test_integer_fields_accept_numpy_integers():
     for name, cls, _ in INTEGER_FIELDS:
         assert getattr(cls(**{name: np.int64(2)}), name) == 2
     assert Campaign(k_values=(np.int32(2), 3)).k_values == (2, 3)
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3)], ids=["int", "numpy"])
+def test_negative_seed_rejected(seed):
+    # -1 was accepted, and the run then died in numpy with a bare "expected
+    # non-negative integer"
+    with pytest.raises(ValueError, match="seed must be >= 0, got "):
+        SimulationConfig(seed=seed)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        simulation_config_from_dict({"seed": seed})
+    # a campaign file's top-level seed is its base config's
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        campaign_from_dict({"seed": seed})
+    # base_seed only names the deployments: run_seed hashes its text
+    campaign = campaign_from_dict({"campaign": {"base_seed": int(seed)}})
+    assert campaign.base_seed == seed and 0 <= run_seed(seed, 0) < 2 ** 63
+    assert SimulationConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("k_values", [(2, float("nan")), (2.5,), (True,)])

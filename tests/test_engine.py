@@ -481,7 +481,7 @@ def _view_lists(state):
 def _view_from_buffers(state):
     """The controller view rebuilt from the bursts themselves and the AP
     lists of the schedule."""
-    queues = [views.bursts(state, ap) for ap in range(len(state.counts))]
+    queues = [views.bursts(state, ap) for ap in range(len(state.ends))]
     counts = [sum(batch[2] for batch in queue) for queue in queues]
     starts = [0] + state.ends[:-1]
     heads = [queue[0][0] if queue else
@@ -512,6 +512,41 @@ def test_controller_view_tracks_buffers(cfg, load_bps, txops):
             assert _view_lists(state) == _view_from_buffers(state), (kind, n)
         assert delivered > 0
         assert any(state.counts)
+
+
+@pytest.mark.parametrize("rows, cols, load_bps", [(3, 3, 1e6), (7, 8, 0.2e6)],
+                         ids=["lists-3x3", "vectors-7x8"])
+def test_run_keeps_only_the_view_half_its_kind_reads(monkeypatch, rows, cols, load_bps):
+    # An OldPk run never adds arrivals to per-AP counts and a NumPk run never
+    # moves a head: after every TXOP the half the kind does not read is None,
+    # and the half it reads equals the one rebuilt from the buffers.
+    scenario = ScenarioConfig(subarea_rows=rows, subarea_cols=cols)
+    vector = scenario.num_aps > engine.LIST_VIEW_MAX_APS
+    assert vector == (rows > 3)
+    txops, checked, plain_run_txop = 100, 0, engine.run_txop
+
+    def watched(state, kind, *args):
+        nonlocal checked
+        record = plain_run_txop(state, kind, *args)
+        counts, heads = _view_from_buffers(state)
+        if kind.scores_waits:
+            kept, dropped, expected = state.heads, state.counts, heads
+        else:
+            kept, dropped, expected = state.counts, state.heads, counts
+        assert dropped is None, kind
+        assert isinstance(kept, np.ndarray) == vector
+        assert np.asarray(kept).tolist() == expected, kind
+        assert state.queued == sum(counts)
+        checked += 1
+        return record
+
+    monkeypatch.setattr(engine, "run_txop", watched)
+    for kind in SchedulerKind:
+        checked = 0
+        report = run_simulation(SimulationConfig(
+            scenario, TimingConfig(num_txops=txops),
+            TrafficConfig(load_bps_per_sta=load_bps), 20.0, 3, kind.value, seed=1))
+        assert checked == txops and report.packets_delivered > 0, kind
 
 
 @pytest.mark.parametrize("cfg", [

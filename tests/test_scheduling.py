@@ -72,17 +72,21 @@ def test_numpk_group_spec_example():
 def test_select_group_never_sees_an_empty_view(monkeypatch, rows, cols, load_bps):
     # run_txop ends a TXOP once no packet is queued. At these loads about
     # half the TXOPs empty every buffer before the cap; none of them may
-    # then ask for one more pick.
+    # then ask for one more pick. Every run keeps its queued total, whichever
+    # half of the view its kind reads, so that is what each pick checks.
+    state = None
+
     def checked(kind, groups, counts, heads, now):
-        assert sum(counts) > 0, (kind, now)
+        assert state.queued > 0, (kind, now)
         return select_group(kind, groups, counts, heads, now)
 
     emptied, run_txop = 0, engine.run_txop
 
-    def counted(state, *args):
-        nonlocal emptied
-        record = run_txop(state, *args)
-        emptied += bool(record.slots) and not state.queued
+    def counted(txop_state, *args):
+        nonlocal emptied, state
+        state = txop_state
+        record = run_txop(txop_state, *args)
+        emptied += bool(record.slots) and not txop_state.queued
         return record
 
     monkeypatch.setattr(engine, "select_group", checked)
@@ -95,6 +99,21 @@ def test_select_group_never_sees_an_empty_view(monkeypatch, rows, cols, load_bps
             scenario, TimingConfig(num_txops=100), TrafficConfig(load_bps_per_sta=load_bps),
             20.0, 3, kind, seed=1))
         assert emptied > 10, kind
+
+
+@pytest.mark.parametrize("kind, view", [
+    (SchedulerKind.OLDPK_GROUP, (None, np.array([0.5, inf, 0.2]))),
+    (SchedulerKind.NUMPK_GROUP, (np.array([5, 0, 9]), None)),
+], ids=["oldpk", "numpk"])
+def test_vector_view_half_picks_the_numpy_scorer(monkeypatch, kind, view):
+    # A run keeps only the half of the view its kind reads; that half alone
+    # decides between the loop and the numpy scorer.
+    def refuse(*args):
+        raise AssertionError("loop scorer given a vector view")
+
+    monkeypatch.setattr(scheduling, "_best_mean_group_loop", refuse)
+    # waits 0.5 / 0 / 0.8 and counts 5 / 0 / 9: {2} leads either way
+    assert select_group(kind, SPEC_GROUPS, *view, 1.0) == (2,)
 
 
 def test_oldpk_single_spec_example():
