@@ -64,6 +64,10 @@ class Campaign:
             raise ValueError("num_deployments must be >= 1")
         if min(self.k_values) < 1:
             raise ValueError("k_values must be >= 1")
+        for axis in ("loads_mbps", "gammas_db", "k_values", "schedulers"):
+            values = getattr(self, axis)  # a repeat would run every run twice
+            if any(values.index(value) < i for i, value in enumerate(values)):
+                raise ValueError(f"sweep axis {axis} repeats a value: {list(values)}")
 
     @property
     def num_runs(self) -> int:

@@ -123,8 +123,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_groups(args: argparse.Namespace) -> int:
     config = _load_base_config(args)
-    env, _ = build_environment(config.scenario, config.gamma_db,
-                               config.max_group_size, config.seed)
+    env = build_environment(config)
     payload = {
         "seed": config.seed,
         "gamma_db": config.gamma_db,

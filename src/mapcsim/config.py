@@ -239,6 +239,14 @@ class SimulationConfig:
         return tuple(bits / data_rate_bps(m, table, timing) * 1e6 for m in range(len(table)))
 
 
+def _section(data: dict[str, Any], key: str, kind: str) -> Any:
+    """Pop config section `key`, refusing one that is not a JSON `kind`."""
+    value = data.pop(key)
+    if not isinstance(value, dict if kind == "object" else list):
+        raise ValueError(f"config section {key} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def _from_dict(cls: type, data: dict[str, Any]):
     """Build a dataclass from a plain dict, rejecting unknown keys."""
     known = {f.name for f in fields(cls)}
@@ -250,16 +258,15 @@ def _from_dict(cls: type, data: dict[str, Any]):
 
 def simulation_config_from_dict(data: dict[str, Any]) -> SimulationConfig:
     data = dict(data)
-    data.pop("campaign", None)  # campaign files embed the same base sections
+    if "campaign" in data:  # campaign files embed the same base sections
+        _section(data, "campaign", "object")
     kwargs: dict[str, Any] = {}
-    if "scenario" in data:
-        kwargs["scenario"] = _from_dict(ScenarioConfig, data.pop("scenario"))
-    if "timing" in data:
-        kwargs["timing"] = _from_dict(TimingConfig, data.pop("timing"))
-    if "traffic" in data:
-        kwargs["traffic"] = _from_dict(TrafficConfig, data.pop("traffic"))
+    for key, cls in (("scenario", ScenarioConfig), ("timing", TimingConfig),
+                     ("traffic", TrafficConfig)):
+        if key in data:
+            kwargs[key] = _from_dict(cls, _section(data, key, "object"))
     if "mcs_table" in data:
-        kwargs["mcs_table"] = McsTable.from_jsonable(data.pop("mcs_table"))
+        kwargs["mcs_table"] = McsTable.from_jsonable(_section(data, "mcs_table", "list"))
     for key in ("gamma_db", "max_group_size", "scheduler", "seed"):
         if key in data:
             kwargs[key] = data.pop(key)

@@ -23,9 +23,10 @@ the station's in-group SINR allows, so an AP's airtime is one PHY preamble
 plus the sum of its segment times. The slot lasts as long as the busiest
 member; APs that finish early idle. The gap between the TXOP cap and the
 next period carries no simulated traffic (it is left to uncoordinated
-use). The airtime table holds each AP set's per-packet airtime and MCS per
-station it serves, as two dicts keyed by station. `plan_slot` reads each
-burst once, skips bursts to a station absent from its airtime dict,
+use). The environment's airtime table holds each AP set's per-packet
+airtime per station it serves, one dict keyed by station (the airtime names
+the MCS). `plan_slot` reads each burst once, skips bursts to a station
+absent from the set's dict,
 changes nothing, and records what each AP sends as runs (lo, hi, head,
 tail): the schedule's bursts [lo, hi) with the packets of the first and
 last burst. A re-queued burst is a run of one, a window drain one run per
@@ -36,7 +37,7 @@ and sets the queue, and the run expands the records into per-burst (delay,
 packets) pairs in one numpy pass after its last TXOP. Every skipped burst is
 re-queued as [schedule index, count], so every burst reads its arrival and
 station from the schedule. A plan's per-burst list, its A-MPDU segments and
-each AP's airtime follow from its runs, the schedule and the set's dicts;
+each AP's airtime follow from its runs, the schedule and the set's dict;
 no run needs them, so the engine does not derive them.
 
 The controller's view of the buffers is kept incrementally, so no slot or
@@ -53,12 +54,13 @@ oldest head is the first minimum of the heads whenever an AP has packets.
 the run's live view, lists on small grids and numpy vectors on large ones,
 and the slot decision instant; a `TimingConfig` works out the charges once.
 
-Runs of one deployment share its static environments and airtime tables,
-one per (gamma, K), and the arrival schedule of each load: the traffic
-stream depends on the seed alone, so the six schedulers, every gamma and
-every K of a (deployment, load) queue the same bursts. The memo holds one
-deployment at a time, keyed by the values it was built from, and
-`run_campaign` clears it. The memoized arrays are read-only.
+Runs of one deployment share its environments, one per (gamma, K), each
+the deployment, groups and airtime table, and the arrival schedule of each
+load: the traffic stream depends on the seed alone, so the six schedulers,
+every gamma and every K of a (deployment, load) queue the same bursts. The
+memo has these two slots, holds one deployment at a time, keyed by the
+values it was built from, and `run_campaign` clears it. The memoized arrays
+are read-only.
 """
 
 from __future__ import annotations
@@ -72,20 +74,12 @@ from typing import Any, Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from .channel import build_rssi_matrix, group_sinr_db, select_mcs
-from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
-                     TrafficConfig, arrival_probability)
+from .config import (SimulationConfig, TimingConfig, TrafficConfig,
+                     arrival_probability)
 from .grouping import GroupSet, build_all_groups
 from .scenario import Deployment, generate_grid_deployment
 from .scheduling import SchedulerKind, select_group
 from .stats import nearest_rank
-
-# One AP set's links, (airtime_us, mcs): the per-packet airtime and MCS of each
-# station a member serves at a usable MCS while the set transmits, keyed by
-# global station id. A station absent from both is unservable in that set.
-# plan_slot reads airtime_us alone; mcs names the MCS of each A-MPDU segment
-# for a reader of the plans.
-SetLinks = tuple[Mapping[int, float], Mapping[int, int]]
-
 
 # Most APs whose controller view SimState keeps in lists; on more APs it keeps
 # numpy vectors, and select_group scores them with numpy. Run time of the six
@@ -197,8 +191,9 @@ class ApTransmission:
     (their station unservable in the scheduled set). `window` (cursor,
     sent) and `requeued` are the AP's queue as it stands after the slot (see
     SimState), and `packets` what it sends in all. The schedule gives each
-    burst's arrival and station, and the set's `mcs` dict each segment's
-    MCS; the plan holds no reference back into the run."""
+    burst's arrival and station, and the set's airtime dict each segment's
+    per-packet airtime, hence its MCS; the plan holds no reference back
+    into the run."""
 
     ap: int
     runs: list[tuple[int, int, int, int]]      # (lo, hi, head, tail)
@@ -360,7 +355,7 @@ class SimState:
     """
 
     def __init__(self, arrivals: ArrivalSchedule,
-                 airtimes: Mapping[tuple[int, ...], SetLinks],
+                 airtimes: Mapping[tuple[int, ...], Mapping[int, float]],
                  traffic: TrafficConfig, period_s: float,
                  kind: SchedulerKind | None = None):
         ap_bounds = arrivals.ap_bounds
@@ -467,7 +462,7 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
         if budget - map_tf - te - overhead <= preamble_us:
             break  # plan_slot would refuse whatever group is selected
         members = select_group(kind, groups, counts, heads, now_s + consumed * 1e-6)
-        plan = plan_slot(members, state, airtimes[members][0], timing, budget)
+        plan = plan_slot(members, state, airtimes[members], timing, budget)
         if plan is None:
             break
         consumed += slot_us + plan.duration_us
@@ -481,17 +476,20 @@ def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
 
 @dataclass
 class Environment:
-    """Static per-run context: the deployment, its RSSI database and the
-    SR-compatible groups built from it."""
+    """What the runs of one (deployment, gamma, K) read: the deployment, its
+    SR-compatible groups and the airtime table, which maps each member tuple
+    `select_group` can return (every stored group and every singleton) to
+    {station: per-packet airtime in us} of each station a member serves at a
+    usable MCS while the set transmits; other stations are unservable in it."""
 
     deployment: Deployment
-    rssi_dbm: np.ndarray
     groups: GroupSet
+    airtimes: dict[tuple[int, ...], dict[int, float]]
 
 
-# What the runs of one deployment, (scenario, seed), share: an environment and
-# an airtime table per (gamma, K) and the latest arrival schedule, keyed by the
-# values they are built from, never by id() (a new object can reuse one).
+# What the runs of one deployment, (scenario, seed), share: an environment per
+# (gamma, K) and the latest arrival schedule, keyed by the values they are
+# built from, never by id() (a new object can reuse one).
 # deployment -> {slot: (key, value)}; it holds one deployment at a time.
 _memo: dict[Hashable, dict[Hashable, tuple[Hashable, Any]]] = {}
 
@@ -513,59 +511,45 @@ def _memoized(dep_key: Hashable, slot: Hashable, key: Hashable,
 
 
 def clear_memos() -> None:
-    """Forget the memoized environments, airtime tables and arrival schedule."""
+    """Forget the memoized environments and arrival schedule."""
     _memo.clear()
 
 
-def build_environment(scenario: ScenarioConfig, gamma_db: float,
-                      max_group_size: int, seed: int
-                      ) -> tuple[Environment, np.random.Generator]:
-    """Deployment + RSSI + groups for `seed`; also returns the traffic RNG.
+def build_environment(config: SimulationConfig) -> Environment:
+    """The environment of `config`'s (scenario, seed, gamma, K).
 
-    The seed is split so the deployment stream is independent of the traffic
-    stream: two runs with the same seed share the deployment even if they
-    consume different amounts of traffic randomness. The environment is
-    memoized and shared by every caller asking for the same values, so its
-    arrays are read-only; the traffic RNG is new on every call.
+    The deployment draws from the first child of the seed's `SeedSequence`,
+    the arrivals from the second (see run_simulation), so runs with the same
+    seed share the deployment whatever traffic they draw. The RSSI matrix
+    lives only while the groups and the table are built. The environment is
+    memoized per (gamma, K), keyed by the MCS thresholds and per-MCS packet
+    airtimes of its table, and shared, so its arrays are read-only.
     """
-    deploy_ss, traffic_ss = np.random.SeedSequence(seed).spawn(2)
+    scenario, noise_dbm = config.scenario, config.scenario.noise_dbm
 
     def build() -> Environment:
+        deploy_ss, _ = np.random.SeedSequence(config.seed).spawn(2)
         deployment = generate_grid_deployment(scenario, np.random.default_rng(deploy_ss))
         rssi = build_rssi_matrix(deployment, scenario)
-        groups = build_all_groups(rssi, deployment, scenario.noise_dbm, gamma_db,
-                                  max_group_size)
+        groups = build_all_groups(rssi, deployment, noise_dbm, config.gamma_db,
+                                  config.max_group_size)
         for array in (deployment.ap_positions, deployment.station_positions,
-                      deployment.association, rssi, groups.member_columns, groups.sizes):
+                      deployment.association, groups.member_columns, groups.sizes):
             array.flags.writeable = False
-        return Environment(deployment, rssi, groups)
+        per_packet_us, stations_by_ap = config.packet_airtimes_us, deployment.stations_by_ap
+        airtimes: dict[tuple[int, ...], dict[int, float]] = {}
+        singletons = tuple((ap,) for ap in range(deployment.num_aps))
+        for members in dict.fromkeys(groups.groups + singletons):
+            links = airtimes[members] = {}
+            for _, sta, sinr in group_sinr_db(members, rssi, stations_by_ap, noise_dbm):
+                mcs = select_mcs(sinr, config.mcs_table)
+                if mcs is not None:
+                    links[sta] = per_packet_us[mcs]
+        return Environment(deployment, groups, airtimes)
 
-    env = _memoized((scenario, seed), ("environment", gamma_db, max_group_size),
-                    (), build)
-    return env, np.random.default_rng(traffic_ss)
-
-
-def _selection_airtimes(env: Environment, config: SimulationConfig
-                        ) -> dict[tuple[int, ...], SetLinks]:
-    """The airtime table: the (airtime_us, mcs) pair of every AP set a
-    scheduler can pick, keyed by the member tuple `select_group` returns:
-    all stored groups plus every c-TDMA singleton. RSSI is static, so the
-    in-group SINR (and hence MCS and airtime) never changes during a run."""
-    stations_by_ap, noise_dbm = env.deployment.stations_by_ap, config.scenario.noise_dbm
-    per_packet_us = config.packet_airtimes_us
-
-    def links(members: tuple[int, ...]) -> SetLinks:
-        airtime_us: dict[int, float] = {}
-        mcs_of: dict[int, int] = {}
-        for _, sta, sinr in group_sinr_db(members, env.rssi_dbm, stations_by_ap, noise_dbm):
-            mcs = select_mcs(sinr, config.mcs_table)
-            if mcs is not None:
-                airtime_us[sta], mcs_of[sta] = per_packet_us[mcs], mcs
-        return airtime_us, mcs_of
-
-    singletons = tuple((ap,) for ap in range(env.deployment.num_aps))
-    return {members: links(members)
-            for members in dict.fromkeys(env.groups.groups + singletons)}
+    return _memoized((scenario, config.seed),
+                     ("environment", config.gamma_db, config.max_group_size),
+                     (config.mcs_table.min_sinrs, config.packet_airtimes_us), build)
 
 
 @dataclass
@@ -606,17 +590,15 @@ def run_simulation(config: SimulationConfig,
         warnings.warn(f"gamma_db {config.gamma_db:g} dB is below the lowest MCS "
                       f"threshold, {mcs_table.min_sinrs[0]:g} dB: groups may hold "
                       f"stations that no MCS can serve", UserWarning, stacklevel=2)
-    dep_key, sweep = (scenario, config.seed), (config.gamma_db, config.max_group_size)
-    env, traffic_rng = build_environment(scenario, *sweep, config.seed)
-    airtimes = _memoized(dep_key, ("airtimes",) + sweep,
-                         (mcs_table.min_sinrs, config.packet_airtimes_us),
-                         lambda: _selection_airtimes(env, config))
+    env = build_environment(config)
     p = arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
                             traffic.packet_bytes, timing.period_s)
+    _, traffic_ss = np.random.SeedSequence(config.seed).spawn(2)
     arrivals = _memoized(
-        dep_key, "arrivals", (p, timing.num_txops),
-        lambda: draw_arrivals(env.deployment, p, traffic_rng, timing.num_txops))
-    state = SimState(arrivals, airtimes, traffic, timing.period_s, kind)
+        (scenario, config.seed), "arrivals", (p, timing.num_txops),
+        lambda: draw_arrivals(env.deployment, p, np.random.default_rng(traffic_ss),
+                              timing.num_txops))
+    state = SimState(arrivals, env.airtimes, traffic, timing.period_s, kind)
     occupancy = np.empty(timing.num_txops)
     txop_max, period_s, groups = timing.txop_max_us, timing.period_s, env.groups
     for n in range(timing.num_txops):

@@ -166,6 +166,35 @@ def test_sweep_axes_must_be_lists(key, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, values", [
+    ("loads_mbps", [1.0, 1.0]), ("gammas_db", [20.0, 5.0, 20]), ("k_values", [3, 2, 3]),
+    ("schedulers", ["numpk-single", "ctdma-numpk", "numpk-single"])])
+def test_sweep_axes_refuse_repeated_values(key, values, tmp_path, capsys):
+    # a repeated load once ran every run twice, and cdf_p95_delay.csv gave
+    # the one deployment of the sweep point two samples
+    message = f"sweep axis {key} repeats a value: {values!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Campaign(**{key: tuple(values)})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        campaign_from_dict({"campaign": {key: values, "num_deployments": 1}})
+    out = tmp_path / "out"
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"campaign": {key: values, "num_deployments": 1,
+                                             "out_dir": str(out)}}))
+    assert main(["campaign", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_value_checks_come_before_the_repeat_check():
+    with pytest.raises(ValueError, match=r"loads_mbps\[2\] must be finite"):
+        Campaign(loads_mbps=(1.0, 1.0, None))
+    with pytest.raises(ValueError, match=r"k_values\[1\] must be an integer"):
+        Campaign(k_values=(2, 2.5, 2.5))
+    with pytest.raises(ValueError, match="k_values must be >= 1"):
+        Campaign(k_values=(0, 0))
+
+
 @pytest.mark.parametrize("load", [True, "1", None])
 def test_non_finite_loads_rejected(load):
     # a bool would run at 1 Mbps/STA; a string or None would fail in the sweep

@@ -18,6 +18,7 @@ from mapcsim import (Campaign, ScenarioConfig, TimingConfig, TrafficConfig,
 from mapcsim.campaign import (PER_RUN_COLUMNS, RunSpec, enumerate_runs,
                               execute_run, write_csv)
 from mapcsim.cli import main
+from test_config import CONFIG_SECTIONS_OF_WRONG_TYPE
 
 
 def _write_config(tmp_path, extra=None):
@@ -178,6 +179,15 @@ def test_non_finite_config_rejected(tmp_path, extra, message, capsys):
     assert main(["run", "--config", str(path), "--load-mbps", "6"]) == 1
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("extra, message", CONFIG_SECTIONS_OF_WRONG_TYPE)
+def test_config_sections_of_the_wrong_type_reported(tmp_path, extra, message, capsys):
+    path = _write_config(tmp_path, extra)
+    assert main(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
     assert captured.out == ""
 
 

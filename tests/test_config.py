@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 from dataclasses import fields, replace
 from pathlib import Path
@@ -61,6 +62,30 @@ def test_unknown_keys_rejected():
         simulation_config_from_dict({"scenario": {"cca_dbm": -82.0}})
     with pytest.raises(ValueError, match="unknown TimingConfig keys.*cts_timeout_us"):
         simulation_config_from_dict({"timing": {"cts_timeout_us": 41.0}})
+
+
+CONFIG_SECTIONS_OF_WRONG_TYPE = [
+    # each once failed with a bare TypeError: "'NoneType' object is not
+    # iterable", "'int' object is not iterable" or "argument after ** must
+    # be a mapping"
+    ({"traffic": None}, "config section traffic must be a JSON object, got None"),
+    ({"scenario": 5}, "config section scenario must be a JSON object, got 5"),
+    ({"scenario": ["subarea_rows"]},
+     "config section scenario must be a JSON object, got ['subarea_rows']"),
+    ({"timing": "fast"}, "config section timing must be a JSON object, got 'fast'"),
+    ({"campaign": 5}, "config section campaign must be a JSON object, got 5"),
+    ({"mcs_table": 5}, "config section mcs_table must be a JSON list, got 5"),
+    ({"mcs_table": {"0": [0, 2.0, 117.0]}},
+     "config section mcs_table must be a JSON list, got {'0': [0, 2.0, 117.0]}"),
+]
+
+
+@pytest.mark.parametrize("data, message", CONFIG_SECTIONS_OF_WRONG_TYPE)
+def test_config_sections_of_the_wrong_type_rejected(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulation_config_from_dict(data)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        campaign_from_dict(data)
 
 
 def test_timing_invariants():

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from mapcsim import (ArrivalSchedule, Deployment, McsTable, ScenarioConfig,
                      SchedulerKind, SimulationConfig, TimingConfig,
                      TrafficConfig, arrival_probability, build_environment,
-                     data_rate_bps, default_mcs_table, draw_arrivals, engine,
-                     generate_grid_deployment, plan_slot, run_simulation,
-                     select_mcs, station_sinr_db, step_arrivals)
+                     build_rssi_matrix, data_rate_bps, default_mcs_table,
+                     draw_arrivals, engine, generate_grid_deployment,
+                     plan_slot, run_simulation, select_mcs, station_sinr_db,
+                     step_arrivals)
 from mapcsim.engine import SimState, run_txop
 import views
 from oracles import nearest_rank_reference
@@ -409,13 +410,9 @@ def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0,
                 arrival_prob=0.0, num_txops=0):
     """A run's state over `num_txops` TXOPs of arrivals drawn at `arrival_prob`
     from the seed's traffic stream."""
-    from mapcsim.engine import _selection_airtimes
-
-    env, rng = build_environment(scenario, gamma, k, seed)
-    airtimes = _selection_airtimes(env, SimulationConfig(scenario, timing, traffic,
-                                                         gamma, k, seed=seed))
-    schedule = draw_arrivals(env.deployment, arrival_prob, rng, num_txops)
-    return SimState(schedule, airtimes, traffic, timing.period_s), env
+    env = build_environment(SimulationConfig(scenario, timing, traffic, gamma, k, seed=seed))
+    schedule = draw_arrivals(env.deployment, arrival_prob, views.traffic_rng(seed), num_txops)
+    return SimState(schedule, env.airtimes, traffic, timing.period_s), env
 
 
 def test_run_txop_empty_buffers():
@@ -674,8 +671,9 @@ def test_single_station_steady_state_closed_form():
     seed = 17
     rep = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-single",
                                           seed=seed))
-    env, _ = build_environment(cfg, 20.0, 3, seed)
-    sinr = station_sinr_db(0, 0, (0,), env.rssi_dbm, cfg.noise_dbm)
+    env = build_environment(SimulationConfig(cfg, tim, tr, 20.0, 3, seed=seed))
+    rssi = build_rssi_matrix(env.deployment, cfg)
+    sinr = station_sinr_db(0, 0, (0,), rssi, cfg.noise_dbm)
     mcs = select_mcs(sinr, default_mcs_table())
     per_pkt_us = tr.packet_bits / data_rate_bps(mcs, default_mcs_table(), tim) * 1e6
     expected_us = (tim.handshake_us + tim.map_tf_us + tim.te_us
@@ -793,7 +791,7 @@ def _loop_step_arrivals(buffers, deployment, traffic, arrival_prob, rng, now_s):
 ], ids=["3x3", "12x12", "weak-links"])
 @pytest.mark.parametrize("p", [0.0, 0.08, 1 / 3, 1.0])
 def test_step_arrivals_matches_station_loop(cfg, p):
-    env, _ = build_environment(cfg, 20.0, 3, seed=5)
+    env = build_environment(SimulationConfig(cfg, seed=5))
     tr = TrafficConfig()
     rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
     schedule = draw_arrivals(env.deployment, p, rng_new, 6)
@@ -918,14 +916,15 @@ def _run_outcome(cfg, kind, seed, tr, mcs_table=default_mcs_table(), txops=150):
 def test_warm_memo_run_equals_cold_run(cfg):
     tr = TrafficConfig(load_bps_per_sta=6e6)
     kinds = [kind.value for kind in SchedulerKind]
+    config = SimulationConfig(cfg, TimingConfig(num_txops=150), tr, 20.0, 3, seed=3)
     for i, kind in enumerate(kinds):
         engine.clear_memos()
         cold = _run_outcome(cfg, kind, 3, tr)
         engine.clear_memos()
         _run_outcome(cfg, kinds[i - 1], 3, tr)  # warms the memo with another kind
-        shared = build_environment(cfg, 20.0, 3, 3)[0]
+        shared = build_environment(config)
         assert _run_outcome(cfg, kind, 3, tr) == cold, kind
-        assert build_environment(cfg, 20.0, 3, 3)[0] is shared
+        assert build_environment(replace(config, scheduler=kind)) is shared
 
 
 def test_memo_rebuilds_airtimes_for_new_mcs_table_or_packet_size():
@@ -1089,51 +1088,55 @@ def test_arrival_schedule_is_shared_read_only_and_cleared(monkeypatch):
 
 
 def test_memo_keeps_a_deployment_and_drops_it_before_the_next(monkeypatch):
-    cfg = ScenarioConfig()
+    config = SimulationConfig(ScenarioConfig(), seed=1)
     engine.clear_memos()
-    sweep = ((5.0, 3), (20.0, 3), (20.0, 2))
-    kept = [weakref.ref(build_environment(cfg, gamma, k, seed=1)[0])
-            for gamma, k in sweep]
-    for (gamma, k), ref in zip(sweep, kept):  # every (gamma, K) of the seed stays
-        assert build_environment(cfg, gamma, k, seed=1)[0] is ref()
+    sweep = [replace(config, gamma_db=gamma, max_group_size=k)
+             for gamma, k in ((5.0, 3), (20.0, 3), (20.0, 2))]
+    kept = [weakref.ref(build_environment(point)) for point in sweep]
+    for point, ref in zip(sweep, kept):  # every (gamma, K) of the seed stays
+        assert build_environment(point) is ref()
 
     def checking(*args):
         assert all(ref() is None for ref in kept)
         return generate_grid_deployment(*args)
 
     monkeypatch.setattr(engine, "generate_grid_deployment", checking)
-    build_environment(cfg, 20.0, 3, seed=2)
+    build_environment(replace(config, seed=2))
     assert all(ref() is None for ref in kept)
 
 
 def test_shared_environment_is_read_only():
-    env, _ = build_environment(ScenarioConfig(), 20.0, 3, seed=6)
+    env = build_environment(SimulationConfig(ScenarioConfig(), seed=6))
     dep, groups = env.deployment, env.groups
-    for array in (env.rssi_dbm, dep.ap_positions, dep.station_positions,
+    for array in (dep.ap_positions, dep.station_positions,
                   dep.association, groups.member_columns, groups.sizes):
         with pytest.raises(ValueError):
             array[0] = array[0]
     with pytest.raises(ValueError):
-        env.rssi_dbm += 1.0
+        dep.station_positions += 1.0
 
 
 def test_airtime_table_of_a_12x12_deployment_stays_small():
-    # 288 AP sets x 432 stations: two station-keyed dicts per set trace about
-    # 0.2 MB, where two lists per set indexed by station would take about 2 MB
-    from mapcsim.engine import _selection_airtimes
-
+    # The environment of a 12x12 deployment, as the memo keeps it: 144 APs,
+    # 432 stations, 288 AP sets. It traces about 0.18 MB, most of it one
+    # station-keyed airtime dict per set. Keeping the 0.47 MB RSSI matrix
+    # and a second station -> MCS dict per set took 0.73 MB; two lists per
+    # set indexed by station would take about 2 MB. A small build first does
+    # the lazy set-up of the first call, which is not what is measured.
+    engine.clear_memos()
+    build_environment(SimulationConfig(ScenarioConfig(subarea_rows=1, subarea_cols=1)))
     scenario = ScenarioConfig(subarea_rows=12, subarea_cols=12)
     config = SimulationConfig(scenario, TIM, TrafficConfig(load_bps_per_sta=2e6), seed=901)
-    env, _ = build_environment(scenario, config.gamma_db, config.max_group_size, config.seed)
     tracemalloc.start()
     try:
-        table = _selection_airtimes(env, config)
+        env = build_environment(config)
         traced, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(table) == 288
-    assert sum(len(airtime_us) for airtime_us, _ in table.values()) > 288 * 3
-    assert traced < 1 << 20
+        engine.clear_memos()
+    assert len(env.airtimes) == 288
+    assert sum(len(airtime_us) for airtime_us in env.airtimes.values()) > 288 * 3
+    assert traced < 0.3 * (1 << 20)
 
 
 def test_gamma_below_mcs0_warns():

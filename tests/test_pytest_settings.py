@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 FAILING_THEN_PASSING = '''
@@ -34,3 +36,11 @@ def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     assert "INTERNALERROR" not in out
     assert "FAILED test_failing.py::test_fails" in out
     assert "1 failed, 1 passed" in out
+
+
+def test_property_tests_draw_fixed_examples():
+    # conftest.py loads a derandomized profile, and a test's own settings,
+    # such as its max_examples, inherit it
+    for current in (settings.default, settings(max_examples=5)):
+        assert current.derandomize
+        assert current.database is None and current.deadline is None

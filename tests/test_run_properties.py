@@ -1,12 +1,16 @@
 """Whole-run properties over small random configs: every scheduler kind on
 grids of 1x1 to 4x4 APs, with random load, burst size, TXOP cap and
 handshake switch, up to 200 TXOPs per run; per-station FIFO order and the
-booked delays also on weak links and below the MCS-0 threshold."""
+booked delays also on weak links and below the MCS-0 threshold; and the
+relations between kinds that hold by construction on random geometries of
+up to 5x5 APs."""
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,3 +140,65 @@ def test_booked_delays_equal_the_trace(config, geometry):
         assert np.array_equal(np.sort(delays), report.delays_sorted_s), kind
         if len(delays):
             assert float(delays.mean()) == report.mean_delay_s, kind
+
+
+NUMPK_KINDS = ("numpk-single", "numpk-group", "ctdma-numpk")
+OLDPK_KINDS = ("oldpk-single", "oldpk-group", "ctdma-oldpk")
+
+
+@st.composite
+def geometries(draw):
+    """A random small deployment, radio band, load, gamma and K."""
+    scenario = ScenarioConfig(
+        subarea_rows=draw(st.integers(1, 5), label="rows"),
+        subarea_cols=draw(st.integers(1, 5), label="cols"),
+        subarea_side_m=draw(st.floats(2.0, 60.0), label="subarea_side_m"),
+        wall_count=draw(st.integers(0, 6), label="wall_count"),
+        stations_per_subarea=draw(st.integers(1, 6), label="stations_per_subarea"),
+        carrier_freq_ghz=draw(st.sampled_from([2.4, 5.0, 6.0]), label="carrier_freq_ghz"))
+    burst = draw(st.sampled_from([1, 3, 10]), label="burst_packets")
+    top_mbps = burst * PACKET_BITS / TimingConfig().period_s / 1e6  # the load of p = 1
+    load_mbps = draw(st.floats(0.5, min(9.0, 0.999 * top_mbps)), label="load_mbps")
+    return SimulationConfig(
+        scenario, TimingConfig(num_txops=300),
+        TrafficConfig(load_bps_per_sta=load_mbps * 1e6, burst_packets=burst),
+        # in tenths of a dB: a float draw would sit at 0 dB in most examples
+        gamma_db=draw(st.integers(-50, 200), label="gamma_tenths_db") / 10,
+        max_group_size=draw(st.integers(1, 4), label="K"),
+        seed=draw(st.integers(0, 10**6), label="seed"))
+
+
+def _reports(config):
+    """kind -> the report of every kind on `config`, as bytes and exact
+    values: a NaN mean delay (nothing delivered) never equals itself, its
+    repr does. Below the lowest MCS threshold every run must warn."""
+    below = config.gamma_db < config.mcs_table.min_sinrs[0]
+    reports = {}
+    for kind in SCHEDULER_NAMES:
+        with pytest.warns(UserWarning, match="below the lowest MCS") if below else nullcontext():
+            report = run_simulation(replace(config, scheduler=kind))
+        # d: packets are conserved and the TXOP is never overrun, up to
+        # plan_slot's 1e-9 fit slack
+        assert report.packets_arrived == (report.packets_delivered
+                                          + report.packets_remaining), kind
+        occupancy = report.per_txop_occupancy
+        assert 0.0 <= occupancy.min() and occupancy.max() <= 1.0 + 1e-9, kind
+        reports[kind] = (report.delays_sorted_s.tobytes(), occupancy.tobytes(),
+                         repr(report.mean_delay_s), repr(report.throughput_bps),
+                         report.packets_delivered, report.packets_remaining)
+    return reports
+
+
+@settings(max_examples=30)
+@given(geometries())
+def test_kinds_relate_alike_on_any_geometry(config):
+    reports = _reports(config)
+    # a: at K = 1 every group is a singleton; b: at 300 dB no two APs can
+    # share a slot. Either way a kind's per-AP and per-Group rules pick the
+    # same AP set as its c-TDMA one.
+    for point in (replace(config, max_group_size=1), replace(config, gamma_db=300.0)):
+        at_point = _reports(point)
+        for kinds in (NUMPK_KINDS, OLDPK_KINDS):
+            assert len({at_point[kind] for kind in kinds}) == 1, (point, kinds)
+            # c: the c-TDMA kinds do not depend on gamma or K
+            assert at_point[kinds[-1]] == reports[kinds[-1]], (point, kinds)

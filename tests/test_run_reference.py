@@ -76,16 +76,16 @@ def configs(draw, sides=st.integers(1, 4), stations=st.integers(1, 4),
                             mcs_table=mcs_table)
 
 
-def _engine_txops(records, source):
+def _engine_txops(records, source, config):
     """The trace in the reference's terms: per TXOP (handshake_us, slots,
     total_us), per slot (members, (ap, station, mcs, packets) per segment,
-    duration_us), each segment's MCS from the set's `mcs` dict in the
-    airtime table of `source` (see views)."""
+    duration_us), each segment's MCS the one whose per-packet airtime its
+    station has in the set's dict of `source`'s airtime table (see views)."""
     return [(rec.handshake_us,
              [(slot.members,
                [(tx.ap, sta, mcs, k) for tx in slot.transmissions
-                for sta, mcs, k in views.segments(tx, source,
-                                                  source.airtimes[slot.members][1])],
+                for sta, mcs, k in views.segments(
+                    tx, source, views.mcs_labels(source.airtimes[slot.members], config))],
                slot.duration_us) for slot in rec.slots],
              rec.total_duration_us) for rec in records]
 
@@ -159,7 +159,7 @@ def _assert_runs_equal_the_reference(config):
             report = run_simulation(run, txop_trace=records)
         want_txops, want = reference_run(run)
         want_txops = _with_reference_mcs(run, want_txops)
-        got_txops = _engine_txops(records, views.fresh_state(run))
+        got_txops = _engine_txops(records, views.fresh_state(run), run)
         assert len(got_txops) == len(want_txops), kind
         for n, (got, expected) in enumerate(zip(got_txops, want_txops)):
             assert got == expected, (kind, n)

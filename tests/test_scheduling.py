@@ -246,8 +246,8 @@ def test_summary_waits():
 def test_both_mean_scorers_match_exhaustive_scorer(rows, num_groups):
     # Each per-Group scorer on the stored groups of a real deployment, at
     # the scale that selects it and at the scales that select the other.
-    env, _ = build_environment(
-        ScenarioConfig(subarea_rows=rows, subarea_cols=rows), 20.0, 3, 1)
+    env = build_environment(SimulationConfig(
+        ScenarioConfig(subarea_rows=rows, subarea_cols=rows), seed=1))
     stored = env.groups
     assert len(stored) == num_groups
     n_aps = rows * rows
@@ -299,8 +299,8 @@ def test_summed_group_adds_left_to_right():
 @lru_cache(maxsize=3)
 def _stored_groups(rows):
     """The stored groups of the seed-1 deployment on a rows x rows grid."""
-    env, _ = build_environment(ScenarioConfig(subarea_rows=rows, subarea_cols=rows),
-                               20.0, 3, 1)
+    env = build_environment(SimulationConfig(
+        ScenarioConfig(subarea_rows=rows, subarea_cols=rows), seed=1))
     return env.groups
 
 

@@ -3,7 +3,7 @@ looks: 12x12 grids at low gamma, where most AP pairs and many triples pass
 the SINR test, with K 2-4, on the default geometry and with weak links.
 
 Each case hashes the stored groups' member tuples and every AP set's
-airtime and MCS dicts, with floats by repr, so that one flipped SINR
+airtime dict with the MCS labels it implies, with floats by repr, so that one flipped SINR
 threshold decision (a group member, or a station's MCS) changes the
 digest. The digests were recorded with the earlier static stages, which
 summed the SINR in numpy scalars and built the distances from
@@ -21,7 +21,8 @@ import pytest
 from mapcsim import (ScenarioConfig, SimulationConfig, TimingConfig,
                      TrafficConfig, build_all_groups, build_environment,
                      build_rssi_matrix, generate_grid_deployment)
-from mapcsim.engine import _selection_airtimes, clear_memos
+from mapcsim.engine import clear_memos
+import views
 
 SCENARIOS = {
     "12x12": ScenarioConfig(subarea_rows=12, subarea_cols=12),
@@ -60,10 +61,10 @@ PINNED = {
 def _static_layer_digest(scenario, gamma_db, max_group_size):
     config = SimulationConfig(scenario, TimingConfig(), TrafficConfig(), gamma_db,
                               max_group_size, seed=SEED)
-    env, _ = build_environment(scenario, gamma_db, max_group_size, SEED)
-    table = _selection_airtimes(env, config)
+    env = build_environment(config)
     digest = hashlib.sha256(repr(env.groups.groups).encode())
-    for members, (airtime_us, mcs) in table.items():
+    for members, airtime_us in env.airtimes.items():
+        mcs = views.mcs_labels(airtime_us, config)
         digest.update(repr((members, airtime_us, mcs)).encode())
     return digest.hexdigest()
 

@@ -11,8 +11,10 @@ finished run passes `fresh_state(config)`, a new state over the same
 schedule and airtime table, since a plan keeps no reference to its run.
 """
 
+import numpy as np
+
 from mapcsim import arrival_probability, build_environment, draw_arrivals
-from mapcsim.engine import SimState, _selection_airtimes
+from mapcsim.engine import SimState
 
 
 def taken(tx, source):
@@ -25,10 +27,18 @@ def taken(tx, source):
             for lo, hi, head, tail in tx.runs for i in range(lo, hi)]
 
 
+def mcs_labels(airtime_us, config):
+    """The station -> MCS map of a set's airtime dict: the MCS of a station
+    is the one whose per-packet airtime it is in `config`, distinct per MCS."""
+    per_packet_us = config.packet_airtimes_us
+    assert len(set(per_packet_us)) == len(per_packet_us)
+    return {sta: per_packet_us.index(us) for sta, us in airtime_us.items()}
+
+
 def segments(tx, source, mcs):
     """(station, mcs, packet count) per station `tx` sends to, by first
-    appearance, with the MCS from the station -> MCS map `mcs`: a run's
-    set's `mcs` dict, or a hand-built test's own labels."""
+    appearance, with the MCS from the station -> MCS map `mcs`: the
+    `mcs_labels` of a run's set, or a hand-built test's own labels."""
     counts = {}
     for k, _, sta in taken(tx, source):
         counts[sta] = counts.get(sta, 0) + k
@@ -59,23 +69,26 @@ def bursts(state, ap):
     return queue
 
 
+def traffic_rng(seed):
+    """A fresh traffic stream of `seed`: its `SeedSequence`'s second child,
+    the one a run draws its arrivals from."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+
+
 def run_schedule(config):
     """The arrival schedule of run `config`, drawn again: the environment is
-    rebuilt (or shared) for the seed with a fresh traffic RNG, and the draw
-    is deterministic, so the schedule equals the run's."""
+    rebuilt (or shared) for the seed, the traffic stream is fresh, and the
+    draw is deterministic, so the schedule equals the run's."""
     timing, traffic = config.timing, config.traffic
-    env, rng = build_environment(config.scenario, config.gamma_db,
-                                 config.max_group_size, config.seed)
     p = arrival_probability(traffic.load_bps_per_sta, traffic.burst_packets,
                             traffic.packet_bytes, timing.period_s)
-    return draw_arrivals(env.deployment, p, rng, timing.num_txops)
+    return draw_arrivals(build_environment(config).deployment, p,
+                         traffic_rng(config.seed), timing.num_txops)
 
 
 def fresh_state(config):
     """A new state over run `config`'s schedule and airtime table: a source
     for the views of its trace, whose `airtimes[members]` is the set's
-    (airtime_us, mcs) pair."""
-    env, _ = build_environment(config.scenario, config.gamma_db,
-                               config.max_group_size, config.seed)
-    return SimState(run_schedule(config), _selection_airtimes(env, config),
+    {station: per-packet airtime} dict."""
+    return SimState(run_schedule(config), build_environment(config).airtimes,
                     config.traffic, config.timing.period_s)
