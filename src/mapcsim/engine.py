@@ -22,23 +22,23 @@ to the same station are aggregated into one A-MPDU segment sent at the MCS
 the station's in-group SINR allows, so an AP's airtime is one PHY preamble
 plus the sum of its segment times. The slot lasts as long as the busiest
 member; APs that finish early idle. The gap between the TXOP cap and the
-next period carries no simulated traffic (it is left to uncoordinated
-use). The environment's airtime table holds each AP set's per-packet
-airtime per station it serves, one dict keyed by station (the airtime names
-the MCS). `plan_slot` reads each burst once, skips bursts to a station
-absent from the set's dict,
-changes nothing, and records what each AP sends as runs (lo, hi, head,
-tail): the schedule's bursts [lo, hi) with the packets of the first and
-last burst. A re-queued burst is a run of one, a window drain one run per
-stretch between skipped bursts. It also records where the AP's queue ends:
-its window (cursor, sent) and its re-queued bursts. A plan holds only that,
-which `deliver` commits: it books each run whole, with its delivery time,
-and sets the queue, and the run expands the records into per-burst (delay,
-packets) pairs in one numpy pass after its last TXOP. Every skipped burst is
-re-queued as [schedule index, count], so every burst reads its arrival and
-station from the schedule. A plan's per-burst list, its A-MPDU segments and
-each AP's airtime follow from its runs, the schedule and the set's dict;
-no run needs them, so the engine does not derive them.
+next period carries no simulated traffic (it is left to uncoordinated use).
+The environment's airtime table holds each AP set's per-packet airtime per
+station it serves, one dict keyed by station (the airtime names the MCS).
+`plan_slot` reads each burst once, skips bursts to a station absent from
+the set's dict, changes nothing, and records what each AP sends as runs
+(lo, hi, head, tail): the schedule's bursts [lo, hi) with the packets of
+the first and last burst. A re-queued burst is a run of one, a window drain
+one run per stretch between skipped bursts. It also records where the AP's
+queue ends: its window (cursor, sent) and its re-queued bursts. A plan
+holds only that, which `deliver` commits: it books each run whole, with its
+delivery time, and sets the queue, and the run expands the records into
+per-burst (delay, packets) pairs in one numpy pass after its last TXOP,
+empty ones if it booked nothing. Every skipped burst is re-queued as
+[schedule index, count], so every burst reads its arrival and station from
+the schedule. A plan's per-burst list, its A-MPDU segments and each AP's
+airtime follow from its runs, the schedule and the set's dict; no run needs
+them, so the engine does not derive them.
 
 The controller's view of the buffers is kept incrementally, so no slot or
 TXOP rebuilds it by walking all APs: per AP, the packets queued, which
@@ -50,9 +50,10 @@ keeps `queued`, the packets queued in all. A queued head is at most the
 TXOP start, and a burst still to come arrives a period after it, later than
 any decision instant (the TXOP cap is below the period), so the AP with the
 oldest head is the first minimum of the heads whenever an AP has packets.
-`run_txop` picks only while packets are queued, and `select_group` reads
-the run's live view, lists on small grids and numpy vectors on large ones,
-and the slot decision instant; a `TimingConfig` works out the charges once.
+`run_txop` picks among the groups of the run's `Environment` only while
+packets are queued, and `select_group` reads the run's live view, lists on
+small grids and numpy vectors on large ones, and the slot decision instant;
+a `TimingConfig` works out the charges once.
 
 Runs of one deployment share its environments, one per (gamma, K), each
 the deployment, groups and airtime table, and the arrival schedule of each
@@ -351,13 +352,12 @@ class SimState:
     `booked_at` holds its delivery time and `booked_runs` the run itself,
     four numbers (lo, hi, head, tail; see ApTransmission). `delay_pairs`
     expands them. Plans do not refer back to the state, so a kept trace of
-    them does not keep it alive.
+    them does not keep it alive. The groups and airtime table a run plans
+    over are its Environment's, which run_txop reads.
     """
 
-    def __init__(self, arrivals: ArrivalSchedule,
-                 airtimes: Mapping[tuple[int, ...], Mapping[int, float]],
-                 traffic: TrafficConfig, period_s: float,
-                 kind: SchedulerKind | None = None):
+    def __init__(self, arrivals: ArrivalSchedule, traffic: TrafficConfig,
+                 period_s: float, kind: SchedulerKind | None = None):
         ap_bounds = arrivals.ap_bounds
         num_aps = len(ap_bounds) - 1
         self.cursor: list[int] = ap_bounds[:-1].tolist()
@@ -374,7 +374,6 @@ class SimState:
         self.bounds = memoryview(arrivals.bounds)
         self.burst_packets = traffic.burst_packets
         self.period_s = period_s
-        self.airtimes = airtimes
         self.vector_view = vector = num_aps > LIST_VIEW_MAX_APS
         self.ap_ids = arrivals.aps
         self.counts: Any = None
@@ -421,16 +420,15 @@ class SimState:
         """(delay_s, packets) per burst sent from, in the order sent: the
         booked records expanded in one numpy pass. A burst's delay is its
         record's delivery time less txops[i] * period, the product its
-        arrival time is made of everywhere else."""
-        if not self.booked_at:
-            return np.empty(0), np.empty(0, np.int64)
+        arrival time is made of everywhere else. A run that booked nothing
+        gets empty ones, float64 delays and int64 packets."""
         lo, hi, head, tail = np.frombuffer(self.booked_runs, np.int64).reshape(-1, 4).T
         lengths = hi - lo
         ends = np.cumsum(lengths)
         starts = ends - lengths
         index = np.repeat(lo - starts, lengths)
-        index += np.arange(ends[-1])  # each record's schedule indices
-        counts = np.full(ends[-1], self.burst_packets, np.int64)
+        index += np.arange(len(index))  # each record's schedule indices
+        counts = np.full(len(index), self.burst_packets, np.int64)
         counts[starts] = head
         counts[ends - 1] = tail  # after head: a one-burst run's packets
         delays = np.repeat(np.frombuffer(self.booked_at, np.float64), lengths)
@@ -438,24 +436,24 @@ class SimState:
         return delays, counts
 
 
-def run_txop(state: SimState, kind: SchedulerKind, groups: GroupSet,
+def run_txop(state: SimState, kind: SchedulerKind, env: Environment,
              timing: TimingConfig, now_s: float) -> TxopRecord:
-    """Run the coordinated TXOP starting at `now_s`.
+    """Run the coordinated TXOP starting at `now_s` over `env`.
 
     With empty buffers no TXOP occurs at all (zero duration) unless
     `timing.always_handshake` is set. Group selection is re-evaluated after
-    every slot while packets are queued: the controller reads the run's live
-    `state.counts` or `state.heads` at the slot decision instant, i.e.
-    TXOP start plus everything already transmitted, so even packets that
-    arrived at `now_s` have a positive waiting time. The charges come from
-    `timing`.
+    every slot while packets are queued: the controller picks among
+    `env.groups` from the run's live `state.counts` or `state.heads` at the
+    slot decision instant (TXOP start plus all already sent, so packets that
+    arrived at `now_s` wait a positive time), and `plan_slot` fills the slot
+    from the set's dict in `env.airtimes`. The charges come from `timing`.
     """
     if not state.queued and not timing.always_handshake:
         return TxopRecord(now_s, 0.0, [], 0.0)
     (handshake_us, txop_max, preamble_us, map_tf, te, overhead,
      slot_us) = timing.txop_figures
     consumed = handshake_us
-    airtimes, counts, heads = state.airtimes, state.counts, state.heads
+    groups, airtimes, counts, heads = env.groups, env.airtimes, state.counts, state.heads
     slots: list[SlotPlan] = []
     while state.queued:
         budget = txop_max - consumed
@@ -598,26 +596,21 @@ def run_simulation(config: SimulationConfig,
         (scenario, config.seed), "arrivals", (p, timing.num_txops),
         lambda: draw_arrivals(env.deployment, p, np.random.default_rng(traffic_ss),
                               timing.num_txops))
-    state = SimState(arrivals, env.airtimes, traffic, timing.period_s, kind)
+    state = SimState(arrivals, traffic, timing.period_s, kind)
     occupancy = np.empty(timing.num_txops)
-    txop_max, period_s, groups = timing.txop_max_us, timing.period_s, env.groups
+    txop_max, period_s = timing.txop_max_us, timing.period_s
     for n in range(timing.num_txops):
         step_arrivals(state, n)
-        record = run_txop(state, kind, groups, timing, n * period_s)
+        record = run_txop(state, kind, env, timing, n * period_s)
         occupancy[n] = record.total_duration_us / txop_max
         if txop_trace is not None:
             txop_trace.append(record)
 
-    values, counts = state.delay_pairs()
-    delivered = int(counts.sum())
-    if delivered:
-        delays_sorted = np.repeat(values, counts)
-        del values, counts
-        mean_delay = float(delays_sorted.mean())  # in the order sent, before the sort
-        delays_sorted.sort()
-    else:
-        delays_sorted = np.empty(0)
-        mean_delay = float("nan")
+    delays_sorted = np.repeat(*state.delay_pairs())  # one delay per packet
+    delivered = len(delays_sorted)
+    # in the order sent, before the sort; an empty mean would warn
+    mean_delay = float(delays_sorted.mean()) if delivered else float("nan")
+    delays_sorted.sort()
     sim_time_s = timing.num_txops * timing.period_s
     return MetricsReport(
         throughput_bps=delivered * traffic.packet_bits / sim_time_s,

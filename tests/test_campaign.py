@@ -3,6 +3,8 @@ import json
 import math
 import multiprocessing
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from mapcsim.campaign import (PER_RUN_COLUMNS, CampaignRunError,
 from mapcsim.cli import main
 from mapcsim.config import TimingConfig
 from oracles import nearest_rank_reference
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 SMALL = dict(
     timing=TimingConfig(num_txops=60),
@@ -130,6 +134,18 @@ def test_campaign_file_roundtrip(tmp_path):
     assert campaign.k_values == (3,)
     assert campaign.num_deployments == 3
     assert campaign.timing.num_txops == 50
+
+
+@pytest.mark.parametrize("name", ["campaign_random_deployments.json",
+                                  "campaign_load_sweep.json"])
+def test_campaign_config_echo_round_trips(name, tmp_path):
+    # the echo a campaign writes loads back as the campaign that wrote it
+    shipped = load_campaign(CONFIGS / name)
+    campaign = replace(shipped, timing=replace(shipped.timing, num_txops=5),
+                       num_deployments=1)
+    paths = run_campaign(campaign, out_dir=tmp_path)
+    assert paths["campaign_config"] == tmp_path / "campaign_config.json"
+    assert load_campaign(tmp_path / "campaign_config.json") == campaign
 
 
 def test_campaign_validation():

@@ -68,10 +68,10 @@ def test_step_arrivals_p0_and_p1():
     dep = _deployment()
     traffic = TrafficConfig()
     rng = np.random.default_rng(1)
-    state = SimState(draw_arrivals(dep, 0.0, rng, 1), {}, traffic, TIM.period_s)
+    state = SimState(draw_arrivals(dep, 0.0, rng, 1), traffic, TIM.period_s)
     assert step_arrivals(state, 0) == 0
     assert all(count == 0 for count in state.counts)
-    state = SimState(draw_arrivals(dep, 1.0, rng, 1), {}, traffic, TIM.period_s)
+    state = SimState(draw_arrivals(dep, 1.0, rng, 1), traffic, TIM.period_s)
     added = step_arrivals(state, 0)
     assert added == 27 * 10
     assert sum(state.counts) == 270
@@ -86,8 +86,7 @@ def test_step_arrivals_empirical_frequency():
     traffic = TrafficConfig()
     rng = np.random.default_rng(7)
     periods = 20_000
-    state = SimState(draw_arrivals(dep, 0.25, rng, periods), {}, traffic,
-                     TIM.period_s)
+    state = SimState(draw_arrivals(dep, 0.25, rng, periods), traffic, TIM.period_s)
     total = 0
     for n in range(periods):
         total += step_arrivals(state, n)
@@ -131,7 +130,7 @@ def _queued_state(*queues):
     a hand-built schedule, with an empty window after them."""
     schedule = _hand_schedule(*([(arrival, sta) for arrival, sta, _ in queue]
                                 for queue in queues))
-    state = SimState(schedule, {}, TrafficConfig(), TIM.period_s)
+    state = SimState(schedule, TrafficConfig(), TIM.period_s)
     for ap, queue in enumerate(queues):
         lo, hi = schedule.ap_bounds[ap:ap + 2].tolist()
         state.cursor[ap] = hi
@@ -254,7 +253,7 @@ def _window_state(num_stations, num_txops):
     dep = Deployment(np.zeros((1, 2)), np.zeros((num_stations, 2)),
                      [0] * num_stations, 0)
     schedule = draw_arrivals(dep, 1.0, np.random.default_rng(0), num_txops)
-    state = SimState(schedule, {}, TrafficConfig(), TIM.period_s)
+    state = SimState(schedule, TrafficConfig(), TIM.period_s)
     for n in range(num_txops):
         step_arrivals(state, n)
     return state
@@ -316,7 +315,7 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     # schedule (in the next AP's list), goes first; station 1 is unservable
     period = TIM.period_s
     window = [(n * period, sta) for n in range(2) for sta in range(3)]
-    state = SimState(_hand_schedule(window, [(0.0, 2)]), {}, TrafficConfig(), period)
+    state = SimState(_hand_schedule(window, [(0.0, 2)]), TrafficConfig(), period)
     state.txop = 1
     state.requeued[0] = [[6, 4]]
     state.counts[0] = 64
@@ -412,13 +411,13 @@ def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0,
     from the seed's traffic stream."""
     env = build_environment(SimulationConfig(scenario, timing, traffic, gamma, k, seed=seed))
     schedule = draw_arrivals(env.deployment, arrival_prob, views.traffic_rng(seed), num_txops)
-    return SimState(schedule, env.airtimes, traffic, timing.period_s), env
+    return SimState(schedule, traffic, timing.period_s), env
 
 
 def test_run_txop_empty_buffers():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(), TrafficConfig()
     state, env = _make_state(cfg, tim, tr)
-    rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env.groups, tim, 0.0)
+    rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env, tim, 0.0)
     assert rec.total_duration_us == 0.0
     assert rec.handshake_us == 0.0
     assert rec.slots == []
@@ -428,7 +427,7 @@ def test_run_txop_always_handshake_switch():
     cfg = ScenarioConfig()
     tim = TimingConfig(always_handshake=True)
     state, env = _make_state(cfg, tim, TrafficConfig())
-    rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env.groups, tim, 0.0)
+    rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env, tim, 0.0)
     assert rec.total_duration_us == pytest.approx(tim.handshake_us)
     assert rec.slots == []
 
@@ -441,7 +440,7 @@ def test_run_txop_accounting_and_budget():
     for n in range(50):
         now = n * tim.period_s
         step_arrivals(state, n)
-        rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env.groups, tim, now)
+        rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env, tim, now)
         slots += len(rec.slots)
         packets += rec.packets_delivered
         assert rec.total_duration_us <= tim.txop_max_us + 1e-9
@@ -504,8 +503,7 @@ def test_controller_view_tracks_buffers(cfg, load_bps, txops):
         for n in range(txops):
             now = n * tim.period_s
             step_arrivals(state, n)
-            delivered += run_txop(state, kind, env.groups, tim,
-                                  now).packets_delivered
+            delivered += run_txop(state, kind, env, tim, now).packets_delivered
             assert _view_lists(state) == _view_from_buffers(state), (kind, n)
         assert delivered > 0
         assert any(state.counts)
@@ -583,7 +581,7 @@ def test_view_invariant_after_every_arrival_and_delivery(cfg):
         for n in range(txops):
             step_arrivals(state, n)
             check(n * period)
-            run_txop(state, kind, env.groups, tim, n * period)
+            run_txop(state, kind, env, tim, n * period)
     assert requeues > 0
 
 
@@ -601,14 +599,29 @@ def test_delay_percentile_is_nearest_rank():
 
 
 def test_simulation_zero_load():
+    # a run that delivers nothing takes the same path as any other, without
+    # a warning (the suite turns warnings into errors)
     cfg, tim, tr = ScenarioConfig(), TimingConfig(num_txops=50), TrafficConfig(load_bps_per_sta=0.0)
-    rep = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, "numpk-single",
-                                          seed=1))
-    assert rep.throughput_bps == 0.0
-    assert math.isnan(rep.mean_delay_s)
-    assert math.isnan(rep.delay_percentile(0.95))
-    assert rep.packets_arrived == 0
-    assert np.all(rep.per_txop_occupancy == 0.0)
+    for kind in SchedulerKind:
+        rep = run_simulation(SimulationConfig(cfg, tim, tr, 20.0, 3, kind.value, seed=1))
+        assert rep.throughput_bps == 0.0, kind
+        assert math.isnan(rep.mean_delay_s), kind
+        assert math.isnan(rep.delay_percentile(0.95)), kind
+        assert rep.delays_sorted_s.dtype == np.float64, kind
+        assert len(rep.delays_sorted_s) == 0, kind
+        assert (rep.packets_arrived, rep.packets_delivered, rep.packets_remaining) == (0, 0, 0)
+        assert np.all(rep.per_txop_occupancy == 0.0), kind
+
+
+def test_delay_pairs_of_a_state_with_nothing_booked_are_empty():
+    dep = _deployment()
+    state = SimState(draw_arrivals(dep, 1.0, np.random.default_rng(0), 1),
+                     TrafficConfig(), TIM.period_s)
+    step_arrivals(state, 0)
+    assert state.queued > 0 and not state.booked_at
+    delays, counts = state.delay_pairs()
+    assert (delays.dtype, delays.shape) == (np.float64, (0,))
+    assert (counts.dtype, counts.shape) == (np.int64, (0,))
 
 
 def test_simulation_conservation_and_occupancy():
@@ -795,7 +808,7 @@ def test_step_arrivals_matches_station_loop(cfg, p):
     tr = TrafficConfig()
     rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
     schedule = draw_arrivals(env.deployment, p, rng_new, 6)
-    new = SimState(schedule, {}, tr, TIM.period_s)
+    new = SimState(schedule, tr, TIM.period_s)
     num_aps = env.deployment.num_aps
     ref = [_DequeBuffer() for _ in range(num_aps)]
     for n in range(6):
@@ -833,7 +846,7 @@ def test_cursor_queue_matches_deque_fifo(data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     traffic = TrafficConfig(burst_packets=burst)
     schedule = draw_arrivals(dep, p, np.random.default_rng(seed), num_txops)
-    state = SimState(schedule, {}, traffic, TIM.period_s)
+    state = SimState(schedule, traffic, TIM.period_s)
     rng_ref = np.random.default_rng(seed)  # the reference draws per TXOP
     ref = [_DequeBuffer() for _ in range(num_aps)]
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from mapcsim import (SCHEDULER_NAMES, McsTable, MetricsReport, ScenarioConfig,
                      SimulationConfig, TimingConfig, TrafficConfig,
-                     build_rssi_matrix, data_rate_bps, default_mcs_table,
+                     build_environment, build_rssi_matrix, data_rate_bps, default_mcs_table,
                      generate_grid_deployment, run_simulation)
 from mapcsim.engine import LIST_VIEW_MAX_APS
 import views
@@ -70,7 +70,9 @@ def configs(draw, sides=st.integers(1, 4), stations=st.integers(1, 4),
     traffic = TrafficConfig(load_bps_per_sta=p * top_load, burst_packets=burst,
                             packet_bytes=packet_bytes)
     return SimulationConfig(scenario, timing, traffic,
-                            gamma_db=draw(st.floats(-5.0, 30.0), label="gamma_db"),
+                            # in tenths of a dB: a float draw would sit at 0 dB
+                            # in most examples
+                            gamma_db=draw(st.integers(-50, 300), label="gamma_tenths_db") / 10,
                             max_group_size=draw(st.integers(1, 4), label="K"),
                             seed=draw(st.integers(0, 10**6), label="seed"),
                             mcs_table=mcs_table)
@@ -80,12 +82,13 @@ def _engine_txops(records, source, config):
     """The trace in the reference's terms: per TXOP (handshake_us, slots,
     total_us), per slot (members, (ap, station, mcs, packets) per segment,
     duration_us), each segment's MCS the one whose per-packet airtime its
-    station has in the set's dict of `source`'s airtime table (see views)."""
+    station has in the set's dict of the run's airtime table (see views)."""
+    airtimes = build_environment(config).airtimes
     return [(rec.handshake_us,
              [(slot.members,
                [(tx.ap, sta, mcs, k) for tx in slot.transmissions
                 for sta, mcs, k in views.segments(
-                    tx, source, views.mcs_labels(source.airtimes[slot.members], config))],
+                    tx, source, views.mcs_labels(airtimes[slot.members], config))],
                slot.duration_us) for slot in rec.slots],
              rec.total_duration_us) for rec in records]
 

@@ -8,7 +8,8 @@ into A-MPDU segments and sum the AP's airtime. They read the schedule
 through a `source`: anything with a `SimState`'s `stations`, `txops`,
 `period_s` and `burst_packets`. A hand-built test passes its own state; a
 finished run passes `fresh_state(config)`, a new state over the same
-schedule and airtime table, since a plan keeps no reference to its run.
+schedule, since a plan keeps no reference to its run. A set's per-packet
+airtimes are its dict in the run's `build_environment(config).airtimes`.
 """
 
 import numpy as np
@@ -87,8 +88,6 @@ def run_schedule(config):
 
 
 def fresh_state(config):
-    """A new state over run `config`'s schedule and airtime table: a source
-    for the views of its trace, whose `airtimes[members]` is the set's
-    {station: per-packet airtime} dict."""
-    return SimState(run_schedule(config), build_environment(config).airtimes,
-                    config.traffic, config.timing.period_s)
+    """A new state over run `config`'s schedule: a source for the views of
+    its trace."""
+    return SimState(run_schedule(config), config.traffic, config.timing.period_s)
