@@ -181,37 +181,30 @@ def step_arrivals(state: SimState, n: int) -> int:
     return added
 
 
-@dataclass
-class ApTransmission:
-    """What one member AP sends in a slot, as `plan_slot` plans it and
-    `deliver` commits it, and nothing else. `runs` lists it in queue order
-    as (lo, hi, head, tail): the schedule's bursts [lo, hi), `head` packets
-    sent of the first and `tail` of the last (of the only one, in a run of
-    one), the bursts between whole. A re-queued burst sent from is a run of
-    one, and the window drain one run per stretch between skipped bursts
-    (their station unservable in the scheduled set). `window` (cursor,
-    sent) and `requeued` are the AP's queue as it stands after the slot (see
-    SimState), and `packets` what it sends in all. The schedule gives each
-    burst's arrival and station, and the set's airtime dict each segment's
-    per-packet airtime, hence its MCS; the plan holds no reference back
-    into the run."""
-
-    ap: int
-    runs: list[tuple[int, int, int, int]]      # (lo, hi, head, tail)
-    window: tuple[int, int]                    # (cursor, sent) after the slot
-    requeued: list[list[int]]                  # re-queued bursts after the slot
-    packets: int                               # packets sent
-
-
-@dataclass
+@dataclass(slots=True)
 class SlotPlan:
+    """One coordinated slot as `plan_slot` plans it and `deliver` commits it.
+    `transmissions` holds, in member order, one tuple (ap, runs, window,
+    requeued, packets) per member AP that sends, and nothing else. `runs`
+    lists what the AP sends in queue order as (lo, hi, head, tail): the
+    schedule's bursts [lo, hi), `head` packets sent of the first and `tail`
+    of the last (of the only one, in a run of one), the bursts between
+    whole. A re-queued burst sent from is a run of one, and the window drain
+    one run per stretch between skipped bursts (their station unservable in
+    the scheduled set). `window` (cursor, sent) and `requeued` are the AP's
+    queue as it stands after the slot (see SimState), and `packets` what it
+    sends in all. The schedule gives each burst's arrival and station, and
+    the set's airtime dict each segment's per-packet airtime, hence its
+    MCS; the plan holds no reference back into the run."""
+
     members: tuple[int, ...]
-    transmissions: list[ApTransmission]
+    transmissions: list[tuple[int, list[tuple[int, int, int, int]], tuple[int, int],
+                              list[list[int]], int]]
     duration_us: float                       # max member airtime
 
     @property
     def packets(self) -> int:
-        return sum(tx.packets for tx in self.transmissions)
+        return sum(tx[4] for tx in self.transmissions)
 
 
 def plan_slot(members: Sequence[int], state: SimState, airtime_us: Mapping[int, float],
@@ -227,13 +220,13 @@ def plan_slot(members: Sequence[int], state: SimState, airtime_us: Mapping[int, 
     `airtime_us` are skipped over and stay queued in order, re-queued if
     from the window. An AP's airtime is its preamble plus k * per-packet
     airtime per burst, summed in queue order. Each AP's transmission lists
-    what it sends as runs and where its queue ends (see ApTransmission);
+    what it sends as runs and where its queue ends (see SlotPlan);
     `state` is only read, each burst once. Returns None when nothing fits
     at all.
     """
     cap_us = budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
     preamble_us = timing.phy_preamble_us
-    transmissions: list[ApTransmission] = []
+    transmissions = []
     duration = 0.0
     requeued, cursor, ends, sent = state.requeued, state.cursor, state.ends, state.sent
     stations, txops, last = state.stations, state.txops, state.txop
@@ -246,7 +239,7 @@ def plan_slot(members: Sequence[int], state: SimState, airtime_us: Mapping[int, 
         kept: list[list[int]] = []  # the re-queued bursts after the slot
         window = cursor[ap], sent[ap]
         # with integer n, k is min(n, int(room)): the packets that fit
-        for pos, entry in enumerate(batches):
+        for pos, entry in enumerate(batches) if batches else ():  # mostly empty
             i, n = entry
             per_packet = airtime_us.get(stations[i])
             if per_packet is None:
@@ -301,7 +294,7 @@ def plan_slot(members: Sequence[int], state: SimState, airtime_us: Mapping[int, 
                     runs.append((lo, end, head, head if end - 1 == lo else burst))
                 window = end, done if end == start else 0
         if runs:
-            transmissions.append(ApTransmission(ap, runs, window, kept, took))
+            transmissions.append((ap, runs, window, kept, took))
             if acc > duration:
                 duration = acc
     if not transmissions:
@@ -309,7 +302,7 @@ def plan_slot(members: Sequence[int], state: SimState, airtime_us: Mapping[int, 
     return SlotPlan(tuple(members), transmissions, duration)
 
 
-@dataclass
+@dataclass(slots=True)
 class TxopRecord:
     start_time_s: float
     handshake_us: float
@@ -350,7 +343,7 @@ class SimState:
 
     `deliver` books what it sends in two typed columns, one record per run:
     `booked_at` holds its delivery time and `booked_runs` the run itself,
-    four numbers (lo, hi, head, tail; see ApTransmission). `delay_pairs`
+    four numbers (lo, hi, head, tail; see SlotPlan). `delay_pairs`
     expands them. Plans do not refer back to the state, so a kept trace of
     them does not keep it alive. The groups and airtime table a run plans
     over are its Environment's, which run_txop reads.
@@ -397,16 +390,15 @@ class SimState:
         counts, heads, txops = self.counts, self.heads, self.txops
         period = self.period_s
         taken = 0
-        for tx in plan.transmissions:
-            ap = tx.ap
-            for run in tx.runs:
+        for ap, runs, window, batches, packets in plan.transmissions:
+            for run in runs:
                 at(delivery_time_s)
                 book(run)
             if counts is not None:
-                counts[ap] -= tx.packets
-            taken += tx.packets
-            cursor[ap], sent[ap] = tx.window
-            batches = requeued[ap] = tx.requeued
+                counts[ap] -= packets
+            taken += packets
+            cursor[ap], sent[ap] = window
+            requeued[ap] = batches
             if heads is None:
                 continue
             if batches:

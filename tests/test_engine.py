@@ -169,7 +169,7 @@ def test_plan_slot_duration_is_max_over_members():
     airtime_us, _ = _links(airtimes)
     plan = plan_slot((0, 1), state, airtime_us, TIM, budget_us=3000.0)
     assert plan.duration_us == pytest.approx(44 + 3 * PKT_US_MCS7, abs=1e-6)
-    ap_airtime = {tx.ap: views.airtime_us(tx, state, airtime_us, TIM)
+    ap_airtime = {tx[0]: views.airtime_us(tx, state, airtime_us, TIM)
                   for tx in plan.transmissions}
     assert ap_airtime[0] > ap_airtime[1]  # AP1 idles after 1 packet
 
@@ -324,13 +324,15 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     airtimes[0][1] = None
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(37))
     (tx,) = plan.transmissions
+    ap, runs, window, requeued, packets = tx
+    assert ap == 0
     # (lo, hi, head, tail) per run: the re-queued burst, then the window's
     # stretches around skipped bursts 1 and 4; the budget cuts burst 5
     # after 3 packets
-    assert tx.runs == [(6, 7, 4, 4), (0, 1, 10, 10), (2, 4, 10, 10), (5, 6, 10, 3)]
+    assert runs == [(6, 7, 4, 4), (0, 1, 10, 10), (2, 4, 10, 10), (5, 6, 10, 3)]
     # where the queue ends: (cursor, sent), then the re-queued bursts
-    assert (tx.window, tx.requeued) == ((5, 3), [[1, 10], [4, 10]])
-    assert tx.packets == plan.packets == 37
+    assert (window, requeued) == ((5, 3), [[1, 10], [4, 10]])
+    assert packets == plan.packets == 37
     assert views.taken(tx, state) == [(4, 0.0, 2), (10, 0.0, 0), (10, 0.0, 2),
                                       (10, period, 0), (3, period, 2)]
     state.deliver(plan, 0.02)
@@ -348,13 +350,14 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(7))
-    assert plan.transmissions[0].runs == [(0, 1, 10, 7)]
+    ((_, runs, _, _, _),) = plan.transmissions
+    assert runs == [(0, 1, 10, 7)]
     state.deliver(plan, 0.001)
     # station 0 unservable: its part-sent burst 0 and burst 2 are skipped
     airtimes[0][0] = None
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(15))
-    (tx,) = plan.transmissions
-    assert (tx.runs, tx.window) == ([(1, 2, 10, 10), (3, 4, 10, 5)], (3, 5))
+    ((_, runs, window, _, _),) = plan.transmissions
+    assert (runs, window) == ([(1, 2, 10, 10), (3, 4, 10, 5)], (3, 5))
     state.deliver(plan, 0.002)
     assert state.requeued[0] == [[0, 3], [2, 10]]
     assert (state.cursor[0], state.sent[0]) == (3, 5)
@@ -362,9 +365,8 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     # burst, part-sent and skipped after them, is re-queued with its remainder
     airtimes[0][0], airtimes[0][1] = (7, PKT_US_MCS7), None
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, 3000.0)
-    (tx,) = plan.transmissions
-    assert (tx.runs, tx.window, tx.requeued) == (
-        [(0, 1, 3, 3), (2, 3, 10, 10)], (4, 0), [[3, 5]])
+    ((_, runs, window, requeued, _),) = plan.transmissions
+    assert (runs, window, requeued) == ([(0, 1, 3, 3), (2, 3, 10, 10)], (4, 0), [[3, 5]])
     state.deliver(plan, 0.003)
     assert _pairs(state) == [(0.001, 7), (0.002, 10), (0.002 - period, 5),
                              (0.003, 3), (0.003 - period, 10)]
@@ -389,9 +391,9 @@ def test_trailing_skipped_bursts_are_requeued_in_order():
     for sta in (0, 2, 3):
         airtimes[0][sta] = None
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, 3000.0)
-    (tx,) = plan.transmissions
-    assert (tx.runs, tx.window) == ([(1, 2, 10, 10), (5, 6, 10, 10)], (8, 0))
-    assert tx.requeued == [[0, 3], [2, 10], [3, 10], [4, 10], [6, 10], [7, 10]]
+    ((_, runs, window, requeued, _),) = plan.transmissions
+    assert (runs, window) == ([(1, 2, 10, 10), (5, 6, 10, 10)], (8, 0))
+    assert requeued == [[0, 3], [2, 10], [3, 10], [4, 10], [6, 10], [7, 10]]
     state.deliver(plan, 0.002)
     assert _pairs(state)[1:] == [(0.002, 10), (0.002 - period, 10)]
     assert views.bursts(state, 0) == [b for b in before if b[1] != 1]
@@ -574,7 +576,7 @@ def test_view_invariant_after_every_arrival_and_delivery(cfg):
         def deliver(plan, delivery_time_s, commit=state.deliver):
             nonlocal requeues
             commit(plan, delivery_time_s)
-            requeues += sum(bool(tx.requeued) for tx in plan.transmissions)
+            requeues += sum(bool(requeued) for _, _, _, requeued, _ in plan.transmissions)
             check(n * period)
 
         state.deliver = deliver
@@ -663,7 +665,7 @@ def test_fifo_delivery_per_ap():
             consumed += slot_us + slot.duration_us  # summed as run_txop sums it
             delivery_s = rec.start_time_s + consumed * 1e-6
             for tx in slot.transmissions:
-                ap = tx.ap
+                ap = tx[0]
                 for _, arrival_s, _ in views.taken(tx, source):
                     assert delivery_s >= arrival_s + handshake_s
                     assert arrival_s >= last_arrival.get(ap, -1.0) - 1e-12
@@ -887,25 +889,26 @@ def test_cursor_queue_matches_deque_fifo(data):
             if not want:
                 assert plan is None
                 continue
-            assert [(tx.ap, views.segments(tx, state, mcs),
+            assert [(tx[0], views.segments(tx, state, mcs),
                      [k for k, _, _ in views.taken(tx, state)],
                      views.airtime_us(tx, state, airtime_us, TIM))
                     for tx in plan.transmissions] == [
                 (ap, segments, [k for _, k in consume], acc)
                 for ap, segments, consume, acc in want]
             for tx, (_, _, consume, _) in zip(plan.transmissions, want):
+                ap, _, _, _, packets = tx
                 # every recorded burst is the one the reference FIFO hands out
                 assert ([(arrival, sta, k) for k, arrival, sta in views.taken(tx, state)]
-                        == ref[tx.ap].consume(consume))
-                assert tx.packets == sum(k for _, k in consume)
+                        == ref[ap].consume(consume))
+                assert packets == sum(k for _, k in consume)
             state.deliver(plan, n * TIM.period_s + 1.0)
             assert_same_queues(n)
 
 
 def _committed(plan):
     """What `deliver` commits of `plan`, per AP."""
-    return plan and [(tx.ap, tx.runs, tx.window, tx.requeued)
-                     for tx in plan.transmissions]
+    return plan and [(ap, runs, window, requeued)
+                     for ap, runs, window, requeued, _ in plan.transmissions]
 
 
 def _run_outcome(cfg, kind, seed, tr, mcs_table=default_mcs_table(), txops=150):
@@ -915,7 +918,7 @@ def _run_outcome(cfg, kind, seed, tr, mcs_table=default_mcs_table(), txops=150):
     rep = run_simulation(config, txop_trace=trace)
     assert rep.packets_delivered > 0
     source = views.fresh_state(config)
-    taken = [[(tx.ap, views.taken(tx, source)) for tx in slot.transmissions]
+    taken = [[(tx[0], views.taken(tx, source)) for tx in slot.transmissions]
              for rec in trace for slot in rec.slots]
     return (rep.delays_sorted_s.tolist(), rep.per_txop_occupancy.tolist(),
             [rep.delay_percentile(q) for q in (0.5, 0.95, 0.99)],

@@ -86,7 +86,7 @@ def _engine_txops(records, source, config):
     airtimes = build_environment(config).airtimes
     return [(rec.handshake_us,
              [(slot.members,
-               [(tx.ap, sta, mcs, k) for tx in slot.transmissions
+               [(tx[0], sta, mcs, k) for tx in slot.transmissions
                 for sta, mcs, k in views.segments(
                     tx, source, views.mcs_labels(airtimes[slot.members], config))],
                slot.duration_us) for slot in rec.slots],

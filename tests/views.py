@@ -1,15 +1,17 @@
 """Views of slot plans and queues that only tests read, derived from a
 plan's runs, the run's arrival schedule and its airtime table.
 
-A plan's `ApTransmission` holds only what `SimState.deliver` commits: its
-runs (lo, hi, head, tail) over the schedule, its queue after the slot and
-the packets it sends. The views below expand the runs per burst, group them
-into A-MPDU segments and sum the AP's airtime. They read the schedule
-through a `source`: anything with a `SimState`'s `stations`, `txops`,
-`period_s` and `burst_packets`. A hand-built test passes its own state; a
-finished run passes `fresh_state(config)`, a new state over the same
-schedule, since a plan keeps no reference to its run. A set's per-packet
-airtimes are its dict in the run's `build_environment(config).airtimes`.
+A plan's transmission, the tuple (ap, runs, window, requeued, packets) of
+`SlotPlan.transmissions`, holds only what `SimState.deliver` commits: the
+AP's runs (lo, hi, head, tail) over the schedule, its queue after the slot
+and the packets it sends. The views below take such a tuple, expand its
+runs per burst, group them into A-MPDU segments and sum the AP's airtime.
+They read the schedule through a `source`: anything with a `SimState`'s
+`stations`, `txops`, `period_s` and `burst_packets`. A hand-built test
+passes its own state; a finished run passes `fresh_state(config)`, a new
+state over the same schedule, since a plan keeps no reference to its run.
+A set's per-packet airtimes are its dict in the run's
+`build_environment(config).airtimes`.
 """
 
 import numpy as np
@@ -23,9 +25,10 @@ def taken(tx, source):
     order; a burst's arrival is txops[i] * period, as in the engine."""
     stations, txops, period = source.stations, source.txops, source.period_s
     burst = source.burst_packets
+    _, runs, _, _, _ = tx
     return [(tail if i == hi - 1 else head if i == lo else burst,
              txops[i] * period, stations[i])
-            for lo, hi, head, tail in tx.runs for i in range(lo, hi)]
+            for lo, hi, head, tail in runs for i in range(lo, hi)]
 
 
 def mcs_labels(airtime_us, config):
