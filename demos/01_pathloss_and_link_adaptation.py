@@ -35,7 +35,7 @@ print(f"\nPL just below/above the breakpoint: {below:.4f} / {above:.4f} dB "
       f"(jump {abs(above - below):.2e})")
 
 print("\nMCS table (20 MHz, 1 spatial stream):")
-for entry in table.entries:
-    rate = data_rate_bps(entry.index, table, timing) / 1e6
-    print(f"  MCS {entry.index:2d}: needs SINR >= {entry.min_sinr_db:4.1f} dB, "
-          f"{entry.bits_per_symbol:6.1f} bits/symbol -> {rate:6.2f} Mbps")
+for mcs, (min_sinr, bits) in enumerate(zip(table.min_sinrs, table.bits_per_symbol)):
+    rate = data_rate_bps(mcs, table, timing) / 1e6
+    print(f"  MCS {mcs:2d}: needs SINR >= {min_sinr:4.1f} dB, "
+          f"{bits:6.1f} bits/symbol -> {rate:6.2f} Mbps")

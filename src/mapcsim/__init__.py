@@ -6,7 +6,7 @@ slot-occupancy metrics.
 """
 
 from .campaign import Campaign, load_campaign, run_campaign, run_seed
-from .channel import (McsEntry, McsTable, build_rssi_matrix, data_rate_bps,
+from .channel import (McsTable, build_rssi_matrix, data_rate_bps,
                       default_mcs_table, group_feasible, group_sinr_db,
                       path_loss_db, select_mcs, station_sinr_db)
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
@@ -23,7 +24,7 @@ from .channel import McsTable, default_mcs_table
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
                      TrafficConfig, _read_json_object, check_finite,
                      check_integer, simulation_config_from_dict,
-                     simulation_config_to_dict)
+                     simulation_config_to_dict, write_json)
 from .engine import MetricsReport, TxopRecord, clear_memos, run_simulation
 from .scheduling import SCHEDULER_NAMES
 from .stats import empirical_cdf
@@ -54,6 +55,10 @@ class Campaign:
         for axis in ("loads_mbps", "gammas_db", "k_values", "schedulers"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis} must be non-empty")
+        out_dir = self.out_dir  # kept as text, which the echo writes and reads back
+        if not isinstance(out_dir, (str, os.PathLike)) or isinstance(os.fspath(out_dir), bytes):
+            raise ValueError(f"out_dir must be a str or path, got {out_dir!r}")
+        object.__setattr__(self, "out_dir", os.fspath(out_dir))
         check_integer("num_deployments", self.num_deployments)
         check_integer("base_seed", self.base_seed)  # run_seed hashes its text
         for i, load in enumerate(self.loads_mbps):
@@ -230,8 +235,6 @@ def write_csv(path: Path, columns: Iterable[str], rows: Iterable[dict]) -> None:
 
 
 def _write_config_echo(campaign: Campaign, path: Path) -> None:
-    import json
-
     data = simulation_config_to_dict(SimulationConfig(
         scenario=campaign.scenario, timing=campaign.timing,
         traffic=campaign.traffic, mcs_table=campaign.mcs_table))
@@ -245,9 +248,7 @@ def _write_config_echo(campaign: Campaign, path: Path) -> None:
         "base_seed": campaign.base_seed,
         "out_dir": campaign.out_dir,
     }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(data, path)
 
 
 def _fmean(values: list[float]) -> float:

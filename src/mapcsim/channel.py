@@ -19,7 +19,6 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -114,77 +113,63 @@ def group_feasible(group: Iterable[int], rssi_dbm: np.ndarray,
 # ---------------------------------------------------------------------------
 # Link adaptation
 
-def _mcs_fields_typed(index: object, min_sinr_db: object, bits_per_symbol: object) -> bool:
-    """True iff the index is an integer and the two values are real numbers,
-    none of them a bool."""
-    return (not any(isinstance(x, bool) for x in (index, min_sinr_db, bits_per_symbol))
-            and isinstance(index, numbers.Integral)
-            and isinstance(min_sinr_db, numbers.Real)
-            and isinstance(bits_per_symbol, numbers.Real))
-
-
-@dataclass(frozen=True)
-class McsEntry:
-    index: int
-    min_sinr_db: float
-    bits_per_symbol: float  # data subcarriers * bits per subcarrier * coding rate
+def _real(value: object) -> bool:
+    """True iff `value` is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class McsTable:
-    """SINR thresholds and per-symbol payloads for the allowed MCS indices.
-
-    Defaults model 20 MHz / 1 spatial stream with 234 data subcarriers; the
-    thresholds are loaded from config so externally measured error-free SINR
-    curves can be substituted without code changes.
+    """SINR thresholds and per-symbol payloads (data subcarriers * bits per
+    subcarrier * coding rate) of the allowed MCSs, kept as floats: MCS m is
+    at position m of both columns. Defaults model 20 MHz / 1 spatial stream
+    with 234 data subcarriers; the thresholds are loaded from config so
+    externally measured error-free SINR curves can be substituted without
+    code changes.
     """
 
-    entries: tuple[McsEntry, ...]
+    min_sinrs: tuple[float, ...]
+    bits_per_symbol: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("MCS table must not be empty")
-        for pos, entry in enumerate(self.entries):
-            if not _mcs_fields_typed(entry.index, entry.min_sinr_db, entry.bits_per_symbol):
-                raise ValueError(f"MCS entry {pos}, {entry!r}, must have an integer "
-                                 f"index and a real SINR threshold and bits per symbol")
-            if entry.index != pos:
-                raise ValueError("MCS indices must be consecutive from 0")
-        sinrs = [e.min_sinr_db for e in self.entries]
-        bits = [e.bits_per_symbol for e in self.entries]
-        if not all(math.isfinite(x) for x in sinrs + bits):
-            raise ValueError("MCS SINR thresholds and bits per symbol must be finite")
-        if not bits[0] > 0:
-            raise ValueError("MCS bits per symbol must be positive")
-        if any(b >= a for a, b in zip(sinrs[1:], sinrs)):
-            raise ValueError("MCS SINR thresholds must be strictly increasing")
-        if any(b >= a for a, b in zip(bits[1:], bits)):
-            raise ValueError("MCS bits per symbol must be strictly increasing")
+        sinrs, bits = self.min_sinrs, self.bits_per_symbol
+        if not 0 < len(sinrs) == len(bits):
+            raise ValueError(f"MCS table needs one bits per symbol per SINR threshold, at "
+                             f"least one, got {len(sinrs)} and {len(bits)}")
+        last_sinr, last_bits = -math.inf, 0.0
+        for pos, (sinr, payload) in enumerate(zip(sinrs, bits)):
+            row = [pos, sinr, payload]
+            if not (_real(sinr) and _real(payload)):
+                raise ValueError(f"MCS row {pos}, {row!r}, must be [index, real SINR "
+                                 f"threshold dB, real bits per symbol]")
+            if not (math.isfinite(sinr) and math.isfinite(payload)):
+                raise ValueError(f"MCS row {pos}, {row!r}: its values must be finite")
+            if not (sinr > last_sinr and payload > last_bits):
+                raise ValueError(f"MCS row {pos}, {row!r}: SINR thresholds and bits per "
+                                 f"symbol must be strictly increasing, from bits above 0")
+            last_sinr, last_bits = sinr, payload
+        object.__setattr__(self, "min_sinrs", tuple(map(float, sinrs)))
+        object.__setattr__(self, "bits_per_symbol", tuple(map(float, bits)))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def min_sinrs(self) -> tuple[float, ...]:
-        """The thresholds in MCS order, worked out once per table:
-        `select_mcs` bisects them for every link of every airtime table."""
-        return tuple(e.min_sinr_db for e in self.entries)
+        return len(self.min_sinrs)
 
     def to_jsonable(self) -> list[list[float]]:
-        return [[e.index, e.min_sinr_db, e.bits_per_symbol] for e in self.entries]
+        return [[m, *row] for m, row in enumerate(zip(self.min_sinrs, self.bits_per_symbol))]
 
     @classmethod
     def from_jsonable(cls, rows: Iterable[Sequence[float]]) -> "McsTable":
-        """Raises on a row that is not [integer index, real threshold, real
-        bits per symbol]: a fraction, bool or string is refused, not cast."""
-        entries = []
+        """Read rows [index, SINR threshold dB, bits per symbol]. Raises on a
+        row of another length or whose index is not the integer equal to its
+        position: a fraction, bool or string is refused, not cast. The
+        constructor checks the values, naming the row."""
+        rows = list(rows)
         for pos, row in enumerate(rows):
-            if not (isinstance(row, (list, tuple)) and len(row) == 3
-                    and _mcs_fields_typed(*row)):
-                raise ValueError(f"MCS row {pos}, {row!r}, must be [integer index, "
-                                 f"SINR threshold dB, bits per symbol]")
-            entries.append(McsEntry(int(row[0]), float(row[1]), float(row[2])))
-        return cls(tuple(entries))
+            if not (isinstance(row, (list, tuple)) and len(row) == 3 and _real(row[0])
+                    and isinstance(row[0], numbers.Integral) and row[0] == pos):
+                raise ValueError(f"MCS row {pos}, {row!r}, must be [{pos}, SINR "
+                                 f"threshold dB, bits per symbol]")
+        return cls(tuple(row[1] for row in rows), tuple(row[2] for row in rows))
 
 
 # 802.11ax MCS 0-10 at 20 MHz, single stream: modulation bits x coding rate.
@@ -196,12 +181,9 @@ DATA_SUBCARRIERS_20MHZ = 234
 
 
 def default_mcs_table() -> McsTable:
-    entries = tuple(
-        McsEntry(i, _MCS_MIN_SINR_DB[i],
-                 DATA_SUBCARRIERS_20MHZ * _MCS_BITS_PER_SUBCARRIER[i] * _MCS_CODING_RATE[i])
-        for i in range(len(_MCS_MIN_SINR_DB))
-    )
-    return McsTable(entries)
+    return McsTable(_MCS_MIN_SINR_DB, tuple(
+        DATA_SUBCARRIERS_20MHZ * bits * rate
+        for bits, rate in zip(_MCS_BITS_PER_SUBCARRIER, _MCS_CODING_RATE)))
 
 
 def select_mcs(sinr_db: float, table: McsTable) -> int | None:
@@ -212,5 +194,4 @@ def select_mcs(sinr_db: float, table: McsTable) -> int | None:
 
 def data_rate_bps(mcs: int, table: McsTable, timing: "TimingConfig") -> float:
     """PHY data rate: payload bits per OFDM symbol over symbol + guard time."""
-    entry = table.entries[mcs]
-    return entry.bits_per_symbol / (timing.ofdm_symbol_us + timing.guard_interval_us) * 1e6
+    return table.bits_per_symbol[mcs] / (timing.ofdm_symbol_us + timing.guard_interval_us) * 1e6

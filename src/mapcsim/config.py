@@ -17,6 +17,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .channel import McsTable, data_rate_bps, default_mcs_table
 from .scheduling import SCHEDULER_NAMES
 
@@ -309,7 +311,14 @@ def simulation_config_to_dict(config: SimulationConfig) -> dict[str, Any]:
     }
 
 
-def save_simulation_config(config: SimulationConfig, path: str | Path) -> None:
+def write_json(data: dict[str, Any], path: str | Path) -> None:
+    """Write `data` as indented JSON with sorted keys, a numpy scalar, which
+    the checks accept, as its Python number. The text is made before the
+    file is opened, so a value json cannot write leaves no truncated file."""
+    text = json.dumps(data, indent=2, sort_keys=True, default=np.generic.item)
     with open(path, "w") as fh:
-        json.dump(simulation_config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def save_simulation_config(config: SimulationConfig, path: str | Path) -> None:
+    write_json(simulation_config_to_dict(config), path)

@@ -336,10 +336,9 @@ class SimState:
     its list, the first re-queued one or else the one at the cursor (+inf
     once the list is spent), which only deliver moves. Both are lists on up
     to LIST_VIEW_MAX_APS APs and numpy vectors (int64, float64) on more. A
-    state built for a scheduler `kind` keeps only the half that kind reads
-    and sets the other to None: `counts` for NumPk kinds, `heads` for OldPk
-    kinds. One built without a kind keeps both. `queued`, the packets queued
-    in all (the sum of the counts), is kept either way.
+    state keeps only the half its scheduler `kind` reads and sets the other
+    to None: `counts` for NumPk kinds, `heads` for OldPk kinds. `queued`,
+    the packets queued in all (the sum of the counts), is kept either way.
 
     `deliver` books what it sends in two typed columns, one record per run:
     `booked_at` holds its delivery time and `booked_runs` the run itself,
@@ -350,7 +349,7 @@ class SimState:
     """
 
     def __init__(self, arrivals: ArrivalSchedule, traffic: TrafficConfig,
-                 period_s: float, kind: SchedulerKind | None = None):
+                 period_s: float, kind: SchedulerKind):
         ap_bounds = arrivals.ap_bounds
         num_aps = len(ap_bounds) - 1
         self.cursor: list[int] = ap_bounds[:-1].tolist()
@@ -371,12 +370,12 @@ class SimState:
         self.ap_ids = arrivals.aps
         self.counts: Any = None
         self.heads: Any = None
-        if kind is None or not kind.scores_waits:
-            self.counts = np.zeros(num_aps, np.int64) if vector else [0] * num_aps
-        if kind is None or kind.scores_waits:
+        if kind.scores_waits:
             heads = [self.txops[i] * period_s if i < end else inf
                      for i, end in zip(self.cursor, self.ends)]
             self.heads = np.array(heads, np.float64) if vector else heads
+        else:
+            self.counts = np.zeros(num_aps, np.int64) if vector else [0] * num_aps
         self.booked_at = array("d")
         self.booked_runs = array("q")
 

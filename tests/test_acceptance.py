@@ -145,7 +145,8 @@ def test_criterion_05_traffic_calibration():
     rng = np.random.default_rng(505)
     periods = 100_000
     p = 0.25  # 6 Mbps with 10 x 1500 B bursts every 5 ms
-    state = SimState(draw_arrivals(dep, p, rng, periods), traffic, timing.period_s)
+    state = SimState(draw_arrivals(dep, p, rng, periods), traffic, timing.period_s,
+                     SchedulerKind.NUMPK_SINGLE)
     arrived_packets = 0
     for n in range(periods):
         arrived_packets += step_arrivals(state, n)

@@ -124,3 +124,28 @@ def test_parent_runs_first_on_odd_seeds():
                                          ("5,7", [5, 7]), ("9", [9])])
 def test_seed_arguments(text, seeds):
     assert bench_pairs.parse_workload_seeds(f"dense-12x12:{text}") == ("dense-12x12", seeds)
+
+
+@pytest.mark.parametrize("text", ["5-3", "9-8"])
+def test_a_backwards_seed_range_is_refused(text, tmp_path, capsys):
+    # "5-3" once parsed to no seeds, and the tool ran nothing and exited 0
+    with pytest.raises(bench_pairs.argparse.ArgumentTypeError, match="is empty"):
+        bench_pairs.parse_workload_seeds(f"dense-12x12:{text}")
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--out", str(out), "--what", "w",
+                          "--pairs", f"dense-12x12:{text}"])
+    assert exc.value.code == 2
+    assert "is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_call_that_runs_nothing_is_refused(tmp_path, capsys):
+    # with neither option the tool once built both sides, ran nothing,
+    # wrote no file and exited 0
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--out", str(out), "--what", "w"])
+    assert exc.value.code == 2
+    assert "at least one --pairs or --traced" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import multiprocessing
@@ -6,6 +7,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mapcsim import Campaign, engine, load_campaign, run_campaign, run_seed
@@ -136,16 +138,64 @@ def test_campaign_file_roundtrip(tmp_path):
     assert campaign.timing.num_txops == 50
 
 
+# sha256 of each shipped campaign's echo at 1 deployment and 5 TXOPs,
+# recorded when the MCS table was a tuple of row objects
+ECHO_SHA256 = {
+    "campaign_random_deployments.json":
+        "e214666d26b5bb39a7ab65632ea90d791ae75a7bc5701b2e8db4282338f3f3e9",
+    "campaign_load_sweep.json":
+        "d09000f5ec66e706e16426d5f9dc579231f6ba31bdf45e16698b19fa370007d1",
+}
+
+
 @pytest.mark.parametrize("name", ["campaign_random_deployments.json",
                                   "campaign_load_sweep.json"])
 def test_campaign_config_echo_round_trips(name, tmp_path):
-    # the echo a campaign writes loads back as the campaign that wrote it
+    # the echo a campaign writes loads back as the campaign that wrote it,
+    # in the bytes pinned above
     shipped = load_campaign(CONFIGS / name)
     campaign = replace(shipped, timing=replace(shipped.timing, num_txops=5),
                        num_deployments=1)
     paths = run_campaign(campaign, out_dir=tmp_path)
     assert paths["campaign_config"] == tmp_path / "campaign_config.json"
     assert load_campaign(tmp_path / "campaign_config.json") == campaign
+    assert hashlib.sha256(paths["campaign_config"].read_bytes()).hexdigest() == ECHO_SHA256[name]
+
+
+def test_numpy_numbers_and_a_path_out_dir_are_echoed(tmp_path):
+    # both were accepted, ran every run and then died writing the echo with
+    # "Object of type int64 / PosixPath is not JSON serializable", leaving
+    # it truncated
+    plain = Campaign(**SMALL | {"k_values": (3,), "out_dir": str(tmp_path / "unused")})
+    odd = replace(plain, k_values=(np.int64(3),), base_seed=np.int64(7),
+                  out_dir=tmp_path / "unused")
+    assert odd.out_dir == plain.out_dir  # kept as text
+    want = run_campaign(plain, out_dir=tmp_path / "plain")
+    got = run_campaign(odd, out_dir=tmp_path / "odd")
+    for name, path in want.items():
+        assert got[name].read_bytes() == path.read_bytes(), name
+    assert load_campaign(got["campaign_config"]) == odd
+
+
+@pytest.mark.parametrize("out_dir", [5, None, b"results", ["results"]],
+                         ids=["int", "null", "bytes", "list"])
+def test_out_dir_must_be_a_path(out_dir, tmp_path, monkeypatch, capsys):
+    # 5 or null once reached run_campaign and died with "expected str, bytes
+    # or os.PathLike object, not int"
+    message = f"out_dir must be a str or path, got {out_dir!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Campaign(out_dir=out_dir)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        campaign_from_dict({"campaign": {"out_dir": out_dir}})
+    if isinstance(out_dir, bytes):
+        return  # JSON has no bytes
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"timing": {"num_txops": 5}, "campaign": {
+        "out_dir": out_dir, "num_deployments": 1, "schedulers": ["numpk-single"]}}))
+    assert main(["campaign", "--config", str(path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_campaign_validation():

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mapcsim import (McsEntry, McsTable, ScenarioConfig, TimingConfig,
+from mapcsim import (McsTable, ScenarioConfig, TimingConfig,
                      build_rssi_matrix, data_rate_bps, default_mcs_table,
                      generate_grid_deployment, group_feasible, group_sinr_db,
                      path_loss_db, select_mcs, station_sinr_db)
@@ -202,7 +203,7 @@ def test_default_mcs_table_shape():
     table = default_mcs_table()
     assert len(table) == 11
     assert table.min_sinrs == (2, 5, 8, 11, 15, 18, 20, 22, 26, 28, 30)
-    bits = [e.bits_per_symbol for e in table.entries]
+    bits = table.bits_per_symbol
     assert bits[0] == 117 and bits[7] == 1170 and bits[10] == 1755
 
 
@@ -220,9 +221,9 @@ def test_select_mcs_matches_linear_scan():
     rng = np.random.default_rng(4)
     for sinr in rng.uniform(-10, 60, size=10_000):
         expected = None
-        for entry in table.entries:
-            if sinr >= entry.min_sinr_db:
-                expected = entry.index
+        for mcs, threshold in enumerate(table.min_sinrs):
+            if sinr >= threshold:
+                expected = mcs
         assert select_mcs(float(sinr), table) == expected
 
 
@@ -240,48 +241,55 @@ def test_mcs_table_validation_and_roundtrip():
     again = McsTable.from_jsonable(table.to_jsonable())
     assert again == table
     rows = table.to_jsonable()
-    rows[3][1] = rows[2][1]  # duplicate threshold
-    with pytest.raises(ValueError):
-        McsTable.from_jsonable(rows)
-    # non-finite thresholds or payloads, and a payload that is not positive
+    assert McsTable.from_jsonable(rows).to_jsonable() == rows
+    # non-finite thresholds or payloads, a payload that is not positive, and
+    # a threshold or payload that does not exceed the row before's
     for pos, column, value in ((0, 1, float("nan")), (5, 1, float("nan")),
                                (10, 1, float("inf")), (0, 1, float("-inf")),
                                (3, 2, float("nan")), (10, 2, float("inf")),
-                               (0, 2, 0.0), (0, 2, -117.0)):
+                               (0, 2, 0.0), (0, 2, -117.0),
+                               (3, 1, rows[2][1]), (4, 2, rows[3][2]), (10, 1, 0.0)):
         rows = table.to_jsonable()
         rows[pos][column] = value
-        with pytest.raises(ValueError, match="MCS"):
+        with pytest.raises(ValueError, match=f"MCS row {pos}, "):
             McsTable.from_jsonable(rows)
     # rows that were once cast instead of refused: a fractional index was
     # truncated, a bool or string threshold or payload made a float
     for rows, pos in (([[0.9, 2, 117], [1.4, 5, 234]], 0), ([[0, 2, 117], [1.0, 5, 234]], 1),
                       ([[0, True, 117]], 0), ([[0, 2, 117], [1, 5, "234"]], 1),
                       ([[0, "2", 117]], 0), ([[0, 2, False]], 0), ([[True, 2, 117]], 0),
-                      ([[0, 2, 117, 1]], 0), ([[0, 2]], 0)):
+                      ([[0, 2, 117, 1]], 0), ([[0, 2]], 0), ([["0", 2, 117]], 0),
+                      ([[0, None, 117]], 0), ([[0, 2, 117], 5], 1)):
         with pytest.raises(ValueError, match=f"MCS row {pos}, "):
             McsTable.from_jsonable(rows)
 
 
-@pytest.mark.parametrize("entries", [
-    (McsEntry(False, 2.0, 117.0),),
-    (McsEntry(0, 2.0, 117.0), McsEntry(True, 5.0, 234.0)),
-    (McsEntry(0.0, 2.0, 117.0),),
-    (McsEntry(0, 2.0, 117.0), McsEntry(1.5, 5.0, 234.0)),
-    (McsEntry(0, "2", 117.0),),
-    (McsEntry(0, 2.0, "117"),),
-    (McsEntry(0, True, 117.0),),
-    (McsEntry(0, 2.0, None),),
-    (McsEntry(0, 2.0, 117.0), McsEntry(1, 5.0, True)),
-], ids=["bool-index", "bool-index-1", "float-index", "fractional-index", "string-threshold",
-        "string-payload", "bool-threshold", "none-payload", "bool-payload"])
-def test_mcs_table_refuses_entries_of_the_wrong_type(entries):
-    # the Python API refuses what from_jsonable refuses, naming the entry
-    pos = len(entries) - 1
-    with pytest.raises(ValueError, match=f"MCS entry {pos}, "):
-        McsTable(entries)
+@pytest.mark.parametrize("min_sinrs, bits_per_symbol", [
+    (("2",), (117.0,)),
+    ((2.0,), ("117",)),
+    ((True,), (117.0,)),
+    ((2.0,), (None,)),
+    ((2.0, 5.0), (117.0, True)),
+], ids=["string-threshold", "string-payload", "bool-threshold", "none-payload",
+        "bool-payload"])
+def test_mcs_table_refuses_entries_of_the_wrong_type(min_sinrs, bits_per_symbol):
+    # the Python API refuses what from_jsonable refuses, naming the row
+    pos = len(min_sinrs) - 1
+    with pytest.raises(ValueError, match=f"MCS row {pos}, "):
+        McsTable(min_sinrs, bits_per_symbol)
+
+
+@pytest.mark.parametrize("min_sinrs, bits_per_symbol", [
+    ((), ()), ((2.0, 5.0), (117.0,)), ((2.0,), (117.0, 234.0))],
+    ids=["empty", "short-payloads", "short-thresholds"])
+def test_mcs_table_refuses_empty_or_uneven_columns(min_sinrs, bits_per_symbol):
+    with pytest.raises(ValueError, match="one bits per symbol per SINR threshold"):
+        McsTable(min_sinrs, bits_per_symbol)
 
 
 def test_mcs_table_takes_numpy_numbers():
-    table = McsTable((McsEntry(np.int64(0), np.float64(2.0), 117),
-                      McsEntry(1, 5, np.float32(234.0))))
+    table = McsTable((np.float64(2.0), 5), (117, np.float32(234.0)))
     assert table.min_sinrs == (2.0, 5)
+    # kept as floats, so the table writes as JSON
+    assert all(type(x) is float for x in table.min_sinrs + table.bits_per_symbol)
+    assert json.loads(json.dumps(table.to_jsonable())) == [[0, 2.0, 117.0], [1, 5.0, 234.0]]

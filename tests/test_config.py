@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -14,6 +15,8 @@ from mapcsim import (Campaign, McsTable, ScenarioConfig, SimulationConfig,
                      run_simulation, save_simulation_config)
 from mapcsim.campaign import campaign_from_dict, run_seed
 from mapcsim.config import simulation_config_from_dict
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def test_load_full_config(tmp_path):
@@ -50,6 +53,27 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "config.json"
     save_simulation_config(config, path)
     assert load_simulation_config(path) == config
+
+
+def test_saved_default_config_bytes(tmp_path):
+    # the file save_simulation_config writes for configs/default.json, MCS
+    # table included, as recorded when the table was a tuple of row objects
+    path = tmp_path / "config.json"
+    save_simulation_config(load_simulation_config(CONFIGS / "default.json"), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6194fb0dc1f6a86f44f76f955528c49b6f71c68741d26baa1aa0a2c04abe6c56")
+
+
+def test_config_with_numpy_numbers_saves_and_reloads(tmp_path):
+    # the checks take numpy numbers; saving one once died with "Object of
+    # type int64 is not JSON serializable" and left a truncated file
+    config = SimulationConfig(ScenarioConfig(subarea_rows=np.int64(2)), seed=np.int64(5),
+                              gamma_db=np.float32(18.0))
+    save_simulation_config(config, tmp_path / "numpy.json")
+    save_simulation_config(replace(config, scenario=ScenarioConfig(subarea_rows=2), seed=5,
+                                   gamma_db=18.0), tmp_path / "plain.json")
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert load_simulation_config(tmp_path / "numpy.json") == config
 
 
 def test_unknown_keys_rejected():
@@ -166,7 +190,8 @@ def _smallest_accepted(accepts, rejected, accepted):
     ({"slot_overhead_us": 100.0, "te_us": 16.0}, TrafficConfig(packet_bytes=400),
      default_mcs_table()),
     # a table whose top MCS is slower: the room must hold one of its packets
-    ({}, TrafficConfig(), McsTable(default_mcs_table().entries[:4])),
+    ({}, TrafficConfig(), McsTable(default_mcs_table().min_sinrs[:4],
+                                     default_mcs_table().bits_per_symbol[:4])),
 ], ids=["default", "frames-and-packet", "mcs-table"])
 def test_slot_room_must_fit_one_packet(frames, traffic, mcs_table):
     # A cap with room for a slot's frames but not for one packet once ran:
@@ -353,7 +378,7 @@ def test_non_integer_k_values_rejected(k_values):
 
 
 def test_shipped_configs_load():
-    paths = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+    paths = sorted(CONFIGS.glob("*.json"))
     assert paths
     for path in paths:
         load_simulation_config(path)

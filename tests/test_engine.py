@@ -23,6 +23,7 @@ import views
 from oracles import nearest_rank_reference
 
 TIM = TimingConfig()
+NUMPK = SchedulerKind.NUMPK_SINGLE  # a kind for states whose tests read the counts
 MCS7_RATE = data_rate_bps(7, default_mcs_table(), TIM)
 PKT_US_MCS7 = 12000 / MCS7_RATE * 1e6  # ~139.49 us per 1500 B packet
 
@@ -68,10 +69,10 @@ def test_step_arrivals_p0_and_p1():
     dep = _deployment()
     traffic = TrafficConfig()
     rng = np.random.default_rng(1)
-    state = SimState(draw_arrivals(dep, 0.0, rng, 1), traffic, TIM.period_s)
+    state = SimState(draw_arrivals(dep, 0.0, rng, 1), traffic, TIM.period_s, NUMPK)
     assert step_arrivals(state, 0) == 0
     assert all(count == 0 for count in state.counts)
-    state = SimState(draw_arrivals(dep, 1.0, rng, 1), traffic, TIM.period_s)
+    state = SimState(draw_arrivals(dep, 1.0, rng, 1), traffic, TIM.period_s, NUMPK)
     added = step_arrivals(state, 0)
     assert added == 27 * 10
     assert sum(state.counts) == 270
@@ -86,7 +87,7 @@ def test_step_arrivals_empirical_frequency():
     traffic = TrafficConfig()
     rng = np.random.default_rng(7)
     periods = 20_000
-    state = SimState(draw_arrivals(dep, 0.25, rng, periods), traffic, TIM.period_s)
+    state = SimState(draw_arrivals(dep, 0.25, rng, periods), traffic, TIM.period_s, NUMPK)
     total = 0
     for n in range(periods):
         total += step_arrivals(state, n)
@@ -125,18 +126,17 @@ def _hand_schedule(*lists):
 
 
 def _queued_state(*queues):
-    """A run's state in which AP a holds the hand-made (arrival_s, station,
-    count) bursts queues[a], oldest first, as re-queued bursts laid out in
-    a hand-built schedule, with an empty window after them."""
+    """A NumPk run's state in which AP a holds the hand-made (arrival_s,
+    station, count) bursts queues[a], oldest first, as re-queued bursts laid
+    out in a hand-built schedule, with an empty window after them."""
     schedule = _hand_schedule(*([(arrival, sta) for arrival, sta, _ in queue]
                                 for queue in queues))
-    state = SimState(schedule, TrafficConfig(), TIM.period_s)
+    state = SimState(schedule, TrafficConfig(), TIM.period_s, NUMPK)
     for ap, queue in enumerate(queues):
         lo, hi = schedule.ap_bounds[ap:ap + 2].tolist()
         state.cursor[ap] = hi
         state.requeued[ap] = [[lo + j, count] for j, (_, _, count) in enumerate(queue)]
         state.counts[ap] = sum(count for _, _, count in queue)
-        state.heads[ap] = queue[0][0] if queue else math.inf
     state.queued = sum(state.counts)
     return state
 
@@ -247,61 +247,82 @@ def test_ap_buffer_consume_across_batches():
     assert views.bursts(state, 0) == [[0.5, 1, 2], [1.0, 0, 2]]
 
 
-def _window_state(num_stations, num_txops):
-    """A run's state with one AP whose `num_stations` stations each get a
+def _twin_states(schedule, traffic=TrafficConfig()):
+    """Two states over `schedule`, one per half of the controller view: a
+    NumPk run's, which keeps the counts, and an OldPk run's, which keeps the
+    heads. A test plans from the first and commits each plan to both."""
+    return tuple(SimState(schedule, traffic, TIM.period_s, kind)
+                 for kind in (NUMPK, SchedulerKind.OLDPK_SINGLE))
+
+
+def _view(states, ap):
+    """AP `ap`'s (count, head), each from the twin state that keeps it."""
+    counts_state, heads_state = states
+    return counts_state.counts[ap], heads_state.heads[ap]
+
+
+def _deliver(states, plan, delivery_time_s):
+    for state in states:
+        state.deliver(plan, delivery_time_s)
+
+
+def _window_states(num_stations, num_txops):
+    """Twin states with one AP whose `num_stations` stations each get a
     10-packet burst in every one of `num_txops` TXOPs, all arrived."""
     dep = Deployment(np.zeros((1, 2)), np.zeros((num_stations, 2)),
                      [0] * num_stations, 0)
-    schedule = draw_arrivals(dep, 1.0, np.random.default_rng(0), num_txops)
-    state = SimState(schedule, TrafficConfig(), TIM.period_s)
-    for n in range(num_txops):
-        step_arrivals(state, n)
-    return state
+    states = _twin_states(draw_arrivals(dep, 1.0, np.random.default_rng(0), num_txops))
+    for state in states:
+        for n in range(num_txops):
+            step_arrivals(state, n)
+    return states
 
 
-def _plan_and_deliver(state, airtimes, budget):
-    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, budget)
-    state.deliver(plan, 0.0)
+def _plan_and_deliver(states, airtimes, budget):
+    plan = plan_slot((0,), states[0], _links(airtimes)[0], TIM, budget)
+    _deliver(states, plan, 0.0)
     (tx,) = plan.transmissions
-    return views.taken(tx, state)
+    return views.taken(tx, states[0])
 
 
 def test_split_window_burst_stays_at_cursor_until_sent():
-    state = _window_state(num_stations=2, num_txops=1)
+    states = _window_states(num_stations=2, num_txops=1)
+    state = states[0]
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
+    assert _plan_and_deliver(states, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
     # the cut burst stays in the window, its 7 sent packets counted aside
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (0, 7, [])
     assert views.bursts(state, 0) == [[0.0, 0, 3], [0.0, 1, 10]]
-    assert (state.counts[0], state.heads[0]) == (13, 0.0)
+    assert _view(states, 0) == (13, 0.0)
     # the next slot takes the remainder, then the next burst
-    assert _plan_and_deliver(state, airtimes, 3000.0) == [(3, 0.0, 0),
-                                                          (10, 0.0, 1)]
+    assert _plan_and_deliver(states, airtimes, 3000.0) == [(3, 0.0, 0),
+                                                           (10, 0.0, 1)]
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (2, 0, [])
     assert views.bursts(state, 0) == []
-    assert (state.counts[0], state.heads[0]) == (0, math.inf)
+    assert _view(states, 0) == (0, math.inf)
 
 
 def test_skipped_split_burst_is_requeued_with_its_remainder():
-    state = _window_state(num_stations=2, num_txops=2)
+    states = _window_states(num_stations=2, num_txops=2)
+    state = states[0]
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
+    assert _plan_and_deliver(states, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
     # station 0 is unservable in the next slot, so its part-sent burst is
     # skipped; the budget ends the drain after station 1's first burst, and
     # station 0's next burst, skipped after it, is re-queued too
     airtimes[0][0] = None
-    assert _plan_and_deliver(state, airtimes, _budget_for(10)) == [(10, 0.0, 1)]
+    assert _plan_and_deliver(states, airtimes, _budget_for(10)) == [(10, 0.0, 1)]
     assert state.requeued[0] == [[0, 3], [2, 10]]  # schedule index, count
     assert (state.cursor[0], state.sent[0]) == (3, 0)
     assert views.bursts(state, 0) == [[0.0, 0, 3], [period, 0, 10], [period, 1, 10]]
-    assert (state.counts[0], state.heads[0]) == (23, 0.0)
+    assert _view(states, 0) == (23, 0.0)
     # re-queued bursts drain first; the remainder keeps its arrival time
     airtimes[0][0] = (7, PKT_US_MCS7)
-    assert _plan_and_deliver(state, airtimes, _budget_for(13)) == [
+    assert _plan_and_deliver(states, airtimes, _budget_for(13)) == [
         (3, 0.0, 0), (10, period, 0)]
     assert views.bursts(state, 0) == [[period, 1, 10]]
-    assert (state.counts[0], state.heads[0]) == (10, period)
+    assert _view(states, 0) == (10, period)
 
 
 def _pairs(state):
@@ -315,11 +336,13 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     # schedule (in the next AP's list), goes first; station 1 is unservable
     period = TIM.period_s
     window = [(n * period, sta) for n in range(2) for sta in range(3)]
-    state = SimState(_hand_schedule(window, [(0.0, 2)]), TrafficConfig(), period)
-    state.txop = 1
-    state.requeued[0] = [[6, 4]]
+    states = _twin_states(_hand_schedule(window, [(0.0, 2)]))
+    state = states[0]
+    for twin in states:
+        twin.txop = 1
+        twin.requeued[0] = [[6, 4]]
     state.counts[0] = 64
-    state.heads[0] = 0.0
+    states[1].heads[0] = 0.0
     airtimes = _one_ap_airtimes(stations=(0, 1, 2))
     airtimes[0][1] = None
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(37))
@@ -335,30 +358,31 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     assert packets == plan.packets == 37
     assert views.taken(tx, state) == [(4, 0.0, 2), (10, 0.0, 0), (10, 0.0, 2),
                                       (10, period, 0), (3, period, 2)]
-    state.deliver(plan, 0.02)
+    _deliver(states, plan, 0.02)
     assert _pairs(state) == [(0.02, 4), (0.02, 10), (0.02, 10),
                              (0.02 - period, 10), (0.02 - period, 3)]
     # the skipped bursts are re-queued in order, the cut one stays at the cursor
     assert state.requeued[0] == [[1, 10], [4, 10]]
     assert (state.cursor[0], state.sent[0]) == (5, 3)
     assert views.bursts(state, 0) == [[0.0, 1, 10], [period, 1, 10], [period, 2, 7]]
-    assert (state.counts[0], state.heads[0]) == (27, 0.0)
+    assert _view(states, 0) == (27, 0.0)
 
 
 def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
-    state = _window_state(num_stations=2, num_txops=2)
+    states = _window_states(num_stations=2, num_txops=2)
+    state = states[0]
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(7))
     ((_, runs, _, _, _),) = plan.transmissions
     assert runs == [(0, 1, 10, 7)]
-    state.deliver(plan, 0.001)
+    _deliver(states, plan, 0.001)
     # station 0 unservable: its part-sent burst 0 and burst 2 are skipped
     airtimes[0][0] = None
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(15))
     ((_, runs, window, _, _),) = plan.transmissions
     assert (runs, window) == ([(1, 2, 10, 10), (3, 4, 10, 5)], (3, 5))
-    state.deliver(plan, 0.002)
+    _deliver(states, plan, 0.002)
     assert state.requeued[0] == [[0, 3], [2, 10]]
     assert (state.cursor[0], state.sent[0]) == (3, 5)
     # station 1 unservable: the re-queued bursts go, and the window's one
@@ -367,12 +391,12 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, 3000.0)
     ((_, runs, window, requeued, _),) = plan.transmissions
     assert (runs, window, requeued) == ([(0, 1, 3, 3), (2, 3, 10, 10)], (4, 0), [[3, 5]])
-    state.deliver(plan, 0.003)
+    _deliver(states, plan, 0.003)
     assert _pairs(state) == [(0.001, 7), (0.002, 10), (0.002 - period, 5),
                              (0.003, 3), (0.003 - period, 10)]
     assert state.requeued[0] == [[3, 5]]
     assert views.bursts(state, 0) == [[period, 1, 5]]
-    assert (state.counts[0], state.heads[0]) == (5, period)
+    assert _view(states, 0) == (5, period)
 
 
 def test_trailing_skipped_bursts_are_requeued_in_order():
@@ -380,46 +404,47 @@ def test_trailing_skipped_bursts_are_requeued_in_order():
     # 7 packets, then only station 1 is servable: the part-sent burst 0,
     # bursts 2-4 and the trailing bursts 6 and 7 are all re-queued, in FIFO
     # order, and the queue is the one before the slot less bursts 1 and 5
-    state = _window_state(num_stations=4, num_txops=2)
+    states = _window_states(num_stations=4, num_txops=2)
+    state = states[0]
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1, 2, 3))
-    assert _plan_and_deliver(state, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
+    assert _plan_and_deliver(states, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
     before = views.bursts(state, 0)
     assert before == [[0.0, 0, 3]] + [[0.0, sta, 10] for sta in (1, 2, 3)] + [
         [period, sta, 10] for sta in range(4)]
-    assert (state.counts[0], state.heads[0]) == (73, 0.0)
+    assert _view(states, 0) == (73, 0.0)
     for sta in (0, 2, 3):
         airtimes[0][sta] = None
     plan = plan_slot((0,), state, _links(airtimes)[0], TIM, 3000.0)
     ((_, runs, window, requeued, _),) = plan.transmissions
     assert (runs, window) == ([(1, 2, 10, 10), (5, 6, 10, 10)], (8, 0))
     assert requeued == [[0, 3], [2, 10], [3, 10], [4, 10], [6, 10], [7, 10]]
-    state.deliver(plan, 0.002)
+    _deliver(states, plan, 0.002)
     assert _pairs(state)[1:] == [(0.002, 10), (0.002 - period, 10)]
     assert views.bursts(state, 0) == [b for b in before if b[1] != 1]
-    assert (state.counts[0], state.heads[0]) == (53, 0.0)
+    assert _view(states, 0) == (53, 0.0)
     # once servable, the re-queued bursts drain first, oldest first
     airtimes = _one_ap_airtimes(stations=(0, 1, 2, 3))
-    assert _plan_and_deliver(state, airtimes, _budget_for(53)) == [
+    assert _plan_and_deliver(states, airtimes, _budget_for(53)) == [
         (3, 0.0, 0), (10, 0.0, 2), (10, 0.0, 3), (10, period, 0), (10, period, 2),
         (10, period, 3)]
     assert views.bursts(state, 0) == []
-    assert (state.counts[0], state.heads[0]) == (0, math.inf)
+    assert _view(states, 0) == (0, math.inf)
 
 
-def _make_state(scenario, timing, traffic, gamma=20.0, k=3, seed=0,
+def _make_state(kind, scenario, timing, traffic, gamma=20.0, k=3, seed=0,
                 arrival_prob=0.0, num_txops=0):
-    """A run's state over `num_txops` TXOPs of arrivals drawn at `arrival_prob`
-    from the seed's traffic stream."""
+    """A `kind` run's state over `num_txops` TXOPs of arrivals drawn at
+    `arrival_prob` from the seed's traffic stream."""
     env = build_environment(SimulationConfig(scenario, timing, traffic, gamma, k, seed=seed))
     schedule = draw_arrivals(env.deployment, arrival_prob, views.traffic_rng(seed), num_txops)
-    return SimState(schedule, traffic, timing.period_s), env
+    return SimState(schedule, traffic, timing.period_s, kind), env
 
 
 def test_run_txop_empty_buffers():
     cfg, tim, tr = ScenarioConfig(), TimingConfig(), TrafficConfig()
-    state, env = _make_state(cfg, tim, tr)
-    rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env, tim, 0.0)
+    state, env = _make_state(NUMPK, cfg, tim, tr)
+    rec = run_txop(state, NUMPK, env, tim, 0.0)
     assert rec.total_duration_us == 0.0
     assert rec.handshake_us == 0.0
     assert rec.slots == []
@@ -428,8 +453,8 @@ def test_run_txop_empty_buffers():
 def test_run_txop_always_handshake_switch():
     cfg = ScenarioConfig()
     tim = TimingConfig(always_handshake=True)
-    state, env = _make_state(cfg, tim, TrafficConfig())
-    rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env, tim, 0.0)
+    state, env = _make_state(NUMPK, cfg, tim, TrafficConfig())
+    rec = run_txop(state, NUMPK, env, tim, 0.0)
     assert rec.total_duration_us == pytest.approx(tim.handshake_us)
     assert rec.slots == []
 
@@ -437,12 +462,12 @@ def test_run_txop_always_handshake_switch():
 def test_run_txop_accounting_and_budget():
     cfg, tr = ScenarioConfig(), TrafficConfig(load_bps_per_sta=8e6)
     tim = TimingConfig()
-    state, env = _make_state(cfg, tim, tr, arrival_prob=0.8, num_txops=50)
+    state, env = _make_state(NUMPK, cfg, tim, tr, arrival_prob=0.8, num_txops=50)
     slots = packets = 0
     for n in range(50):
         now = n * tim.period_s
         step_arrivals(state, n)
-        rec = run_txop(state, SchedulerKind.NUMPK_SINGLE, env, tim, now)
+        rec = run_txop(state, NUMPK, env, tim, now)
         slots += len(rec.slots)
         packets += rec.packets_delivered
         assert rec.total_duration_us <= tim.txop_max_us + 1e-9
@@ -471,9 +496,10 @@ def _head_or_next(view, schedule, ap, n):
     return count, _next_arrival(schedule.fifo_txops, *schedule.ap_bounds[ap:ap + 2], n)
 
 
-def _view_lists(state):
-    """The run's controller view as two lists, whichever container holds it."""
-    return np.asarray(state.counts).tolist(), np.asarray(state.heads).tolist()
+def _kept_view(state, kind):
+    """The half of the controller view a `kind` run keeps, counts or heads,
+    as a list whichever container holds it."""
+    return np.asarray(state.heads if kind.scores_waits else state.counts).tolist()
 
 
 def _view_from_buffers(state):
@@ -498,17 +524,19 @@ def test_controller_view_tracks_buffers(cfg, load_bps, txops):
     tim, tr = TimingConfig(), TrafficConfig(load_bps_per_sta=load_bps)
     p = arrival_probability(load_bps, tr.burst_packets, tr.packet_bytes,
                             tim.period_s)
-    for kind in SchedulerKind:
-        state, env = _make_state(cfg, tim, tr, seed=2, arrival_prob=p,
+    for kind in SchedulerKind:  # each kind's run keeps, and checks, its half
+        state, env = _make_state(kind, cfg, tim, tr, seed=2, arrival_prob=p,
                                  num_txops=txops)
         delivered = 0
         for n in range(txops):
             now = n * tim.period_s
             step_arrivals(state, n)
             delivered += run_txop(state, kind, env, tim, now).packets_delivered
-            assert _view_lists(state) == _view_from_buffers(state), (kind, n)
+            counts, heads = _view_from_buffers(state)
+            assert _kept_view(state, kind) == (heads if kind.scores_waits else counts), (kind, n)
+            assert state.queued == sum(counts), (kind, n)
         assert delivered > 0
-        assert any(state.counts)
+        assert state.queued > 0
 
 
 @pytest.mark.parametrize("rows, cols, load_bps", [(3, 3, 1e6), (7, 8, 0.2e6)],
@@ -556,14 +584,21 @@ def test_view_invariant_after_every_arrival_and_delivery(cfg):
     p = arrival_probability(4e6, tr.burst_packets, tr.packet_bytes, tim.period_s)
     period, requeues = tim.period_s, 0
     for kind in SchedulerKind:
-        state, env = _make_state(cfg, tim, tr, seed=2, arrival_prob=p, num_txops=txops)
+        state, env = _make_state(kind, cfg, tim, tr, seed=2, arrival_prob=p, num_txops=txops)
         assert state.vector_view == (cfg.num_aps > engine.LIST_VIEW_MAX_APS)
-        assert isinstance(state.counts, np.ndarray) == state.vector_view
+        kept = state.heads if kind.scores_waits else state.counts
+        assert isinstance(kept, np.ndarray) == state.vector_view
 
         def check(txop_start):
-            counts, heads = _view_lists(state)
+            # each kind's run checks the half it keeps: the counts against
+            # the buffers, the heads against the buffers' backlog and the
+            # first unsent burst
+            counts = _view_from_buffers(state)[0]
             assert state.queued == sum(counts)
-            for ap, (count, head) in enumerate(zip(counts, heads)):
+            if not kind.scores_waits:
+                assert _kept_view(state, kind) == counts, kind
+                return
+            for ap, (count, head) in enumerate(zip(counts, _kept_view(state, kind))):
                 assert (count > 0) == (head <= txop_start), (kind, ap)
                 # the first unsent burst: re-queued, else at the cursor
                 if state.requeued[ap]:
@@ -618,7 +653,7 @@ def test_simulation_zero_load():
 def test_delay_pairs_of_a_state_with_nothing_booked_are_empty():
     dep = _deployment()
     state = SimState(draw_arrivals(dep, 1.0, np.random.default_rng(0), 1),
-                     TrafficConfig(), TIM.period_s)
+                     TrafficConfig(), TIM.period_s, NUMPK)
     step_arrivals(state, 0)
     assert state.queued > 0 and not state.booked_at
     delays, counts = state.delay_pairs()
@@ -810,18 +845,20 @@ def test_step_arrivals_matches_station_loop(cfg, p):
     tr = TrafficConfig()
     rng_new, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
     schedule = draw_arrivals(env.deployment, p, rng_new, 6)
-    new = SimState(schedule, tr, TIM.period_s)
+    states = _twin_states(schedule)
+    new = states[0]
     num_aps = env.deployment.num_aps
     ref = [_DequeBuffer() for _ in range(num_aps)]
     for n in range(6):
         now = n * TIM.period_s
         got = step_arrivals(new, n)
+        assert step_arrivals(states[1], n) == got
         want = _loop_step_arrivals(ref, env.deployment, tr, p, rng_ref, now)
         assert got == want and type(got) is type(want)
         # repr also tells a numpy integer station id from a Python int
         assert [repr(views.bursts(new, ap)) for ap in range(num_aps)] == \
             [repr(list(b.batches)) for b in ref]
-        assert [(new.counts[ap], new.heads[ap]) for ap in range(num_aps)] == \
+        assert [_view(states, ap) for ap in range(num_aps)] == \
             [_head_or_next(b.view(), schedule, ap, n) for ap, b in enumerate(ref)]
     # the whole run was drawn before its first TXOP
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
@@ -848,18 +885,18 @@ def test_cursor_queue_matches_deque_fifo(data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     traffic = TrafficConfig(burst_packets=burst)
     schedule = draw_arrivals(dep, p, np.random.default_rng(seed), num_txops)
-    state = SimState(schedule, traffic, TIM.period_s)
+    states = _twin_states(schedule, traffic)
+    state = states[0]
     rng_ref = np.random.default_rng(seed)  # the reference draws per TXOP
     ref = [_DequeBuffer() for _ in range(num_aps)]
 
     def assert_same_queues(n):
         for ap in range(num_aps):
             assert views.bursts(state, ap) == list(map(list, ref[ap].batches))
-            assert (state.counts[ap], state.heads[ap]) == _head_or_next(
-                ref[ap].view(), schedule, ap, n)
+            assert _view(states, ap) == _head_or_next(ref[ap].view(), schedule, ap, n)
 
     for n in range(num_txops):
-        assert step_arrivals(state, n) == _loop_step_arrivals(
+        assert step_arrivals(states[1], n) == step_arrivals(state, n) == _loop_step_arrivals(
             ref, dep, traffic, p, rng_ref, n * TIM.period_s)
         assert_same_queues(n)
         for _ in range(data.draw(st.integers(0, 3), label="slots")):
@@ -901,7 +938,7 @@ def test_cursor_queue_matches_deque_fifo(data):
                 assert ([(arrival, sta, k) for k, arrival, sta in views.taken(tx, state)]
                         == ref[ap].consume(consume))
                 assert packets == sum(k for _, k in consume)
-            state.deliver(plan, n * TIM.period_s + 1.0)
+            _deliver(states, plan, n * TIM.period_s + 1.0)
             assert_same_queues(n)
 
 
@@ -945,8 +982,8 @@ def test_warm_memo_run_equals_cold_run(cfg):
 
 def test_memo_rebuilds_airtimes_for_new_mcs_table_or_packet_size():
     cfg, tr = ScenarioConfig(), TrafficConfig(load_bps_per_sta=6e6)
-    stricter = McsTable(tuple(replace(e, min_sinr_db=e.min_sinr_db + 6.0)
-                              for e in default_mcs_table().entries))
+    table = default_mcs_table()
+    stricter = McsTable(tuple(s + 6.0 for s in table.min_sinrs), table.bits_per_symbol)
     for mcs_table, traffic in ((stricter, tr),
                                (default_mcs_table(), replace(tr, packet_bytes=1000))):
         engine.clear_memos()

@@ -8,7 +8,6 @@ packet size. A pool of two workers must write the same bytes."""
 
 import hashlib
 import warnings
-from dataclasses import replace
 
 import pytest
 
@@ -17,8 +16,8 @@ from mapcsim import (McsTable, ScenarioConfig, TimingConfig, TrafficConfig,
 from mapcsim.campaign import Campaign, run_campaign
 
 TIMING = TimingConfig(num_txops=300)
-STRICTER_MCS = McsTable(tuple(replace(e, min_sinr_db=e.min_sinr_db + 6.0)
-                              for e in default_mcs_table().entries))
+STRICTER_MCS = McsTable(tuple(s + 6.0 for s in default_mcs_table().min_sinrs),
+                        default_mcs_table().bits_per_symbol)
 
 CASES = {
     "weak-links": (

@@ -43,8 +43,8 @@ def configs(draw, sides=st.integers(1, 4), stations=st.integers(1, 4),
     top_load = burst * packet_bits / DEFAULT_TIMING.period_s  # the load of p = 1
     # a shift moves which MCS each link gets, never a rate
     shift_db = draw(st.floats(-4.0, 8.0), label="mcs_shift_db")
-    mcs_table = McsTable(tuple(replace(e, min_sinr_db=e.min_sinr_db + shift_db)
-                               for e in MCS_TABLE.entries))
+    mcs_table = McsTable(tuple(s + shift_db for s in MCS_TABLE.min_sinrs),
+                         MCS_TABLE.bits_per_symbol)
     overhead_us = draw(st.sampled_from([0.0, 16.0, 60.5]), label="slot_overhead_us")
     if draw(st.booleans(), label="exact_fit"):
         # a first slot with room for exactly a whole number of packets at

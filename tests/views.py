@@ -18,6 +18,7 @@ import numpy as np
 
 from mapcsim import arrival_probability, build_environment, draw_arrivals
 from mapcsim.engine import SimState
+from mapcsim.scheduling import SchedulerKind
 
 
 def taken(tx, source):
@@ -91,6 +92,7 @@ def run_schedule(config):
 
 
 def fresh_state(config):
-    """A new state over run `config`'s schedule: a source for the views of
-    its trace."""
-    return SimState(run_schedule(config), config.traffic, config.timing.period_s)
+    """A new state over run `config`'s schedule, for its scheduler: a source
+    for the views of its trace."""
+    return SimState(run_schedule(config), config.traffic, config.timing.period_s,
+                    SchedulerKind(config.scheduler))

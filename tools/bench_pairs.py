@@ -12,8 +12,9 @@ working tree. For each `--pairs WORKLOAD:SEEDS` it runs
 `python3 bench/run.py --trace 0` once per seed on each side, one invocation
 at a time, the parent first on odd seeds and the change first on even ones.
 Then it runs one `--trace 1` invocation per side for each seed of each
-`--traced WORKLOAD:SEEDS`, parent first. Seeds are `A-B` ranges or comma
-lists. Every invocation runs for BENCHMARK.json's `run_seconds`.
+`--traced WORKLOAD:SEEDS`, parent first. Seeds are `A-B` ranges (A <= B)
+or comma lists, and at least one of the two options is needed. Every
+invocation runs for BENCHMARK.json's `run_seconds`.
 
 It writes one JSON file with `what`, `command`, `how`, `parent`,
 `change`, `summary` and `invocations`, rewritten after every invocation,
@@ -50,9 +51,11 @@ COMMAND = "python3 bench/run.py --workload W --seed S --seconds {seconds:g} --tr
 
 
 def parse_seeds(text: str) -> list[int]:
-    """`A-B` (inclusive) or a comma list of seeds."""
+    """`A-B` (inclusive, A <= B) or a comma list of seeds."""
     if "-" in text:
         lo, hi = (int(part) for part in text.split("-"))
+        if lo > hi:  # would run nothing
+            raise argparse.ArgumentTypeError(f"seed range {text!r} is empty: A-B needs A <= B")
         return list(range(lo, hi + 1))
     return [int(part) for part in text.split(",")]
 
@@ -215,6 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traced", action="append", default=[], type=parse_workload_seeds,
                         metavar="WORKLOAD:SEEDS", help="--trace 1 pairs, one per seed")
     args = parser.parse_args(argv)
+    if not args.pairs + args.traced:  # would build both sides and measure nothing
+        parser.error("give at least one --pairs or --traced")
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"]
               for m in benchmark["end_to_end"] + benchmark["per_layer"]}
