@@ -24,7 +24,7 @@ from .channel import McsTable, default_mcs_table
 from .config import (ScenarioConfig, SimulationConfig, TimingConfig,
                      TrafficConfig, _read_json_object, check_finite,
                      check_integer, simulation_config_from_dict,
-                     simulation_config_to_dict, write_json)
+                     simulation_config_to_dict, store_plain, write_json)
 from .engine import MetricsReport, TxopRecord, clear_memos, run_simulation
 from .scheduling import SCHEDULER_NAMES
 from .stats import empirical_cdf
@@ -59,6 +59,7 @@ class Campaign:
         if not isinstance(out_dir, (str, os.PathLike)) or isinstance(os.fspath(out_dir), bytes):
             raise ValueError(f"out_dir must be a str or path, got {out_dir!r}")
         object.__setattr__(self, "out_dir", os.fspath(out_dir))
+        store_plain(self)  # numpy numbers as the echo writes them
         check_integer("num_deployments", self.num_deployments)
         check_integer("base_seed", self.base_seed)  # run_seed hashes its text
         for i, load in enumerate(self.loads_mbps):

@@ -36,6 +36,21 @@ def check_finite(name: str, value: Any) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _plain(value: Any) -> Any:
+    """`value` with each numpy number, itself or in a tuple or list (made a
+    tuple), as its Python number (`.item()`)."""
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_plain, value))
+    return value.item() if isinstance(value, np.number) else value
+
+
+def store_plain(config: Any) -> None:
+    """Store each field of the frozen dataclass `config` as _plain(field):
+    its saved file or echo writes the numbers the run computes with."""
+    for f in fields(config):
+        object.__setattr__(config, f.name, _plain(getattr(config, f.name)))
+
+
 def arrival_probability(load_bps: float, burst_packets: int, packet_bytes: int,
                         period_s: float) -> float:
     """Per-period burst probability p = load*T / (Np*L*8).
@@ -72,6 +87,7 @@ class ScenarioConfig:
     noise_dbm: float = -94.0
 
     def __post_init__(self) -> None:
+        store_plain(self)
         for name in ("subarea_rows", "subarea_cols", "stations_per_subarea"):
             check_integer(name, getattr(self, name))
         if self.subarea_rows < 1 or self.subarea_cols < 1:
@@ -121,6 +137,7 @@ class TimingConfig:
     always_handshake: bool = False
 
     def __post_init__(self) -> None:
+        store_plain(self)
         for name in (f.name for f in fields(self) if f.name != "always_handshake"):
             check_finite(name, getattr(self, name))
         if not isinstance(self.always_handshake, bool):  # "false" is truthy
@@ -178,6 +195,7 @@ class TrafficConfig:
     packet_bytes: int = 1500
 
     def __post_init__(self) -> None:
+        store_plain(self)
         load = self.load_bps_per_sta
         if (isinstance(load, bool) or not isinstance(load, numbers.Real)
                 or not 0 <= load < math.inf):  # also rejects NaN
@@ -207,6 +225,7 @@ class SimulationConfig:
     mcs_table: McsTable = field(default_factory=default_mcs_table)
 
     def __post_init__(self) -> None:
+        store_plain(self)
         check_integer("max_group_size", self.max_group_size)
         check_integer("seed", self.seed)
         if self.seed < 0:  # numpy's SeedSequence refuses it only when the run starts
@@ -312,10 +331,10 @@ def simulation_config_to_dict(config: SimulationConfig) -> dict[str, Any]:
 
 
 def write_json(data: dict[str, Any], path: str | Path) -> None:
-    """Write `data` as indented JSON with sorted keys, a numpy scalar, which
-    the checks accept, as its Python number. The text is made before the
-    file is opened, so a value json cannot write leaves no truncated file."""
-    text = json.dumps(data, indent=2, sort_keys=True, default=np.generic.item)
+    """Write `data` as indented JSON with sorted keys. The configs hold no
+    numpy number (see store_plain). The text is made before the file is
+    opened, so a value json cannot write leaves no truncated file."""
+    text = json.dumps(data, indent=2, sort_keys=True)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

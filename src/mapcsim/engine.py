@@ -53,7 +53,7 @@ oldest head is the first minimum of the heads whenever an AP has packets.
 `run_txop` picks among the groups of the run's `Environment` only while
 packets are queued, and `select_group` reads the run's live view, lists on
 small grids and numpy vectors on large ones, and the slot decision instant;
-a `TimingConfig` works out the charges once.
+`run_txop` works out each slot's room once, and `plan_slot` fills it.
 
 Runs of one deployment share its environments, one per (gamma, K), each
 the deployment, groups and airtime table, and the arrival schedule of each
@@ -208,24 +208,21 @@ class SlotPlan:
 
 
 def plan_slot(members: Sequence[int], state: SimState, airtime_us: Mapping[int, float],
-              timing: TimingConfig, budget_us: float) -> SlotPlan | None:
-    """Fill one coordinated slot for `members` within `budget_us`.
+              preamble_us: float, room_us: float) -> SlotPlan | None:
+    """Fill one coordinated slot for `members` within `room_us`.
 
-    The budget covers the trigger frame, guard and fixed overhead plus the
-    slot itself, so each AP may pack packets up to
-    budget - T_MAP-TF - Te - overhead of airtime. Draining is strict FIFO
-    per AP, over its re-queued bursts and then its window (see SimState):
-    the first packet that does not fit ends that AP's drain (a burst may be
-    cut mid-way); bursts to stations absent from the set's per-packet
+    The room is what the TXOP leaves the slot once its MAP-TF, Te and
+    overhead are charged (see run_txop): each AP may pack that much airtime,
+    its `preamble_us` PHY preamble included. Draining is strict FIFO per AP,
+    over its re-queued bursts and then its window (see SimState): the first
+    packet that does not fit ends that AP's drain (a burst may be cut
+    mid-way); bursts to stations absent from the set's per-packet
     `airtime_us` are skipped over and stay queued in order, re-queued if
     from the window. An AP's airtime is its preamble plus k * per-packet
     airtime per burst, summed in queue order. Each AP's transmission lists
-    what it sends as runs and where its queue ends (see SlotPlan);
-    `state` is only read, each burst once. Returns None when nothing fits
-    at all.
+    what it sends as runs and where its queue ends (see SlotPlan); `state`
+    is only read, each burst once. Returns None when nothing fits at all.
     """
-    cap_us = budget_us - timing.map_tf_us - timing.te_us - timing.slot_overhead_us
-    preamble_us = timing.phy_preamble_us
     transmissions = []
     duration = 0.0
     requeued, cursor, ends, sent = state.requeued, state.cursor, state.ends, state.sent
@@ -238,18 +235,18 @@ def plan_slot(members: Sequence[int], state: SimState, airtime_us: Mapping[int, 
         batches = requeued[ap]
         kept: list[list[int]] = []  # the re-queued bursts after the slot
         window = cursor[ap], sent[ap]
-        # with integer n, k is min(n, int(room)): the packets that fit
+        # with integer n, k is min(n, int(fit)): the packets that fit
         for pos, entry in enumerate(batches) if batches else ():  # mostly empty
             i, n = entry
             per_packet = airtime_us.get(stations[i])
             if per_packet is None:
                 kept.append(entry)
                 continue
-            room = (cap_us - acc) / per_packet + 1e-9
-            if room < 1:
+            fit = (room_us - acc) / per_packet + 1e-9
+            if fit < 1:
                 kept += batches[pos:]
                 break
-            k = n if room >= n else int(room)
+            k = n if fit >= n else int(fit)
             acc += k * per_packet
             took += k
             runs.append((i, i + 1, k, k))
@@ -275,10 +272,10 @@ def plan_slot(members: Sequence[int], state: SimState, airtime_us: Mapping[int, 
                     lo = i + 1
                     head = n = burst
                     continue
-                room = (cap_us - acc) / per_packet + 1e-9
-                if room < n:
-                    if room >= 1:
-                        cut = int(room)
+                fit = (room_us - acc) / per_packet + 1e-9
+                if fit < n:
+                    if fit >= 1:
+                        cut = int(fit)
                         acc += cut * per_packet
                         took += cut
                     end = i
@@ -376,15 +373,15 @@ class SimState:
             self.heads = np.array(heads, np.float64) if vector else heads
         else:
             self.counts = np.zeros(num_aps, np.int64) if vector else [0] * num_aps
-        self.booked_at = array("d")
-        self.booked_runs = array("q")
+        self.booked_at, self.booked_runs = array("d"), array("q")
+        self.book_at, self.book_run = self.booked_at.append, self.booked_runs.extend
 
     def deliver(self, plan: SlotPlan, delivery_time_s: float) -> None:
         """Commit `plan`: book each run at `delivery_time_s`, set each AP's
         window and re-queued bursts as the plan left them, take the packets
         sent off the queued total and the counts, and move each head to the
         AP's first unsent burst; a run without counts or heads skips them."""
-        at, book = self.booked_at.append, self.booked_runs.extend
+        at, book = self.book_at, self.book_run
         cursor, sent, ends, requeued = self.cursor, self.sent, self.ends, self.requeued
         counts, heads, txops = self.counts, self.heads, self.txops
         period = self.period_s
@@ -437,7 +434,8 @@ def run_txop(state: SimState, kind: SchedulerKind, env: Environment,
     `env.groups` from the run's live `state.counts` or `state.heads` at the
     slot decision instant (TXOP start plus all already sent, so packets that
     arrived at `now_s` wait a positive time), and `plan_slot` fills the slot
-    from the set's dict in `env.airtimes`. The charges come from `timing`.
+    from the set's dict in `env.airtimes` within its room: the TXOP cap less
+    all consumed and the slot's MAP-TF, Te and overhead, from `timing`.
     """
     if not state.queued and not timing.always_handshake:
         return TxopRecord(now_s, 0.0, [], 0.0)
@@ -447,11 +445,11 @@ def run_txop(state: SimState, kind: SchedulerKind, env: Environment,
     groups, airtimes, counts, heads = env.groups, env.airtimes, state.counts, state.heads
     slots: list[SlotPlan] = []
     while state.queued:
-        budget = txop_max - consumed
-        if budget - map_tf - te - overhead <= preamble_us:
+        room = txop_max - consumed - map_tf - te - overhead
+        if room <= preamble_us:
             break  # plan_slot would refuse whatever group is selected
         members = select_group(kind, groups, counts, heads, now_s + consumed * 1e-6)
-        plan = plan_slot(members, state, airtimes[members], timing, budget)
+        plan = plan_slot(members, state, airtimes[members], preamble_us, room)
         if plan is None:
             break
         consumed += slot_us + plan.duration_us

@@ -177,6 +177,26 @@ def test_numpy_numbers_and_a_path_out_dir_are_echoed(tmp_path):
     assert load_campaign(got["campaign_config"]) == odd
 
 
+def test_numpy_floats_run_as_their_echo_replays(tmp_path):
+    # a float32 load once ran at np.float32(100000.0) bps while its echo
+    # replays 100000.00149011612 bps, and a float32 gamma compared SINRs in
+    # float32; every axis value is now stored as the number the echo writes
+    campaign = Campaign(**SMALL | {"loads_mbps": (np.float32(0.1),),
+                                   "gammas_db": (np.float32(20.3),),
+                                   "k_values": [np.int64(3)], "base_seed": np.int64(7)})
+    assert (campaign.loads_mbps, campaign.gammas_db) == ((0.10000000149011612,),
+                                                         (20.299999237060547,))
+    assert [type(value) for value in (*campaign.loads_mbps, *campaign.gammas_db,
+                                      *campaign.k_values, campaign.base_seed)] == [
+        float, float, int, int]
+    first = run_campaign(campaign, out_dir=tmp_path / "first")
+    replay = load_campaign(first["campaign_config"])
+    assert replay == campaign
+    again = run_campaign(replay, out_dir=tmp_path / "replay")
+    for name, path in first.items():
+        assert again[name].read_bytes() == path.read_bytes(), name
+
+
 @pytest.mark.parametrize("out_dir", [5, None, b"results", ["results"]],
                          ids=["int", "null", "bytes", "list"])
 def test_out_dir_must_be_a_path(out_dir, tmp_path, monkeypatch, capsys):

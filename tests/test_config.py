@@ -76,6 +76,35 @@ def test_config_with_numpy_numbers_saves_and_reloads(tmp_path):
     assert load_simulation_config(tmp_path / "numpy.json") == config
 
 
+def _report_bytes(config):
+    """The report of `config`'s run: its arrays' bytes, then its numbers' repr."""
+    r = run_simulation(config)
+    return r.delays_sorted_s.tobytes() + r.per_txop_occupancy.tobytes() + repr((
+        r.throughput_bps, r.mean_delay_s, r.packets_arrived, r.packets_delivered,
+        r.packets_remaining)).encode()
+
+
+def test_config_with_float32_reals_runs_as_its_saved_file(tmp_path):
+    # float32 reals once ran in float32 (a period_s of np.float32(0.0051), a
+    # p of np.float32(...)) while the saved file replays their float64
+    # values; each is now stored as the Python number the file holds
+    config = SimulationConfig(
+        ScenarioConfig(subarea_side_m=np.float32(10.3), tx_power_dbm=np.float32(20.1),
+                       noise_dbm=np.float32(-93.7)),
+        TimingConfig(period_ms=np.float32(5.1), txop_max_ms=np.float32(2.9),
+                     te_us=np.float32(9.1), num_txops=np.int64(60)),
+        TrafficConfig(load_bps_per_sta=np.float32(6.1e6), burst_packets=np.int32(10)),
+        gamma_db=np.float32(20.3), max_group_size=np.int64(3), seed=np.uint16(3))
+    for part in (config, config.scenario, config.timing, config.traffic):
+        for f in fields(part):
+            assert not isinstance(getattr(part, f.name), np.generic), f.name
+    path = tmp_path / "config.json"
+    save_simulation_config(config, path)
+    replay = load_simulation_config(path)
+    assert replay == config
+    assert _report_bytes(replay) == _report_bytes(config)
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ValueError, match="bogus"):
         simulation_config_from_dict({"timing": {"bogus": 1}})

@@ -23,6 +23,7 @@ import views
 from oracles import nearest_rank_reference
 
 TIM = TimingConfig()
+PRE = TIM.phy_preamble_us
 NUMPK = SchedulerKind.NUMPK_SINGLE  # a kind for states whose tests read the counts
 MCS7_RATE = data_rate_bps(7, default_mcs_table(), TIM)
 PKT_US_MCS7 = 12000 / MCS7_RATE * 1e6  # ~139.49 us per 1500 B packet
@@ -144,7 +145,7 @@ def _queued_state(*queues):
 def test_plan_slot_five_packet_ampdu():
     state = _queued_state([(0.0, 0, 5)])
     airtime_us, mcs = _links(_one_ap_airtimes())
-    plan = plan_slot((0,), state, airtime_us, TIM, budget_us=3000.0)
+    plan = plan_slot((0,), state, airtime_us, PRE, room_us=3000.0)
     assert plan is not None
     assert plan.duration_us == pytest.approx(44 + 5 * PKT_US_MCS7, abs=0.1)
     assert plan.duration_us == pytest.approx(741.4, abs=0.1)
@@ -157,8 +158,8 @@ def test_plan_slot_nothing_fits():
     state = _queued_state([(0.0, 0, 5)])
     mcs0_rate = data_rate_bps(0, default_mcs_table(), TIM)
     per = 12000 / mcs0_rate * 1e6  # ~1395 us
-    plan = plan_slot((0,), state, _links(_one_ap_airtimes(per, mcs=0))[0], TIM,
-                     budget_us=200.0)
+    plan = plan_slot((0,), state, _links(_one_ap_airtimes(per, mcs=0))[0], PRE,
+                     room_us=200.0)
     assert plan is None
     assert state.counts[0] == 5  # untouched
 
@@ -167,7 +168,7 @@ def test_plan_slot_duration_is_max_over_members():
     state = _queued_state([(0.0, 0, 3)], [(0.0, 1, 1)])
     airtimes = {0: {0: (7, PKT_US_MCS7)}, 1: {1: (7, PKT_US_MCS7)}}
     airtime_us, _ = _links(airtimes)
-    plan = plan_slot((0, 1), state, airtime_us, TIM, budget_us=3000.0)
+    plan = plan_slot((0, 1), state, airtime_us, PRE, room_us=3000.0)
     assert plan.duration_us == pytest.approx(44 + 3 * PKT_US_MCS7, abs=1e-6)
     ap_airtime = {tx[0]: views.airtime_us(tx, state, airtime_us, TIM)
                   for tx in plan.transmissions}
@@ -176,8 +177,8 @@ def test_plan_slot_duration_is_max_over_members():
 
 def test_plan_slot_splits_burst_at_budget():
     state = _queued_state([(0.0, 0, 10)])
-    budget = TIM.map_tf_us + TIM.te_us + 44 + 7.5 * PKT_US_MCS7
-    plan = plan_slot((0,), state, _links(_one_ap_airtimes())[0], TIM, budget_us=budget)
+    room = 44 + 7.5 * PKT_US_MCS7
+    plan = plan_slot((0,), state, _links(_one_ap_airtimes())[0], PRE, room_us=room)
     (tx,) = plan.transmissions
     assert views.taken(tx, state) == [(7, 0.0, 0)]
     state.deliver(plan, 0.0)
@@ -189,7 +190,7 @@ def test_plan_slot_skips_unservable_station():
     # station 0 is below MCS 0 in this selection
     state = _queued_state([(0.0, 0, 2), (1.0, 1, 2)])
     airtime_us, mcs = _links({0: {0: None, 1: (7, PKT_US_MCS7)}})
-    plan = plan_slot((0,), state, airtime_us, TIM, budget_us=3000.0)
+    plan = plan_slot((0,), state, airtime_us, PRE, room_us=3000.0)
     (tx,) = plan.transmissions
     assert views.segments(tx, state, mcs) == [(1, 7, 2)]
     assert views.taken(tx, state) == [(2, 1.0, 1)]
@@ -203,9 +204,9 @@ def test_plan_slot_strict_fifo_stops_at_first_misfit():
     state = _queued_state([(0.0, 0, 3), (1.0, 1, 1)])
     # station 1 is fast, but the head burst's station fits only 2 packets
     slow = PKT_US_MCS7 * 4
-    budget = TIM.map_tf_us + TIM.te_us + 44 + 2.2 * slow
+    room = 44 + 2.2 * slow
     airtimes = {0: {0: (3, slow), 1: (10, 1.0)}}
-    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, budget_us=budget)
+    plan = plan_slot((0,), state, _links(airtimes)[0], PRE, room_us=room)
     (tx,) = plan.transmissions
     assert views.taken(tx, state) == [(2, 0.0, 0)]  # burst cut mid-way, later burst untouched
 
@@ -215,21 +216,21 @@ def test_segments_merge_a_station_across_bursts():
     # in order of first appearance
     state = _queued_state([(0.0, 0, 2), (0.5, 1, 3), (1.0, 0, 4)])
     airtime_us, mcs = _links({0: {0: (7, PKT_US_MCS7), 1: (5, 2 * PKT_US_MCS7)}})
-    (tx,) = plan_slot((0,), state, airtime_us, TIM, budget_us=3000.0).transmissions
+    (tx,) = plan_slot((0,), state, airtime_us, PRE, room_us=3000.0).transmissions
     assert [sta for _, _, sta in views.taken(tx, state)] == [0, 1, 0]
     assert views.segments(tx, state, mcs) == [(0, 7, 6), (1, 5, 3)]
 
 
-def _budget_for(packets):
-    """Slot budget that fits `packets` MCS-7 packets and half of one more."""
-    return TIM.map_tf_us + TIM.te_us + 44 + (packets + 0.5) * PKT_US_MCS7
+def _room_for(packets):
+    """Slot room that fits `packets` MCS-7 packets and half of one more."""
+    return 44 + (packets + 0.5) * PKT_US_MCS7
 
 
 def test_ap_buffer_consume_across_batches():
     bursts = [(0.0, 0, 4), (0.5, 1, 2), (1.0, 0, 3)]
     state = _queued_state(bursts)
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(7))
+    plan = plan_slot((0,), state, _links(airtimes)[0], PRE, _room_for(7))
     (tx,) = plan.transmissions
     assert views.taken(tx, state) == [(4, 0.0, 0), (2, 0.5, 1), (1, 1.0, 0)]
     state.deliver(plan, 0.0)
@@ -239,7 +240,7 @@ def test_ap_buffer_consume_across_batches():
     # a skipped middle burst stays ahead of the split remainder
     state = _queued_state(bursts)
     airtimes[0][1] = None
-    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(5))
+    plan = plan_slot((0,), state, _links(airtimes)[0], PRE, _room_for(5))
     (tx,) = plan.transmissions
     assert views.taken(tx, state) == [(4, 0.0, 0), (1, 1.0, 0)]
     state.deliver(plan, 0.0)
@@ -278,8 +279,8 @@ def _window_states(num_stations, num_txops):
     return states
 
 
-def _plan_and_deliver(states, airtimes, budget):
-    plan = plan_slot((0,), states[0], _links(airtimes)[0], TIM, budget)
+def _plan_and_deliver(states, airtimes, room):
+    plan = plan_slot((0,), states[0], _links(airtimes)[0], PRE, room)
     _deliver(states, plan, 0.0)
     (tx,) = plan.transmissions
     return views.taken(tx, states[0])
@@ -289,7 +290,7 @@ def test_split_window_burst_stays_at_cursor_until_sent():
     states = _window_states(num_stations=2, num_txops=1)
     state = states[0]
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    assert _plan_and_deliver(states, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
+    assert _plan_and_deliver(states, airtimes, _room_for(7)) == [(7, 0.0, 0)]
     # the cut burst stays in the window, its 7 sent packets counted aside
     assert (state.cursor[0], state.sent[0], state.requeued[0]) == (0, 7, [])
     assert views.bursts(state, 0) == [[0.0, 0, 3], [0.0, 1, 10]]
@@ -307,19 +308,19 @@ def test_skipped_split_burst_is_requeued_with_its_remainder():
     state = states[0]
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    assert _plan_and_deliver(states, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
+    assert _plan_and_deliver(states, airtimes, _room_for(7)) == [(7, 0.0, 0)]
     # station 0 is unservable in the next slot, so its part-sent burst is
-    # skipped; the budget ends the drain after station 1's first burst, and
+    # skipped; the room ends the drain after station 1's first burst, and
     # station 0's next burst, skipped after it, is re-queued too
     airtimes[0][0] = None
-    assert _plan_and_deliver(states, airtimes, _budget_for(10)) == [(10, 0.0, 1)]
+    assert _plan_and_deliver(states, airtimes, _room_for(10)) == [(10, 0.0, 1)]
     assert state.requeued[0] == [[0, 3], [2, 10]]  # schedule index, count
     assert (state.cursor[0], state.sent[0]) == (3, 0)
     assert views.bursts(state, 0) == [[0.0, 0, 3], [period, 0, 10], [period, 1, 10]]
     assert _view(states, 0) == (23, 0.0)
     # re-queued bursts drain first; the remainder keeps its arrival time
     airtimes[0][0] = (7, PKT_US_MCS7)
-    assert _plan_and_deliver(states, airtimes, _budget_for(13)) == [
+    assert _plan_and_deliver(states, airtimes, _room_for(13)) == [
         (3, 0.0, 0), (10, period, 0)]
     assert views.bursts(state, 0) == [[period, 1, 10]]
     assert _view(states, 0) == (10, period)
@@ -345,12 +346,12 @@ def test_span_with_skipped_bursts_books_the_runs_between_them():
     states[1].heads[0] = 0.0
     airtimes = _one_ap_airtimes(stations=(0, 1, 2))
     airtimes[0][1] = None
-    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(37))
+    plan = plan_slot((0,), state, _links(airtimes)[0], PRE, _room_for(37))
     (tx,) = plan.transmissions
     ap, runs, window, requeued, packets = tx
     assert ap == 0
     # (lo, hi, head, tail) per run: the re-queued burst, then the window's
-    # stretches around skipped bursts 1 and 4; the budget cuts burst 5
+    # stretches around skipped bursts 1 and 4; the room cuts burst 5
     # after 3 packets
     assert runs == [(6, 7, 4, 4), (0, 1, 10, 10), (2, 4, 10, 10), (5, 6, 10, 3)]
     # where the queue ends: (cursor, sent), then the re-queued bursts
@@ -373,13 +374,13 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     state = states[0]
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1))
-    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(7))
+    plan = plan_slot((0,), state, _links(airtimes)[0], PRE, _room_for(7))
     ((_, runs, _, _, _),) = plan.transmissions
     assert runs == [(0, 1, 10, 7)]
     _deliver(states, plan, 0.001)
     # station 0 unservable: its part-sent burst 0 and burst 2 are skipped
     airtimes[0][0] = None
-    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, _budget_for(15))
+    plan = plan_slot((0,), state, _links(airtimes)[0], PRE, _room_for(15))
     ((_, runs, window, _, _),) = plan.transmissions
     assert (runs, window) == ([(1, 2, 10, 10), (3, 4, 10, 5)], (3, 5))
     _deliver(states, plan, 0.002)
@@ -388,7 +389,7 @@ def test_skipped_part_sent_burst_and_trailing_skips_are_booked_in_order():
     # station 1 unservable: the re-queued bursts go, and the window's one
     # burst, part-sent and skipped after them, is re-queued with its remainder
     airtimes[0][0], airtimes[0][1] = (7, PKT_US_MCS7), None
-    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, 3000.0)
+    plan = plan_slot((0,), state, _links(airtimes)[0], PRE, 3000.0)
     ((_, runs, window, requeued, _),) = plan.transmissions
     assert (runs, window, requeued) == ([(0, 1, 3, 3), (2, 3, 10, 10)], (4, 0), [[3, 5]])
     _deliver(states, plan, 0.003)
@@ -408,14 +409,14 @@ def test_trailing_skipped_bursts_are_requeued_in_order():
     state = states[0]
     period = TIM.period_s
     airtimes = _one_ap_airtimes(stations=(0, 1, 2, 3))
-    assert _plan_and_deliver(states, airtimes, _budget_for(7)) == [(7, 0.0, 0)]
+    assert _plan_and_deliver(states, airtimes, _room_for(7)) == [(7, 0.0, 0)]
     before = views.bursts(state, 0)
     assert before == [[0.0, 0, 3]] + [[0.0, sta, 10] for sta in (1, 2, 3)] + [
         [period, sta, 10] for sta in range(4)]
     assert _view(states, 0) == (73, 0.0)
     for sta in (0, 2, 3):
         airtimes[0][sta] = None
-    plan = plan_slot((0,), state, _links(airtimes)[0], TIM, 3000.0)
+    plan = plan_slot((0,), state, _links(airtimes)[0], PRE, 3000.0)
     ((_, runs, window, requeued, _),) = plan.transmissions
     assert (runs, window) == ([(1, 2, 10, 10), (5, 6, 10, 10)], (8, 0))
     assert requeued == [[0, 3], [2, 10], [3, 10], [4, 10], [6, 10], [7, 10]]
@@ -425,7 +426,7 @@ def test_trailing_skipped_bursts_are_requeued_in_order():
     assert _view(states, 0) == (53, 0.0)
     # once servable, the re-queued bursts drain first, oldest first
     airtimes = _one_ap_airtimes(stations=(0, 1, 2, 3))
-    assert _plan_and_deliver(states, airtimes, _budget_for(53)) == [
+    assert _plan_and_deliver(states, airtimes, _room_for(53)) == [
         (3, 0.0, 0), (10, 0.0, 2), (10, 0.0, 3), (10, period, 0), (10, period, 2),
         (10, period, 3)]
     assert views.bursts(state, 0) == []
@@ -908,14 +909,14 @@ def test_cursor_queue_matches_deque_fifo(data):
             airtimes = {ap: {sta: None if sta in unservable else (7, per_packet[sta])
                              for sta in dep.stations_by_ap[ap]} for ap in members}
             airtime_us, mcs = _links(airtimes)
-            plan = plan_slot(members, state, airtime_us, TIM, budget)
+            cap = budget - TIM.map_tf_us - TIM.te_us - TIM.slot_overhead_us
+            plan = plan_slot(members, state, airtime_us, PRE, cap)
             # planning changes no state: a second plan of the same slot is
             # the same, although it reads the re-queued entries the first
             # plan's lists share
-            again = plan_slot(members, state, airtime_us, TIM, budget)
+            again = plan_slot(members, state, airtime_us, PRE, cap)
             assert _committed(again) == _committed(plan)
             assert_same_queues(n)
-            cap = budget - TIM.map_tf_us - TIM.te_us - TIM.slot_overhead_us
             want = []
             if cap > TIM.phy_preamble_us:
                 for ap in members:
